@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from riscap import (
     write_csv,
 )
 from riscap.sim import height_grid
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def tiny_plan(**overrides):
@@ -187,6 +190,16 @@ class TestRunPlan:
         assert table.metadata["seed"] == plan.seed
         assert table.metadata["plan"]["n_ris"] == 1
         assert "version" in table.metadata
+
+
+class TestGoldenCsv:
+    "50-trial CSVs of the shipped presets, pinned byte for byte."
+
+    @pytest.mark.parametrize("panel", ["panel_a", "panel_b", "panel_c", "panel_d"])
+    def test_matches_golden_bytes(self, panel, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(run_plan(replace(load_preset(panel), trials=50)), path)
+        assert path.read_bytes() == (GOLDEN / f"{panel}_50.csv").read_bytes()
 
 
 class TestWriteCsv:
