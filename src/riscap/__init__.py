@@ -36,11 +36,7 @@ from .schemes import (
     JointSolution,
     RisOnlySolution,
     SnrPoint,
-    capacity_basic,
-    capacity_cophasing,
     capacity_from_gain,
-    capacity_joint,
-    capacity_ris_only,
     cophasing_gain,
     joint_gain,
     solve_cophasing_mimo,
@@ -77,11 +73,7 @@ __all__ = [
     "aux_g",
     "build_cascade",
     "build_positions",
-    "capacity_basic",
-    "capacity_cophasing",
     "capacity_from_gain",
-    "capacity_joint",
-    "capacity_ris_only",
     "cophasing_gain",
     "element_sums",
     "exhaustive_best",

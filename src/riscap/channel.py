@@ -82,6 +82,22 @@ def element_sums(ch: CascadeChannel) -> NDArray[np.complex128]:
     return ch.v_mat.sum(axis=0) * ch.u_mat.sum(axis=1)
 
 
+def gain_rows(ch: CascadeChannel, scheme: str) -> NDArray[np.complex128]:
+    """Rows A of a RIS-optimized gain, linear in exp(j*phi).
+
+    The gain at RIS phases phi is ``k_norm * sum_i |A[i] @ exp(j*phi)|``
+    (Wu & Zhang's passive-beamforming objective). ``ris_only`` has a single
+    row of per-element double sums. ``joint`` has one row per transmit
+    antenna, ``A[t, l] = (sum_r V[r, l]) * U[l, t]``: optimal transmit
+    phases co-phase each row, so their moduli add. Unscaled by k_norm.
+    """
+    if scheme == "ris_only":
+        return element_sums(ch)[np.newaxis, :]
+    if scheme == "joint":
+        return (ch.v_mat.sum(axis=0)[:, np.newaxis] * ch.u_mat).T
+    raise ValueError(f"no gain rows for {scheme!r}; expected 'ris_only' or 'joint'")
+
+
 def assemble_h(ch: CascadeChannel, phi) -> NDArray[np.complex128]:
     """Normalized channel matrix for a given RIS phase vector.
 

@@ -19,6 +19,13 @@ from .schemes import SnrPoint, capacity_from_gain, solve_joint, joint_gain, solv
 from .sim import run_plan, with_overrides, write_csv
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riscap",
@@ -33,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     sim.add_argument("--trials", type=int, default=None,
                      help="override the config trial count")
-    sim.add_argument("--workers", type=int, default=1, help="worker thread count")
+    sim.add_argument("--workers", type=_worker_count, default=1,
+                     help="accepted for compatibility (>= 1); trials run serially")
 
     val = sub.add_parser("validate", help="run the brute-force solver checks")
     val.add_argument("--seed", type=int, default=7, help="seed for random restarts")

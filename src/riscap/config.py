@@ -5,6 +5,7 @@ Distances carry an ``_m`` suffix in the file (meters). Unknown or duplicate
 keys are rejected so typos cannot silently fall back to defaults.
 """
 
+import math
 from importlib import resources
 
 from .sim import SCHEMES, SimulationPlan
@@ -48,9 +49,12 @@ def _to_int(key: str, value: str) -> int:
 
 def _to_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ValueError(f"key {key!r}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"key {key!r}: expected a finite number, got {value!r}")
+    return number
 
 
 def parse_plan_text(text: str, source: str = "<config>") -> SimulationPlan:

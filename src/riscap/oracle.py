@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .channel import CascadeChannel, element_sums
+from .channel import CascadeChannel, gain_rows
 
 TARGETS = ("ris_only", "joint")
 
@@ -46,33 +46,18 @@ class QuantizedSearchSpec:
             raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
 
 
-def _component_matrix(ch: CascadeChannel, target: str) -> NDArray[np.complex128]:
-    """Rows of linear forms in exp(j*phi); the gain is the sum of row-sum moduli.
-
-    The ris_only functional is a single linear form over the per-element
-    double sums. The joint functional co-phases the per-transmit-antenna
-    receive sums, which turns it into one linear form per transmit antenna.
-    """
-    if target == "ris_only":
-        return ch.k_norm * element_sums(ch)[np.newaxis, :]
-    if target == "joint":
-        v_col = ch.v_mat.sum(axis=0)
-        return ch.k_norm * (v_col[:, np.newaxis] * ch.u_mat).T
-    raise ValueError(f"unknown target {target!r}, expected one of {TARGETS}")
-
-
 def _objective(a_mat: NDArray[np.complex128], phi) -> float:
     return float(np.sum(np.abs(a_mat @ np.exp(1j * np.asarray(phi, dtype=float)))))
 
 
 def ris_only_objective(ch: CascadeChannel, phi) -> float:
     "Coherent double-sum gain at an arbitrary RIS phase vector."
-    return _objective(_component_matrix(ch, "ris_only"), phi)
+    return _objective(ch.k_norm * gain_rows(ch, "ris_only"), phi)
 
 
 def joint_objective(ch: CascadeChannel, phi) -> float:
     "Joint-scheme gain at an arbitrary RIS phase vector, transmit phases optimal."
-    return _objective(_component_matrix(ch, "joint"), phi)
+    return _objective(ch.k_norm * gain_rows(ch, "joint"), phi)
 
 
 def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
@@ -92,7 +77,7 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
             f"{spec.budget} candidates)"
         )
 
-    a_mat = _component_matrix(ch, spec.target)
+    a_mat = ch.k_norm * gain_rows(ch, spec.target)
     grid = 2.0 * np.pi * np.arange(spec.levels) / spec.levels
     strides = spec.levels ** np.arange(n)
 
@@ -150,7 +135,7 @@ def random_restart_best(ch: CascadeChannel, target: str, restarts: int,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    a_mat = _component_matrix(ch, target)
+    a_mat = ch.k_norm * gain_rows(ch, target)
     rng = np.random.default_rng(seed)
     best_phi = None
     best_gain = -np.inf

@@ -1,8 +1,8 @@
-"""Phase-only transmission schemes and their single-stream capacities.
+"""Phase-only transmission schemes and their single-stream capacity map.
 
 Four schemes share the same receive-side sum combiner and the capacity map
-``C = log2(1 + gain^2 / (n_t*n_r) * es_over_n0)``; they differ in which
-phases they are allowed to adjust:
+``C = log2(1 + gain^2 / (n_t*n_r) * es_over_n0)`` of ``capacity_from_gain``;
+they differ in which phases they are allowed to adjust:
 
 * RIS-only: adjusts the RIS phases, all-ones transmit precoder.
 * Joint: adjusts the RIS phases by global co-phasing, then a transmit
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .channel import CascadeChannel, assemble_h, element_sums, principal_angle
-from .geometry import SceneConfig
+from .channel import CascadeChannel, assemble_h, gain_rows, principal_angle
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,9 @@ class RisOnlySolution:
 class JointSolution:
     """RIS phases from global co-phasing plus transmit precoder phases.
 
-    ``degenerate`` lists RIS elements whose receive-side column summed to
-    exactly zero, where the co-phasing average is undefined and the phase
-    was pinned to 0.
+    ``degenerate`` lists RIS elements whose joint gain-row column is exactly
+    zero (their receive-side column summed to zero), where the co-phasing
+    average is undefined and the phase was pinned to 0.
     """
 
     phi: NDArray[np.float64]
@@ -71,9 +70,9 @@ class CoPhasingSolution:
     gamma: NDArray[np.float64]
 
 
-def capacity_from_gain(gain: float, n_t: int, n_r: int, snr: SnrPoint) -> float:
-    "Single-stream capacity in bits for a coherent-sum gain value."
-    return math.log2(1.0 + gain**2 / (n_t * n_r) * snr.es_over_n0)
+def capacity_from_gain(gain, n_t: int, n_r: int, snr: SnrPoint):
+    "Single-stream capacity in bits for a coherent-sum gain value or array."
+    return np.log2(1.0 + gain**2 / (n_t * n_r) * snr.es_over_n0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +87,10 @@ def solve_ris_only(ch: CascadeChannel) -> RisOnlySolution:
     ``c_l`` is the element's double sum. An exactly zero ``c_l`` gets phase
     0; it contributes nothing either way.
     """
-    c = element_sums(ch)
+    c = gain_rows(ch, "ris_only")[0]
     phi = -principal_angle(c)
     b_gain = float(ch.k_norm * np.sum(np.abs(c)))
     return RisOnlySolution(phi=phi, b_gain=b_gain)
-
-
-def capacity_ris_only(sol: RisOnlySolution, cfg: SceneConfig, snr: SnrPoint) -> float:
-    "Capacity of the RIS-only scheme in bits."
-    return capacity_from_gain(sol.b_gain, cfg.n_t, cfg.n_r, snr)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +108,8 @@ def solve_joint(ch: CascadeChannel) -> JointSolution:
     The raw deviations satisfy ``sum_t(delta[t, l] + phi[l]) == 0`` per
     element by construction.
     """
-    v_col = ch.v_mat.sum(axis=0)  # (n_ris,)
-    terms = v_col[:, np.newaxis] * ch.u_mat  # (n_ris, n_t)
-    degenerate = tuple(int(l) for l in np.flatnonzero(v_col == 0))
+    terms = gain_rows(ch, "joint").T  # (n_ris, n_t)
+    degenerate = tuple(int(l) for l in np.flatnonzero(~terms.any(axis=1)))
 
     delta = principal_angle(terms)
     phi = -delta.mean(axis=1)
@@ -127,12 +120,6 @@ def solve_joint(ch: CascadeChannel) -> JointSolution:
     h = assemble_h(ch, phi)
     beta = -principal_angle(h.sum(axis=0))
     return JointSolution(phi=phi, beta=beta, degenerate=degenerate)
-
-
-def capacity_joint(sol: JointSolution, ch: CascadeChannel, cfg: SceneConfig,
-                   snr: SnrPoint) -> float:
-    "Capacity of the joint scheme in bits."
-    return capacity_from_gain(joint_gain(sol, ch), cfg.n_t, cfg.n_r, snr)
 
 
 def joint_gain(sol: JointSolution, ch: CascadeChannel) -> float:
@@ -163,15 +150,3 @@ def cophasing_gain(sol: CoPhasingSolution, h: NDArray[np.complex128]) -> float:
     r_vec = np.exp(1j * sol.alpha)
     t_vec = np.exp(1j * sol.gamma)
     return float(np.abs(r_vec @ h @ t_vec))
-
-
-def capacity_cophasing(sol: CoPhasingSolution, h: NDArray[np.complex128],
-                       cfg: SceneConfig, snr: SnrPoint) -> float:
-    "Capacity of the co-phasing MIMO benchmark in bits."
-    return capacity_from_gain(cophasing_gain(sol, h), cfg.n_t, cfg.n_r, snr)
-
-
-def capacity_basic(h: NDArray[np.complex128], cfg: SceneConfig, snr: SnrPoint) -> float:
-    "Capacity of the basic MIMO benchmark (plain entry sum) in bits."
-    gain = float(np.abs(h.sum()))
-    return capacity_from_gain(gain, cfg.n_t, cfg.n_r, snr)

@@ -3,22 +3,23 @@
 Each trial draws array-midpoint heights from discrete uniform grids, builds
 the scene and cascade channel, solves the requested schemes, and evaluates
 capacity at every SNR point. Per-trial randomness is derived from (seed,
-trial_index) alone, so any trial is reproducible in isolation and results
-do not depend on scheduling or worker count.
+trial_index) alone, so any trial is reproducible in isolation. Trials run
+serially and are reduced in trial order.
 """
 
 import importlib.metadata
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .approx import approx_gain
-from .channel import assemble_h, build_cascade
-from .geometry import SceneConfig, build_positions
+from .channel import CascadeChannel, assemble_h, build_cascade
+from .geometry import SceneConfig, ScenePositions, build_positions
 from .schemes import (
+    SnrPoint,
+    capacity_from_gain,
     cophasing_gain,
     joint_gain,
     solve_cophasing_mimo,
@@ -26,7 +27,31 @@ from .schemes import (
     solve_ris_only,
 )
 
-SCHEMES = ("basic", "cophasing", "joint", "ris_only", "ris_only_approx")
+
+@dataclass
+class _Trial:
+    "One trial's scene; the benchmark channel is assembled on first use."
+
+    cfg: SceneConfig
+    pos: ScenePositions
+    ch: CascadeChannel
+    phi_bench: NDArray[np.float64]
+
+    @cached_property
+    def h_bench(self) -> NDArray[np.complex128]:
+        return assemble_h(self.ch, self.phi_bench)
+
+
+# Per-trial coherent-sum gain of each scheme. The benchmarks run on the
+# channel at the fixed (not optimized) benchmark RIS phases.
+_SCHEME_GAINS = {
+    "basic": lambda t: float(np.abs(t.h_bench.sum())),
+    "cophasing": lambda t: cophasing_gain(solve_cophasing_mimo(t.h_bench), t.h_bench),
+    "joint": lambda t: joint_gain(solve_joint(t.ch), t.ch),
+    "ris_only": lambda t: solve_ris_only(t.ch).b_gain,
+    "ris_only_approx": lambda t: approx_gain(t.pos, t.cfg),
+}
+SCHEMES = tuple(_SCHEME_GAINS)
 BENCHMARK_PHASE_MODES = ("zero", "random")
 
 try:
@@ -184,47 +209,28 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
         raise ValueError(
             f"trial {trial_index} (h_t={h_t}, h_r={h_r}): {err}"
         ) from err
-    ch = build_cascade(pos, cfg)
-
-    h_bench = None
-    gains = {}
-    for scheme in plan.schemes:
-        if scheme == "ris_only":
-            gains[scheme] = solve_ris_only(ch).b_gain
-        elif scheme == "ris_only_approx":
-            gains[scheme] = approx_gain(pos, cfg)
-        elif scheme == "joint":
-            gains[scheme] = joint_gain(solve_joint(ch), ch)
-        else:
-            if h_bench is None:
-                h_bench = assemble_h(ch, phi_bench)
-            if scheme == "cophasing":
-                gains[scheme] = cophasing_gain(solve_cophasing_mimo(h_bench), h_bench)
-            else:  # basic
-                gains[scheme] = float(np.abs(h_bench.sum()))
-    return gains
+    trial = _Trial(cfg, pos, build_cascade(pos, cfg), phi_bench)
+    return {scheme: _SCHEME_GAINS[scheme](trial) for scheme in plan.schemes}
 
 
 def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
-    """Run all trials and aggregate mean capacity and standard error.
+    """Run all trials serially and aggregate mean capacity and standard error.
 
-    Trials are independent work items; with ``workers > 1`` they run on a
-    thread pool but are reduced in trial order, so the result table is
-    identical for any worker count.
+    ``workers`` is accepted for compatibility and must be >= 1; it does not
+    change how trials run, so the table is identical for any worker count.
     """
-    indices = range(plan.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(partial(trial_gains, plan), indices))
-    else:
-        per_trial = [trial_gains(plan, i) for i in indices]
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    per_trial = [trial_gains(plan, i) for i in range(plan.trials)]
 
+    # NumPy's array power can differ from Python's ``**`` (SnrPoint.from_db)
+    # in the last bit; the array form is the one the CSV bytes are pinned to.
     snr_linear = 10.0 ** (np.asarray(plan.snr_db) / 10.0)
     rows = []
     for scheme in sorted(plan.schemes):
         gains = np.array([t[scheme] for t in per_trial])
         for snr_db, rho in zip(plan.snr_db, snr_linear):
-            caps = np.log2(1.0 + gains**2 / (plan.n_t * plan.n_r) * rho)
+            caps = capacity_from_gain(gains, plan.n_t, plan.n_r, SnrPoint(rho))
             stderr = (
                 float(np.std(caps, ddof=1) / np.sqrt(plan.trials))
                 if plan.trials > 1 else 0.0
@@ -238,15 +244,7 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
             ))
     rows.sort(key=lambda r: (r.scheme, r.snr_db))
 
-    metadata = {
-        "plan": {k: getattr(plan, k) for k in (
-            "wavelength", "n_t", "n_r", "n_ris", "s_t", "s_r", "s_ris",
-            "d_wall", "d_ris", "h_t_grid", "h_r_grid", "snr_db", "trials",
-            "seed", "schemes", "benchmark_ris_phase",
-        )},
-        "seed": plan.seed,
-        "version": _VERSION,
-    }
+    metadata = {"plan": asdict(plan), "seed": plan.seed, "version": _VERSION}
     return ResultTable(rows=tuple(rows), metadata=metadata)
 
 

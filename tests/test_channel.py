@@ -8,11 +8,14 @@ from riscap import (
     assemble_h,
     build_cascade,
     build_positions,
+    joint_gain,
     principal_angle,
+    solve_joint,
     solve_ris_only,
     unnormalized_h,
     wrap_phase,
 )
+from riscap.channel import gain_rows
 
 
 @pytest.fixture
@@ -120,6 +123,24 @@ class TestAssembleH:
         _, pos, ch = panel
         with pytest.raises(ValueError, match="shape"):
             assemble_h(ch, np.zeros(ch.n_ris + 1))
+
+
+class TestGainRows:
+    def test_rows_give_the_solver_gains(self, panel):
+        cfg, _, ch = panel
+        ris, joint = solve_ris_only(ch), solve_joint(ch)
+        for scheme, n_rows, phi, gain in (
+            ("ris_only", 1, ris.phi, ris.b_gain),
+            ("joint", cfg.n_t, joint.phi, joint_gain(joint, ch)),
+        ):
+            rows = gain_rows(ch, scheme)
+            assert rows.shape == (n_rows, cfg.n_ris)
+            value = ch.k_norm * np.sum(np.abs(rows @ np.exp(1j * phi)))
+            assert value == pytest.approx(gain, rel=1e-12)
+
+    def test_rejects_unknown_scheme(self, panel):
+        with pytest.raises(ValueError, match="basic"):
+            gain_rows(panel[2], "basic")
 
 
 class TestUnnormalizedH:

@@ -75,6 +75,28 @@ class TestSimulate:
                          "--out", str(tmp_path / "x.csv"), "--trials", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("snr_db", "nan"), ("lambda_m", "inf"), ("h_t_max_m", "inf"),
+    ])
+    def test_non_finite_number_is_config_error(self, key, value, tmp_path, capsys):
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in CONFIG.splitlines()]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(lines))
+        code = cli_main(["simulate", "--config", str(bad),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_is_config_error(self, workers, config_file, tmp_path, capsys):
+        code = cli_main(["simulate", "--config", str(config_file),
+                         "--out", str(tmp_path / "x.csv"), "--workers", workers])
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_output_is_runtime_error(self, config_file, tmp_path):
         code = cli_main(["simulate", "--config", str(config_file),
                          "--out", str(tmp_path / "missing_dir" / "x.csv")])

@@ -11,11 +11,7 @@ from riscap import (
     assemble_h,
     build_cascade,
     build_positions,
-    capacity_basic,
-    capacity_cophasing,
     capacity_from_gain,
-    capacity_joint,
-    capacity_ris_only,
     cophasing_gain,
     element_sums,
     joint_gain,
@@ -99,7 +95,7 @@ class TestCapacityRisOnly:
     def test_unit_system_at_zero_db(self, scene):
         cfg, ch = cascade_for(scene, 1, 1, 1)
         sol = solve_ris_only(ch)
-        c = capacity_ris_only(sol, cfg, SnrPoint.from_db(0.0))
+        c = capacity_from_gain(sol.b_gain, cfg.n_t, cfg.n_r, SnrPoint.from_db(0.0))
         assert c == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_gain_zero_capacity(self):
@@ -108,29 +104,29 @@ class TestCapacityRisOnly:
     def test_high_snr_slope(self, scene):
         cfg, ch = cascade_for(scene, 2, 2, 10)
         sol = solve_ris_only(ch)
-        c1 = capacity_ris_only(sol, cfg, SnrPoint(1e6))
-        c4 = capacity_ris_only(sol, cfg, SnrPoint(4e6))
+        c1 = capacity_from_gain(sol.b_gain, cfg.n_t, cfg.n_r, SnrPoint(1e6))
+        c4 = capacity_from_gain(sol.b_gain, cfg.n_t, cfg.n_r, SnrPoint(4e6))
         assert c4 - c1 == pytest.approx(2.0, abs=1e-3)
 
     def test_monotone_in_snr(self, scene):
         cfg, ch = cascade_for(scene, 4, 2, 10)
         sol = solve_ris_only(ch)
-        caps = [capacity_ris_only(sol, cfg, SnrPoint.from_db(db))
+        caps = [capacity_from_gain(sol.b_gain, cfg.n_t, cfg.n_r, SnrPoint.from_db(db))
                 for db in np.linspace(-10, 30, 9)]
         assert np.all(np.diff(caps) > 0)
 
     def test_every_capacity_op_monotone_in_snr(self, scene):
         cfg, ch = cascade_for(scene, 4, 2, 10)
         h = assemble_h(ch, np.zeros(ch.n_ris))
-        evaluators = (
-            lambda snr: capacity_ris_only(solve_ris_only(ch), cfg, snr),
-            lambda snr: capacity_joint(solve_joint(ch), ch, cfg, snr),
-            lambda snr: capacity_cophasing(solve_cophasing_mimo(h), h, cfg, snr),
-            lambda snr: capacity_basic(h, cfg, snr),
+        gains = (
+            solve_ris_only(ch).b_gain,
+            joint_gain(solve_joint(ch), ch),
+            cophasing_gain(solve_cophasing_mimo(h), h),
+            abs(h.sum()),
         )
         points = [SnrPoint.from_db(db) for db in np.linspace(-10, 30, 9)]
-        for evaluate in evaluators:
-            caps = [evaluate(snr) for snr in points]
+        for gain in gains:
+            caps = [capacity_from_gain(gain, cfg.n_t, cfg.n_r, snr) for snr in points]
             assert np.all(np.diff(caps) > 0)
 
 
@@ -151,8 +147,8 @@ class TestJoint:
     def test_1x1_equals_ris_only(self, scene):
         cfg, ch = cascade_for(scene, 1, 1, 30)
         snr = SnrPoint.from_db(10.0)
-        c_joint = capacity_joint(solve_joint(ch), ch, cfg, snr)
-        c_ris = capacity_ris_only(solve_ris_only(ch), cfg, snr)
+        c_joint = capacity_from_gain(joint_gain(solve_joint(ch), ch), cfg.n_t, cfg.n_r, snr)
+        c_ris = capacity_from_gain(solve_ris_only(ch).b_gain, cfg.n_t, cfg.n_r, snr)
         assert c_joint == pytest.approx(c_ris, abs=1e-9)
 
     def test_zero_beta_with_ris_only_phases_reduces(self, scene):
@@ -160,8 +156,8 @@ class TestJoint:
         ris = solve_ris_only(ch)
         sol = JointSolution(phi=ris.phi, beta=np.zeros(cfg.n_t))
         snr = SnrPoint.from_db(5.0)
-        assert capacity_joint(sol, ch, cfg, snr) == pytest.approx(
-            capacity_ris_only(ris, cfg, snr), abs=1e-9
+        assert capacity_from_gain(joint_gain(sol, ch), cfg.n_t, cfg.n_r, snr) == pytest.approx(
+            capacity_from_gain(ris.b_gain, cfg.n_t, cfg.n_r, snr), abs=1e-9
         )
 
     def test_all_zero_solution_on_single_element_is_basic(self, scene):
@@ -169,8 +165,8 @@ class TestJoint:
         sol = JointSolution(phi=np.zeros(1), beta=np.zeros(cfg.n_t))
         h = assemble_h(ch, np.zeros(1))
         snr = SnrPoint.from_db(12.0)
-        assert capacity_joint(sol, ch, cfg, snr) == pytest.approx(
-            capacity_basic(h, cfg, snr), abs=1e-12
+        assert capacity_from_gain(joint_gain(sol, ch), cfg.n_t, cfg.n_r, snr) == pytest.approx(
+            capacity_from_gain(abs(h.sum()), cfg.n_t, cfg.n_r, snr), abs=1e-12
         )
 
     def test_degenerate_column_flagged(self):
@@ -214,8 +210,8 @@ class TestCoPhasingMimo:
         h = assemble_h(ch, np.zeros(ch.n_ris))
         sol = CoPhasingSolution(alpha=np.zeros(cfg.n_r), gamma=np.zeros(cfg.n_t))
         snr = SnrPoint.from_db(10.0)
-        assert capacity_cophasing(sol, h, cfg, snr) == pytest.approx(
-            capacity_basic(h, cfg, snr), abs=1e-12
+        assert capacity_from_gain(cophasing_gain(sol, h), cfg.n_t, cfg.n_r, snr) == pytest.approx(
+            capacity_from_gain(abs(h.sum()), cfg.n_t, cfg.n_r, snr), abs=1e-12
         )
 
     def test_1x1_equals_basic(self, scene):
@@ -223,8 +219,8 @@ class TestCoPhasingMimo:
         h = assemble_h(ch, np.zeros(ch.n_ris))
         snr = SnrPoint.from_db(10.0)
         sol = solve_cophasing_mimo(h)
-        assert capacity_cophasing(sol, h, cfg, snr) == pytest.approx(
-            capacity_basic(h, cfg, snr), abs=1e-9
+        assert capacity_from_gain(cophasing_gain(sol, h), cfg.n_t, cfg.n_r, snr) == pytest.approx(
+            capacity_from_gain(abs(h.sum()), cfg.n_t, cfg.n_r, snr), abs=1e-9
         )
 
     def test_zero_row_product_zero_alpha(self):
@@ -251,22 +247,20 @@ class TestCoPhasingMimo:
 class TestCapacityBasic:
     def test_all_ones_channel(self):
         h = np.ones((2, 3), dtype=complex)
-        cfg_like = type("Cfg", (), {"n_t": 3, "n_r": 2})
         snr = SnrPoint(2.0)
         expected = math.log2(1 + (6.0**2) / 6.0 * 2.0)
-        assert capacity_basic(h, cfg_like, snr) == pytest.approx(expected, rel=1e-12)
+        assert capacity_from_gain(abs(h.sum()), 3, 2, snr) == pytest.approx(expected, rel=1e-12)
 
     def test_cancelled_channel_zero_capacity(self):
         h = np.array([[1.0 + 0j, -1.0 + 0j]])
-        cfg_like = type("Cfg", (), {"n_t": 2, "n_r": 1})
-        assert capacity_basic(h, cfg_like, SnrPoint(100.0)) == 0.0
+        assert capacity_from_gain(abs(h.sum()), 2, 1, SnrPoint(100.0)) == 0.0
 
     def test_unit_system_equals_ris_only(self, scene):
         cfg, ch = cascade_for(scene, 1, 1, 1)
         h = assemble_h(ch, np.zeros(1))
         snr = SnrPoint.from_db(7.0)
-        assert capacity_basic(h, cfg, snr) == pytest.approx(
-            capacity_ris_only(solve_ris_only(ch), cfg, snr), abs=1e-9
+        assert capacity_from_gain(abs(h.sum()), cfg.n_t, cfg.n_r, snr) == pytest.approx(
+            capacity_from_gain(solve_ris_only(ch).b_gain, cfg.n_t, cfg.n_r, snr), abs=1e-9
         )
 
     def test_ris_only_dominates_basic_per_scene(self, scene):

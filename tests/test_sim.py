@@ -9,9 +9,18 @@ from riscap import (
     ResultRow,
     ResultTable,
     SimulationPlan,
+    approx_gain,
+    assemble_h,
+    build_cascade,
+    build_positions,
+    cophasing_gain,
+    joint_gain,
     load_preset,
     run_plan,
     sample_heights,
+    solve_cophasing_mimo,
+    solve_joint,
+    solve_ris_only,
     trial_gains,
     write_csv,
 )
@@ -120,6 +129,21 @@ class TestTrialGains:
         plan = replace(load_preset("panel_a"), trials=1)
         assert trial_gains(plan, 3) == trial_gains(plan, 3)
 
+    def test_matches_public_call_replay(self):
+        plan = replace(load_preset("panel_a"), benchmark_ris_phase="zero")
+        for trial in range(10):
+            cfg = plan.scene(*sample_heights(plan, trial))
+            pos = build_positions(cfg)
+            ch = build_cascade(pos, cfg)
+            h = assemble_h(ch, np.zeros(plan.n_ris))
+            assert trial_gains(plan, trial) == {
+                "basic": float(np.abs(h.sum())),
+                "cophasing": cophasing_gain(solve_cophasing_mimo(h), h),
+                "joint": joint_gain(solve_joint(ch), ch),
+                "ris_only": solve_ris_only(ch).b_gain,
+                "ris_only_approx": approx_gain(pos, cfg),
+            }
+
     def test_random_benchmark_mode_deterministic_and_different(self):
         plan = replace(load_preset("panel_a"), benchmark_ris_phase="random")
         zero_plan = load_preset("panel_a")
@@ -144,6 +168,10 @@ class TestRunPlan:
     def test_repeat_runs_identical(self):
         plan = replace(load_preset("panel_a"), trials=50)
         assert run_plan(plan) == run_plan(plan)
+
+    def test_rejects_worker_count_below_one(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_plan(tiny_plan(), workers=0)
 
     def test_worker_count_does_not_change_rows(self):
         plan = replace(load_preset("panel_a"), trials=64)
