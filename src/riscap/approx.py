@@ -10,7 +10,7 @@ array lengths are much smaller than the array-to-RIS distances.
 
 import numpy as np
 
-from .channel import normalization_constant
+from .channel import normalization_constant, scalar_or_array
 from .geometry import SceneConfig, ScenePositions
 
 # |sin(x)| below this counts as a main-lobe center; the ratio limit is N.
@@ -41,8 +41,10 @@ def approx_gain(pos: ScenePositions, cfg: SceneConfig) -> float:
     ``g(n_t, pi*s_t*cos_theta_t[l]/wavelength) * g(n_r, ...)``; the gains
     add across elements after co-phasing, scaled by the normalization
     constant so the value is directly comparable to the exact solver's.
+    Positions with leading batch axes give a gain per scene.
     """
     x_t = np.pi * cfg.s_t * pos.cos_theta_t / cfg.wavelength
     x_r = np.pi * cfg.s_r * pos.cos_theta_r / cfg.wavelength
     per_element = aux_g(cfg.n_t, x_t) * aux_g(cfg.n_r, x_r)
-    return float(normalization_constant(pos, cfg) * np.sum(per_element))
+    return scalar_or_array(
+        normalization_constant(pos, cfg) * np.sum(per_element, axis=-1))

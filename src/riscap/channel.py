@@ -4,6 +4,11 @@ The normalized channel is a product k * V * diag(exp(j*phi)) * U of
 unit-modulus steering matrices, where k rescales the common free-space
 amplitude to the reference center path. The unnormalized variant keeps the
 per-path free-space amplitudes and exists for cross-validation only.
+
+Every function on a :class:`CascadeChannel` also takes a batch of scenes:
+arrays with leading batch axes, where slice ``i`` of each result is
+bit-identical to the result for scene ``i`` alone. A single scene is the
+batch with an empty batch shape, and its scalar results are Python floats.
 """
 
 from dataclasses import dataclass
@@ -16,11 +21,12 @@ from .geometry import SceneConfig, ScenePositions, normalization_reference
 
 @dataclass(frozen=True)
 class CascadeChannel:
-    """Steering matrices and amplitude normalization of one scene.
+    """Steering matrices and amplitude normalization of one scene or a batch.
 
     ``u_mat[l, t] = exp(-j*2*pi*d2[l, t]/wavelength)`` covers the transmit
     leg, ``v_mat[r, l]`` the receive leg, and ``k_norm`` is the ratio of the
-    center reference path product to the element-(1,1) path product.
+    center reference path product to the element-(1,1) path product. A batch
+    puts the same leading axes on all three.
     """
 
     u_mat: NDArray[np.complex128]
@@ -29,21 +35,31 @@ class CascadeChannel:
 
     @property
     def n_ris(self) -> int:
-        return self.u_mat.shape[0]
+        return self.u_mat.shape[-2]
 
     @property
     def n_t(self) -> int:
-        return self.u_mat.shape[1]
+        return self.u_mat.shape[-1]
 
     @property
     def n_r(self) -> int:
-        return self.v_mat.shape[0]
+        return self.v_mat.shape[-2]
+
+
+def scalar_or_array(x):
+    "Python float for a single scene's 0-d result, the array for a batch."
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def wrap_phase(phi) -> NDArray[np.float64]:
     "Wrap phases (radians) to the canonical interval (-pi, pi]."
     phi = np.asarray(phi, dtype=float)
-    return phi - 2.0 * np.pi * np.ceil((phi - np.pi) / (2.0 * np.pi))
+    # phi - 2*pi*ceil((phi - pi) / (2*pi)), in one scratch array
+    turns = np.subtract(phi, np.pi, out=np.empty_like(phi))
+    turns /= 2.0 * np.pi
+    np.ceil(turns, out=turns)
+    turns *= 2.0 * np.pi
+    return np.subtract(phi, turns, out=turns)[()]
 
 
 def principal_angle(z) -> NDArray[np.float64]:
@@ -58,16 +74,19 @@ def normalization_constant(pos: ScenePositions, cfg: SceneConfig) -> float:
     lowest transmit and receive antennas.
     """
     d1_c, d2_c = normalization_reference(cfg)
-    return float(d1_c * d2_c / (pos.d1[0, 0] * pos.d2[0, 0]))
+    return scalar_or_array(d1_c * d2_c / (pos.d1[..., 0, 0] * pos.d2[..., 0, 0]))
+
+
+def steering(dist, wavelength: float) -> NDArray[np.complex128]:
+    "Unit-modulus phase factors exp(-j*2*pi*dist/wavelength) of path lengths."
+    return np.exp(-2j * np.pi * dist / wavelength)
 
 
 def build_cascade(pos: ScenePositions, cfg: SceneConfig) -> CascadeChannel:
     "Populate the steering matrices and the normalization constant."
-    u_mat = np.exp(-2j * np.pi * pos.d2 / cfg.wavelength)
-    v_mat = np.exp(-2j * np.pi * pos.d1 / cfg.wavelength)
     return CascadeChannel(
-        u_mat=u_mat,
-        v_mat=v_mat,
+        u_mat=steering(pos.d2, cfg.wavelength),
+        v_mat=steering(pos.d1, cfg.wavelength),
         k_norm=normalization_constant(pos, cfg),
     )
 
@@ -79,7 +98,7 @@ def element_sums(ch: CascadeChannel) -> NDArray[np.complex128]:
     antennas factorizes because the element couples the two legs
     multiplicatively. Unscaled by the normalization constant.
     """
-    return ch.v_mat.sum(axis=0) * ch.u_mat.sum(axis=1)
+    return ch.v_mat.sum(axis=-2) * ch.u_mat.sum(axis=-1)
 
 
 def gain_rows(ch: CascadeChannel, scheme: str) -> NDArray[np.complex128]:
@@ -92,9 +111,9 @@ def gain_rows(ch: CascadeChannel, scheme: str) -> NDArray[np.complex128]:
     phases co-phase each row, so their moduli add. Unscaled by k_norm.
     """
     if scheme == "ris_only":
-        return element_sums(ch)[np.newaxis, :]
+        return element_sums(ch)[..., np.newaxis, :]
     if scheme == "joint":
-        return (ch.v_mat.sum(axis=0)[:, np.newaxis] * ch.u_mat).T
+        return (ch.v_mat.sum(axis=-2)[..., np.newaxis] * ch.u_mat).swapaxes(-1, -2)
     raise ValueError(f"no gain rows for {scheme!r}; expected 'ris_only' or 'joint'")
 
 
@@ -104,19 +123,20 @@ def assemble_h(ch: CascadeChannel, phi) -> NDArray[np.complex128]:
     Parameters
     ----------
     ch : CascadeChannel
-    phi : array_like, shape (n_ris,)
-        RIS element phase shifts in radians.
+    phi : array_like, shape (..., n_ris)
+        RIS element phase shifts in radians, with the channel's batch axes.
 
     Returns
     -------
-    ndarray, shape (n_r, n_t), complex
+    ndarray, shape (..., n_r, n_t), complex
     """
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (ch.n_ris,):
+    if phi.shape != ch.u_mat.shape[:-1]:
         raise ValueError(
-            f"phase vector has shape {phi.shape}, expected ({ch.n_ris},)"
+            f"phase vector has shape {phi.shape}, expected {ch.u_mat.shape[:-1]}"
         )
-    return ch.k_norm * (ch.v_mat * np.exp(1j * phi)) @ ch.u_mat
+    k_norm = np.asarray(ch.k_norm)[..., np.newaxis, np.newaxis]
+    return k_norm * (ch.v_mat * np.exp(1j * phi)[..., np.newaxis, :]) @ ch.u_mat
 
 
 def unnormalized_h(pos: ScenePositions, cfg: SceneConfig, phi) -> NDArray[np.complex128]:

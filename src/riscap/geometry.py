@@ -61,7 +61,9 @@ class ScenePositions:
     ``r``; ``d2[l, t]`` from transmit antenna ``t`` to RIS element ``l``.
     ``cos_theta_t[l]`` / ``cos_theta_r[l]`` are the direction cosines of RIS
     element ``l`` as seen from the array midpoints, measured against the
-    upward vertical array axis.
+    upward vertical array axis. Positions joined from batched legs
+    (:func:`join_legs`) carry the batch axes in front of every field but
+    ``ris_pos``.
     """
 
     tx_pos: NDArray[np.float64]
@@ -78,6 +80,69 @@ class ScenePositions:
 def _ula_offsets(n: int, spacing: float) -> NDArray[np.float64]:
     "Symmetric element offsets around the array midpoint, lowest-index first."
     return (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
+
+
+def _ris_x(cfg: SceneConfig) -> NDArray[np.float64]:
+    "RIS element x coordinates on the floor, lowest-index first."
+    return cfg.d_ris + _ula_offsets(cfg.n_ris, cfg.s_ris)
+
+
+def transmit_leg(cfg: SceneConfig, h_t) -> tuple[NDArray[np.float64], ...]:
+    """Transmit-side geometry for arrays at midpoint heights ``h_t``.
+
+    ``h_t`` may be a scalar or an array of any batch shape; ``cfg`` supplies
+    everything but the height. Returns ``(tx_pos, d2, d_t_mid, cos_theta_t)``
+    with shapes ``(..., n_t, 2)``, ``(..., n_ris, n_t)``, ``(..., n_ris)``
+    and ``(..., n_ris)``, as in :class:`ScenePositions`.
+    """
+    h_t = np.asarray(h_t, dtype=float)[..., np.newaxis]
+    ris_x = _ris_x(cfg)
+    tx_y = h_t + _ula_offsets(cfg.n_t, cfg.s_t)
+    tx_pos = np.stack([np.zeros_like(tx_y), tx_y], axis=-1)
+    d2 = np.hypot(ris_x[:, np.newaxis], tx_y[..., np.newaxis, :])
+    d_t_mid = np.hypot(ris_x, h_t)
+    # Direction cosine of element l against the upward array axis: the
+    # vector from the array midpoint down to the floor element has vertical
+    # component -h, so the cosine is negative. Downstream use is sign-blind.
+    return tx_pos, d2, d_t_mid, -h_t / d_t_mid
+
+
+def receive_leg(cfg: SceneConfig, h_r) -> tuple[NDArray[np.float64], ...]:
+    """Receive-side geometry for arrays at midpoint heights ``h_r``.
+
+    The receive counterpart of :func:`transmit_leg`: ``(rx_pos, d1, d_r_mid,
+    cos_theta_r)`` with shapes ``(..., n_r, 2)``, ``(..., n_r, n_ris)``,
+    ``(..., n_ris)`` and ``(..., n_ris)``.
+    """
+    h_r = np.asarray(h_r, dtype=float)[..., np.newaxis]
+    ris_dx = cfg.d_wall - _ris_x(cfg)
+    rx_y = h_r + _ula_offsets(cfg.n_r, cfg.s_r)
+    rx_pos = np.stack([np.full_like(rx_y, cfg.d_wall), rx_y], axis=-1)
+    d1 = np.hypot(ris_dx, rx_y[..., :, np.newaxis])
+    d_r_mid = np.hypot(ris_dx, h_r)
+    return rx_pos, d1, d_r_mid, -h_r / d_r_mid
+
+
+def join_legs(cfg: SceneConfig, tx_leg, rx_leg) -> ScenePositions:
+    """Positions from a transmit and a receive leg with the same batch shape.
+
+    ``ris_pos`` carries no batch axes: the RIS does not move with the
+    antenna heights.
+    """
+    tx_pos, d2, d_t_mid, cos_theta_t = tx_leg
+    rx_pos, d1, d_r_mid, cos_theta_r = rx_leg
+    ris_x = _ris_x(cfg)
+    return ScenePositions(
+        tx_pos=tx_pos,
+        rx_pos=rx_pos,
+        ris_pos=np.column_stack([ris_x, np.zeros(cfg.n_ris)]),
+        d1=d1,
+        d2=d2,
+        d_t_mid=d_t_mid,
+        d_r_mid=d_r_mid,
+        cos_theta_t=cos_theta_t,
+        cos_theta_r=cos_theta_r,
+    )
 
 
 def build_positions(cfg: SceneConfig) -> ScenePositions:
@@ -99,52 +164,25 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
         at y <= 0) or an RIS element would fall outside the open interval
         (0, d_wall).
     """
-    tx_y = cfg.h_t + _ula_offsets(cfg.n_t, cfg.s_t)
-    rx_y = cfg.h_r + _ula_offsets(cfg.n_r, cfg.s_r)
-    ris_x = cfg.d_ris + _ula_offsets(cfg.n_ris, cfg.s_ris)
+    tx_leg = transmit_leg(cfg, cfg.h_t)
+    rx_leg = receive_leg(cfg, cfg.h_r)
+    ris_x = _ris_x(cfg)
 
-    if tx_y[0] <= 0:
+    tx_low, rx_low = tx_leg[0][0, 1], rx_leg[0][0, 1]  # y of the lowest elements
+    if tx_low <= 0:
         raise ValueError(
-            f"transmit array intersects the floor (lowest element at y={tx_y[0]:.6g})"
+            f"transmit array intersects the floor (lowest element at y={tx_low:.6g})"
         )
-    if rx_y[0] <= 0:
+    if rx_low <= 0:
         raise ValueError(
-            f"receive array intersects the floor (lowest element at y={rx_y[0]:.6g})"
+            f"receive array intersects the floor (lowest element at y={rx_low:.6g})"
         )
     if ris_x[0] <= 0 or ris_x[-1] >= cfg.d_wall:
         raise ValueError(
             f"RIS span [{ris_x[0]:.6g}, {ris_x[-1]:.6g}] m must lie strictly "
             f"between the walls (0, {cfg.d_wall})"
         )
-
-    tx_pos = np.column_stack([np.zeros(cfg.n_t), tx_y])
-    rx_pos = np.column_stack([np.full(cfg.n_r, cfg.d_wall), rx_y])
-    ris_pos = np.column_stack([ris_x, np.zeros(cfg.n_ris)])
-
-    # RIS element l -> receive antenna r, and transmit antenna t -> element l
-    d1 = np.hypot(cfg.d_wall - ris_x[np.newaxis, :], rx_y[:, np.newaxis])
-    d2 = np.hypot(ris_x[:, np.newaxis], tx_y[np.newaxis, :])
-
-    d_t_mid = np.hypot(ris_x, cfg.h_t)
-    d_r_mid = np.hypot(cfg.d_wall - ris_x, cfg.h_r)
-
-    # Direction cosine of element l against the upward array axis: the
-    # vector from the array midpoint down to the floor element has vertical
-    # component -h, so the cosine is negative. Downstream use is sign-blind.
-    cos_theta_t = -cfg.h_t / d_t_mid
-    cos_theta_r = -cfg.h_r / d_r_mid
-
-    return ScenePositions(
-        tx_pos=tx_pos,
-        rx_pos=rx_pos,
-        ris_pos=ris_pos,
-        d1=d1,
-        d2=d2,
-        d_t_mid=d_t_mid,
-        d_r_mid=d_r_mid,
-        cos_theta_t=cos_theta_t,
-        cos_theta_r=cos_theta_r,
-    )
+    return join_legs(cfg, tx_leg, rx_leg)
 
 
 def normalization_reference(cfg: SceneConfig) -> tuple[float, float]:

@@ -10,6 +10,10 @@ they differ in which phases they are allowed to adjust:
 * Co-phasing MIMO (benchmark): transmit/receive phase precoding only, the
   RIS phases stay fixed.
 * Basic MIMO (benchmark): no phase adjustment anywhere.
+
+Solvers and gains take a single scene or a batch with leading axes, as the
+channel functions do; slice ``i`` of a batched result is bit-identical to
+the single-scene result, and a single scene's gains are Python floats.
 """
 
 import math
@@ -18,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .channel import CascadeChannel, assemble_h, gain_rows, principal_angle
+from .channel import (
+    CascadeChannel,
+    assemble_h,
+    gain_rows,
+    principal_angle,
+    scalar_or_array,
+)
 
 
 @dataclass(frozen=True)
@@ -54,12 +64,13 @@ class JointSolution:
 
     ``degenerate`` lists RIS elements whose joint gain-row column is exactly
     zero (their receive-side column summed to zero), where the co-phasing
-    average is undefined and the phase was pinned to 0.
+    average is undefined and the phase was pinned to 0. For a batch it is
+    the boolean mask of those elements, shaped like ``phi``.
     """
 
     phi: NDArray[np.float64]
     beta: NDArray[np.float64]
-    degenerate: tuple[int, ...] = ()
+    degenerate: tuple[int, ...] | NDArray[np.bool_] = ()
 
 
 @dataclass(frozen=True)
@@ -87,9 +98,9 @@ def solve_ris_only(ch: CascadeChannel) -> RisOnlySolution:
     ``c_l`` is the element's double sum. An exactly zero ``c_l`` gets phase
     0; it contributes nothing either way.
     """
-    c = gain_rows(ch, "ris_only")[0]
+    c = gain_rows(ch, "ris_only")[..., 0, :]
     phi = -principal_angle(c)
-    b_gain = float(ch.k_norm * np.sum(np.abs(c)))
+    b_gain = scalar_or_array(ch.k_norm * np.sum(np.abs(c), axis=-1))
     return RisOnlySolution(phi=phi, b_gain=b_gain)
 
 
@@ -108,24 +119,21 @@ def solve_joint(ch: CascadeChannel) -> JointSolution:
     The raw deviations satisfy ``sum_t(delta[t, l] + phi[l]) == 0`` per
     element by construction.
     """
-    terms = gain_rows(ch, "joint").T  # (n_ris, n_t)
-    degenerate = tuple(int(l) for l in np.flatnonzero(~terms.any(axis=1)))
-
-    delta = principal_angle(terms)
-    phi = -delta.mean(axis=1)
-    if degenerate:
-        phi = phi.copy()
-        phi[list(degenerate)] = 0.0
+    terms = gain_rows(ch, "joint").swapaxes(-1, -2)  # (..., n_ris, n_t)
+    zero = ~terms.any(axis=-1)
+    phi = np.where(zero, 0.0, -principal_angle(terms).mean(axis=-1))
 
     h = assemble_h(ch, phi)
-    beta = -principal_angle(h.sum(axis=0))
+    beta = -principal_angle(h.sum(axis=-2))
+    degenerate = tuple(map(int, np.flatnonzero(zero))) if zero.ndim == 1 else zero
     return JointSolution(phi=phi, beta=beta, degenerate=degenerate)
 
 
 def joint_gain(sol: JointSolution, ch: CascadeChannel) -> float:
     "Coherent sum |sum_{r,t} H(r,t) exp(j*beta_t)| on the solved channel."
     h = assemble_h(ch, sol.phi)
-    return float(np.abs(np.sum(h.sum(axis=0) * np.exp(1j * sol.beta))))
+    return scalar_or_array(
+        np.abs(np.sum(h.sum(axis=-2) * np.exp(1j * sol.beta), axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +147,14 @@ def solve_cophasing_mimo(h: NDArray[np.complex128]) -> CoPhasingSolution:
     channel entries; receive phases alpha then exactly co-phase each row's
     product with the realized transmit vector.
     """
-    gamma = -principal_angle(h).sum(axis=0) / h.shape[1]
-    t_vec = np.exp(1j * gamma)
-    alpha = -principal_angle(h @ t_vec)
+    gamma = -principal_angle(h).sum(axis=-2) / h.shape[-1]
+    t_vec = np.exp(1j * gamma)[..., np.newaxis]
+    alpha = -principal_angle((h @ t_vec)[..., 0])
     return CoPhasingSolution(alpha=alpha, gamma=gamma)
 
 
 def cophasing_gain(sol: CoPhasingSolution, h: NDArray[np.complex128]) -> float:
     "Precoded coherent sum |r^T H t|."
-    r_vec = np.exp(1j * sol.alpha)
-    t_vec = np.exp(1j * sol.gamma)
-    return float(np.abs(r_vec @ h @ t_vec))
+    r_vec = np.exp(1j * sol.alpha)[..., np.newaxis, :]
+    t_vec = np.exp(1j * sol.gamma)[..., np.newaxis]
+    return scalar_or_array(np.abs(r_vec @ h @ t_vec)[..., 0, 0])

@@ -3,8 +3,14 @@
 Each trial draws array-midpoint heights from discrete uniform grids, builds
 the scene and cascade channel, solves the requested schemes, and evaluates
 capacity at every SNR point. Per-trial randomness is derived from (seed,
-trial_index) alone, so any trial is reproducible in isolation. Trials run
-serially and are reduced in trial order.
+trial_index) alone, so any trial is reproducible in isolation.
+
+Trials run in blocks: sorted by their grid heights, cut to a fixed memory
+budget, with every scheme solved over a leading trial axis. The transmit
+steering depends only on h_t and the receive steering only on h_r, so a
+block builds each once per distinct grid height. Gains go back to trial
+order before the reduction, and each trial's gain is bit-identical to the
+single-scene calls, so the block layout never shows in the results.
 """
 
 import importlib.metadata
@@ -15,8 +21,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .approx import approx_gain
-from .channel import CascadeChannel, assemble_h, build_cascade
-from .geometry import SceneConfig, ScenePositions, build_positions
+from .channel import CascadeChannel, assemble_h, normalization_constant, steering
+from .geometry import (
+    SceneConfig,
+    ScenePositions,
+    build_positions,
+    join_legs,
+    receive_leg,
+    transmit_leg,
+)
 from .schemes import (
     SnrPoint,
     capacity_from_gain,
@@ -27,10 +40,19 @@ from .schemes import (
     solve_ris_only,
 )
 
+# Bytes of gathered steering matrices per block of trials; a block's live
+# arrays peak at about three times this. Blocks hold at least one trial, so
+# peak memory does not grow with the trial count.
+_BLOCK_BYTES = 1 << 19
+
 
 @dataclass
-class _Trial:
-    "One trial's scene; the benchmark channel is assembled on first use."
+class _Block:
+    """Scenes of a block of trials along a leading trial axis.
+
+    ``cfg`` holds the plan's geometry; the trials' heights live in ``pos``
+    and ``ch``. The benchmark channel is assembled on first use.
+    """
 
     cfg: SceneConfig
     pos: ScenePositions
@@ -42,14 +64,14 @@ class _Trial:
         return assemble_h(self.ch, self.phi_bench)
 
 
-# Per-trial coherent-sum gain of each scheme. The benchmarks run on the
+# Coherent-sum gain of each scheme over a block. The benchmarks run on the
 # channel at the fixed (not optimized) benchmark RIS phases.
 _SCHEME_GAINS = {
-    "basic": lambda t: float(np.abs(t.h_bench.sum())),
-    "cophasing": lambda t: cophasing_gain(solve_cophasing_mimo(t.h_bench), t.h_bench),
-    "joint": lambda t: joint_gain(solve_joint(t.ch), t.ch),
-    "ris_only": lambda t: solve_ris_only(t.ch).b_gain,
-    "ris_only_approx": lambda t: approx_gain(t.pos, t.cfg),
+    "basic": lambda b: np.abs(b.h_bench.sum(axis=(-2, -1))),
+    "cophasing": lambda b: cophasing_gain(solve_cophasing_mimo(b.h_bench), b.h_bench),
+    "joint": lambda b: joint_gain(solve_joint(b.ch), b.ch),
+    "ris_only": lambda b: solve_ris_only(b.ch).b_gain,
+    "ris_only_approx": lambda b: approx_gain(b.pos, b.cfg),
 }
 SCHEMES = tuple(_SCHEME_GAINS)
 BENCHMARK_PHASE_MODES = ("zero", "random")
@@ -58,6 +80,15 @@ try:
     _VERSION = importlib.metadata.version("riscap")
 except importlib.metadata.PackageNotFoundError:
     _VERSION = "unknown"
+
+
+def _snr_linear(snr_db) -> NDArray[np.float64]:
+    """Linear SNRs of a dB grid.
+
+    NumPy's array power can differ from Python's ``**`` (SnrPoint.from_db)
+    in the last bit; the array form is the one the CSV bytes are pinned to.
+    """
+    return 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
 
 
 def height_grid(lo: float, hi: float, step: float) -> NDArray[np.float64]:
@@ -104,6 +135,13 @@ class SimulationPlan:
         height_grid(*self.h_r_grid)
         if len(self.snr_db) == 0:
             raise ValueError("snr_db grid must not be empty")
+        with np.errstate(over="ignore"):
+            rho = _snr_linear(self.snr_db)
+        if not np.all(np.isfinite(rho) & (rho > 0)):
+            raise ValueError(
+                f"snr_db values must give a positive finite linear SNR, "
+                f"got {self.snr_db}"
+            )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -170,12 +208,9 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
 
 
-def _draw_heights(plan: SimulationPlan, rng: np.random.Generator) -> tuple[float, float]:
-    h_t_values = plan.h_t_values()
-    h_r_values = plan.h_r_values()
-    h_t = float(h_t_values[rng.integers(len(h_t_values))])
-    h_r = float(h_r_values[rng.integers(len(h_r_values))])
-    return h_t, h_r
+def _draw_indices(rng: np.random.Generator, sizes: tuple[int, int]) -> tuple[int, int]:
+    "A trial's h_t and h_r grid indices: the first two draws of its stream."
+    return int(rng.integers(sizes[0])), int(rng.integers(sizes[1]))
 
 
 def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float]:
@@ -184,53 +219,108 @@ def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float
     Depends only on (plan.seed, trial_index), not on any previously sampled
     trial, so single trials can be replayed in isolation.
     """
-    return _draw_heights(plan, _trial_rng(plan.seed, trial_index))
+    h_t_values, h_r_values = plan.h_t_values(), plan.h_r_values()
+    t, r = _draw_indices(_trial_rng(plan.seed, trial_index),
+                         (len(h_t_values), len(h_r_values)))
+    return float(h_t_values[t]), float(h_r_values[r])
+
+
+def _benchmark_phases(plan: SimulationPlan, trials, sizes) -> NDArray[np.float64]:
+    """Fixed benchmark RIS phases of the given trials, one row each.
+
+    Random phases are the draws right after the grid indices, made whatever
+    the requested schemes, so the per-trial stream layout stays fixed.
+    """
+    phases = np.zeros((len(trials), plan.n_ris))
+    if plan.benchmark_ris_phase == "random":
+        for row, trial in zip(phases, trials):
+            rng = _trial_rng(plan.seed, trial)
+            _draw_indices(rng, sizes)
+            row[:] = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
+    return phases
+
+
+def _block_gains(plan: SimulationPlan, cfg: SceneConfig, grids, indices,
+                 phi_bench) -> dict:
+    """Gains of every requested scheme for a block of trials.
+
+    ``indices`` holds each trial's (h_t, h_r) grid indices. Each leg's
+    geometry and steering are built once per distinct height and gathered;
+    a leg whose heights are all distinct is built per trial, ungathered.
+    """
+    legs, steer = [], []
+    for leg, grid, column in ((transmit_leg, grids[0], indices[:, 0]),
+                              (receive_leg, grids[1], indices[:, 1])):
+        distinct, inverse = np.unique(column, return_inverse=True)
+        if len(distinct) == len(column):
+            distinct, inverse = column, slice(None)
+        geometry = leg(cfg, grid[distinct])
+        legs.append(tuple(a[inverse] for a in geometry))
+        steer.append(steering(geometry[1], cfg.wavelength)[inverse])
+    pos = join_legs(cfg, *legs)
+    ch = CascadeChannel(u_mat=steer[0], v_mat=steer[1],
+                        k_norm=normalization_constant(pos, cfg))
+    block = _Block(cfg, pos, ch, phi_bench)
+    return {scheme: _SCHEME_GAINS[scheme](block) for scheme in plan.schemes}
+
+
+def _sweep_gains(plan: SimulationPlan, trials) -> dict:
+    """Gain arrays of every requested scheme over ``trials``, in that order.
+
+    Trials are stable-sorted by (h_t, h_r) grid index and cut into blocks of
+    at most ``_BLOCK_BYTES`` of steering, so a block shares its heights.
+    """
+    trials = np.asarray(trials)
+    grids = plan.h_t_values(), plan.h_r_values()
+    sizes = tuple(map(len, grids))
+    indices = np.array([_draw_indices(_trial_rng(plan.seed, int(i)), sizes)
+                        for i in trials])
+    order = np.lexsort((indices[:, 1], indices[:, 0]))
+    # Heights come from the legs; the scene fixes only the shared geometry.
+    cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
+    block_size = max(1, _BLOCK_BYTES // (16 * plan.n_ris * (plan.n_t + plan.n_r)))
+    # Each block frees its arrays together. glibc malloc returns a free heap
+    # top to the kernel once it exceeds twice the largest mmap-served chunk
+    # freed so far, and every block would then fault its pages in again (a
+    # sixth of a wide sweep's time). Freeing one untouched buffer larger than
+    # a block's arrays lifts that limit; elsewhere it costs one allocation.
+    np.empty(4 * _BLOCK_BYTES, dtype=np.uint8)
+
+    gains = {scheme: np.empty(len(trials)) for scheme in plan.schemes}
+    for start in range(0, len(order), block_size):
+        block = order[start:start + block_size]
+        phi_bench = _benchmark_phases(plan, trials[block].tolist(), sizes)
+        for scheme, values in _block_gains(
+                plan, cfg, grids, indices[block], phi_bench).items():
+            gains[scheme][block] = values
+    return gains
 
 
 def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     """Coherent-sum gain of every requested scheme for one trial.
 
     Capacity follows from a gain via the shared single-stream map, so the
-    per-trial work is SNR-independent.
+    per-trial work is SNR-independent. This is the sweep's block engine on
+    a block of one trial.
     """
-    rng = _trial_rng(plan.seed, trial_index)
-    h_t, h_r = _draw_heights(plan, rng)
-    # Draw benchmark phases right after the heights, independent of which
-    # schemes are requested, to keep the per-trial stream layout fixed.
-    if plan.benchmark_ris_phase == "random":
-        phi_bench = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
-    else:
-        phi_bench = np.zeros(plan.n_ris)
-
-    try:
-        cfg = plan.scene(h_t, h_r)
-        pos = build_positions(cfg)
-    except ValueError as err:
-        raise ValueError(
-            f"trial {trial_index} (h_t={h_t}, h_r={h_r}): {err}"
-        ) from err
-    trial = _Trial(cfg, pos, build_cascade(pos, cfg), phi_bench)
-    return {scheme: _SCHEME_GAINS[scheme](trial) for scheme in plan.schemes}
+    gains = _sweep_gains(plan, [trial_index])
+    return {scheme: float(values[0]) for scheme, values in gains.items()}
 
 
 def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
-    """Run all trials serially and aggregate mean capacity and standard error.
+    """Run all trials and aggregate mean capacity and standard error.
 
     ``workers`` is accepted for compatibility and must be >= 1; it does not
     change how trials run, so the table is identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    per_trial = [trial_gains(plan, i) for i in range(plan.trials)]
+    gains = _sweep_gains(plan, range(plan.trials))
 
-    # NumPy's array power can differ from Python's ``**`` (SnrPoint.from_db)
-    # in the last bit; the array form is the one the CSV bytes are pinned to.
-    snr_linear = 10.0 ** (np.asarray(plan.snr_db) / 10.0)
     rows = []
     for scheme in sorted(plan.schemes):
-        gains = np.array([t[scheme] for t in per_trial])
-        for snr_db, rho in zip(plan.snr_db, snr_linear):
-            caps = capacity_from_gain(gains, plan.n_t, plan.n_r, SnrPoint(rho))
+        for snr_db, rho in zip(plan.snr_db, _snr_linear(plan.snr_db)):
+            caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, SnrPoint(rho))
             stderr = (
                 float(np.std(caps, ddof=1) / np.sqrt(plan.trials))
                 if plan.trials > 1 else 0.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from riscap import (
     CascadeChannel,
     CoPhasingSolution,
     JointSolution,
+    ScenePositions,
     SnrPoint,
+    approx_gain,
     assemble_h,
     build_cascade,
     build_positions,
@@ -15,12 +18,14 @@ from riscap import (
     cophasing_gain,
     element_sums,
     joint_gain,
+    normalization_constant,
     principal_angle,
     ris_only_objective,
     solve_cophasing_mimo,
     solve_joint,
     solve_ris_only,
 )
+from riscap.channel import gain_rows
 
 
 def cascade_for(scene, n_t, n_r, n_ris, **overrides):
@@ -273,3 +278,79 @@ class TestCapacityBasic:
             )
             h0 = assemble_h(ch, np.zeros(cfg.n_ris))
             assert solve_ris_only(ch).b_gain >= abs(h0.sum()) - 1e-9
+
+
+def stack_channels(*chs):
+    return CascadeChannel(
+        u_mat=np.stack([ch.u_mat for ch in chs]),
+        v_mat=np.stack([ch.v_mat for ch in chs]),
+        k_norm=np.array([ch.k_norm for ch in chs]),
+    )
+
+
+class TestBatchAxes:
+    "A leading batch axis gives, slice by slice, exactly the single-scene results."
+
+    @pytest.fixture
+    def pair(self, scene):
+        cfgs = [scene(n_t=8, n_r=4, n_ris=50),
+                scene(n_t=8, n_r=4, n_ris=50, h_t=2.34, h_r=1.06)]
+        pos = [build_positions(cfg) for cfg in cfgs]
+        return cfgs, pos, [build_cascade(p, c) for p, c in zip(pos, cfgs)]
+
+    def test_slices_equal_single_scene_results(self, pair):
+        cfgs, pos, chs = pair
+        batch = stack_channels(*chs)
+        phis = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(2, 50))
+        h_batch = assemble_h(batch, phis)
+        pos_batch = ScenePositions(**{
+            f.name: getattr(pos[0], f.name) if f.name == "ris_pos"
+            else np.stack([getattr(p, f.name) for p in pos])
+            for f in fields(ScenePositions)})
+        ris, joint = solve_ris_only(batch), solve_joint(batch)
+        cop = solve_cophasing_mimo(h_batch)
+        for i, (cfg, p, ch, phi) in enumerate(zip(cfgs, pos, chs, phis)):
+            h = assemble_h(ch, phi)
+            assert np.array_equal(h_batch[i], h)
+            assert np.array_equal(element_sums(batch)[i], element_sums(ch))
+            for scheme in ("ris_only", "joint"):
+                assert np.array_equal(gain_rows(batch, scheme)[i], gain_rows(ch, scheme))
+            assert normalization_constant(pos_batch, cfg)[i] == ch.k_norm
+            assert approx_gain(pos_batch, cfg)[i] == approx_gain(p, cfg)
+            single = solve_ris_only(ch)
+            assert np.array_equal(ris.phi[i], single.phi)
+            assert ris.b_gain[i] == single.b_gain
+            single = solve_joint(ch)
+            assert np.array_equal(joint.phi[i], single.phi)
+            assert np.array_equal(joint.beta[i], single.beta)
+            assert joint_gain(joint, batch)[i] == joint_gain(single, ch)
+            single = solve_cophasing_mimo(h)
+            assert np.array_equal(cop.alpha[i], single.alpha)
+            assert np.array_equal(cop.gamma[i], single.gamma)
+            assert cophasing_gain(cop, h_batch)[i] == cophasing_gain(single, h)
+
+    def test_single_scene_results_stay_scalar(self, pair):
+        cfgs, pos, chs = pair
+        cfg, p, ch = cfgs[0], pos[0], chs[0]
+        h = assemble_h(ch, np.zeros(cfg.n_ris))
+        sol = solve_joint(ch)
+        assert sol.degenerate == ()
+        for gain in (solve_ris_only(ch).b_gain, joint_gain(sol, ch),
+                     cophasing_gain(solve_cophasing_mimo(h), h),
+                     approx_gain(p, cfg), normalization_constant(p, cfg)):
+            assert type(gain) is float
+
+    def test_degenerate_element_pinned_inside_batch(self):
+        # element 0 of the first channel has a zero receive-column sum
+        v = np.array([[1.0 + 0j, 1j], [-1.0 + 0j, 1j]])
+        u = np.ones((2, 3), dtype=complex)
+        flat = CascadeChannel(u_mat=u, v_mat=v, k_norm=1.0)
+        other = CascadeChannel(u_mat=u, v_mat=np.full((2, 2), 1j), k_norm=1.0)
+        sol = solve_joint(stack_channels(flat, other))
+        assert sol.degenerate.tolist() == [[True, False], [False, False]]
+        assert sol.phi[0, 0] == 0.0
+        for i, ch in enumerate((flat, other)):
+            single = solve_joint(ch)
+            assert tuple(np.flatnonzero(sol.degenerate[i])) == single.degenerate
+            assert np.array_equal(sol.phi[i], single.phi)
+            assert np.array_equal(sol.beta[i], single.beta)

@@ -1,9 +1,12 @@
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riscap import (
     ResultRow,
@@ -24,7 +27,8 @@ from riscap import (
     trial_gains,
     write_csv,
 )
-from riscap.sim import height_grid
+from riscap import sim
+from riscap.sim import SCHEMES, height_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -86,6 +90,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="snr_db"):
             tiny_plan(snr_db=())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -4000.0, 4000.0])
+    def test_rejects_snr_without_finite_positive_linear_value(self, bad):
+        # -4000 dB underflows to a linear SNR of 0 and 4000 dB overflows
+        with pytest.raises(ValueError, match="snr_db"):
+            tiny_plan(snr_db=(0.0, bad))
+
     def test_rejects_geometry_invalid_at_grid_floor(self):
         # the lowest receive height would sink the array into the floor
         with pytest.raises(ValueError, match="floor"):
@@ -119,6 +129,31 @@ class TestSampleHeights:
         assert abs(draws.mean() - 2.5) < 0.003
 
 
+def replay_trial(plan, trial):
+    """Gains of one trial from the single-scene public calls.
+
+    Random benchmark phases are replayed from the trial's own stream: the
+    draws right after its two grid indices.
+    """
+    cfg = plan.scene(*sample_heights(plan, trial))
+    pos = build_positions(cfg)
+    ch = build_cascade(pos, cfg)
+    phi = np.zeros(plan.n_ris)
+    if plan.benchmark_ris_phase == "random":
+        rng = np.random.default_rng(np.random.SeedSequence((plan.seed, trial)))
+        rng.integers(len(plan.h_t_values()))
+        rng.integers(len(plan.h_r_values()))
+        phi = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
+    h = assemble_h(ch, phi)
+    return {
+        "basic": float(np.abs(h.sum())),
+        "cophasing": cophasing_gain(solve_cophasing_mimo(h), h),
+        "joint": joint_gain(solve_joint(ch), ch),
+        "ris_only": solve_ris_only(ch).b_gain,
+        "ris_only_approx": approx_gain(pos, cfg),
+    }
+
+
 class TestTrialGains:
     def test_contains_requested_schemes_only(self):
         plan = replace(load_preset("panel_a"), schemes=("basic", "joint"), trials=1)
@@ -132,17 +167,7 @@ class TestTrialGains:
     def test_matches_public_call_replay(self):
         plan = replace(load_preset("panel_a"), benchmark_ris_phase="zero")
         for trial in range(10):
-            cfg = plan.scene(*sample_heights(plan, trial))
-            pos = build_positions(cfg)
-            ch = build_cascade(pos, cfg)
-            h = assemble_h(ch, np.zeros(plan.n_ris))
-            assert trial_gains(plan, trial) == {
-                "basic": float(np.abs(h.sum())),
-                "cophasing": cophasing_gain(solve_cophasing_mimo(h), h),
-                "joint": joint_gain(solve_joint(ch), ch),
-                "ris_only": solve_ris_only(ch).b_gain,
-                "ris_only_approx": approx_gain(pos, cfg),
-            }
+            assert trial_gains(plan, trial) == replay_trial(plan, trial)
 
     def test_random_benchmark_mode_deterministic_and_different(self):
         plan = replace(load_preset("panel_a"), benchmark_ris_phase="random")
@@ -152,6 +177,58 @@ class TestTrialGains:
         # same trial heights, different benchmark channel
         assert g_rand["basic"] != trial_gains(zero_plan, 0)["basic"]
         assert g_rand["ris_only"] == trial_gains(zero_plan, 0)["ris_only"]
+
+
+@st.composite
+def small_plans(draw):
+    "Plans of 1-8 antennas and elements, 1-5-point height grids, both modes."
+    def grid(lo):
+        step = draw(st.sampled_from([0.01, 0.02, 0.05]))
+        return (lo, lo + step * draw(st.integers(0, 4)), step)
+
+    return tiny_plan(
+        n_t=draw(st.integers(1, 8)), n_r=draw(st.integers(1, 8)),
+        n_ris=draw(st.integers(1, 8)),
+        h_t_grid=grid(draw(st.sampled_from([2.0, 2.5]))),
+        h_r_grid=grid(draw(st.sampled_from([0.8, 1.3]))),
+        snr_db=(0.0, 10.0), trials=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**32 - 1)), schemes=SCHEMES,
+        benchmark_ris_phase=draw(st.sampled_from(["zero", "random"])),
+    )
+
+
+class TestBlockEngine:
+    "The block engine against the single-scene calls, for any block size."
+
+    @staticmethod
+    def per_trial_bytes(plan):
+        return 16 * plan.n_ris * (plan.n_t + plan.n_r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(plan=small_plans(), block_trials=st.integers(1, 5))
+    def test_every_trial_matches_single_scene_calls(self, plan, block_trials):
+        budget = block_trials * self.per_trial_bytes(plan)
+        with mock.patch.object(sim, "_BLOCK_BYTES", budget):
+            gains = sim._sweep_gains(plan, range(plan.trials))
+        for trial in range(plan.trials):
+            got = {scheme: float(gains[scheme][trial]) for scheme in SCHEMES}
+            assert got == replay_trial(plan, trial)
+        assert trial_gains(plan, plan.trials - 1) == replay_trial(plan, plan.trials - 1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(plan=small_plans())
+    def test_table_independent_of_block_budget(self, plan):
+        with mock.patch.object(sim, "_BLOCK_BYTES", 1):
+            one_trial = run_plan(plan)
+        with mock.patch.object(sim, "_BLOCK_BYTES", plan.trials * self.per_trial_bytes(plan)):
+            whole_sweep = run_plan(plan)
+        assert one_trial == whole_sweep
+
+    def test_preset_table_independent_of_block_budget(self):
+        plan = replace(load_preset("panel_d"), trials=40)
+        with mock.patch.object(sim, "_BLOCK_BYTES", 1):
+            one_trial = run_plan(plan)
+        assert one_trial == run_plan(plan)
 
 
 class TestRunPlan:
