@@ -40,14 +40,19 @@ class QuantizedSearchSpec:
     budget: int = 2**24
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError(f"levels must be >= 2, got {self.levels}")
+        for name, low in (("levels", 2), ("max_elements", 1), ("budget", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
 
 
 def _objective(a_mat: NDArray[np.complex128], phi) -> float:
-    return float(np.sum(np.abs(a_mat @ np.exp(1j * np.asarray(phi, dtype=float)))))
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != a_mat.shape[-1:]:
+        raise ValueError(f"phase vector has shape {phi.shape}, expected {a_mat.shape[-1:]}")
+    return float(np.sum(np.abs(a_mat @ np.exp(1j * phi))))
 
 
 def ris_only_objective(ch: CascadeChannel, phi) -> float:
@@ -69,7 +74,7 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
     the exact candidate count in the message.
     """
     n = ch.n_ris
-    candidates = spec.levels**n
+    candidates = int(spec.levels) ** n
     if n > spec.max_elements or candidates > spec.budget:
         raise ValueError(
             f"exhaustive search refused: {spec.levels}^{n} = {candidates} "
@@ -79,70 +84,65 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
 
     a_mat = ch.k_norm * gain_rows(ch, spec.target)
     grid = 2.0 * np.pi * np.arange(spec.levels) / spec.levels
-    strides = spec.levels ** np.arange(n)
+    factors = np.exp(1j * grid)  # the only distinct phase factors
 
     best_gain = -np.inf
-    best_index = 0
+    best_digits = np.zeros(n, dtype=np.intp)
     for start in range(0, candidates, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, candidates))
-        digits = (idx[:, np.newaxis] // strides[np.newaxis, :]) % spec.levels
-        phases = np.exp(1j * grid[digits])  # (chunk, n)
-        gains = np.sum(np.abs(phases @ a_mat.T), axis=1)
+        rest = np.arange(start, min(start + _CHUNK, candidates))
+        digits = np.empty((rest.size, n), dtype=np.intp)
+        for l in range(n):  # element 0 varies fastest
+            rest, digits[:, l] = np.divmod(rest, spec.levels)
+        gains = np.sum(np.abs(factors[digits] @ a_mat.T), axis=1)
         chunk_arg = int(np.argmax(gains))
         if gains[chunk_arg] > best_gain:
             best_gain = float(gains[chunk_arg])
-            best_index = int(idx[chunk_arg])
+            best_digits = digits[chunk_arg]
 
-    best_digits = (best_index // strides) % spec.levels
     return grid[best_digits], best_gain
 
 
 def _coordinate_ascent(a_mat: NDArray[np.complex128], phi0: NDArray[np.float64],
-                       tol: float = 1e-12) -> tuple[NDArray[np.float64], float]:
-    """Sweep the coordinates with closed-form co-phasing steps until stalled.
+                       tol: float = 1e-12) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Sweep the coordinates of a batch of starts with co-phasing steps.
 
+    ``phi0`` has shape ``(starts, n)``; phases and gains come back per start.
     Each step aligns one element's contribution with the aggregate of the
-    others (summed over the linear forms) and is accepted only if the exact
-    objective improves, so the gain is monotone non-decreasing.
+    others (summed over the linear forms) and is accepted only where the
+    exact objective improves, so every gain is monotone non-decreasing. A
+    start stops after a sweep whose largest step gained at most ``tol``.
     """
     phi = np.array(phi0, dtype=float)
-    gain = _objective(a_mat, phi)
-    n = a_mat.shape[1]
-    while True:
-        improved = 0.0
-        sums = a_mat @ np.exp(1j * phi)  # recomputed per sweep to avoid drift
-        for l in range(n):
-            contrib = a_mat[:, l] * np.exp(1j * phi[l])
-            rest = sums - contrib
-            proposal = -np.angle(np.vdot(rest, a_mat[:, l]))
-            candidate = rest + a_mat[:, l] * np.exp(1j * proposal)
-            new_gain = float(np.sum(np.abs(candidate)))
-            if new_gain > gain:
-                improved = max(improved, new_gain - gain)
-                gain = new_gain
-                phi[l] = proposal
-                sums = candidate
-        if improved <= tol:
-            return phi, gain
+    gain = np.sum(np.abs(np.exp(1j * phi) @ a_mat.T), axis=1)
+    active = np.ones(phi.shape[0], dtype=bool)
+    while active.any():
+        improved = np.zeros_like(gain)
+        sums = np.exp(1j * phi) @ a_mat.T  # recomputed per sweep to avoid drift
+        for l, col in enumerate(a_mat.T):
+            rest = sums - np.exp(1j * phi[:, l])[:, np.newaxis] * col
+            proposal = -np.angle(rest.conj() @ col)
+            candidate = rest + np.exp(1j * proposal)[:, np.newaxis] * col
+            new_gain = np.sum(np.abs(candidate), axis=1)
+            accept = active & (new_gain > gain)
+            improved = np.maximum(improved, np.where(accept, new_gain - gain, 0.0))
+            gain[accept] = new_gain[accept]
+            phi[accept, l] = proposal[accept]
+            sums[accept] = candidate[accept]
+        active &= improved > tol
+    return phi, gain
 
 
 def random_restart_best(ch: CascadeChannel, target: str, restarts: int,
                         seed: int) -> tuple[NDArray[np.float64], float]:
     """Best coordinate-ascent local optimum over seeded uniform-random starts.
 
-    Deterministic for a fixed (target, restarts, seed); repeat calls return
-    bit-identical results.
+    All starts ascend together. Deterministic for a fixed (target,
+    restarts, seed); repeat calls return bit-identical results.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     a_mat = ch.k_norm * gain_rows(ch, target)
-    rng = np.random.default_rng(seed)
-    best_phi = None
-    best_gain = -np.inf
-    for _ in range(restarts):
-        phi0 = rng.uniform(-np.pi, np.pi, size=ch.n_ris)
-        phi, gain = _coordinate_ascent(a_mat, phi0)
-        if gain > best_gain:
-            best_gain = gain
-            best_phi = phi
-    return best_phi, float(best_gain)
+    starts = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(restarts, ch.n_ris))
+    phi, gain = _coordinate_ascent(a_mat, starts)
+    best = int(np.argmax(gain))
+    return phi[best], float(gain[best])
