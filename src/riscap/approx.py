@@ -26,7 +26,10 @@ def aux_g(n: int, x):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    # Fold x into [-pi/2, pi/2] first (g is pi-periodic): near a lobe center
+    # k*pi, k != 0, the rounding of n*x is not small next to sin(n*x).
     x = np.asarray(x, dtype=float)
+    x = x - np.pi * np.round(x / np.pi)
     sin_x = np.sin(x)
     singular = np.abs(sin_x) < _SINGULAR_EPS
     ratio = np.abs(np.sin(n * x) / np.where(singular, 1.0, sin_x))

@@ -69,12 +69,16 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
                     ) -> tuple[NDArray[np.float64], float]:
     """True maximum of the target functional over the quantized phase grid.
 
-    Returns the first maximizing phase vector in enumeration order and its
-    gain. Raises if the grid exceeds the element or candidate budget, with
-    the exact candidate count in the message.
+    Candidates run as an odometer, element 0 fastest, in blocks: every
+    combination of the ``low`` fastest digits (as many as fit in ``_CHUNK``,
+    at least one) under fixed high digits. Returns the first maximizer in
+    that order and its gain. Gain-row magnitudes are added in row order,
+    NumPy's ``sum`` order below 8 rows (pairwise from 8 on: last bits may
+    differ). Raises over the element or candidate budget, naming the count.
     """
     n = ch.n_ris
-    candidates = int(spec.levels) ** n
+    levels = int(spec.levels)
+    candidates = levels**n
     if n > spec.max_elements or candidates > spec.budget:
         raise ValueError(
             f"exhaustive search refused: {spec.levels}^{n} = {candidates} "
@@ -83,21 +87,25 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
         )
 
     a_mat = ch.k_norm * gain_rows(ch, spec.target)
-    grid = 2.0 * np.pi * np.arange(spec.levels) / spec.levels
+    grid = 2.0 * np.pi * np.arange(levels) / levels
     factors = np.exp(1j * grid)  # the only distinct phase factors
+    low = next((k for k in range(n, 1, -1) if levels**k <= _CHUNK), 1)
+    rest = np.arange(levels**low)
+    digits = np.zeros((rest.size, n), dtype=np.intp)
+    for l in range(low):  # element 0 varies fastest
+        rest, digits[:, l] = np.divmod(rest, levels)
+    phases = factors[digits]  # the low-digit table, built once
 
     best_gain = -np.inf
     best_digits = np.zeros(n, dtype=np.intp)
-    for start in range(0, candidates, _CHUNK):
-        rest = np.arange(start, min(start + _CHUNK, candidates))
-        digits = np.empty((rest.size, n), dtype=np.intp)
-        for l in range(n):  # element 0 varies fastest
-            rest, digits[:, l] = np.divmod(rest, spec.levels)
-        gains = np.sum(np.abs(factors[digits] @ a_mat.T), axis=1)
-        chunk_arg = int(np.argmax(gains))
-        if gains[chunk_arg] > best_gain:
-            best_gain = float(gains[chunk_arg])
-            best_digits = digits[chunk_arg]
+    for block in range(candidates // len(phases)):
+        digits[:, low:] = np.unravel_index(block, (levels,) * (n - low), order="F")
+        phases[:, low:] = factors[digits[0, low:]]
+        gains = sum(np.abs(phases @ a_mat.T).T)  # gain rows added in row order
+        block_arg = int(np.argmax(gains))
+        if gains[block_arg] > best_gain:
+            best_gain = float(gains[block_arg])
+            best_digits = digits[block_arg].copy()  # the buffer is reused
 
     return grid[best_digits], best_gain
 

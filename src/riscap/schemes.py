@@ -119,21 +119,39 @@ def solve_joint(ch: CascadeChannel) -> JointSolution:
     The raw deviations satisfy ``sum_t(delta[t, l] + phi[l]) == 0`` per
     element by construction.
     """
+    return _solve_joint(ch)[0]
+
+
+def _solve_joint(ch: CascadeChannel) -> tuple[JointSolution, NDArray[np.complex128]]:
+    "``solve_joint`` and the receive sums of the solved channel."
     terms = gain_rows(ch, "joint").swapaxes(-1, -2)  # (..., n_ris, n_t)
     zero = ~terms.any(axis=-1)
     phi = np.where(zero, 0.0, -principal_angle(terms).mean(axis=-1))
 
-    h = assemble_h(ch, phi)
-    beta = -principal_angle(h.sum(axis=-2))
+    sums = assemble_h(ch, phi).sum(axis=-2)
+    beta = -principal_angle(sums)
     degenerate = tuple(map(int, np.flatnonzero(zero))) if zero.ndim == 1 else zero
-    return JointSolution(phi=phi, beta=beta, degenerate=degenerate)
+    return JointSolution(phi=phi, beta=beta, degenerate=degenerate), sums
+
+
+def _precoded_sum(sums: NDArray[np.complex128], beta: NDArray[np.float64]) -> float:
+    "Coherent sum |sum_t sums_t exp(j*beta_t)| of per-transmit-antenna receive sums."
+    return scalar_or_array(np.abs(np.sum(sums * np.exp(1j * beta), axis=-1)))
 
 
 def joint_gain(sol: JointSolution, ch: CascadeChannel) -> float:
     "Coherent sum |sum_{r,t} H(r,t) exp(j*beta_t)| on the solved channel."
-    h = assemble_h(ch, sol.phi)
-    return scalar_or_array(
-        np.abs(np.sum(h.sum(axis=-2) * np.exp(1j * sol.beta), axis=-1)))
+    return _precoded_sum(assemble_h(ch, sol.phi).sum(axis=-2), sol.beta)
+
+
+def solved_joint_gain(ch: CascadeChannel) -> float:
+    """``joint_gain(solve_joint(ch), ch)``, bit for bit.
+
+    Reuses the receive sums the solver computed instead of assembling the
+    solved channel a second time.
+    """
+    sol, sums = _solve_joint(ch)
+    return _precoded_sum(sums, sol.beta)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,9 @@ from .schemes import (
     SnrPoint,
     capacity_from_gain,
     cophasing_gain,
-    joint_gain,
     solve_cophasing_mimo,
-    solve_joint,
     solve_ris_only,
+    solved_joint_gain,
 )
 
 # Bytes of gathered steering matrices per block of trials; a block's live
@@ -69,7 +68,7 @@ class _Block:
 _SCHEME_GAINS = {
     "basic": lambda b: np.abs(b.h_bench.sum(axis=(-2, -1))),
     "cophasing": lambda b: cophasing_gain(solve_cophasing_mimo(b.h_bench), b.h_bench),
-    "joint": lambda b: joint_gain(solve_joint(b.ch), b.ch),
+    "joint": lambda b: solved_joint_gain(b.ch),
     "ris_only": lambda b: solve_ris_only(b.ch).b_gain,
     "ris_only_approx": lambda b: approx_gain(b.pos, b.cfg),
 }

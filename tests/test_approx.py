@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riscap import (
     approx_gain,
@@ -73,6 +75,23 @@ class TestAuxG:
     def test_scalar_in_scalar_out(self):
         assert isinstance(aux_g(3, 0.3), float)
         assert isinstance(aux_g(3, np.array([0.3, 0.4])), np.ndarray)
+
+
+class TestAuxGProperties:
+    "Bounds and symmetries at random orders, lobes and offsets from a lobe center."
+
+    ROUNDING = 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 64), lobe=st.integers(-8, 8),
+           offset=st.floats(-math.pi / 2, math.pi / 2))
+    @example(n=5, lobe=1, offset=1e-7)  # unfolded, x + pi read 5.0000000178
+    def test_bounded_even_and_pi_periodic(self, n, lobe, offset):
+        x = lobe * math.pi + offset
+        g = aux_g(n, x)
+        assert 0.0 <= g <= n * (1 + self.ROUNDING)
+        assert aux_g(n, -x) == pytest.approx(g, rel=0, abs=n * self.ROUNDING)
+        assert aux_g(n, x + math.pi) == pytest.approx(g, rel=0, abs=n * self.ROUNDING)
 
 
 class TestApproxGain:

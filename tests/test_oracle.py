@@ -154,15 +154,51 @@ class TestExhaustiveBest:
     @pytest.mark.parametrize("dims", [(1, 1, 2), (2, 2, 3), (3, 2, 3)])
     @pytest.mark.parametrize("target", ["ris_only", "joint"])
     def test_bit_identical_to_per_candidate_exp(self, scene, monkeypatch, dims, target):
+        # The reference runs at the shipped chunk for every patched _CHUNK:
+        # NumPy computes a one-row product with another kernel, so a
+        # reference chunk of 1 differs in the last bit from any block.
         _, ch = cascade_for(scene, *dims)
-        for chunk in (1, 17, 65536):
+        for chunk in (1, 17, 4096, 65536):
             monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
             for levels in range(2, 13):
                 spec = QuantizedSearchSpec(levels=levels, target=target)
                 phi, gain = exhaustive_best(ch, spec)
-                ref_phi, ref_gain = reference_exhaustive(ch, spec, chunk)
+                ref_phi, ref_gain = reference_exhaustive(ch, spec, 65536)
                 assert gain == ref_gain
                 assert np.array_equal(phi, ref_phi)
+
+    @pytest.mark.parametrize("levels", [16, 32])
+    @pytest.mark.parametrize("target", ["ris_only", "joint"])
+    def test_odometer_blocks_bit_identical(self, scene, monkeypatch, levels, target):
+        # Shipped _CHUNK: 16 levels are one block of all four digits, 32
+        # levels 32 blocks of three. At 1024 both run blocks of two low
+        # digits under two high ones, so the carry crosses high digits.
+        _, ch = cascade_for(scene, 3, 2, 4)
+        spec = QuantizedSearchSpec(levels=levels, target=target)
+        ref_phi, ref_gain = reference_exhaustive(ch, spec, 65536)
+        for chunk in (65536, 1024):
+            monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
+            phi, gain = exhaustive_best(ch, spec)
+            assert gain == ref_gain
+            assert np.array_equal(phi, ref_phi)
+
+    def test_more_levels_than_chunk_run_as_one_block(self, scene):
+        _, ch = cascade_for(scene, 2, 2, 1)
+        spec = QuantizedSearchSpec(levels=200_000)
+        phi, gain = exhaustive_best(ch, spec)
+        ref_phi, ref_gain = reference_exhaustive(ch, spec, 65536)
+        assert gain == ref_gain
+        assert np.array_equal(phi, ref_phi)
+
+    def test_eight_gain_rows_match_numpy_sum_to_rounding(self, scene):
+        # From 8 rows on NumPy's sum differs from the row-order sum in the
+        # last bits (documented in exhaustive_best); here by 2e-16.
+        _, ch = cascade_for(scene, 8, 2, 3)
+        spec = QuantizedSearchSpec(levels=12, target="joint")
+        phi, gain = exhaustive_best(ch, spec)
+        _, ref_gain = reference_exhaustive(ch, spec, 65536)
+        assert gain == pytest.approx(ref_gain, rel=1e-15)
+        assert joint_objective(ch, phi) == pytest.approx(gain, rel=1e-15)
 
 
 class TestRandomRestartBest:

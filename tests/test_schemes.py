@@ -26,6 +26,7 @@ from riscap import (
     solve_ris_only,
 )
 from riscap.channel import gain_rows
+from riscap.schemes import solved_joint_gain
 
 
 def cascade_for(scene, n_t, n_r, n_ris, **overrides):
@@ -328,6 +329,12 @@ class TestBatchAxes:
             assert np.array_equal(cop.alpha[i], single.alpha)
             assert np.array_equal(cop.gamma[i], single.gamma)
             assert cophasing_gain(cop, h_batch)[i] == cophasing_gain(single, h)
+
+    def test_solved_joint_gain_equals_solve_then_gain(self, pair):
+        _, _, chs = pair
+        for ch in (*chs, stack_channels(*chs)):
+            assert np.array_equal(solved_joint_gain(ch), joint_gain(solve_joint(ch), ch))
+        assert isinstance(solved_joint_gain(chs[0]), float)
 
     def test_single_scene_results_stay_scalar(self, pair):
         cfgs, pos, chs = pair

@@ -231,6 +231,22 @@ class TestBlockEngine:
         assert one_trial == run_plan(plan)
 
 
+class TestGainProperties:
+    "Single-scene gains of every scheme on random small scenes and heights."
+
+    ROUNDING = 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=small_plans(), h_t=st.floats(2.0, 3.0), h_r=st.floats(0.8, 1.8))
+    def test_every_scheme_within_coherent_cap(self, plan, h_t, h_r):
+        plan = replace(plan, h_t_grid=(h_t, h_t, 0.01), h_r_grid=(h_r, h_r, 0.01))
+        cfg = plan.scene(h_t, h_r)
+        k_norm = build_cascade(build_positions(cfg), cfg).k_norm
+        cap = k_norm * plan.n_ris * plan.n_t * plan.n_r
+        for scheme, gain in replay_trial(plan, 0).items():
+            assert 0.0 <= gain <= cap * (1 + self.ROUNDING), scheme
+
+
 class TestRunPlan:
     def test_unit_scene_single_trial(self):
         table = run_plan(tiny_plan())
