@@ -37,6 +37,11 @@ def aux_g(n: int, x):
     return float(out) if out.ndim == 0 else out
 
 
+def array_factor(n: int, spacing: float, cos_theta, wavelength: float):
+    "Factor g(n, pi*spacing*cos_theta/wavelength) of one array toward each element."
+    return aux_g(n, np.pi * spacing * cos_theta / wavelength)
+
+
 def approx_gain(pos: ScenePositions, cfg: SceneConfig) -> float:
     """Approximate RIS-only coherent gain from midpoint angles only.
 
@@ -46,8 +51,7 @@ def approx_gain(pos: ScenePositions, cfg: SceneConfig) -> float:
     constant so the value is directly comparable to the exact solver's.
     Positions with leading batch axes give a gain per scene.
     """
-    x_t = np.pi * cfg.s_t * pos.cos_theta_t / cfg.wavelength
-    x_r = np.pi * cfg.s_r * pos.cos_theta_r / cfg.wavelength
-    per_element = aux_g(cfg.n_t, x_t) * aux_g(cfg.n_r, x_r)
+    per_element = (array_factor(cfg.n_t, cfg.s_t, pos.cos_theta_t, cfg.wavelength)
+                   * array_factor(cfg.n_r, cfg.s_r, pos.cos_theta_r, cfg.wavelength))
     return scalar_or_array(
         normalization_constant(pos, cfg) * np.sum(per_element, axis=-1))

@@ -73,13 +73,22 @@ def normalization_constant(pos: ScenePositions, cfg: SceneConfig) -> float:
     The reference element pairing is literal: the first RIS element with the
     lowest transmit and receive antennas.
     """
+    return corner_normalization(cfg, pos.d1[..., 0, 0], pos.d2[..., 0, 0])
+
+
+def corner_normalization(cfg: SceneConfig, d1_corner, d2_corner) -> float:
+    "k from the element-(1,1) path lengths ``d1[..., 0, 0]`` and ``d2[..., 0, 0]``."
     d1_c, d2_c = normalization_reference(cfg)
-    return scalar_or_array(d1_c * d2_c / (pos.d1[..., 0, 0] * pos.d2[..., 0, 0]))
+    return scalar_or_array(d1_c * d2_c / (d1_corner * d2_corner))
 
 
 def steering(dist, wavelength: float) -> NDArray[np.complex128]:
     "Unit-modulus phase factors exp(-j*2*pi*dist/wavelength) of path lengths."
-    return np.exp(-2j * np.pi * dist / wavelength)
+    # The same operations as np.exp(-2j * np.pi * dist / wavelength), in
+    # one complex array.
+    x = (-2j * np.pi) * dist
+    x /= wavelength
+    return np.exp(x, out=x)
 
 
 def build_cascade(pos: ScenePositions, cfg: SceneConfig) -> CascadeChannel:

@@ -61,9 +61,7 @@ class ScenePositions:
     ``r``; ``d2[l, t]`` from transmit antenna ``t`` to RIS element ``l``.
     ``cos_theta_t[l]`` / ``cos_theta_r[l]`` are the direction cosines of RIS
     element ``l`` as seen from the array midpoints, measured against the
-    upward vertical array axis. Positions joined from batched legs
-    (:func:`join_legs`) carry the batch axes in front of every field but
-    ``ris_pos``.
+    upward vertical array axis.
     """
 
     tx_pos: NDArray[np.float64]
@@ -123,28 +121,6 @@ def receive_leg(cfg: SceneConfig, h_r) -> tuple[NDArray[np.float64], ...]:
     return rx_pos, d1, d_r_mid, -h_r / d_r_mid
 
 
-def join_legs(cfg: SceneConfig, tx_leg, rx_leg) -> ScenePositions:
-    """Positions from a transmit and a receive leg with the same batch shape.
-
-    ``ris_pos`` carries no batch axes: the RIS does not move with the
-    antenna heights.
-    """
-    tx_pos, d2, d_t_mid, cos_theta_t = tx_leg
-    rx_pos, d1, d_r_mid, cos_theta_r = rx_leg
-    ris_x = _ris_x(cfg)
-    return ScenePositions(
-        tx_pos=tx_pos,
-        rx_pos=rx_pos,
-        ris_pos=np.column_stack([ris_x, np.zeros(cfg.n_ris)]),
-        d1=d1,
-        d2=d2,
-        d_t_mid=d_t_mid,
-        d_r_mid=d_r_mid,
-        cos_theta_t=cos_theta_t,
-        cos_theta_r=cos_theta_r,
-    )
-
-
 def build_positions(cfg: SceneConfig) -> ScenePositions:
     """Place every element in the vertical plane and derive distances/angles.
 
@@ -164,11 +140,11 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
         at y <= 0) or an RIS element would fall outside the open interval
         (0, d_wall).
     """
-    tx_leg = transmit_leg(cfg, cfg.h_t)
-    rx_leg = receive_leg(cfg, cfg.h_r)
+    tx_pos, d2, d_t_mid, cos_theta_t = transmit_leg(cfg, cfg.h_t)
+    rx_pos, d1, d_r_mid, cos_theta_r = receive_leg(cfg, cfg.h_r)
     ris_x = _ris_x(cfg)
 
-    tx_low, rx_low = tx_leg[0][0, 1], rx_leg[0][0, 1]  # y of the lowest elements
+    tx_low, rx_low = tx_pos[0, 1], rx_pos[0, 1]  # y of the lowest elements
     if tx_low <= 0:
         raise ValueError(
             f"transmit array intersects the floor (lowest element at y={tx_low:.6g})"
@@ -182,7 +158,10 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
             f"RIS span [{ris_x[0]:.6g}, {ris_x[-1]:.6g}] m must lie strictly "
             f"between the walls (0, {cfg.d_wall})"
         )
-    return join_legs(cfg, tx_leg, rx_leg)
+    return ScenePositions(
+        tx_pos=tx_pos, rx_pos=rx_pos, ris_pos=np.column_stack([ris_x, np.zeros(cfg.n_ris)]),
+        d1=d1, d2=d2, d_t_mid=d_t_mid, d_r_mid=d_r_mid,
+        cos_theta_t=cos_theta_t, cos_theta_r=cos_theta_r)
 
 
 def normalization_reference(cfg: SceneConfig) -> tuple[float, float]:

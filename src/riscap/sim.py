@@ -3,14 +3,20 @@
 Each trial draws array-midpoint heights from discrete uniform grids, builds
 the scene and cascade channel, solves the requested schemes, and evaluates
 capacity at every SNR point. Per-trial randomness is derived from (seed,
-trial_index) alone, so any trial is reproducible in isolation.
+trial_index) alone: a trial's grid indices are the first two draws of
+``default_rng(SeedSequence((seed, trial)))``. A sweep draws them all at once
+with an array-code twin of that stream; rows the twin flags (a seed or trial
+index of 2^32 or more, or a Lemire rejection) and single trials draw from
+the trial's own generator.
 
 Trials run in blocks: sorted by their grid heights, cut to a fixed memory
-budget, with every scheme solved over a leading trial axis. The transmit
-steering depends only on h_t and the receive steering only on h_r, so a
-block builds each once per distinct grid height. Gains go back to trial
-order before the reduction, and each trial's gain is bit-identical to the
-single-scene calls, so the block layout never shows in the results.
+budget, with every scheme solved over a leading trial axis. A leg's
+steering, k_norm path length and array factor depend on its height alone.
+A leg whose grid has no more heights than the sweep has trials, and whose
+steering fits the block budget, is built once per grid height per sweep;
+otherwise each block builds it once per distinct height. Gains go back to
+trial order before the reduction, and each trial's gain is bit-identical to
+the single-scene calls, so the layout never shows in the results.
 """
 
 import importlib.metadata
@@ -20,16 +26,10 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .approx import approx_gain
-from .channel import CascadeChannel, assemble_h, normalization_constant, steering
-from .geometry import (
-    SceneConfig,
-    ScenePositions,
-    build_positions,
-    join_legs,
-    receive_leg,
-    transmit_leg,
-)
+from ._stream import first_indices
+from .approx import array_factor
+from .channel import CascadeChannel, assemble_h, corner_normalization, steering
+from .geometry import SceneConfig, build_positions, receive_leg, transmit_leg
 from .schemes import (
     SnrPoint,
     capacity_from_gain,
@@ -39,23 +39,19 @@ from .schemes import (
     solved_joint_gain,
 )
 
-# Bytes of gathered steering matrices per block of trials; a block's live
-# arrays peak at about three times this. Blocks hold at least one trial, so
-# peak memory does not grow with the trial count.
+# Bytes of gathered steering per block of trials, and the most a leg table's
+# steering may take; a block's live arrays peak at about three times this.
+# Blocks hold at least one trial, so memory does not grow with the trial count.
 _BLOCK_BYTES = 1 << 19
 
 
 @dataclass
 class _Block:
-    """Scenes of a block of trials along a leading trial axis.
+    """A block's channel, transmit and receive array factors and benchmark
+    phases along a leading trial axis; its benchmark channel is lazy."""
 
-    ``cfg`` holds the plan's geometry; the trials' heights live in ``pos``
-    and ``ch``. The benchmark channel is assembled on first use.
-    """
-
-    cfg: SceneConfig
-    pos: ScenePositions
     ch: CascadeChannel
+    factors: tuple[NDArray[np.float64], NDArray[np.float64]]
     phi_bench: NDArray[np.float64]
 
     @cached_property
@@ -70,7 +66,8 @@ _SCHEME_GAINS = {
     "cophasing": lambda b: cophasing_gain(solve_cophasing_mimo(b.h_bench), b.h_bench),
     "joint": lambda b: solved_joint_gain(b.ch),
     "ris_only": lambda b: solve_ris_only(b.ch).b_gain,
-    "ris_only_approx": lambda b: approx_gain(b.pos, b.cfg),
+    # approx_gain's sum, from the legs' array factors
+    "ris_only_approx": lambda b: b.ch.k_norm * np.sum(b.factors[0] * b.factors[1], axis=-1),
 }
 SCHEMES = tuple(_SCHEME_GAINS)
 BENCHMARK_PHASE_MODES = ("zero", "random")
@@ -141,6 +138,10 @@ class SimulationPlan:
                 f"snr_db values must give a positive finite linear SNR, "
                 f"got {self.snr_db}"
             )
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -239,44 +240,69 @@ def _benchmark_phases(plan: SimulationPlan, trials, sizes) -> NDArray[np.float64
     return phases
 
 
-def _block_gains(plan: SimulationPlan, cfg: SceneConfig, grids, indices,
-                 phi_bench) -> dict:
-    """Gains of every requested scheme for a block of trials.
+def _sweep_indices(plan: SimulationPlan, trials) -> NDArray[np.int64]:
+    "Grid indices of ``trials`` from the stream twin; its flagged rows from NumPy."
+    sizes = (len(plan.h_t_values()), len(plan.h_r_values()))
+    indices, flagged = first_indices(plan.seed, trials, sizes)
+    for row in np.flatnonzero(flagged):
+        indices[row] = _draw_indices(_trial_rng(plan.seed, int(trials[row])), sizes)
+    return indices
 
-    ``indices`` holds each trial's (h_t, h_r) grid indices. Each leg's
-    geometry and steering are built once per distinct height and gathered;
-    a leg whose heights are all distinct is built per trial, ungathered.
-    """
-    legs, steer = [], []
-    for leg, grid, column in ((transmit_leg, grids[0], indices[:, 0]),
-                              (receive_leg, grids[1], indices[:, 1])):
+
+def _leg_product(cfg: SceneConfig, leg, heights) -> tuple:
+    """A leg's steering, element-(1,1) path length (for ``k_norm``) and array
+    factor at each of ``heights``; ``leg`` is (geometry function, antennas, spacing)."""
+    build, n, spacing = leg
+    _, dist, _, cos_theta = build(cfg, heights)
+    return (steering(dist, cfg.wavelength), dist[..., 0, 0],
+            array_factor(n, spacing, cos_theta, cfg.wavelength))
+
+
+def _leg_table(cfg: SceneConfig, leg, grid, n_trials: int):
+    """A leg's product at every grid height when the grid has no more heights
+    than the sweep has trials and its steering fits in ``_BLOCK_BYTES``."""
+    if len(grid) <= n_trials and 16 * len(grid) * cfg.n_ris * leg[1] <= _BLOCK_BYTES:
+        return _leg_product(cfg, leg, grid)
+    return None
+
+
+def _gathered_leg(cfg: SceneConfig, leg, grid, table, column) -> tuple:
+    """A leg's product for the grid indices ``column``: gathered from the table,
+    else from the block's distinct heights, or built per trial if all differ."""
+    if table is None:
         distinct, inverse = np.unique(column, return_inverse=True)
         if len(distinct) == len(column):
-            distinct, inverse = column, slice(None)
-        geometry = leg(cfg, grid[distinct])
-        legs.append(tuple(a[inverse] for a in geometry))
-        steer.append(steering(geometry[1], cfg.wavelength)[inverse])
-    pos = join_legs(cfg, *legs)
-    ch = CascadeChannel(u_mat=steer[0], v_mat=steer[1],
-                        k_norm=normalization_constant(pos, cfg))
-    block = _Block(cfg, pos, ch, phi_bench)
+            return _leg_product(cfg, leg, grid[column])
+        table, column = _leg_product(cfg, leg, grid[distinct]), inverse
+    return tuple(a[column] for a in table)
+
+
+def _block_gains(plan: SimulationPlan, cfg: SceneConfig, legs, grids, tables,
+                 indices, phi_bench) -> dict:
+    "Gains of every requested scheme for trials at (h_t, h_r) grid ``indices``."
+    (u_mat, d2_corner, factor_t), (v_mat, d1_corner, factor_r) = (
+        _gathered_leg(cfg, *args) for args in zip(legs, grids, tables, indices.T))
+    ch = CascadeChannel(u_mat=u_mat, v_mat=v_mat,
+                        k_norm=corner_normalization(cfg, d1_corner, d2_corner))
+    block = _Block(ch, (factor_t, factor_r), phi_bench)
     return {scheme: _SCHEME_GAINS[scheme](block) for scheme in plan.schemes}
 
 
-def _sweep_gains(plan: SimulationPlan, trials) -> dict:
+def _sweep_gains(plan: SimulationPlan, trials, indices) -> dict:
     """Gain arrays of every requested scheme over ``trials``, in that order.
 
-    Trials are stable-sorted by (h_t, h_r) grid index and cut into blocks of
-    at most ``_BLOCK_BYTES`` of steering, so a block shares its heights.
+    ``indices`` holds each trial's (h_t, h_r) grid indices. Trials are
+    stable-sorted by them and cut into blocks of at most ``_BLOCK_BYTES`` of
+    steering, so a block shares its heights.
     """
     trials = np.asarray(trials)
     grids = plan.h_t_values(), plan.h_r_values()
     sizes = tuple(map(len, grids))
-    indices = np.array([_draw_indices(_trial_rng(plan.seed, int(i)), sizes)
-                        for i in trials])
     order = np.lexsort((indices[:, 1], indices[:, 0]))
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
+    legs = (transmit_leg, cfg.n_t, cfg.s_t), (receive_leg, cfg.n_r, cfg.s_r)
+    tables = [_leg_table(cfg, leg, grid, len(trials)) for leg, grid in zip(legs, grids)]
     block_size = max(1, _BLOCK_BYTES // (16 * plan.n_ris * (plan.n_t + plan.n_r)))
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
@@ -290,7 +316,7 @@ def _sweep_gains(plan: SimulationPlan, trials) -> dict:
         block = order[start:start + block_size]
         phi_bench = _benchmark_phases(plan, trials[block].tolist(), sizes)
         for scheme, values in _block_gains(
-                plan, cfg, grids, indices[block], phi_bench).items():
+                plan, cfg, legs, grids, tables, indices[block], phi_bench).items():
             gains[scheme][block] = values
     return gains
 
@@ -300,9 +326,11 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
 
     Capacity follows from a gain via the shared single-stream map, so the
     per-trial work is SNR-independent. This is the sweep's block engine on
-    a block of one trial.
+    a block of one trial, with its heights drawn from the trial's generator.
     """
-    gains = _sweep_gains(plan, [trial_index])
+    sizes = (len(plan.h_t_values()), len(plan.h_r_values()))
+    indices = np.array([_draw_indices(_trial_rng(plan.seed, trial_index), sizes)])
+    gains = _sweep_gains(plan, [trial_index], indices)
     return {scheme: float(values[0]) for scheme, values in gains.items()}
 
 
@@ -314,7 +342,8 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    gains = _sweep_gains(plan, range(plan.trials))
+    trials = np.arange(plan.trials)
+    gains = _sweep_gains(plan, trials, _sweep_indices(plan, trials))
 
     rows = []
     for scheme in sorted(plan.schemes):

@@ -1,11 +1,12 @@
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riscap import (
@@ -28,7 +29,8 @@ from riscap import (
     write_csv,
 )
 from riscap import sim
-from riscap.sim import SCHEMES, height_grid
+from riscap._stream import first_indices
+from riscap.sim import SCHEMES, height_grid, with_overrides
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,6 +77,16 @@ class TestPlanValidation:
             tiny_plan(trials=0)
         with pytest.raises(ValueError, match="seed"):
             tiny_plan(seed=-1)
+        # floats (even whole ones), bools and strings are not counts
+        for field, bad in [("seed", 1.5), ("seed", 3.0), ("seed", True), ("seed", "1"),
+                           ("trials", 2.5), ("trials", 3.0), ("trials", True)]:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                with_overrides(tiny_plan(), **{field: bad})
+
+    def test_accepts_numpy_integers(self):
+        plan = tiny_plan(h_t_grid=(2.5, 2.6, 0.02), schemes=SCHEMES)
+        numpy_ints = with_overrides(plan, seed=np.uint32(7), trials=np.int64(3))
+        assert run_plan(numpy_ints).rows == run_plan(with_overrides(plan, seed=7, trials=3)).rows
 
     def test_rejects_unknown_or_duplicate_schemes(self):
         with pytest.raises(ValueError, match="unknown schemes"):
@@ -154,6 +166,86 @@ def replay_trial(plan, trial):
     }
 
 
+def reference_indices(seed, trials, sizes):
+    "Grid indices of each trial from its own NumPy generator."
+    rows = []
+    for trial in trials:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, int(trial))))
+        rows.append([int(rng.integers(sizes[0])), int(rng.integers(sizes[1]))])
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_run(plan):
+    "run_plan with every trial's heights drawn from its own NumPy generator."
+    def all_flagged(seed, trials, sizes):
+        return np.zeros((len(trials), 2), dtype=np.int64), np.ones(len(trials), dtype=bool)
+    with mock.patch.object(sim, "first_indices", all_flagged):
+        return run_plan(plan)
+
+
+def fine_plan(seed):
+    "Plan with 10001-point height grids (0.1 mm steps)."
+    return tiny_plan(h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001),
+                     seed=seed, schemes=SCHEMES)
+
+
+grid_sizes = st.one_of(st.just(1), st.integers(1, 10**4))
+
+
+class TestStreamTwin:
+    "The array-code twin of the per-trial stream against NumPy's generators."
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+           first=st.one_of(st.just(2**32 - 20), st.integers(0, 2**32 - 20)),
+           sizes=st.tuples(grid_sizes, grid_sizes))
+    def test_unflagged_rows_match_numpy(self, seed, first, sizes):
+        trials = np.arange(first, first + 20)
+        indices, flagged = first_indices(seed, trials, sizes)
+        expected = reference_indices(seed, trials, sizes)
+        np.testing.assert_array_equal(indices[~flagged], expected[~flagged])
+        # one-word entropy flags only Lemire rejections, about size/2^32
+        assert flagged.sum() <= 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64)),
+           first=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 5, 2**40)),
+           sizes=st.tuples(grid_sizes, grid_sizes))
+    def test_sweep_indices_match_numpy(self, seed, first, sizes):
+        def grid(lo, size):
+            return (lo, lo + 0.0001 * (size - 1), 0.0001)
+        plan = tiny_plan(h_t_grid=grid(2.0, sizes[0]), h_r_grid=grid(0.8, sizes[1]),
+                         seed=seed)
+        trials = np.arange(first, first + 10)
+        np.testing.assert_array_equal(sim._sweep_indices(plan, trials),
+                                      reference_indices(seed, trials, sizes))
+
+    @pytest.mark.parametrize("seed, trial", [(1, 609287), (12345, 236055)])
+    def test_lemire_rejection_falls_back(self, seed, trial):
+        sizes = (10001, 10001)
+        indices, flagged = first_indices(seed, [trial], sizes)
+        # numpy draws again here, so the unflagged twin would be wrong
+        assert flagged.tolist() == [True]
+        assert indices.tolist() != reference_indices(seed, [trial], sizes).tolist()
+        plan = fine_plan(seed)
+        indices = sim._sweep_indices(plan, np.array([trial]))
+        t, r = indices[0]
+        assert (plan.h_t_values()[t], plan.h_r_values()[r]) == sample_heights(plan, trial)
+        gains = sim._sweep_gains(plan, [trial], indices)
+        assert {k: float(v[0]) for k, v in gains.items()} == replay_trial(plan, trial)
+
+    def test_wide_seed_runs_through_fallback(self):
+        plan = replace(load_preset("panel_a"), seed=2**32 + 7, trials=60)
+        _, flagged = first_indices(plan.seed, np.arange(60), (51, 51))
+        assert flagged.all()
+        assert run_plan(plan) == reference_run(plan)
+
+    @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
+    def test_sweep_matches_reference_draws(self, panel):
+        plan = replace(load_preset(panel), trials=60)
+        assert run_plan(plan) == reference_run(plan)
+
+
 class TestTrialGains:
     def test_contains_requested_schemes_only(self):
         plan = replace(load_preset("panel_a"), schemes=("basic", "joint"), trials=1)
@@ -204,12 +296,34 @@ class TestBlockEngine:
     def per_trial_bytes(plan):
         return 16 * plan.n_ris * (plan.n_t + plan.n_r)
 
+    @staticmethod
+    @contextmanager
+    def tables_built():
+        "Collects, per leg and sweep, whether a whole-grid table was built."
+        built, leg_table = [], sim._leg_table
+
+        def spy(*args):
+            table = leg_table(*args)
+            built.append(table is not None)
+            return table
+        with mock.patch.object(sim, "_leg_table", spy):
+            yield built
+
+    def test_every_trial_matches_single_scene_calls(self):
+        with self.tables_built() as built:
+            self.check_every_trial_matches_single_scene_calls()
+        # grids of 1-5 heights against 1-12 trials take both leg paths
+        assert set(built) == {True, False}
+
     @settings(max_examples=40, deadline=None)
     @given(plan=small_plans(), block_trials=st.integers(1, 5))
-    def test_every_trial_matches_single_scene_calls(self, plan, block_trials):
+    @example(plan=tiny_plan(trials=12, schemes=SCHEMES), block_trials=1)
+    @example(plan=tiny_plan(h_t_grid=(2.0, 2.08, 0.02), schemes=SCHEMES), block_trials=1)
+    def check_every_trial_matches_single_scene_calls(self, plan, block_trials):
         budget = block_trials * self.per_trial_bytes(plan)
+        trials = np.arange(plan.trials)
         with mock.patch.object(sim, "_BLOCK_BYTES", budget):
-            gains = sim._sweep_gains(plan, range(plan.trials))
+            gains = sim._sweep_gains(plan, trials, sim._sweep_indices(plan, trials))
         for trial in range(plan.trials):
             got = {scheme: float(gains[scheme][trial]) for scheme in SCHEMES}
             assert got == replay_trial(plan, trial)
@@ -223,6 +337,19 @@ class TestBlockEngine:
         with mock.patch.object(sim, "_BLOCK_BYTES", plan.trials * self.per_trial_bytes(plan)):
             whole_sweep = run_plan(plan)
         assert one_trial == whole_sweep
+
+    @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
+    def test_leg_tables_do_not_change_the_table(self, panel):
+        # 60 trials against 51-point grids: the shipped sweeps table a leg
+        # whose steering fits the block budget. The 50-trial goldens pin the
+        # per-block path, the 1000-trial goldens the table path.
+        plan = replace(load_preset(panel), trials=60)
+        with mock.patch.object(sim, "_leg_table", lambda *args: None):
+            untabled = run_plan(plan)
+        with self.tables_built() as built:
+            tabled = run_plan(plan)
+        assert built == ([True, True] if panel == "panel_a" else [False, True])
+        assert tabled == untabled
 
     def test_preset_table_independent_of_block_budget(self):
         plan = replace(load_preset("panel_d"), trials=40)
