@@ -16,7 +16,7 @@ from .channel import build_cascade
 from .geometry import build_positions
 from .oracle import QuantizedSearchSpec, exhaustive_best, random_restart_best
 from .schemes import SnrPoint, capacity_from_gain, solve_joint, joint_gain, solve_ris_only
-from .sim import run_plan, with_overrides, write_csv
+from .sim import run_plan, write_csv
 
 
 def _worker_count(text: str) -> int:
@@ -65,7 +65,8 @@ def _load_plan(source: str, seed=None, trials=None):
             plan = config.load_preset(source)
         else:
             raise FileNotFoundError(f"config file not found: {source}")
-        return with_overrides(plan, seed=seed, trials=trials)
+        overrides = {"seed": seed, "trials": trials}
+        return replace(plan, **{k: v for k, v in overrides.items() if v is not None})
     except (OSError, ValueError) as err:
         raise _ConfigError(str(err)) from err
 

@@ -13,6 +13,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 
+def require_int(name: str, value, low: int) -> None:
+    "Reject ``value`` unless it is an integer >= ``low``; a bool is not a count."
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Physical setup of one scene realization.
@@ -43,9 +49,7 @@ class SceneConfig:
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         for name in ("n_t", "n_r", "n_ris"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            require_int(name, getattr(self, name), 1)
         if not self.d_ris < self.d_wall:
             raise ValueError(
                 f"RIS midpoint offset d_ris={self.d_ris} must lie strictly "

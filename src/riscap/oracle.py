@@ -10,7 +10,7 @@ vectors on tiny instances:
   capacity actually depends on.
 
 The exhaustive search enumerates a quantized phase grid exactly (with a hard
-budget guard, never silent truncation); the random-restart search runs
+candidate budget, never silent truncation); the random-restart search runs
 deterministic coordinate ascent from seeded uniform starts.
 """
 
@@ -20,6 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .channel import CascadeChannel, gain_rows
+from .geometry import require_int
 
 TARGETS = ("ris_only", "joint")
 
@@ -30,20 +31,17 @@ _CHUNK = 1 << 16
 class QuantizedSearchSpec:
     """Exhaustive-search configuration over the phase grid {2*pi*m/levels}.
 
-    ``max_elements`` and ``budget`` guard the enumeration size; exceeding
-    either refuses the search instead of subsampling.
+    ``budget`` bounds the enumeration size: a search of more than ``budget``
+    candidates (``levels**n_ris``) is refused instead of subsampled.
     """
 
     levels: int
-    max_elements: int = 4
     target: str = "ris_only"
     budget: int = 2**24
 
     def __post_init__(self):
-        for name, low in (("levels", 2), ("max_elements", 1), ("budget", 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        require_int("levels", self.levels, 2)
+        require_int("budget", self.budget, 1)
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
 
@@ -74,16 +72,15 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
     at least one) under fixed high digits. Returns the first maximizer in
     that order and its gain. Gain-row magnitudes are added in row order,
     NumPy's ``sum`` order below 8 rows (pairwise from 8 on: last bits may
-    differ). Raises over the element or candidate budget, naming the count.
+    differ). Raises over the candidate budget, naming the count.
     """
     n = ch.n_ris
     levels = int(spec.levels)
     candidates = levels**n
-    if n > spec.max_elements or candidates > spec.budget:
+    if candidates > spec.budget:
         raise ValueError(
             f"exhaustive search refused: {spec.levels}^{n} = {candidates} "
-            f"candidates (limits: {spec.max_elements} elements, "
-            f"{spec.budget} candidates)"
+            f"candidates (budget: {spec.budget})"
         )
 
     a_mat = ch.k_norm * gain_rows(ch, spec.target)
@@ -147,8 +144,7 @@ def random_restart_best(ch: CascadeChannel, target: str, restarts: int,
     All starts ascend together. Deterministic for a fixed (target,
     restarts, seed); repeat calls return bit-identical results.
     """
-    if not (isinstance(restarts, (int, np.integer)) and restarts >= 1):
-        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
+    require_int("restarts", restarts, 1)
     a_mat = ch.k_norm * gain_rows(ch, target)
     starts = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(restarts, ch.n_ris))
     phi, gain = _coordinate_ascent(a_mat, starts)

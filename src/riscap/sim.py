@@ -2,12 +2,14 @@
 
 Each trial draws array-midpoint heights from discrete uniform grids, builds
 the scene and cascade channel, solves the requested schemes, and evaluates
-capacity at every SNR point. Per-trial randomness is derived from (seed,
-trial_index) alone: a trial's grid indices are the first two draws of
-``default_rng(SeedSequence((seed, trial)))``. A sweep draws them all at once
-with an array-code twin of that stream; rows the twin flags (a seed or trial
-index of 2^32 or more, or a Lemire rejection) and single trials draw from
-the trial's own generator.
+capacity at every SNR point. A plan builds its two height grids once, when
+it is validated. Per-trial randomness is derived from (seed, trial_index)
+alone: a trial's stream is ``default_rng(SeedSequence((seed, trial)))``, its
+first two draws are the grid indices and the next ``n_ris`` are the random
+benchmark phases (``_trial_stream``). A sweep draws the indices of all trials
+at once with an array-code twin of that stream; rows the twin flags (a seed
+or trial index of 2^32 or more, or a Lemire rejection) and single trials
+draw from the trial's own generator, which is cheaper for one trial.
 
 Trials run in blocks: sorted by their grid heights, cut to a fixed memory
 budget, with every scheme solved over a leading trial axis. A leg's
@@ -20,7 +22,7 @@ the single-scene calls, so the layout never shows in the results.
 """
 
 import importlib.metadata
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +31,7 @@ from numpy.typing import NDArray
 from ._stream import first_indices
 from .approx import array_factor
 from .channel import CascadeChannel, assemble_h, corner_normalization, steering
-from .geometry import SceneConfig, build_positions, receive_leg, transmit_leg
+from .geometry import SceneConfig, build_positions, receive_leg, require_int, transmit_leg
 from .schemes import (
     SnrPoint,
     capacity_from_gain,
@@ -106,7 +108,8 @@ class SimulationPlan:
     """Everything one sweep needs: base geometry, height grids, SNR grid.
 
     Heights are *not* part of the plan; they are sampled per trial. The
-    normalization reference heights are the grid midpoints.
+    normalization reference heights are the grid midpoints. ``grids`` holds
+    the read-only (h_t, h_r) height grids, built once during validation.
     """
 
     wavelength: float
@@ -127,8 +130,10 @@ class SimulationPlan:
     benchmark_ris_phase: str = "zero"
 
     def __post_init__(self):
-        height_grid(*self.h_t_grid)
-        height_grid(*self.h_r_grid)
+        grids = height_grid(*self.h_t_grid), height_grid(*self.h_r_grid)
+        for grid in grids:
+            grid.flags.writeable = False
+        object.__setattr__(self, "grids", grids)
         if len(self.snr_db) == 0:
             raise ValueError("snr_db grid must not be empty")
         with np.errstate(over="ignore"):
@@ -138,14 +143,8 @@ class SimulationPlan:
                 f"snr_db values must give a positive finite linear SNR, "
                 f"got {self.snr_db}"
             )
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        require_int("trials", self.trials, 1)
+        require_int("seed", self.seed, 0)
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; valid: {SCHEMES}")
@@ -160,12 +159,6 @@ class SimulationPlan:
         # and the RIS span is height-independent, so a plan that passes here
         # can build every trial's scene.
         build_positions(self.scene(self.h_t_grid[0], self.h_r_grid[0]))
-
-    def h_t_values(self) -> NDArray[np.float64]:
-        return height_grid(*self.h_t_grid)
-
-    def h_r_values(self) -> NDArray[np.float64]:
-        return height_grid(*self.h_r_grid)
 
     def scene(self, h_t: float, h_r: float) -> SceneConfig:
         "Scene realization at given heights, normalized at the grid midpoints."
@@ -203,14 +196,12 @@ class ResultTable:
     metadata: dict
 
 
-def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    "Counter-based per-trial stream: hash of (seed, trial_index)."
-    return np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
-
-
-def _draw_indices(rng: np.random.Generator, sizes: tuple[int, int]) -> tuple[int, int]:
-    "A trial's h_t and h_r grid indices: the first two draws of its stream."
-    return int(rng.integers(sizes[0])), int(rng.integers(sizes[1]))
+def _trial_stream(plan: SimulationPlan,
+                  trial: int) -> tuple[np.random.Generator, tuple[int, int]]:
+    """A trial's generator, hashed from (seed, trial) alone, after its first
+    two draws, and those draws: the trial's h_t and h_r grid indices."""
+    rng = np.random.default_rng(np.random.SeedSequence((plan.seed, trial)))
+    return rng, tuple(int(rng.integers(len(grid))) for grid in plan.grids)
 
 
 def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float]:
@@ -219,13 +210,12 @@ def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float
     Depends only on (plan.seed, trial_index), not on any previously sampled
     trial, so single trials can be replayed in isolation.
     """
-    h_t_values, h_r_values = plan.h_t_values(), plan.h_r_values()
-    t, r = _draw_indices(_trial_rng(plan.seed, trial_index),
-                         (len(h_t_values), len(h_r_values)))
-    return float(h_t_values[t]), float(h_r_values[r])
+    _, indices = _trial_stream(plan, trial_index)
+    h_t, h_r = (float(grid[i]) for grid, i in zip(plan.grids, indices))
+    return h_t, h_r
 
 
-def _benchmark_phases(plan: SimulationPlan, trials, sizes) -> NDArray[np.float64]:
+def _benchmark_phases(plan: SimulationPlan, trials) -> NDArray[np.float64]:
     """Fixed benchmark RIS phases of the given trials, one row each.
 
     Random phases are the draws right after the grid indices, made whatever
@@ -234,18 +224,15 @@ def _benchmark_phases(plan: SimulationPlan, trials, sizes) -> NDArray[np.float64
     phases = np.zeros((len(trials), plan.n_ris))
     if plan.benchmark_ris_phase == "random":
         for row, trial in zip(phases, trials):
-            rng = _trial_rng(plan.seed, trial)
-            _draw_indices(rng, sizes)
-            row[:] = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
+            row[:] = _trial_stream(plan, trial)[0].uniform(-np.pi, np.pi, size=plan.n_ris)
     return phases
 
 
 def _sweep_indices(plan: SimulationPlan, trials) -> NDArray[np.int64]:
     "Grid indices of ``trials`` from the stream twin; its flagged rows from NumPy."
-    sizes = (len(plan.h_t_values()), len(plan.h_r_values()))
-    indices, flagged = first_indices(plan.seed, trials, sizes)
+    indices, flagged = first_indices(plan.seed, trials, [len(grid) for grid in plan.grids])
     for row in np.flatnonzero(flagged):
-        indices[row] = _draw_indices(_trial_rng(plan.seed, int(trials[row])), sizes)
+        indices[row] = _trial_stream(plan, int(trials[row]))[1]
     return indices
 
 
@@ -277,14 +264,14 @@ def _gathered_leg(cfg: SceneConfig, leg, grid, table, column) -> tuple:
     return tuple(a[column] for a in table)
 
 
-def _block_gains(plan: SimulationPlan, cfg: SceneConfig, legs, grids, tables,
-                 indices, phi_bench) -> dict:
-    "Gains of every requested scheme for trials at (h_t, h_r) grid ``indices``."
+def _block_gains(plan: SimulationPlan, cfg: SceneConfig, legs, tables, trials,
+                 indices) -> dict:
+    "Gains of every requested scheme for ``trials`` at (h_t, h_r) grid ``indices``."
     (u_mat, d2_corner, factor_t), (v_mat, d1_corner, factor_r) = (
-        _gathered_leg(cfg, *args) for args in zip(legs, grids, tables, indices.T))
+        _gathered_leg(cfg, *args) for args in zip(legs, plan.grids, tables, indices.T))
     ch = CascadeChannel(u_mat=u_mat, v_mat=v_mat,
                         k_norm=corner_normalization(cfg, d1_corner, d2_corner))
-    block = _Block(ch, (factor_t, factor_r), phi_bench)
+    block = _Block(ch, (factor_t, factor_r), _benchmark_phases(plan, trials.tolist()))
     return {scheme: _SCHEME_GAINS[scheme](block) for scheme in plan.schemes}
 
 
@@ -296,13 +283,11 @@ def _sweep_gains(plan: SimulationPlan, trials, indices) -> dict:
     steering, so a block shares its heights.
     """
     trials = np.asarray(trials)
-    grids = plan.h_t_values(), plan.h_r_values()
-    sizes = tuple(map(len, grids))
     order = np.lexsort((indices[:, 1], indices[:, 0]))
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
     legs = (transmit_leg, cfg.n_t, cfg.s_t), (receive_leg, cfg.n_r, cfg.s_r)
-    tables = [_leg_table(cfg, leg, grid, len(trials)) for leg, grid in zip(legs, grids)]
+    tables = [_leg_table(cfg, leg, grid, len(trials)) for leg, grid in zip(legs, plan.grids)]
     block_size = max(1, _BLOCK_BYTES // (16 * plan.n_ris * (plan.n_t + plan.n_r)))
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
@@ -314,9 +299,8 @@ def _sweep_gains(plan: SimulationPlan, trials, indices) -> dict:
     gains = {scheme: np.empty(len(trials)) for scheme in plan.schemes}
     for start in range(0, len(order), block_size):
         block = order[start:start + block_size]
-        phi_bench = _benchmark_phases(plan, trials[block].tolist(), sizes)
         for scheme, values in _block_gains(
-                plan, cfg, legs, grids, tables, indices[block], phi_bench).items():
+                plan, cfg, legs, tables, trials[block], indices[block]).items():
             gains[scheme][block] = values
     return gains
 
@@ -328,8 +312,7 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     per-trial work is SNR-independent. This is the sweep's block engine on
     a block of one trial, with its heights drawn from the trial's generator.
     """
-    sizes = (len(plan.h_t_values()), len(plan.h_r_values()))
-    indices = np.array([_draw_indices(_trial_rng(plan.seed, trial_index), sizes)])
+    indices = np.array([_trial_stream(plan, trial_index)[1]])
     gains = _sweep_gains(plan, [trial_index], indices)
     return {scheme: float(values[0]) for scheme, values in gains.items()}
 
@@ -383,13 +366,3 @@ def write_csv(table: ResultTable, path) -> None:
             handle.write("\n".join(lines) + "\n")
     except OSError as err:
         raise OSError(f"cannot write results to {path}: {err}") from err
-
-
-def with_overrides(plan: SimulationPlan, seed=None, trials=None) -> SimulationPlan:
-    "Copy of the plan with seed and/or trial count replaced."
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if trials is not None:
-        updates["trials"] = trials
-    return replace(plan, **updates) if updates else plan

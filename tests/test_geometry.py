@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from riscap import build_positions, normalization_reference
+from riscap import (
+    QuantizedSearchSpec,
+    build_cascade,
+    build_positions,
+    load_preset,
+    normalization_reference,
+    random_restart_best,
+)
 
 
 class TestSceneConfig:
@@ -21,6 +28,18 @@ class TestSceneConfig:
             scene(n_r=-3)
         with pytest.raises(ValueError, match="n_ris"):
             scene(n_ris=2.0)  # non-integer count
+
+    def test_bool_is_not_a_count(self, scene):
+        # isinstance(True, int) holds, so a bare int check lets bools through
+        ch = build_cascade(build_positions(scene()), scene())
+        for field, build in [
+            ("n_t", lambda: replace(load_preset("panel_a"), n_t=True)),
+            ("n_ris", lambda: scene(n_ris=True)),
+            ("budget", lambda: QuantizedSearchSpec(levels=4, budget=True)),
+            ("restarts", lambda: random_restart_best(ch, "ris_only", restarts=True, seed=1)),
+        ]:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                build()
 
     def test_rejects_ris_offset_outside_walls(self, scene):
         with pytest.raises(ValueError, match="d_ris"):

@@ -73,7 +73,7 @@ class TestSearchSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("levels", 2.5), ("levels", 8.0), ("levels", "8"),
-        ("max_elements", 0), ("max_elements", 2.0), ("budget", 0), ("budget", 1e6),
+        ("budget", 0), ("budget", 1e6),
     ])
     def test_rejects_non_integer_or_too_small_sizes(self, field, value):
         params = {"levels": 4, field: value}
@@ -81,8 +81,8 @@ class TestSearchSpec:
             QuantizedSearchSpec(**params)
 
     def test_accepts_numpy_integers(self):
-        spec = QuantizedSearchSpec(levels=np.int64(4), max_elements=np.int32(2))
-        assert spec.levels == 4
+        spec = QuantizedSearchSpec(levels=np.int64(4), budget=np.int32(16))
+        assert (spec.levels, spec.budget) == (4, 16)
 
 
 class TestObjectives:
@@ -100,11 +100,19 @@ class TestExhaustiveBest:
         with pytest.raises(ValueError, match=r"64\^3"):
             exhaustive_best(ch, QuantizedSearchSpec(levels=64, budget=1000))
         with pytest.raises(ValueError, match="262144"):
-            exhaustive_best(ch, QuantizedSearchSpec(levels=64, max_elements=2))
+            exhaustive_best(ch, QuantizedSearchSpec(levels=64, budget=64**3 - 1))
+        exhaustive_best(ch, QuantizedSearchSpec(levels=64, budget=64**3))
+
+    def test_element_count_bounded_by_budget_alone(self, scene):
+        # 8^5 = 32768 candidates: five elements fit the default budget
+        _, ch = cascade_for(scene, 2, 2, 5)
+        phi, best = exhaustive_best(ch, QuantizedSearchSpec(levels=8))
+        assert best == pytest.approx(ris_only_objective(ch, phi), rel=1e-12)
+        assert best <= solve_ris_only(ch).b_gain + 1e-9
 
     def test_numpy_integer_levels_counted_without_overflow(self, scene):
         _, ch = cascade_for(scene, 1, 1, 12)
-        spec = QuantizedSearchSpec(levels=np.int64(64), max_elements=12)
+        spec = QuantizedSearchSpec(levels=np.int64(64))
         with pytest.raises(ValueError, match=str(64**12)):
             exhaustive_best(ch, spec)
 

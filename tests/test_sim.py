@@ -30,7 +30,7 @@ from riscap import (
 )
 from riscap import sim
 from riscap._stream import first_indices
-from riscap.sim import SCHEMES, height_grid, with_overrides
+from riscap.sim import SCHEMES, height_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,12 +81,12 @@ class TestPlanValidation:
         for field, bad in [("seed", 1.5), ("seed", 3.0), ("seed", True), ("seed", "1"),
                            ("trials", 2.5), ("trials", 3.0), ("trials", True)]:
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
-                with_overrides(tiny_plan(), **{field: bad})
+                replace(tiny_plan(), **{field: bad})
 
     def test_accepts_numpy_integers(self):
         plan = tiny_plan(h_t_grid=(2.5, 2.6, 0.02), schemes=SCHEMES)
-        numpy_ints = with_overrides(plan, seed=np.uint32(7), trials=np.int64(3))
-        assert run_plan(numpy_ints).rows == run_plan(with_overrides(plan, seed=7, trials=3)).rows
+        numpy_ints = replace(plan, seed=np.uint32(7), trials=np.int64(3))
+        assert run_plan(numpy_ints).rows == run_plan(replace(plan, seed=7, trials=3)).rows
 
     def test_rejects_unknown_or_duplicate_schemes(self):
         with pytest.raises(ValueError, match="unknown schemes"):
@@ -114,6 +114,24 @@ class TestPlanValidation:
             tiny_plan(n_r=32, h_r_grid=(0.02, 1.8, 0.02))
 
 
+class TestPlanGrids:
+    def test_grids_built_once_and_read_only(self):
+        plan = replace(load_preset("panel_a"), trials=20, benchmark_ris_phase="random")
+        with mock.patch.object(sim, "height_grid", wraps=sim.height_grid) as built:
+            run_plan(plan)
+            sample_heights(plan, 3)
+            trial_gains(plan, 3)
+        assert built.call_count == 0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.grids[0][0] = 0.0
+        for grid, spec in zip(plan.grids, (plan.h_t_grid, plan.h_r_grid)):
+            np.testing.assert_array_equal(grid, height_grid(*spec))
+
+    def test_replace_rebuilds_grids(self):
+        plan = replace(load_preset("panel_a"), h_t_grid=(2.0, 2.1, 0.02))
+        assert len(plan.grids[0]) == 6 and len(plan.grids[1]) == 51
+
+
 class TestSampleHeights:
     def test_deterministic_per_trial(self):
         plan = load_preset("panel_a")
@@ -121,8 +139,7 @@ class TestSampleHeights:
 
     def test_values_on_grid(self):
         plan = load_preset("panel_a")
-        h_t_grid = set(np.round(plan.h_t_values(), 9))
-        h_r_grid = set(np.round(plan.h_r_values(), 9))
+        h_t_grid, h_r_grid = (set(np.round(grid, 9)) for grid in plan.grids)
         for i in range(200):
             h_t, h_r = sample_heights(plan, i)
             assert round(h_t, 9) in h_t_grid
@@ -153,8 +170,8 @@ def replay_trial(plan, trial):
     phi = np.zeros(plan.n_ris)
     if plan.benchmark_ris_phase == "random":
         rng = np.random.default_rng(np.random.SeedSequence((plan.seed, trial)))
-        rng.integers(len(plan.h_t_values()))
-        rng.integers(len(plan.h_r_values()))
+        for grid in plan.grids:
+            rng.integers(len(grid))
         phi = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
     h = assemble_h(ch, phi)
     return {
@@ -230,7 +247,7 @@ class TestStreamTwin:
         plan = fine_plan(seed)
         indices = sim._sweep_indices(plan, np.array([trial]))
         t, r = indices[0]
-        assert (plan.h_t_values()[t], plan.h_r_values()[r]) == sample_heights(plan, trial)
+        assert (plan.grids[0][t], plan.grids[1][r]) == sample_heights(plan, trial)
         gains = sim._sweep_gains(plan, [trial], indices)
         assert {k: float(v[0]) for k, v in gains.items()} == replay_trial(plan, trial)
 
