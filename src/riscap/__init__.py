@@ -52,8 +52,16 @@ from .sim import (
     sample_heights,
     trial_gains,
     write_csv,
-    _VERSION as __version__,
 )
+
+
+def __getattr__(name):
+    # The version lookup loads importlib.metadata, so it waits until asked.
+    if name == "__version__":
+        from .sim import _version
+        return _version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CascadeChannel",

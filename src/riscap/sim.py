@@ -11,19 +11,22 @@ at once with an array-code twin of that stream; rows the twin flags (a seed
 or trial index of 2^32 or more, or a Lemire rejection) and single trials
 draw from the trial's own generator, which is cheaper for one trial.
 
-Trials run in blocks: sorted by their grid heights, cut to a fixed memory
-budget, with every scheme solved over a leading trial axis. A leg's
+A sweep's units are its distinct (h_t, h_r) grid pairs: unless a requested
+benchmark scheme reads random benchmark phases, every gain is a function of
+the pair alone, so each pair is solved once and its gains are scattered back
+to the trials that drew it. Otherwise the units are the trials themselves.
+Units run in blocks: sorted by their grid heights, cut to a fixed memory
+budget, with every scheme solved over a leading unit axis. A leg's
 steering, k_norm path length and array factor depend on its height alone.
-A leg whose grid has no more heights than the sweep has trials, and whose
+A leg whose grid has no more heights than the sweep has units, and whose
 steering fits the block budget, is built once per grid height per sweep;
 otherwise each block builds it once per distinct height. Gains go back to
-trial order before the reduction, and each trial's gain is bit-identical to
+trial order before the reduction, and each unit's gain is bit-identical to
 the single-scene calls, so the layout never shows in the results.
 """
 
-import importlib.metadata
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -49,16 +52,26 @@ _BLOCK_BYTES = 1 << 19
 
 @dataclass
 class _Block:
-    """A block's channel, transmit and receive array factors and benchmark
-    phases along a leading trial axis; its benchmark channel is lazy."""
+    """A block's channel and transmit and receive array factors along a
+    leading unit axis. Its benchmark channel is lazy, and so are the
+    benchmark phases it is built at: drawn from each trial's stream for
+    trial units, zero for pair units (``trials`` None)."""
 
+    plan: "SimulationPlan"
+    trials: list[int] | None
     ch: CascadeChannel
     factors: tuple[NDArray[np.float64], NDArray[np.float64]]
-    phi_bench: NDArray[np.float64]
 
     @cached_property
     def h_bench(self) -> NDArray[np.complex128]:
-        return assemble_h(self.ch, self.phi_bench)
+        phases = np.zeros((len(self.ch.k_norm), self.plan.n_ris))
+        if self.plan.benchmark_ris_phase == "random":
+            # the draws right after the grid indices, made whatever the
+            # requested schemes, so the per-trial stream layout stays fixed
+            for row, trial in zip(phases, self.trials):
+                row[:] = _trial_stream(self.plan, trial)[0].uniform(
+                    -np.pi, np.pi, size=self.plan.n_ris)
+        return assemble_h(self.ch, phases)
 
 
 # Coherent-sum gain of each scheme over a block. The benchmarks run on the
@@ -72,12 +85,20 @@ _SCHEME_GAINS = {
     "ris_only_approx": lambda b: b.ch.k_norm * np.sum(b.factors[0] * b.factors[1], axis=-1),
 }
 SCHEMES = tuple(_SCHEME_GAINS)
+# the schemes that read h_bench, and so the benchmark phases
+_BENCHMARK_SCHEMES = {"basic", "cophasing"}
 BENCHMARK_PHASE_MODES = ("zero", "random")
 
-try:
-    _VERSION = importlib.metadata.version("riscap")
-except importlib.metadata.PackageNotFoundError:
-    _VERSION = "unknown"
+
+@cache
+def _version() -> str:
+    "The installed package's version, or ``unknown`` in a source tree."
+    # imported on first call, so that ``import riscap`` does not pay for it
+    import importlib.metadata
+    try:
+        return importlib.metadata.version("riscap")
+    except importlib.metadata.PackageNotFoundError:
+        return "unknown"
 
 
 def _snr_linear(snr_db) -> NDArray[np.float64]:
@@ -197,7 +218,7 @@ class ResultTable:
 
 
 def _trial_stream(plan: SimulationPlan,
-                  trial: int) -> tuple[np.random.Generator, tuple[int, int]]:
+                  trial: int) -> "tuple[np.random.Generator, tuple[int, int]]":
     """A trial's generator, hashed from (seed, trial) alone, after its first
     two draws, and those draws: the trial's h_t and h_r grid indices."""
     rng = np.random.default_rng(np.random.SeedSequence((plan.seed, trial)))
@@ -213,19 +234,6 @@ def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float
     _, indices = _trial_stream(plan, trial_index)
     h_t, h_r = (float(grid[i]) for grid, i in zip(plan.grids, indices))
     return h_t, h_r
-
-
-def _benchmark_phases(plan: SimulationPlan, trials) -> NDArray[np.float64]:
-    """Fixed benchmark RIS phases of the given trials, one row each.
-
-    Random phases are the draws right after the grid indices, made whatever
-    the requested schemes, so the per-trial stream layout stays fixed.
-    """
-    phases = np.zeros((len(trials), plan.n_ris))
-    if plan.benchmark_ris_phase == "random":
-        for row, trial in zip(phases, trials):
-            row[:] = _trial_stream(plan, trial)[0].uniform(-np.pi, np.pi, size=plan.n_ris)
-    return phases
 
 
 def _sweep_indices(plan: SimulationPlan, trials) -> NDArray[np.int64]:
@@ -245,10 +253,10 @@ def _leg_product(cfg: SceneConfig, leg, heights) -> tuple:
             array_factor(n, spacing, cos_theta, cfg.wavelength))
 
 
-def _leg_table(cfg: SceneConfig, leg, grid, n_trials: int):
+def _leg_table(cfg: SceneConfig, leg, grid, n_units: int):
     """A leg's product at every grid height when the grid has no more heights
-    than the sweep has trials and its steering fits in ``_BLOCK_BYTES``."""
-    if len(grid) <= n_trials and 16 * len(grid) * cfg.n_ris * leg[1] <= _BLOCK_BYTES:
+    than the sweep has units and its steering fits in ``_BLOCK_BYTES``."""
+    if len(grid) <= n_units and 16 * len(grid) * cfg.n_ris * leg[1] <= _BLOCK_BYTES:
         return _leg_product(cfg, leg, grid)
     return None
 
@@ -266,28 +274,31 @@ def _gathered_leg(cfg: SceneConfig, leg, grid, table, column) -> tuple:
 
 def _block_gains(plan: SimulationPlan, cfg: SceneConfig, legs, tables, trials,
                  indices) -> dict:
-    "Gains of every requested scheme for ``trials`` at (h_t, h_r) grid ``indices``."
+    """Gains of every requested scheme for the units at (h_t, h_r) grid
+    ``indices``; ``trials`` are their trial indices, or None for pairs."""
     (u_mat, d2_corner, factor_t), (v_mat, d1_corner, factor_r) = (
         _gathered_leg(cfg, *args) for args in zip(legs, plan.grids, tables, indices.T))
     ch = CascadeChannel(u_mat=u_mat, v_mat=v_mat,
                         k_norm=corner_normalization(cfg, d1_corner, d2_corner))
-    block = _Block(ch, (factor_t, factor_r), _benchmark_phases(plan, trials.tolist()))
+    block = _Block(plan, trials, ch, (factor_t, factor_r))
     return {scheme: _SCHEME_GAINS[scheme](block) for scheme in plan.schemes}
 
 
 def _sweep_gains(plan: SimulationPlan, trials, indices) -> dict:
-    """Gain arrays of every requested scheme over ``trials``, in that order.
+    """Gain arrays of every requested scheme over the units at (h_t, h_r)
+    grid ``indices``, in that order.
 
-    ``indices`` holds each trial's (h_t, h_r) grid indices. Trials are
-    stable-sorted by them and cut into blocks of at most ``_BLOCK_BYTES`` of
+    ``trials`` holds each unit's trial index, or is None when the units are
+    grid pairs, whose benchmark phases are zero. Units are stable-sorted by
+    their indices and cut into blocks of at most ``_BLOCK_BYTES`` of
     steering, so a block shares its heights.
     """
-    trials = np.asarray(trials)
+    trials = None if trials is None else np.asarray(trials)
     order = np.lexsort((indices[:, 1], indices[:, 0]))
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
     legs = (transmit_leg, cfg.n_t, cfg.s_t), (receive_leg, cfg.n_r, cfg.s_r)
-    tables = [_leg_table(cfg, leg, grid, len(trials)) for leg, grid in zip(legs, plan.grids)]
+    tables = [_leg_table(cfg, leg, grid, len(indices)) for leg, grid in zip(legs, plan.grids)]
     block_size = max(1, _BLOCK_BYTES // (16 * plan.n_ris * (plan.n_t + plan.n_r)))
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
@@ -296,11 +307,12 @@ def _sweep_gains(plan: SimulationPlan, trials, indices) -> dict:
     # a block's arrays lifts that limit; elsewhere it costs one allocation.
     np.empty(4 * _BLOCK_BYTES, dtype=np.uint8)
 
-    gains = {scheme: np.empty(len(trials)) for scheme in plan.schemes}
+    gains = {scheme: np.empty(len(indices)) for scheme in plan.schemes}
     for start in range(0, len(order), block_size):
         block = order[start:start + block_size]
+        block_trials = None if trials is None else trials[block].tolist()
         for scheme, values in _block_gains(
-                plan, cfg, legs, tables, trials[block], indices[block]).items():
+                plan, cfg, legs, tables, block_trials, indices[block]).items():
             gains[scheme][block] = values
     return gains
 
@@ -317,16 +329,35 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     return {scheme: float(values[0]) for scheme, values in gains.items()}
 
 
+def _plan_gains(plan: SimulationPlan) -> tuple[dict, int]:
+    """Gain arrays of every requested scheme in trial order, and the number
+    of distinct (h_t, h_r) grid pairs the trials drew.
+
+    Each distinct pair is solved once and its gains are scattered back to
+    its trials, unless a requested benchmark scheme reads random phases
+    from the trials' streams; then every trial is solved.
+    """
+    trials = np.arange(plan.trials)
+    indices = _sweep_indices(plan, trials)
+    n_r = len(plan.grids[1])
+    codes, inverse = np.unique(indices[:, 0] * n_r + indices[:, 1], return_inverse=True)
+    if plan.benchmark_ris_phase == "random" and _BENCHMARK_SCHEMES & set(plan.schemes):
+        return _sweep_gains(plan, trials, indices), len(codes)
+    pairs = np.stack(np.divmod(codes, n_r), axis=-1)
+    gains = _sweep_gains(plan, None, pairs)
+    return {scheme: values[inverse] for scheme, values in gains.items()}, len(codes)
+
+
 def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     """Run all trials and aggregate mean capacity and standard error.
 
-    ``workers`` is accepted for compatibility and must be >= 1; it does not
-    change how trials run, so the table is identical for any worker count.
+    ``workers`` is accepted for compatibility and must be an integer >= 1;
+    it does not change how trials run, so the table is identical for any
+    worker count. ``metadata["distinct_pairs"]`` counts the distinct grid
+    height pairs the trials drew.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    trials = np.arange(plan.trials)
-    gains = _sweep_gains(plan, trials, _sweep_indices(plan, trials))
+    require_int("workers", workers, 1)
+    gains, distinct_pairs = _plan_gains(plan)
 
     rows = []
     for scheme in sorted(plan.schemes):
@@ -345,7 +376,8 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
             ))
     rows.sort(key=lambda r: (r.scheme, r.snr_db))
 
-    metadata = {"plan": asdict(plan), "seed": plan.seed, "version": _VERSION}
+    metadata = {"plan": asdict(plan), "seed": plan.seed, "version": _version(),
+                "distinct_pairs": distinct_pairs}
     return ResultTable(rows=tuple(rows), metadata=metadata)
 
 

@@ -1,0 +1,31 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json, sys
+import numpy
+before = set(sys.modules)
+import riscap
+with open(sys.argv[1]) as handle:
+    riscap.parse_plan_text(handle.read())
+added = set(sys.modules) - before
+print(json.dumps({"added": sorted(added), "version": riscap.__version__}))
+"""
+
+
+def test_import_loads_neither_metadata_nor_numpy_random():
+    # Both cost start-up time. A sweep loads numpy.random when it first draws
+    # a trial's stream; the version is looked up when a run asks for it.
+    preset = SRC / "riscap" / "presets" / "panel_d.cfg"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", PROBE, str(preset)], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    probe = json.loads(out)
+    for module in ("importlib.metadata", "numpy.random"):
+        assert module not in probe["added"]
+    assert isinstance(probe["version"], str)

@@ -375,6 +375,72 @@ class TestBlockEngine:
         assert one_trial == run_plan(plan)
 
 
+class TestPairUnits:
+    "Sweeps solve each distinct grid pair once unless random phases are read."
+
+    @staticmethod
+    def trial_unit_gains(plan):
+        trials = np.arange(plan.trials)
+        return sim._sweep_gains(plan, trials, sim._sweep_indices(plan, trials))
+
+    @staticmethod
+    @contextmanager
+    def units_run():
+        "Collects, per sweep, the kind and number of units the engine ran."
+        runs, sweep_gains = [], sim._sweep_gains
+
+        def spy(plan, trials, indices):
+            runs.append(("trials" if trials is not None else "pairs", len(indices)))
+            return sweep_gains(plan, trials, indices)
+        with mock.patch.object(sim, "_sweep_gains", spy):
+            yield runs
+
+    def assert_gains_equal(self, plan):
+        gains, _ = sim._plan_gains(plan)
+        expected = self.trial_unit_gains(plan)
+        assert gains.keys() == expected.keys()
+        for scheme, values in expected.items():
+            assert np.array_equal(gains[scheme], values), scheme
+
+    @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
+    def test_pair_gains_equal_trial_gains_on_presets(self, panel):
+        plan = replace(load_preset(panel), trials=300)
+        with self.units_run() as runs:
+            self.assert_gains_equal(plan)
+        assert runs[0][0] == "pairs" and runs[0][1] < plan.trials
+
+    @settings(max_examples=40, deadline=None)
+    @given(plan=small_plans(),
+           schemes=st.lists(st.sampled_from(SCHEMES), unique=True, min_size=1))
+    def test_pair_gains_equal_trial_gains(self, plan, schemes):
+        self.assert_gains_equal(replace(plan, schemes=tuple(schemes)))
+
+    @pytest.mark.parametrize("mode, schemes, unit", [
+        ("zero", SCHEMES, "pairs"),
+        ("random", ("joint", "ris_only", "ris_only_approx"), "pairs"),
+        ("random", SCHEMES, "trials"),
+        ("random", ("basic",), "trials"),
+        ("random", ("cophasing",), "trials"),
+    ])
+    def test_unit_kind(self, mode, schemes, unit):
+        plan = replace(load_preset("panel_a"), trials=200, schemes=schemes,
+                       benchmark_ris_phase=mode)
+        with self.units_run() as runs:
+            table = run_plan(plan)
+        distinct = len({sample_heights(plan, trial) for trial in range(plan.trials)})
+        assert table.metadata["distinct_pairs"] == distinct < plan.trials
+        assert runs == [(unit, distinct if unit == "pairs" else plan.trials)]
+
+    @pytest.mark.parametrize("mode", ["zero", "random"])
+    def test_pair_units_draw_no_per_trial_stream(self, mode):
+        # one generator per trial would be built only to go unread
+        plan = replace(load_preset("panel_d"), trials=100, benchmark_ris_phase=mode,
+                       schemes=SCHEMES if mode == "zero" else ("joint", "ris_only"))
+        with mock.patch.object(sim, "_trial_stream", wraps=sim._trial_stream) as streams:
+            run_plan(plan)
+        assert streams.call_count == 0
+
+
 class TestGainProperties:
     "Single-scene gains of every scheme on random small scenes and heights."
 
@@ -409,6 +475,11 @@ class TestRunPlan:
     def test_rejects_worker_count_below_one(self):
         with pytest.raises(ValueError, match="workers"):
             run_plan(tiny_plan(), workers=0)
+
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_rejects_non_integer_worker_count(self, bad):
+        with pytest.raises(ValueError, match="workers"):
+            run_plan(tiny_plan(), workers=bad)
 
     def test_worker_count_does_not_change_rows(self):
         plan = replace(load_preset("panel_a"), trials=64)
@@ -454,17 +525,25 @@ class TestRunPlan:
         table = run_plan(plan)
         assert table.metadata["seed"] == plan.seed
         assert table.metadata["plan"]["n_ris"] == 1
-        assert "version" in table.metadata
+        assert isinstance(table.metadata["version"], str)
+        assert table.metadata["distinct_pairs"] == 1
 
 
 class TestGoldenCsv:
-    "50-trial CSVs of the shipped presets, pinned byte for byte."
+    "50-trial CSVs of the shipped presets and a random-phase sweep, pinned byte for byte."
 
     @pytest.mark.parametrize("panel", ["panel_a", "panel_b", "panel_c", "panel_d"])
     def test_matches_golden_bytes(self, panel, tmp_path):
         path = tmp_path / "out.csv"
         write_csv(run_plan(replace(load_preset(panel), trials=50)), path)
         assert path.read_bytes() == (GOLDEN / f"{panel}_50.csv").read_bytes()
+
+    def test_random_phase_sweep_matches_golden_bytes(self, tmp_path):
+        # random benchmark phases with benchmark schemes keep trial units
+        plan = replace(load_preset("panel_a"), benchmark_ris_phase="random", trials=200)
+        path = tmp_path / "out.csv"
+        write_csv(run_plan(plan), path)
+        assert path.read_bytes() == (GOLDEN / "panel_a_random_200.csv").read_bytes()
 
 
 class TestWriteCsv:
