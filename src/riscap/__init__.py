@@ -6,6 +6,10 @@ optimization schemes and benchmarks, and runs seeded Monte Carlo capacity
 sweeps that emit machine-readable CSV results.
 """
 
+# Set before the submodules load: run_plan records it. pyproject.toml reads
+# the package version from this line.
+__version__ = "0.1.0"
+
 from .approx import approx_gain, aux_g
 from .channel import (
     CascadeChannel,
@@ -53,14 +57,6 @@ from .sim import (
     trial_gains,
     write_csv,
 )
-
-
-def __getattr__(name):
-    # The version lookup loads importlib.metadata, so it waits until asked.
-    if name == "__version__":
-        from .sim import _version
-        return _version()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

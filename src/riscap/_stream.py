@@ -1,13 +1,20 @@
-"""Array-code twin of the first two bounded draws of a trial's stream.
+"""Array-code twin of a trial's stream up to its benchmark phases.
 
 A trial's stream is ``default_rng(SeedSequence((seed, trial)))``: NumPy's
 SeedSequence hash mixing seeds PCG64 (O'Neill, HMC-CS-2014-0905), whose
 first XSL-RR output splits into a low and a buffered high 32-bit half, and
 ``integers(n)`` maps each half with Lemire's bounded draw (ACM TOMACS
-29(1), 2019). Only one-word entropy is covered: rows whose seed or trial
-index needs more than 32 bits, or whose draw falls below Lemire's rejection
-threshold (where NumPy draws again), are flagged for NumPy to draw.
+29(1), 2019). Those two draws are the trial's grid indices; the benchmark
+phases come next. The twin computes the seeding and the first output of
+every trial at once, and hands each trial's PCG64 state after its grid
+draws to NumPy's own generator for the phases, which skips the
+SeedSequence hash per trial. Only one-word entropy is covered: rows whose
+seed or trial index needs more than 32 bits, or whose draw falls below
+Lemire's rejection threshold (where NumPy draws again), are flagged for
+NumPy to draw.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +37,9 @@ def _hasher(const: int, mult: int):
     return hashmix
 
 
-def _first_output(seed: int, trials):
-    "First PCG64 output of each ``SeedSequence((seed, t))`` stream, t uint32."
+def _seeded(seed: int, trials):
+    """Each ``SeedSequence((seed, t))`` stream's PCG64 state before its first
+    output and its increment, t uint32, as (high, low) uint64 word pairs."""
     hashmix, zeros = _hasher(_INIT_A, _MULT_A), np.zeros_like(trials)
     pool = [hashmix(word) for word in (zeros + np.uint32(seed), trials, zeros, zeros)]
     for src in range(4):
@@ -43,37 +51,78 @@ def _first_output(seed: int, trials):
     half = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
     seed_hi, seed_lo, inc_hi, inc_lo = (half[i] | half[i + 1] << _U32
                                         for i in range(0, 8, 2))
-    inc_hi, inc_lo = inc_hi << _ONE | inc_lo >> _U63, inc_lo << _ONE | _ONE
-    # Seeding steps from 0 to state = inc, adds the seed and steps again;
-    # the first output steps once more. A step is state * mult + inc.
-    lo = inc_lo + seed_lo
-    hi = inc_hi + seed_hi + (lo < inc_lo)
-    for _ in range(2):
-        # high word of lo * _PCG_LO from 32-bit halves
-        a_lo, a_hi, b_lo, b_hi = lo & _LOW, lo >> _U32, _PCG_LO & _MASK32, _PCG_LO >> 32
-        cross = a_hi * np.uint64(b_lo) + (a_lo * np.uint64(b_lo) >> _U32)
-        other = a_lo * np.uint64(b_hi) + (cross & _LOW)
-        hi = (a_hi * np.uint64(b_hi) + (cross >> _U32) + (other >> _U32)
-              + lo * np.uint64(_PCG_HI) + hi * np.uint64(_PCG_LO) + inc_hi)
-        lo = lo * np.uint64(_PCG_LO) + inc_lo
-        hi += lo < inc_lo
-    # XSL-RR: xor the words, rotate right by the top six bits.
-    x, rot = hi ^ lo, hi >> _U58
-    return x >> rot | x << (-rot & _U63)
+    inc = inc_hi << _ONE | inc_lo >> _U63, inc_lo << _ONE | _ONE
+    # Seeding steps from 0 to state = inc, adds the seed and steps again.
+    lo = inc[1] + seed_lo
+    return _step((inc[0] + seed_hi + (lo < inc[1]), lo), inc), inc
 
 
-def first_indices(seed: int, trials, sizes):
-    """(len(trials), 2) indices of each stream's ``integers(sizes[0])``,
-    ``integers(sizes[1])``, and a flag per row whose indices are not its
-    stream's. A one-point grid draws nothing, as ``integers(1)`` does."""
-    trials = np.asarray(trials, dtype=np.uint64)
-    flagged = (trials > _MASK32) | (seed > _MASK32)
-    output = _first_output(seed & _MASK32, (trials & _LOW).astype(np.uint32))
-    halves = iter((output & _LOW, output >> _U32))
-    indices = np.zeros((len(trials), 2), dtype=np.int64)
-    for column, size in enumerate(sizes):
-        if size > 1:
-            scaled = next(halves) * np.uint64(size)
-            flagged |= (scaled & _LOW) < (1 << 32) % size
-            indices[:, column] = scaled >> _U32
-    return indices, flagged
+def _step(state, inc):
+    "One PCG64 step, state * multiplier + inc mod 2^128, on word pairs."
+    hi, lo = state
+    # high word of lo * _PCG_LO from 32-bit halves
+    a_lo, a_hi, b_lo, b_hi = lo & _LOW, lo >> _U32, _PCG_LO & _MASK32, _PCG_LO >> 32
+    cross = a_hi * np.uint64(b_lo) + (a_lo * np.uint64(b_lo) >> _U32)
+    other = a_lo * np.uint64(b_hi) + (cross & _LOW)
+    hi = (a_hi * np.uint64(b_hi) + (cross >> _U32) + (other >> _U32)
+          + lo * np.uint64(_PCG_HI) + hi * np.uint64(_PCG_LO) + inc[0])
+    lo = lo * np.uint64(_PCG_LO) + inc[1]
+    return hi + (lo < inc[1]), lo
+
+
+class TrialStreams:
+    """The streams ``default_rng(SeedSequence((seed, t)))`` of ``trials``.
+
+    ``indices`` is the ``(len(trials), 2)`` array of each stream's
+    ``integers(sizes[0])`` and ``integers(sizes[1])``: the trial's grid
+    indices. A one-point grid draws nothing, as ``integers(1)`` does.
+    ``flagged`` marks the rows whose indices and state are not their
+    stream's: a seed or trial index of 2^32 or more, or a Lemire rejection.
+    """
+
+    def __init__(self, seed: int, trials, sizes):
+        trials = np.asarray(trials, dtype=np.uint64)
+        self.flagged = (trials > _MASK32) | (seed > _MASK32)
+        state, self._inc = _seeded(seed & _MASK32, (trials & _LOW).astype(np.uint32))
+        first = _step(state, self._inc)
+        # XSL-RR: xor the words, rotate right by the top six bits.
+        x, rot = first[0] ^ first[1], first[0] >> _U58
+        output = x >> rot | x << (-rot & _U63)
+        halves = iter((output & _LOW, output >> _U32))
+        self.indices = np.zeros((len(trials), 2), dtype=np.int64)
+        draws = 0
+        for column, size in enumerate(sizes):
+            if size > 1:
+                scaled = next(halves) * np.uint64(size)
+                self.flagged |= (scaled & _LOW) < (1 << 32) % size
+                self.indices[:, column] = scaled >> _U32
+                draws += 1
+        # What the grid draws leave: the first output's state once they use
+        # it, and its high half, buffered after one draw and kept after two.
+        self._state, self._draws, self._high = first if draws else state, draws, output >> _U32
+
+    def state(self, row: int) -> dict:
+        "PCG64's ``state`` dict of the stream at ``row`` right after its grid draws."
+        (hi, lo), (inc_hi, inc_lo) = self._state, self._inc
+        return {"bit_generator": "PCG64",
+                "state": {"state": int(hi[row]) << 64 | int(lo[row]),
+                          "inc": int(inc_hi[row]) << 64 | int(inc_lo[row])},
+                "has_uint32": int(self._draws == 1),
+                "uinteger": int(self._high[row]) if self._draws else 0}
+
+    @cached_property
+    def _generator(self) -> "np.random.Generator":
+        "One generator whose state ``phases`` sets per row."
+        return np.random.default_rng(0)
+
+    def phases(self, rows, count: int):
+        """``(len(rows), count)`` draws ``uniform(-pi, pi, count)`` of the
+        streams at ``rows`` right after their grid draws: the benchmark
+        phases. NumPy's PCG64 draws them from the twin's state. Flagged rows
+        are left at zero."""
+        out = np.zeros((len(rows), count))
+        for values, row in zip(out, rows):
+            if not self.flagged[row]:
+                self._generator.bit_generator.state = self.state(row)
+                values[:] = self._generator.uniform(-np.pi, np.pi, size=count)
+        return out

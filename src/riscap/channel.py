@@ -59,12 +59,27 @@ def wrap_phase(phi) -> NDArray[np.float64]:
     turns /= 2.0 * np.pi
     np.ceil(turns, out=turns)
     turns *= 2.0 * np.pi
-    return np.subtract(phi, turns, out=turns)[()]
+    return fold_turn(np.subtract(phi, turns, out=turns))[()]
+
+
+def fold_turn(phi: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Move entries up to one turn outside (-pi, pi] into it, and -0.0 to
+    0.0, in place.
+
+    The last step of ``wrap_phase``, whose quotient can round a result one
+    turn out (at ``nextafter(-pi, 0)`` its formula gives pi + 4.4e-16); the
+    turn then comes off exactly. On arctan2's angles, which lie in [-pi, pi],
+    it is all that ``wrap_phase`` does: -pi becomes pi, and -0.0 becomes 0.0.
+    """
+    phi += 0.0
+    np.subtract(phi, 2.0 * np.pi, out=phi, where=phi > np.pi)
+    np.add(phi, 2.0 * np.pi, out=phi, where=phi <= -np.pi)
+    return phi
 
 
 def principal_angle(z) -> NDArray[np.float64]:
     "Argument of a complex number in (-pi, pi], with arg(0) defined as 0."
-    return wrap_phase(np.angle(z))
+    return fold_turn(np.asarray(np.angle(z)))[()]
 
 
 def normalization_constant(pos: ScenePositions, cfg: SceneConfig) -> float:

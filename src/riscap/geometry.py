@@ -89,40 +89,48 @@ def _ris_x(cfg: SceneConfig) -> NDArray[np.float64]:
     return cfg.d_ris + _ula_offsets(cfg.n_ris, cfg.s_ris)
 
 
-def transmit_leg(cfg: SceneConfig, h_t) -> tuple[NDArray[np.float64], ...]:
-    """Transmit-side geometry for arrays at midpoint heights ``h_t``.
+def transmit_leg(cfg: SceneConfig):
+    """Transmit-side geometry as a function of the array-midpoint height.
 
-    ``h_t`` may be a scalar or an array of any batch shape; ``cfg`` supplies
-    everything but the height. Returns ``(tx_pos, d2, d_t_mid, cos_theta_t)``
-    with shapes ``(..., n_t, 2)``, ``(..., n_ris, n_t)``, ``(..., n_ris)``
-    and ``(..., n_ris)``, as in :class:`ScenePositions`.
+    ``cfg`` supplies everything but the height; the element coordinates are
+    laid out once. The function maps heights ``h_t`` of any batch shape to
+    ``(d2, d_t_mid, cos_theta_t)`` with shapes ``(..., n_ris, n_t)``,
+    ``(..., n_ris)`` and ``(..., n_ris)``, as in :class:`ScenePositions`.
     """
-    h_t = np.asarray(h_t, dtype=float)[..., np.newaxis]
-    ris_x = _ris_x(cfg)
-    tx_y = h_t + _ula_offsets(cfg.n_t, cfg.s_t)
-    tx_pos = np.stack([np.zeros_like(tx_y), tx_y], axis=-1)
-    d2 = np.hypot(ris_x[:, np.newaxis], tx_y[..., np.newaxis, :])
-    d_t_mid = np.hypot(ris_x, h_t)
-    # Direction cosine of element l against the upward array axis: the
-    # vector from the array midpoint down to the floor element has vertical
-    # component -h, so the cosine is negative. Downstream use is sign-blind.
-    return tx_pos, d2, d_t_mid, -h_t / d_t_mid
+    ris_x, offsets = _ris_x(cfg), _ula_offsets(cfg.n_t, cfg.s_t)
+
+    def at(h_t):
+        h_t = np.asarray(h_t, dtype=float)[..., np.newaxis]
+        d2 = np.hypot(ris_x[:, np.newaxis], (h_t + offsets)[..., np.newaxis, :])
+        d_t_mid = np.hypot(ris_x, h_t)
+        # Direction cosine of element l against the upward array axis: the
+        # vector from the array midpoint down to the floor element has
+        # vertical component -h, so the cosine is negative. Downstream use
+        # is sign-blind.
+        return d2, d_t_mid, -h_t / d_t_mid
+    return at
 
 
-def receive_leg(cfg: SceneConfig, h_r) -> tuple[NDArray[np.float64], ...]:
-    """Receive-side geometry for arrays at midpoint heights ``h_r``.
+def receive_leg(cfg: SceneConfig):
+    """Receive-side geometry as a function of the array-midpoint height.
 
-    The receive counterpart of :func:`transmit_leg`: ``(rx_pos, d1, d_r_mid,
-    cos_theta_r)`` with shapes ``(..., n_r, 2)``, ``(..., n_r, n_ris)``,
+    The receive counterpart of :func:`transmit_leg`: heights ``h_r`` map to
+    ``(d1, d_r_mid, cos_theta_r)`` with shapes ``(..., n_r, n_ris)``,
     ``(..., n_ris)`` and ``(..., n_ris)``.
     """
-    h_r = np.asarray(h_r, dtype=float)[..., np.newaxis]
-    ris_dx = cfg.d_wall - _ris_x(cfg)
-    rx_y = h_r + _ula_offsets(cfg.n_r, cfg.s_r)
-    rx_pos = np.stack([np.full_like(rx_y, cfg.d_wall), rx_y], axis=-1)
-    d1 = np.hypot(ris_dx, rx_y[..., :, np.newaxis])
-    d_r_mid = np.hypot(ris_dx, h_r)
-    return rx_pos, d1, d_r_mid, -h_r / d_r_mid
+    ris_dx, offsets = cfg.d_wall - _ris_x(cfg), _ula_offsets(cfg.n_r, cfg.s_r)
+
+    def at(h_r):
+        h_r = np.asarray(h_r, dtype=float)[..., np.newaxis]
+        d1 = np.hypot(ris_dx, (h_r + offsets)[..., :, np.newaxis])
+        d_r_mid = np.hypot(ris_dx, h_r)
+        return d1, d_r_mid, -h_r / d_r_mid
+    return at
+
+
+def _array_positions(x: float, h: float, n: int, spacing: float) -> NDArray[np.float64]:
+    "(n, 2) coordinates of a vertical ULA on the wall at ``x``, midpoint height ``h``."
+    return np.column_stack([np.full(n, x), h + _ula_offsets(n, spacing)])
 
 
 def build_positions(cfg: SceneConfig) -> ScenePositions:
@@ -144,8 +152,10 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
         at y <= 0) or an RIS element would fall outside the open interval
         (0, d_wall).
     """
-    tx_pos, d2, d_t_mid, cos_theta_t = transmit_leg(cfg, cfg.h_t)
-    rx_pos, d1, d_r_mid, cos_theta_r = receive_leg(cfg, cfg.h_r)
+    d2, d_t_mid, cos_theta_t = transmit_leg(cfg)(cfg.h_t)
+    d1, d_r_mid, cos_theta_r = receive_leg(cfg)(cfg.h_r)
+    tx_pos = _array_positions(0.0, cfg.h_t, cfg.n_t, cfg.s_t)
+    rx_pos = _array_positions(cfg.d_wall, cfg.h_r, cfg.n_r, cfg.s_r)
     ris_x = _ris_x(cfg)
 
     tx_low, rx_low = tx_pos[0, 1], rx_pos[0, 1]  # y of the lowest elements

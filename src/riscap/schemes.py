@@ -25,6 +25,7 @@ from numpy.typing import NDArray
 from .channel import (
     CascadeChannel,
     assemble_h,
+    fold_turn,
     gain_rows,
     principal_angle,
     scalar_or_array,
@@ -126,7 +127,13 @@ def _solve_joint(ch: CascadeChannel) -> tuple[JointSolution, NDArray[np.complex1
     "``solve_joint`` and the receive sums of the solved channel."
     terms = gain_rows(ch, "joint").swapaxes(-1, -2)  # (..., n_ris, n_t)
     zero = ~terms.any(axis=-1)
-    phi = np.where(zero, 0.0, -principal_angle(terms).mean(axis=-1))
+    # -principal_angle(terms).mean(axis=-1) bit for bit: one arctan2, and the
+    # mean's division by n_t takes the sign. The terms are freed before the
+    # channel is assembled.
+    phi = fold_turn(np.angle(terms)).sum(axis=-1)
+    del terms
+    phi /= -ch.n_t
+    phi = np.where(zero, 0.0, phi)
 
     sums = assemble_h(ch, phi).sum(axis=-2)
     beta = -principal_angle(sums)

@@ -7,31 +7,41 @@ it is validated. Per-trial randomness is derived from (seed, trial_index)
 alone: a trial's stream is ``default_rng(SeedSequence((seed, trial)))``, its
 first two draws are the grid indices and the next ``n_ris`` are the random
 benchmark phases (``_trial_stream``). A sweep draws the indices of all trials
-at once with an array-code twin of that stream; rows the twin flags (a seed
-or trial index of 2^32 or more, or a Lemire rejection) and single trials
-draw from the trial's own generator, which is cheaper for one trial.
+at once with an array-code twin of that stream, and each trial's random
+benchmark phases with NumPy's PCG64 set to the state the twin computed;
+rows the twin flags (a seed or trial index of 2^32 or more, or a Lemire
+rejection) and single trials draw from the trial's own generator, which is
+cheaper for one trial.
 
 A sweep's units are its distinct (h_t, h_r) grid pairs: unless a requested
 benchmark scheme reads random benchmark phases, every gain is a function of
 the pair alone, so each pair is solved once and its gains are scattered back
 to the trials that drew it. Otherwise the units are the trials themselves.
-Units run in blocks: sorted by their grid heights, cut to a fixed memory
-budget, with every scheme solved over a leading unit axis. A leg's
-steering, k_norm path length and array factor depend on its height alone.
-A leg whose grid has no more heights than the sweep has units, and whose
-steering fits the block budget, is built once per grid height per sweep;
-otherwise each block builds it once per distinct height. Gains go back to
-trial order before the reduction, and each unit's gain is bit-identical to
-the single-scene calls, so the layout never shows in the results.
+Units run in blocks: sorted by their grid heights, with every scheme
+solved over a leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a
+block's arrays hold at once, counted at ``_unit_bytes`` per unit: steering,
+solver scratch and per-element arrays, not the steering alone. A 1000-trial
+sweep of the benchmark's 32x16x256 wide scene runs 250 blocks of 4 trials
+and panel_d's 829 distinct pairs at seed 1 run 40 blocks of 21 (500 and 52
+when the budget counted 512 KiB of steering, which peaked at 2.7-3.3 times
+that). A leg's steering, k_norm path length and array factor depend on its
+height alone. A leg whose grid has no more heights than the sweep has
+units, and whose table takes no more than ``_BLOCK_BYTES`` to build, is
+built once per grid height per sweep; otherwise each block builds it once
+per distinct height. Gains go back to trial order before the reduction,
+and each unit's gain is bit-identical to the single-scene calls, so the
+layout never shows in the results.
 """
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._stream import first_indices
+from . import __version__
+from ._stream import TrialStreams
 from .approx import array_factor
 from .channel import CascadeChannel, assemble_h, corner_normalization, steering
 from .geometry import SceneConfig, build_positions, receive_leg, require_int, transmit_leg
@@ -44,33 +54,43 @@ from .schemes import (
     solved_joint_gain,
 )
 
-# Bytes of gathered steering per block of trials, and the most a leg table's
-# steering may take; a block's live arrays peak at about three times this.
-# Blocks hold at least one trial, so memory does not grow with the trial count.
-_BLOCK_BYTES = 1 << 19
+# The most bytes a block's arrays may hold at once, counted at _unit_bytes
+# per unit, and the most a leg table may hold while it is built. Blocks hold
+# at least one unit, so memory does not grow with the trial count.
+_BLOCK_BYTES = 7 << 18
+
+
+def _unit_bytes(plan: "SimulationPlan") -> int:
+    """Peak bytes one unit adds to a block.
+
+    Its steering, 16 per complex entry of both legs, is live throughout. On
+    top comes the larger of the joint solver's gain-row terms and their
+    angles, 24 per element and transmit antenna, and an assembled channel's
+    receive-side temporaries and NumPy's cast buffer, up to 48 per element
+    and receive antenna; 128 per element for path lengths, angles and array
+    factors; and 48 per antenna pair for assembled channels and their
+    angles. Measured with tracemalloc, this bounds every block of the
+    shipped presets and the benchmark's wide sweep.
+    """
+    per_element = 16 * (plan.n_t + plan.n_r) + max(24 * plan.n_t, 48 * plan.n_r) + 128
+    return plan.n_ris * per_element + 48 * plan.n_t * plan.n_r
 
 
 @dataclass
 class _Block:
     """A block's channel and transmit and receive array factors along a
     leading unit axis. Its benchmark channel is lazy, and so are the
-    benchmark phases it is built at: drawn from each trial's stream for
-    trial units, zero for pair units (``trials`` None)."""
+    benchmark phases it is built at: ``draw_phases()`` for random phases,
+    zero when it is None."""
 
-    plan: "SimulationPlan"
-    trials: list[int] | None
     ch: CascadeChannel
     factors: tuple[NDArray[np.float64], NDArray[np.float64]]
+    draw_phases: Callable[[], NDArray[np.float64]] | None
 
     @cached_property
     def h_bench(self) -> NDArray[np.complex128]:
-        phases = np.zeros((len(self.ch.k_norm), self.plan.n_ris))
-        if self.plan.benchmark_ris_phase == "random":
-            # the draws right after the grid indices, made whatever the
-            # requested schemes, so the per-trial stream layout stays fixed
-            for row, trial in zip(phases, self.trials):
-                row[:] = _trial_stream(self.plan, trial)[0].uniform(
-                    -np.pi, np.pi, size=self.plan.n_ris)
+        phases = (np.zeros(self.ch.u_mat.shape[:-1]) if self.draw_phases is None
+                  else self.draw_phases())
         return assemble_h(self.ch, phases)
 
 
@@ -88,17 +108,6 @@ SCHEMES = tuple(_SCHEME_GAINS)
 # the schemes that read h_bench, and so the benchmark phases
 _BENCHMARK_SCHEMES = {"basic", "cophasing"}
 BENCHMARK_PHASE_MODES = ("zero", "random")
-
-
-@cache
-def _version() -> str:
-    "The installed package's version, or ``unknown`` in a source tree."
-    # imported on first call, so that ``import riscap`` does not pay for it
-    import importlib.metadata
-    try:
-        return importlib.metadata.version("riscap")
-    except importlib.metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _snr_linear(snr_db) -> NDArray[np.float64]:
@@ -236,83 +245,108 @@ def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float
     return h_t, h_r
 
 
-def _sweep_indices(plan: SimulationPlan, trials) -> NDArray[np.int64]:
-    "Grid indices of ``trials`` from the stream twin; its flagged rows from NumPy."
-    indices, flagged = first_indices(plan.seed, trials, [len(grid) for grid in plan.grids])
-    for row in np.flatnonzero(flagged):
-        indices[row] = _trial_stream(plan, int(trials[row]))[1]
-    return indices
+def _sweep_streams(plan: SimulationPlan, trials) -> TrialStreams:
+    "The stream twin of ``trials``, with the grid indices of its flagged rows from NumPy."
+    streams = TrialStreams(plan.seed, trials, [len(grid) for grid in plan.grids])
+    for row in np.flatnonzero(streams.flagged):
+        streams.indices[row] = _trial_stream(plan, int(trials[row]))[1]
+    return streams
+
+
+def _benchmark_phases(plan: SimulationPlan, trials, rows, streams) -> NDArray[np.float64]:
+    """Random benchmark phases of the units at positions ``rows`` of
+    ``trials``: the ``n_ris`` draws right after each trial's grid indices,
+    from the twin's ``streams`` of ``trials`` where it covers them, else from
+    the trial's own generator."""
+    if streams is None:
+        phases, fallback = np.empty((len(rows), plan.n_ris)), range(len(rows))
+    else:
+        phases = streams.phases(rows, plan.n_ris)
+        fallback = np.flatnonzero(streams.flagged[rows])
+    for i in fallback:
+        rng = _trial_stream(plan, int(trials[rows[i]]))[0]
+        phases[i] = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
+    return phases
 
 
 def _leg_product(cfg: SceneConfig, leg, heights) -> tuple:
     """A leg's steering, element-(1,1) path length (for ``k_norm``) and array
-    factor at each of ``heights``; ``leg`` is (geometry function, antennas, spacing)."""
+    factor at each of ``heights``; ``leg`` is (geometry function of the
+    height, antennas, spacing)."""
     build, n, spacing = leg
-    _, dist, _, cos_theta = build(cfg, heights)
-    return (steering(dist, cfg.wavelength), dist[..., 0, 0],
+    dist, _, cos_theta = build(heights)
+    # a copy of the corner: a view would keep all of ``dist`` alive
+    return (steering(dist, cfg.wavelength), dist[..., 0, 0].copy(),
             array_factor(n, spacing, cos_theta, cfg.wavelength))
 
 
 def _leg_table(cfg: SceneConfig, leg, grid, n_units: int):
     """A leg's product at every grid height when the grid has no more heights
-    than the sweep has units and its steering fits in ``_BLOCK_BYTES``."""
-    if len(grid) <= n_units and 16 * len(grid) * cfg.n_ris * leg[1] <= _BLOCK_BYTES:
+    than the sweep has units and building it fits in ``_BLOCK_BYTES``: 24
+    bytes per steering entry, its path length and its phase factor."""
+    if len(grid) <= n_units and 24 * len(grid) * cfg.n_ris * leg[1] <= _BLOCK_BYTES:
         return _leg_product(cfg, leg, grid)
     return None
 
 
 def _gathered_leg(cfg: SceneConfig, leg, grid, table, column) -> tuple:
     """A leg's product for the grid indices ``column``: gathered from the table,
-    else from the block's distinct heights, or built per trial if all differ."""
-    if table is None:
+    else from the block's distinct heights, or built per unit if all differ."""
+    # A strictly increasing column, as the sorted transmit column often is,
+    # has no repeats to look for.
+    if table is None and not np.all(column[1:] > column[:-1]):
         distinct, inverse = np.unique(column, return_inverse=True)
-        if len(distinct) == len(column):
-            return _leg_product(cfg, leg, grid[column])
-        table, column = _leg_product(cfg, leg, grid[distinct]), inverse
+        if len(distinct) < len(column):
+            table, column = _leg_product(cfg, leg, grid[distinct]), inverse
+    if table is None:
+        return _leg_product(cfg, leg, grid[column])
     return tuple(a[column] for a in table)
 
 
-def _block_gains(plan: SimulationPlan, cfg: SceneConfig, legs, tables, trials,
-                 indices) -> dict:
+def _block_gains(plan: SimulationPlan, cfg: SceneConfig, legs, tables, indices,
+                 draw_phases) -> dict:
     """Gains of every requested scheme for the units at (h_t, h_r) grid
-    ``indices``; ``trials`` are their trial indices, or None for pairs."""
+    ``indices``, whose random benchmark phases ``draw_phases()`` draws (None
+    for zero phases)."""
     (u_mat, d2_corner, factor_t), (v_mat, d1_corner, factor_r) = (
         _gathered_leg(cfg, *args) for args in zip(legs, plan.grids, tables, indices.T))
     ch = CascadeChannel(u_mat=u_mat, v_mat=v_mat,
                         k_norm=corner_normalization(cfg, d1_corner, d2_corner))
-    block = _Block(plan, trials, ch, (factor_t, factor_r))
+    block = _Block(ch, (factor_t, factor_r), draw_phases)
     return {scheme: _SCHEME_GAINS[scheme](block) for scheme in plan.schemes}
 
 
-def _sweep_gains(plan: SimulationPlan, trials, indices) -> dict:
+def _sweep_gains(plan: SimulationPlan, trials, indices, streams=None) -> dict:
     """Gain arrays of every requested scheme over the units at (h_t, h_r)
     grid ``indices``, in that order.
 
     ``trials`` holds each unit's trial index, or is None when the units are
-    grid pairs, whose benchmark phases are zero. Units are stable-sorted by
-    their indices and cut into blocks of at most ``_BLOCK_BYTES`` of
-    steering, so a block shares its heights.
+    grid pairs, whose benchmark phases are zero. Random benchmark phases come
+    from ``streams``, the stream twin of ``trials``, when given. Units are
+    stable-sorted by their indices and cut into blocks of at most
+    ``_BLOCK_BYTES // _unit_bytes(plan)`` units, so a block shares its heights.
     """
-    trials = None if trials is None else np.asarray(trials)
+    random_phases = trials is not None and plan.benchmark_ris_phase == "random"
     order = np.lexsort((indices[:, 1], indices[:, 0]))
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
-    legs = (transmit_leg, cfg.n_t, cfg.s_t), (receive_leg, cfg.n_r, cfg.s_r)
+    legs = (transmit_leg(cfg), cfg.n_t, cfg.s_t), (receive_leg(cfg), cfg.n_r, cfg.s_r)
     tables = [_leg_table(cfg, leg, grid, len(indices)) for leg, grid in zip(legs, plan.grids)]
-    block_size = max(1, _BLOCK_BYTES // (16 * plan.n_ris * (plan.n_t + plan.n_r)))
+    block_size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
     # freed so far, and every block would then fault its pages in again (a
     # sixth of a wide sweep's time). Freeing one untouched buffer larger than
     # a block's arrays lifts that limit; elsewhere it costs one allocation.
-    np.empty(4 * _BLOCK_BYTES, dtype=np.uint8)
+    np.empty(2 * _BLOCK_BYTES, dtype=np.uint8)
 
     gains = {scheme: np.empty(len(indices)) for scheme in plan.schemes}
     for start in range(0, len(order), block_size):
         block = order[start:start + block_size]
-        block_trials = None if trials is None else trials[block].tolist()
+        draw_phases = (partial(_benchmark_phases, plan, trials, block, streams)
+                       if random_phases else None)
         for scheme, values in _block_gains(
-                plan, cfg, legs, tables, block_trials, indices[block]).items():
+                plan, cfg, legs, tables, indices[block], draw_phases).items():
             gains[scheme][block] = values
     return gains
 
@@ -338,11 +372,12 @@ def _plan_gains(plan: SimulationPlan) -> tuple[dict, int]:
     from the trials' streams; then every trial is solved.
     """
     trials = np.arange(plan.trials)
-    indices = _sweep_indices(plan, trials)
+    streams = _sweep_streams(plan, trials)
+    indices = streams.indices
     n_r = len(plan.grids[1])
     codes, inverse = np.unique(indices[:, 0] * n_r + indices[:, 1], return_inverse=True)
     if plan.benchmark_ris_phase == "random" and _BENCHMARK_SCHEMES & set(plan.schemes):
-        return _sweep_gains(plan, trials, indices), len(codes)
+        return _sweep_gains(plan, trials, indices, streams), len(codes)
     pairs = np.stack(np.divmod(codes, n_r), axis=-1)
     gains = _sweep_gains(plan, None, pairs)
     return {scheme: values[inverse] for scheme, values in gains.items()}, len(codes)
@@ -376,7 +411,7 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
             ))
     rows.sort(key=lambda r: (r.scheme, r.snr_db))
 
-    metadata = {"plan": asdict(plan), "seed": plan.seed, "version": _version(),
+    metadata = {"plan": asdict(plan), "seed": plan.seed, "version": __version__,
                 "distinct_pairs": distinct_pairs}
     return ResultTable(rows=tuple(rows), metadata=metadata)
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from riscap import (
     assemble_h,
@@ -40,6 +42,60 @@ class TestPhaseHelpers:
     def test_principal_angle_zero(self):
         assert principal_angle(0) == 0.0
         assert principal_angle(complex(-1.0, 0.0)) == math.pi
+
+
+def formula_wrap(phi):
+    "wrap_phase before its last fold: phi - 2*pi*ceil((phi - pi) / (2*pi))."
+    phi = np.asarray(phi, dtype=float)
+    return phi - np.ceil((phi - np.pi) / (2.0 * np.pi)) * (2.0 * np.pi)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def near(x):
+    "Floats within a few hundred ulp of x."
+    return st.integers(-300, 300).map(lambda k: float(x + k * np.spacing(x)))
+
+
+# floats over many turns, and the neighbourhoods of the cut, of zero and of
+# odd multiples of pi
+phases = st.one_of(st.floats(-1e9, 1e9), *(near(x) for x in (
+    -np.pi, np.pi, -3 * np.pi, 3 * np.pi, 2 * np.pi, -2 * np.pi, 1e-300)), st.just(-0.0))
+
+
+class TestPhaseProperties:
+    "wrap_phase and principal_angle land in (-pi, pi] and move nothing else."
+
+    @given(phi=phases)
+    @example(phi=float(np.nextafter(-np.pi, 0)))
+    def test_wrap_phase_in_interval_and_bits_kept(self, phi):
+        wrapped = wrap_phase(phi)
+        assert -np.pi < wrapped <= np.pi
+        # the same angle: phi - wrapped is a whole number of turns
+        turns = (phi - wrapped) / (2.0 * np.pi)
+        assert abs(turns - round(turns)) <= 1e-15 * max(1.0, abs(turns))
+        old = formula_wrap(phi)
+        if -np.pi < old <= np.pi:
+            assert same_bits(wrapped, old)
+
+    def test_wrap_phase_keeps_a_phase_just_above_minus_pi(self):
+        phi = np.nextafter(-np.pi, 0)
+        assert same_bits(wrap_phase(phi), phi)
+        assert same_bits(wrap_phase(np.array([phi, -np.pi])), [phi, np.pi])
+
+    @given(re=st.one_of(st.floats(-1e3, 1e3), near(-1.0)),
+           im=st.one_of(st.floats(-1e3, 1e3), near(1e-300), near(-1e-16), st.just(-0.0)))
+    @example(re=-1.0, im=-4.44e-16)
+    def test_principal_angle_in_interval_and_bits_kept(self, re, im):
+        angle = principal_angle(complex(re, im))
+        assert -np.pi < angle <= np.pi
+        old = formula_wrap(np.angle(complex(re, im)))
+        if -np.pi < old <= np.pi:
+            assert same_bits(angle, old)
+        batch = principal_angle(np.array([complex(re, im), 1j]))
+        assert same_bits(batch[0], angle)
 
 
 class TestBuildCascade:

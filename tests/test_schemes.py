@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riscap import (
     CascadeChannel,
@@ -24,6 +26,7 @@ from riscap import (
     solve_cophasing_mimo,
     solve_joint,
     solve_ris_only,
+    wrap_phase,
 )
 from riscap.channel import gain_rows
 from riscap.schemes import solved_joint_gain
@@ -361,3 +364,35 @@ class TestBatchAxes:
             assert tuple(np.flatnonzero(sol.degenerate[i])) == single.degenerate
             assert np.array_equal(sol.phi[i], single.phi)
             assert np.array_equal(sol.beta[i], single.beta)
+
+
+class TestJointPhasesForm:
+    "The joint phases keep the form -mean(principal angle) bit for bit."
+
+    @staticmethod
+    def mean_form(ch):
+        "The phases as one mean of wrapped angles, built with wrap_phase."
+        terms = gain_rows(ch, "joint").swapaxes(-1, -2)
+        zero = ~terms.any(axis=-1)
+        return np.where(zero, 0.0, -wrap_phase(np.angle(terms)).mean(axis=-1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.lists(st.integers(1, 3), max_size=2), n_t=st.integers(1, 20),
+           n_r=st.integers(1, 4), n_ris=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_equals_negated_mean_of_principal_angles(self, batch, n_t, n_r, n_ris, seed):
+        rng = np.random.default_rng(seed)
+        def phasors(*shape):
+            return np.exp(1j * rng.uniform(-np.pi, np.pi, size=(*batch, *shape)))
+        v = phasors(n_r, n_ris)
+        v[..., 0] = 1.0
+        if n_r > 1 and n_ris > 1:
+            # a receive column that sums to zero: a degenerate element
+            v[..., -1] = 0.0
+            v[..., 0, -1], v[..., 1, -1] = 1.0, -1.0
+        ch = CascadeChannel(u_mat=phasors(n_ris, n_t), v_mat=v,
+                            k_norm=rng.uniform(0.5, 2.0, size=tuple(batch)))
+        # a term at angle -pi, which wraps to pi
+        ch.u_mat[..., 0, 0] = complex(-1.0, -0.0)
+        assert np.angle(gain_rows(ch, "joint")[..., 0, 0]).flat[0] == -np.pi
+        phi = solve_joint(ch).phi
+        assert phi.tobytes() == self.mean_form(ch).tobytes()

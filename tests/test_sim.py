@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +30,7 @@ from riscap import (
     write_csv,
 )
 from riscap import sim
-from riscap._stream import first_indices
+from riscap._stream import TrialStreams
 from riscap.sim import SCHEMES, height_grid
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -193,10 +194,13 @@ def reference_indices(seed, trials, sizes):
 
 
 def reference_run(plan):
-    "run_plan with every trial's heights drawn from its own NumPy generator."
+    "run_plan with every trial's draws made by its own NumPy generator."
     def all_flagged(seed, trials, sizes):
-        return np.zeros((len(trials), 2), dtype=np.int64), np.ones(len(trials), dtype=bool)
-    with mock.patch.object(sim, "first_indices", all_flagged):
+        streams = TrialStreams(seed, trials, sizes)
+        streams.indices[:] = 0
+        streams.flagged[:] = True
+        return streams
+    with mock.patch.object(sim, "TrialStreams", all_flagged):
         return run_plan(plan)
 
 
@@ -204,6 +208,14 @@ def fine_plan(seed):
     "Plan with 10001-point height grids (0.1 mm steps)."
     return tiny_plan(h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001),
                      seed=seed, schemes=SCHEMES)
+
+
+def sized_plan(seed, sizes, **overrides):
+    "Plan whose height grids have ``sizes`` points (0.1 mm steps)."
+    def grid(lo, size):
+        return (lo, lo + 0.0001 * (size - 1), 0.0001)
+    return tiny_plan(h_t_grid=grid(2.0, sizes[0]), h_r_grid=grid(0.8, sizes[1]),
+                     seed=seed, **overrides)
 
 
 grid_sizes = st.one_of(st.just(1), st.integers(1, 10**4))
@@ -218,7 +230,8 @@ class TestStreamTwin:
            sizes=st.tuples(grid_sizes, grid_sizes))
     def test_unflagged_rows_match_numpy(self, seed, first, sizes):
         trials = np.arange(first, first + 20)
-        indices, flagged = first_indices(seed, trials, sizes)
+        streams = TrialStreams(seed, trials, sizes)
+        indices, flagged = streams.indices, streams.flagged
         expected = reference_indices(seed, trials, sizes)
         np.testing.assert_array_equal(indices[~flagged], expected[~flagged])
         # one-word entropy flags only Lemire rejections, about size/2^32
@@ -229,23 +242,41 @@ class TestStreamTwin:
            first=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 5, 2**40)),
            sizes=st.tuples(grid_sizes, grid_sizes))
     def test_sweep_indices_match_numpy(self, seed, first, sizes):
-        def grid(lo, size):
-            return (lo, lo + 0.0001 * (size - 1), 0.0001)
-        plan = tiny_plan(h_t_grid=grid(2.0, sizes[0]), h_r_grid=grid(0.8, sizes[1]),
-                         seed=seed)
+        plan = sized_plan(seed, sizes)
         trials = np.arange(first, first + 10)
-        np.testing.assert_array_equal(sim._sweep_indices(plan, trials),
+        np.testing.assert_array_equal(sim._sweep_streams(plan, trials).indices,
                                       reference_indices(seed, trials, sizes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**32 - 1),
+                          st.integers(2**32, 2**64)),
+           first=st.integers(0, 2**32 - 6), n_ris=st.integers(1, 300),
+           sizes=st.tuples(grid_sizes, grid_sizes))
+    @example(seed=1, first=609287, n_ris=5, sizes=(10001, 10001))
+    def test_benchmark_phases_match_numpy(self, seed, first, n_ris, sizes):
+        plan = sized_plan(seed, sizes, n_ris=n_ris, benchmark_ris_phase="random")
+        trials = np.arange(first, first + 6)
+        streams = sim._sweep_streams(plan, trials)
+        rows = np.array([5, 0, 3, 1])
+        phases = sim._benchmark_phases(plan, trials, rows, streams)
+        for values, row in zip(phases, rows):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, int(trials[row]))))
+            for size in sizes:
+                rng.integers(size)
+            if not streams.flagged[row]:
+                assert streams.state(row) == rng.bit_generator.state
+            assert values.tobytes() == rng.uniform(-np.pi, np.pi, n_ris).tobytes()
 
     @pytest.mark.parametrize("seed, trial", [(1, 609287), (12345, 236055)])
     def test_lemire_rejection_falls_back(self, seed, trial):
         sizes = (10001, 10001)
-        indices, flagged = first_indices(seed, [trial], sizes)
+        streams = TrialStreams(seed, [trial], sizes)
+        indices, flagged = streams.indices, streams.flagged
         # numpy draws again here, so the unflagged twin would be wrong
         assert flagged.tolist() == [True]
         assert indices.tolist() != reference_indices(seed, [trial], sizes).tolist()
         plan = fine_plan(seed)
-        indices = sim._sweep_indices(plan, np.array([trial]))
+        indices = sim._sweep_streams(plan, np.array([trial])).indices
         t, r = indices[0]
         assert (plan.grids[0][t], plan.grids[1][r]) == sample_heights(plan, trial)
         gains = sim._sweep_gains(plan, [trial], indices)
@@ -253,13 +284,19 @@ class TestStreamTwin:
 
     def test_wide_seed_runs_through_fallback(self):
         plan = replace(load_preset("panel_a"), seed=2**32 + 7, trials=60)
-        _, flagged = first_indices(plan.seed, np.arange(60), (51, 51))
-        assert flagged.all()
+        assert TrialStreams(plan.seed, np.arange(60), (51, 51)).flagged.all()
         assert run_plan(plan) == reference_run(plan)
 
     @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
     def test_sweep_matches_reference_draws(self, panel):
         plan = replace(load_preset(panel), trials=60)
+        assert run_plan(plan) == reference_run(plan)
+
+    @pytest.mark.parametrize("seed", [12345, 2**32 + 7])
+    def test_random_phase_sweep_matches_reference_draws(self, seed):
+        # trial units: every trial's phases come from the twin or its fallback
+        plan = replace(load_preset("panel_a"), trials=60, seed=seed,
+                       benchmark_ris_phase="random")
         assert run_plan(plan) == reference_run(plan)
 
 
@@ -311,7 +348,7 @@ class TestBlockEngine:
 
     @staticmethod
     def per_trial_bytes(plan):
-        return 16 * plan.n_ris * (plan.n_t + plan.n_r)
+        return sim._unit_bytes(plan)
 
     @staticmethod
     @contextmanager
@@ -340,7 +377,7 @@ class TestBlockEngine:
         budget = block_trials * self.per_trial_bytes(plan)
         trials = np.arange(plan.trials)
         with mock.patch.object(sim, "_BLOCK_BYTES", budget):
-            gains = sim._sweep_gains(plan, trials, sim._sweep_indices(plan, trials))
+            gains = sim._sweep_gains(plan, trials, sim._sweep_streams(plan, trials).indices)
         for trial in range(plan.trials):
             got = {scheme: float(gains[scheme][trial]) for scheme in SCHEMES}
             assert got == replay_trial(plan, trial)
@@ -375,13 +412,62 @@ class TestBlockEngine:
         assert one_trial == run_plan(plan)
 
 
+class TestBlockMemory:
+    "A block's arrays stay within _BLOCK_BYTES, counted at _unit_bytes per unit."
+
+    @staticmethod
+    def wide_plan(trials):
+        "The benchmark's wide sweep: 32x16 arrays, 256 elements, 0.1 mm grids."
+        return replace(fine_plan(1), n_t=32, n_r=16, n_ris=256, trials=trials,
+                       benchmark_ris_phase="random")
+
+    @pytest.mark.parametrize("shape", ["panel_d", "wide_fine"])
+    def test_block_peaks_within_budget(self, shape):
+        # panel_d runs grid pairs with its receive leg tabled, the wide sweep
+        # runs trials with per-block legs and random benchmark phases
+        plan = (replace(load_preset("panel_d"), trials=60) if shape == "panel_d"
+                else self.wide_plan(12))
+        peaks, block_gains = [], sim._block_gains
+
+        def spy(plan, cfg, legs, tables, indices, draw_phases):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gains = block_gains(plan, cfg, legs, tables, indices, draw_phases)
+            peaks.append((len(indices), tracemalloc.get_traced_memory()[1] - start))
+            return gains
+        tracemalloc.start()
+        try:
+            with mock.patch.object(sim, "_block_gains", spy):
+                table = run_plan(plan)
+        finally:
+            tracemalloc.stop()
+        units = table.metadata["distinct_pairs"] if shape == "panel_d" else plan.trials
+        unit_bytes = sim._unit_bytes(plan)
+        per_block = sim._BLOCK_BYTES // unit_bytes
+        full, rest = divmod(units, per_block)
+        assert [n for n, _ in peaks] == [per_block] * full + [rest] * (rest > 0)
+        assert len(peaks) >= 3
+        for n, peak in peaks:
+            assert peak <= n * unit_bytes <= sim._BLOCK_BYTES
+
+    def test_block_counts_at_a_thousand_trials(self):
+        # at 512 KiB of steering per block the wide sweep ran 500 blocks and
+        # panel_d (829 distinct pairs at seed 1) 52
+        wide = self.wide_plan(1000)
+        assert math.ceil(1000 / (sim._BLOCK_BYTES // sim._unit_bytes(wide))) <= 250
+        panel_d = replace(load_preset("panel_d"), seed=1)
+        pairs = len(np.unique(sim._sweep_streams(panel_d, np.arange(1000)).indices, axis=0))
+        assert pairs == 829
+        assert math.ceil(pairs / (sim._BLOCK_BYTES // sim._unit_bytes(panel_d))) < 52
+
+
 class TestPairUnits:
     "Sweeps solve each distinct grid pair once unless random phases are read."
 
     @staticmethod
     def trial_unit_gains(plan):
         trials = np.arange(plan.trials)
-        return sim._sweep_gains(plan, trials, sim._sweep_indices(plan, trials))
+        return sim._sweep_gains(plan, trials, sim._sweep_streams(plan, trials).indices)
 
     @staticmethod
     @contextmanager
@@ -389,9 +475,9 @@ class TestPairUnits:
         "Collects, per sweep, the kind and number of units the engine ran."
         runs, sweep_gains = [], sim._sweep_gains
 
-        def spy(plan, trials, indices):
+        def spy(plan, trials, indices, *streams):
             runs.append(("trials" if trials is not None else "pairs", len(indices)))
-            return sweep_gains(plan, trials, indices)
+            return sweep_gains(plan, trials, indices, *streams)
         with mock.patch.object(sim, "_sweep_gains", spy):
             yield runs
 
