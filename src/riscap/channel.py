@@ -159,8 +159,11 @@ def assemble_h(ch: CascadeChannel, phi) -> NDArray[np.complex128]:
         raise ValueError(
             f"phase vector has shape {phi.shape}, expected {ch.u_mat.shape[:-1]}"
         )
-    k_norm = np.asarray(ch.k_norm)[..., np.newaxis, np.newaxis]
-    return k_norm * (ch.v_mat * np.exp(1j * phi)[..., np.newaxis, :]) @ ch.u_mat
+    # k_norm * (v_mat * exp(j*phi)) @ u_mat bit for bit, in one temporary:
+    # the product's operand order is the one that keeps the bits
+    x = ch.v_mat * np.exp(1j * phi)[..., np.newaxis, :]
+    x *= np.asarray(ch.k_norm)[..., np.newaxis, np.newaxis]
+    return x @ ch.u_mat
 
 
 def unnormalized_h(pos: ScenePositions, cfg: SceneConfig, phi) -> NDArray[np.complex128]:

@@ -89,48 +89,51 @@ def _ris_x(cfg: SceneConfig) -> NDArray[np.float64]:
     return cfg.d_ris + _ula_offsets(cfg.n_ris, cfg.s_ris)
 
 
-def transmit_leg(cfg: SceneConfig):
-    """Transmit-side geometry as a function of the array-midpoint height.
+@dataclass(frozen=True)
+class Leg:
+    """One array's side of the scene as a function of its midpoint height ``h``.
 
-    ``cfg`` supplies everything but the height; the element coordinates are
-    laid out once. The function maps heights ``h_t`` of any batch shape to
-    ``(d2, d_t_mid, cos_theta_t)`` with shapes ``(..., n_ris, n_t)``,
-    ``(..., n_ris)`` and ``(..., n_ris)``, as in :class:`ScenePositions`.
+    Antenna ``i`` sits at height ``z = h + offsets[i]`` and RIS element ``l``
+    lies ``x[l]`` from the array's wall, so their distance ``hypot(x[l], z)``
+    depends on ``z`` alone. The transmit leg (``elements_first``) lays its
+    distances out ``(..., n_ris, n_t)``, the receive leg ``(..., n_r, n_ris)``.
     """
-    ris_x, offsets = _ris_x(cfg), _ula_offsets(cfg.n_t, cfg.s_t)
 
-    def at(h_t):
-        h_t = np.asarray(h_t, dtype=float)[..., np.newaxis]
-        d2 = np.hypot(ris_x[:, np.newaxis], (h_t + offsets)[..., np.newaxis, :])
-        d_t_mid = np.hypot(ris_x, h_t)
-        # Direction cosine of element l against the upward array axis: the
-        # vector from the array midpoint down to the floor element has
-        # vertical component -h, so the cosine is negative. Downstream use
-        # is sign-blind.
-        return d2, d_t_mid, -h_t / d_t_mid
-    return at
+    x: NDArray[np.float64]
+    offsets: NDArray[np.float64]
+    spacing: float
+    elements_first: bool
+
+    def heights(self, h) -> NDArray[np.float64]:
+        "Element heights ``(..., n)`` of arrays at midpoint heights ``h``."
+        return np.asarray(h, dtype=float)[..., np.newaxis] + self.offsets
+
+    def rows(self, z) -> NDArray[np.float64]:
+        "Distances ``(..., n_ris)`` from elements at heights ``z`` to each RIS element."
+        return np.hypot(self.x, np.asarray(z)[..., np.newaxis])
+
+    def layout(self, rows):
+        "Per-element ``rows`` ``(..., n, n_ris)`` in this leg's layout, C-ordered."
+        return np.ascontiguousarray(rows.swapaxes(-1, -2)) if self.elements_first else rows
+
+    def toward(self, h) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Distance from array midpoints at heights ``h`` to each RIS element,
+        and its direction cosine against the upward array axis: negative, as
+        the element lies below; downstream use is sign-blind."""
+        h = np.asarray(h, dtype=float)[..., np.newaxis]
+        d_mid = np.hypot(self.x, h)
+        return d_mid, -h / d_mid
+
+    def at(self, h) -> tuple:
+        "``(dist, d_mid, cos_theta)`` at midpoint heights ``h``, dist in this leg's layout."
+        return self.layout(self.rows(self.heights(h))), *self.toward(h)
 
 
-def receive_leg(cfg: SceneConfig):
-    """Receive-side geometry as a function of the array-midpoint height.
-
-    The receive counterpart of :func:`transmit_leg`: heights ``h_r`` map to
-    ``(d1, d_r_mid, cos_theta_r)`` with shapes ``(..., n_r, n_ris)``,
-    ``(..., n_ris)`` and ``(..., n_ris)``.
-    """
-    ris_dx, offsets = cfg.d_wall - _ris_x(cfg), _ula_offsets(cfg.n_r, cfg.s_r)
-
-    def at(h_r):
-        h_r = np.asarray(h_r, dtype=float)[..., np.newaxis]
-        d1 = np.hypot(ris_dx, (h_r + offsets)[..., :, np.newaxis])
-        d_r_mid = np.hypot(ris_dx, h_r)
-        return d1, d_r_mid, -h_r / d_r_mid
-    return at
-
-
-def _array_positions(x: float, h: float, n: int, spacing: float) -> NDArray[np.float64]:
-    "(n, 2) coordinates of a vertical ULA on the wall at ``x``, midpoint height ``h``."
-    return np.column_stack([np.full(n, x), h + _ula_offsets(n, spacing)])
+def legs(cfg: SceneConfig) -> tuple[Leg, Leg]:
+    "The scene's transmit and receive legs, whose distances are ``d2`` and ``d1``."
+    ris_x = _ris_x(cfg)
+    return (Leg(ris_x, _ula_offsets(cfg.n_t, cfg.s_t), cfg.s_t, True),
+            Leg(cfg.d_wall - ris_x, _ula_offsets(cfg.n_r, cfg.s_r), cfg.s_r, False))
 
 
 def build_positions(cfg: SceneConfig) -> ScenePositions:
@@ -152,21 +155,16 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
         at y <= 0) or an RIS element would fall outside the open interval
         (0, d_wall).
     """
-    d2, d_t_mid, cos_theta_t = transmit_leg(cfg)(cfg.h_t)
-    d1, d_r_mid, cos_theta_r = receive_leg(cfg)(cfg.h_r)
-    tx_pos = _array_positions(0.0, cfg.h_t, cfg.n_t, cfg.s_t)
-    rx_pos = _array_positions(cfg.d_wall, cfg.h_r, cfg.n_r, cfg.s_r)
+    transmit, receive = legs(cfg)
+    d2, d_t_mid, cos_theta_t = transmit.at(cfg.h_t)
+    d1, d_r_mid, cos_theta_r = receive.at(cfg.h_r)
+    # each array's (n, 2) element coordinates on its wall, lowest first
+    tx_pos, rx_pos = (np.column_stack([np.full(len(leg.offsets), x), leg.heights(h)])
+                      for leg, x, h in ((transmit, 0.0, cfg.h_t), (receive, cfg.d_wall, cfg.h_r)))
+    for name, low in (("transmit", tx_pos[0, 1]), ("receive", rx_pos[0, 1])):
+        if low <= 0:
+            raise ValueError(f"{name} array intersects the floor (lowest element at y={low:.6g})")
     ris_x = _ris_x(cfg)
-
-    tx_low, rx_low = tx_pos[0, 1], rx_pos[0, 1]  # y of the lowest elements
-    if tx_low <= 0:
-        raise ValueError(
-            f"transmit array intersects the floor (lowest element at y={tx_low:.6g})"
-        )
-    if rx_low <= 0:
-        raise ValueError(
-            f"receive array intersects the floor (lowest element at y={rx_low:.6g})"
-        )
     if ris_x[0] <= 0 or ris_x[-1] >= cfg.d_wall:
         raise ValueError(
             f"RIS span [{ris_x[0]:.6g}, {ris_x[-1]:.6g}] m must lie strictly "

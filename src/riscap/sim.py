@@ -17,20 +17,22 @@ A sweep's units are its distinct (h_t, h_r) grid pairs: unless a requested
 benchmark scheme reads random benchmark phases, every gain is a function of
 the pair alone, so each pair is solved once and its gains are scattered back
 to the trials that drew it. Otherwise the units are the trials themselves.
-Units run in blocks: sorted by their grid heights, with every scheme
-solved over a leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a
-block's arrays hold at once, counted at ``_unit_bytes`` per unit: steering,
-solver scratch and per-element arrays, not the steering alone. A 1000-trial
-sweep of the benchmark's 32x16x256 wide scene runs 250 blocks of 4 trials
-and panel_d's 829 distinct pairs at seed 1 run 40 blocks of 21 (500 and 52
-when the budget counted 512 KiB of steering, which peaked at 2.7-3.3 times
-that). A leg's steering, k_norm path length and array factor depend on its
-height alone. A leg whose grid has no more heights than the sweep has
-units, and whose table takes no more than ``_BLOCK_BYTES`` to build, is
-built once per grid height per sweep; otherwise each block builds it once
-per distinct height. Gains go back to trial order before the reduction,
-and each unit's gain is bit-identical to the single-scene calls, so the
-layout never shows in the results.
+Units run in blocks, in ``_unit_order``, with every scheme solved over a
+leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a block's arrays hold
+at once, counted at ``_unit_bytes`` per unit: steering, solver scratch and
+per-element arrays. A 1000-trial sweep of the benchmark's 32x16x256 wide
+scene runs 250 blocks of 4 trials, and panel_d's 829 distinct pairs at seed
+1 run 40 blocks of 21. Steering depends on each element's height
+z = h + offset alone, so ``_LegCache`` builds each distinct row of a leg
+once, keyed by the exact float z: for the whole sweep when the rows fit the
+budget, else per block, building the rows the block before lacked. Units go
+by transmit grid index, first by its residue modulo the antenna spacing in
+grid steps when that is whole, so arrays that share element heights share
+blocks. At seed 1 the wide sweep builds 14,464 transmit and 15,919 receive
+rows (32,000 and 16,000 at a row per unit and antenna) and panel_d 496 and
+204 (1,440 and 204 when rows were built per array height). Gains go back to
+trial order before the reduction, and each unit's gain is bit-identical to
+the single-scene calls, so the layout never shows in the results.
 """
 
 from collections.abc import Callable
@@ -44,7 +46,7 @@ from . import __version__
 from ._stream import TrialStreams
 from .approx import array_factor
 from .channel import CascadeChannel, assemble_h, corner_normalization, steering
-from .geometry import SceneConfig, build_positions, receive_leg, require_int, transmit_leg
+from .geometry import Leg, SceneConfig, build_positions, legs, require_int
 from .schemes import (
     SnrPoint,
     capacity_from_gain,
@@ -55,7 +57,7 @@ from .schemes import (
 )
 
 # The most bytes a block's arrays may hold at once, counted at _unit_bytes
-# per unit, and the most a leg table may hold while it is built. Blocks hold
+# per unit, and the most a leg's row table may take to build. Blocks hold
 # at least one unit, so memory does not grow with the trial count.
 _BLOCK_BYTES = 7 << 18
 
@@ -69,8 +71,11 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
     receive-side temporaries and NumPy's cast buffer, up to 48 per element
     and receive antenna; 128 per element for path lengths, angles and array
     factors; and 48 per antenna pair for assembled channels and their
-    angles. Measured with tracemalloc, this bounds every block of the
-    shipped presets and the benchmark's wide sweep.
+    angles. Steering rows carried in from the block before are live only
+    while a block gathers its steering, before any solver scratch, and are
+    no more than its own steering, so the scratch term covers them too.
+    Measured with tracemalloc, this bounds every block of the shipped
+    presets and the benchmark's wide sweep.
     """
     per_element = 16 * (plan.n_t + plan.n_r) + max(24 * plan.n_t, 48 * plan.n_r) + 128
     return plan.n_ris * per_element + 48 * plan.n_t * plan.n_r
@@ -269,51 +274,111 @@ def _benchmark_phases(plan: SimulationPlan, trials, rows, streams) -> NDArray[np
     return phases
 
 
-def _leg_product(cfg: SceneConfig, leg, heights) -> tuple:
-    """A leg's steering, element-(1,1) path length (for ``k_norm``) and array
-    factor at each of ``heights``; ``leg`` is (geometry function of the
-    height, antennas, spacing)."""
-    build, n, spacing = leg
-    dist, _, cos_theta = build(heights)
-    # a copy of the corner: a view would keep all of ``dist`` alive
-    return (steering(dist, cfg.wavelength), dist[..., 0, 0].copy(),
-            array_factor(n, spacing, cos_theta, cfg.wavelength))
+def _build_rows(leg: Leg, wavelength: float, z) -> NDArray[np.complex128]:
+    "Steering rows ``(len(z), n_ris)`` of a leg's elements at heights ``z``."
+    return steering(leg.rows(z), wavelength)
 
 
-def _leg_table(cfg: SceneConfig, leg, grid, n_units: int):
-    """A leg's product at every grid height when the grid has no more heights
-    than the sweep has units and building it fits in ``_BLOCK_BYTES``: 24
-    bytes per steering entry, its path length and its phase factor."""
-    if len(grid) <= n_units and 24 * len(grid) * cfg.n_ris * leg[1] <= _BLOCK_BYTES:
-        return _leg_product(cfg, leg, grid)
-    return None
+def _row_table(leg: Leg, wavelength: float, keys):
+    """The rows at all of a sweep's element heights ``keys``, or None if
+    building them takes more than ``_BLOCK_BYTES`` (24 bytes per entry)."""
+    fits = 24 * len(keys) * len(leg.x) <= _BLOCK_BYTES
+    return _build_rows(leg, wavelength, keys) if fits else None
 
 
-def _gathered_leg(cfg: SceneConfig, leg, grid, table, column) -> tuple:
-    """A leg's product for the grid indices ``column``: gathered from the table,
-    else from the block's distinct heights, or built per unit if all differ."""
-    # A strictly increasing column, as the sorted transmit column often is,
-    # has no repeats to look for.
-    if table is None and not np.all(column[1:] > column[:-1]):
-        distinct, inverse = np.unique(column, return_inverse=True)
-        if len(distinct) < len(column):
-            table, column = _leg_product(cfg, leg, grid[distinct]), inverse
-    if table is None:
-        return _leg_product(cfg, leg, grid[column])
-    return tuple(a[column] for a in table)
+def _found(keys, values) -> NDArray[np.bool_]:
+    "Mask of the sorted, distinct ``keys`` found among ``values``."
+    at = np.searchsorted(keys[:-1], values)
+    found = np.zeros(len(keys), dtype=bool)
+    found[at[keys[at] == values]] = True
+    return found
 
 
-def _block_gains(plan: SimulationPlan, cfg: SceneConfig, legs, tables, indices,
+class _LegCache:
+    """A leg's steering, corner path length and array factor for blocks of
+    ``size`` units at array ``heights``, in sweep order.
+
+    Steering depends on each element's height ``z = h + offset`` alone, so
+    its rows are keyed by the exact float ``z``. They form one table when
+    ``_row_table`` builds it, and the corner and factor are then computed once
+    per distinct height. Otherwise each block builds the rows the block
+    before it lacked, and ``carry`` copies out of the block's solved steering
+    the rows the next block needs.
+    """
+
+    def __init__(self, leg: Leg, wavelength: float, heights, size: int):
+        self.leg, self.wavelength, self.heights, self.size = leg, wavelength, heights, size
+        # np.unique(z) would load numpy.ma, about 1 MB of peak RSS
+        z = np.sort(leg.heights(heights), axis=None)
+        keys = z[np.concatenate(([True], z[1:] != z[:-1]))]
+        rows = _row_table(leg, wavelength, keys)
+        self.table = None
+        if rows is not None:
+            distinct, at = np.unique(heights, return_inverse=True)
+            self.table = keys, rows, at, self._per_height(distinct)
+        self.carried = np.empty(0), np.empty((0, len(leg.x)), dtype=complex)
+
+    def _per_height(self, h) -> tuple:
+        "Element-(1,1) path length and array factor of arrays at heights ``h``."
+        factor = array_factor(len(self.leg.offsets), self.leg.spacing, self.leg.toward(h)[1],
+                              self.wavelength)
+        return np.hypot(self.leg.x[0], h + self.leg.offsets[0]), factor
+
+    def block(self, start: int) -> tuple:
+        "Steering in the leg's layout, corner path length and array factor of a block."
+        stop = start + self.size
+        h = self.heights[start:stop]
+        z = self.leg.heights(h)
+        if self.table is not None:
+            keys, table, at, per_height = self.table
+            return (self.leg.layout(table[np.searchsorted(keys, z)]),
+                    *(values[at[start:stop]] for values in per_height))
+        distinct, first, local = np.unique(z, return_index=True, return_inverse=True)
+        (held, carried), self.carried = self.carried, None
+        new = ~_found(distinct, held)
+        rows = np.empty((len(distinct), carried.shape[1]), dtype=complex)
+        rows[~new] = carried
+        del carried
+        rows[new] = _build_rows(self.leg, self.wavelength, distinct[new])
+        keep = _found(distinct, self.leg.heights(self.heights[stop:stop + self.size]).ravel())
+        self.kept = distinct[keep], np.unravel_index(first[keep], z.shape)
+        rows = rows[local.reshape(z.shape)]  # frees the block's own table
+        return self.leg.layout(rows), *self._per_height(h)
+
+    def carry(self, steer) -> None:
+        "Keep the rows the next block needs, copied out of this block's solved ``steer``."
+        if self.table is None:
+            held, (units, antennas) = self.kept
+            self.carried = held, (steer[units, :, antennas] if self.leg.elements_first
+                                  else steer[units, antennas])
+
+
+def _block_gains(plan: SimulationPlan, cfg: SceneConfig, caches, start: int,
                  draw_phases) -> dict:
-    """Gains of every requested scheme for the units at (h_t, h_r) grid
-    ``indices``, whose random benchmark phases ``draw_phases()`` draws (None
+    """Gains of every requested scheme for the block at sweep position
+    ``start``, whose random benchmark phases ``draw_phases()`` draws (None
     for zero phases)."""
     (u_mat, d2_corner, factor_t), (v_mat, d1_corner, factor_r) = (
-        _gathered_leg(cfg, *args) for args in zip(legs, plan.grids, tables, indices.T))
+        cache.block(start) for cache in caches)
     ch = CascadeChannel(u_mat=u_mat, v_mat=v_mat,
                         k_norm=corner_normalization(cfg, d1_corner, d2_corner))
     block = _Block(ch, (factor_t, factor_r), draw_phases)
-    return {scheme: _SCHEME_GAINS[scheme](block) for scheme in plan.schemes}
+    gains = {scheme: _SCHEME_GAINS[scheme](block) for scheme in plan.schemes}
+    # after the solve, so carried rows never sit beside the solvers' scratch
+    for cache, steer in zip(caches, (u_mat, v_mat)):
+        cache.carry(steer)
+    return gains
+
+
+def _unit_order(plan: SimulationPlan, indices) -> NDArray[np.intp]:
+    """Order of the units at (h_t, h_r) grid ``indices``: by index, and first
+    by the transmit index modulo the antenna spacing in grid steps when that
+    is whole, as arrays that many steps apart share element heights."""
+    keys = [indices[:, 1], indices[:, 0]]
+    steps = plan.s_t / plan.h_t_grid[2]
+    if round(steps) > 1 and abs(steps - round(steps)) <= 1e-9:
+        keys.append(indices[:, 0] % round(steps))
+    return np.lexsort(keys)
 
 
 def _sweep_gains(plan: SimulationPlan, trials, indices, streams=None) -> dict:
@@ -322,17 +387,16 @@ def _sweep_gains(plan: SimulationPlan, trials, indices, streams=None) -> dict:
 
     ``trials`` holds each unit's trial index, or is None when the units are
     grid pairs, whose benchmark phases are zero. Random benchmark phases come
-    from ``streams``, the stream twin of ``trials``, when given. Units are
-    stable-sorted by their indices and cut into blocks of at most
-    ``_BLOCK_BYTES // _unit_bytes(plan)`` units, so a block shares its heights.
+    from ``streams``, the stream twin of ``trials``, when given. Units run in
+    ``_unit_order``, in blocks of ``_BLOCK_BYTES // _unit_bytes(plan)``.
     """
     random_phases = trials is not None and plan.benchmark_ris_phase == "random"
-    order = np.lexsort((indices[:, 1], indices[:, 0]))
+    order = _unit_order(plan, indices)
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
-    legs = (transmit_leg(cfg), cfg.n_t, cfg.s_t), (receive_leg(cfg), cfg.n_r, cfg.s_r)
-    tables = [_leg_table(cfg, leg, grid, len(indices)) for leg, grid in zip(legs, plan.grids)]
     block_size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
+    caches = [_LegCache(leg, cfg.wavelength, grid[column[order]], block_size)
+              for leg, grid, column in zip(legs(cfg), plan.grids, indices.T)]
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
     # freed so far, and every block would then fault its pages in again (a
@@ -345,8 +409,7 @@ def _sweep_gains(plan: SimulationPlan, trials, indices, streams=None) -> dict:
         block = order[start:start + block_size]
         draw_phases = (partial(_benchmark_phases, plan, trials, block, streams)
                        if random_phases else None)
-        for scheme, values in _block_gains(
-                plan, cfg, legs, tables, indices[block], draw_phases).items():
+        for scheme, values in _block_gains(plan, cfg, caches, start, draw_phases).items():
             gains[scheme][block] = values
     return gains
 

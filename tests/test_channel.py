@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riscap import (
+    CascadeChannel,
     assemble_h,
     build_cascade,
     build_positions,
@@ -179,6 +180,21 @@ class TestAssembleH:
         _, pos, ch = panel
         with pytest.raises(ValueError, match="shape"):
             assemble_h(ch, np.zeros(ch.n_ris + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.lists(st.integers(1, 3), max_size=2),
+           dims=st.tuples(*[st.integers(1, 40)] * 3))
+    def test_bytes_equal_the_two_temporary_form(self, seed, batch, dims):
+        rng = np.random.default_rng(seed)
+        n_t, n_r, n_ris = dims
+        ch = CascadeChannel(
+            u_mat=np.exp(1j * rng.uniform(-1e3, 1e3, (*batch, n_ris, n_t))),
+            v_mat=np.exp(1j * rng.uniform(-1e3, 1e3, (*batch, n_r, n_ris))),
+            k_norm=(rng.uniform(0.1, 10.0, batch) if batch else float(rng.uniform(0.1, 10.0))))
+        phi = rng.uniform(-np.pi, np.pi, (*batch, n_ris))
+        k_norm = np.asarray(ch.k_norm)[..., np.newaxis, np.newaxis]
+        old = k_norm * (ch.v_mat * np.exp(1j * phi)[..., np.newaxis, :]) @ ch.u_mat
+        assert assemble_h(ch, phi).tobytes() == old.tobytes()
 
 
 class TestGainRows:

@@ -327,10 +327,12 @@ class TestTrialGains:
 
 @st.composite
 def small_plans(draw):
-    "Plans of 1-8 antennas and elements, 1-5-point height grids, both modes."
+    """Plans of 1-8 antennas and elements, both modes, and 1-5-point height
+    grids, or up to 13 points at a fifth of the antenna spacing, which orders
+    units by residue."""
     def grid(lo):
-        step = draw(st.sampled_from([0.01, 0.02, 0.05]))
-        return (lo, lo + step * draw(st.integers(0, 4)), step)
+        step = draw(st.sampled_from([0.0005, 0.01, 0.02, 0.05]))
+        return (lo, lo + step * draw(st.integers(0, 12 if step < 0.01 else 4)), step)
 
     return tiny_plan(
         n_t=draw(st.integers(1, 8)), n_r=draw(st.integers(1, 8)),
@@ -343,6 +345,69 @@ def small_plans(draw):
     )
 
 
+@contextmanager
+def cache_form(form=None):
+    """Forces every leg's row cache to ``form``, "table" or "carried" (None
+    keeps the sweep's own choice), and collects the form each leg took."""
+    forms, row_table = [], sim._row_table
+
+    def spy(leg, wavelength, keys):
+        if form == "carried":
+            table = None
+        elif form == "table":
+            table = sim._build_rows(leg, wavelength, keys)
+        else:
+            table = row_table(leg, wavelength, keys)
+        forms.append("carried" if table is None else "table")
+        return table
+    with mock.patch.object(sim, "_row_table", spy):
+        yield forms
+
+
+@contextmanager
+def rows_built(solve=True):
+    """Counts the steering rows each leg builds, per leg (transmit, receive).
+    Unless ``solve``, rows are zeros and blocks only gather and carry them."""
+    built, build_rows, block_gains = [0, 0], sim._build_rows, sim._block_gains
+
+    def build_spy(leg, wavelength, z):
+        built[not leg.elements_first] += len(z)
+        if solve:
+            return build_rows(leg, wavelength, z)
+        return np.zeros((len(z), len(leg.x)), dtype=complex)
+
+    def gather_only(plan, cfg, caches, start, draw_phases):
+        for cache in caches:
+            cache.carry(cache.block(start)[0])
+        return {}
+    with mock.patch.object(sim, "_build_rows", build_spy), \
+            mock.patch.object(sim, "_block_gains", block_gains if solve else gather_only):
+        yield built
+
+
+def wide_plan(trials, seed=1, h_t_grid=(2.0, 3.0, 0.0001)):
+    "The benchmark's wide sweep: 32x16 arrays, 256 elements, 0.1 mm grids."
+    return replace(fine_plan(seed), n_t=32, n_r=16, n_ris=256, trials=trials,
+                   h_t_grid=h_t_grid, benchmark_ris_phase="random")
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=small_plans(), block_trials=st.integers(1, 5))
+@example(plan=tiny_plan(trials=12, schemes=SCHEMES), block_trials=1)
+@example(plan=tiny_plan(h_t_grid=(2.0, 2.08, 0.02), schemes=SCHEMES), block_trials=1)
+@example(plan=tiny_plan(h_t_grid=(2.0, 2.006, 0.0005), n_t=8, trials=12, schemes=SCHEMES),
+         block_trials=2)
+def check_every_trial_matches_single_scene_calls(plan, block_trials):
+    budget = block_trials * sim._unit_bytes(plan)
+    trials = np.arange(plan.trials)
+    with mock.patch.object(sim, "_BLOCK_BYTES", budget):
+        gains = sim._sweep_gains(plan, trials, sim._sweep_streams(plan, trials).indices)
+    for trial in range(plan.trials):
+        got = {scheme: float(gains[scheme][trial]) for scheme in SCHEMES}
+        assert got == replay_trial(plan, trial)
+    assert trial_gains(plan, plan.trials - 1) == replay_trial(plan, plan.trials - 1)
+
+
 class TestBlockEngine:
     "The block engine against the single-scene calls, for any block size."
 
@@ -350,38 +415,12 @@ class TestBlockEngine:
     def per_trial_bytes(plan):
         return sim._unit_bytes(plan)
 
-    @staticmethod
-    @contextmanager
-    def tables_built():
-        "Collects, per leg and sweep, whether a whole-grid table was built."
-        built, leg_table = [], sim._leg_table
-
-        def spy(*args):
-            table = leg_table(*args)
-            built.append(table is not None)
-            return table
-        with mock.patch.object(sim, "_leg_table", spy):
-            yield built
-
     def test_every_trial_matches_single_scene_calls(self):
-        with self.tables_built() as built:
-            self.check_every_trial_matches_single_scene_calls()
-        # grids of 1-5 heights against 1-12 trials take both leg paths
-        assert set(built) == {True, False}
-
-    @settings(max_examples=40, deadline=None)
-    @given(plan=small_plans(), block_trials=st.integers(1, 5))
-    @example(plan=tiny_plan(trials=12, schemes=SCHEMES), block_trials=1)
-    @example(plan=tiny_plan(h_t_grid=(2.0, 2.08, 0.02), schemes=SCHEMES), block_trials=1)
-    def check_every_trial_matches_single_scene_calls(self, plan, block_trials):
-        budget = block_trials * self.per_trial_bytes(plan)
-        trials = np.arange(plan.trials)
-        with mock.patch.object(sim, "_BLOCK_BYTES", budget):
-            gains = sim._sweep_gains(plan, trials, sim._sweep_streams(plan, trials).indices)
-        for trial in range(plan.trials):
-            got = {scheme: float(gains[scheme][trial]) for scheme in SCHEMES}
-            assert got == replay_trial(plan, trial)
-        assert trial_gains(plan, plan.trials - 1) == replay_trial(plan, plan.trials - 1)
+        # the property reaches both forms of the row cache
+        for form in ("table", "carried"):
+            with cache_form(form) as forms:
+                check_every_trial_matches_single_scene_calls()
+            assert set(forms) == {form}
 
     @settings(max_examples=20, deadline=None)
     @given(plan=small_plans())
@@ -394,16 +433,15 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
     def test_leg_tables_do_not_change_the_table(self, panel):
-        # 60 trials against 51-point grids: the shipped sweeps table a leg
-        # whose steering fits the block budget. The 50-trial goldens pin the
-        # per-block path, the 1000-trial goldens the table path.
+        # 60 trials against 51-point grids: the shipped sweeps build both
+        # legs' rows as a sweep table, and so do the goldens
         plan = replace(load_preset(panel), trials=60)
-        with mock.patch.object(sim, "_leg_table", lambda *args: None):
-            untabled = run_plan(plan)
-        with self.tables_built() as built:
-            tabled = run_plan(plan)
-        assert built == ([True, True] if panel == "panel_a" else [False, True])
-        assert tabled == untabled
+        with cache_form() as forms:
+            chosen = run_plan(plan)
+        assert forms == ["table", "table"]
+        for form in ("table", "carried"):
+            with cache_form(form):
+                assert run_plan(plan) == chosen, form
 
     def test_preset_table_independent_of_block_budget(self):
         plan = replace(load_preset("panel_d"), trials=40)
@@ -412,32 +450,108 @@ class TestBlockEngine:
         assert one_trial == run_plan(plan)
 
 
+def reference_rows_built(plan, indices):
+    """Rows a sweep builds per leg, from its documented rule: units in
+    residue order, cut into blocks, and each block builds the distinct
+    element heights z = h + offset that the block before it did not hold."""
+    steps = round(plan.s_t / plan.h_t_grid[2])
+    order = np.lexsort((indices[:, 1], indices[:, 0], indices[:, 0] % steps))
+    size = sim._BLOCK_BYTES // sim._unit_bytes(plan)
+    built = []
+    for grid, column, n, spacing in zip(plan.grids, indices.T, (plan.n_t, plan.n_r),
+                                        (plan.s_t, plan.s_r)):
+        offsets = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
+        z = grid[column[order]][:, np.newaxis] + offsets
+        count, held = 0, np.array([])
+        for start in range(0, len(z), size):
+            distinct = np.unique(z[start:start + size])
+            count += len(np.setdiff1d(distinct, held))
+            held = distinct
+        built.append(count)
+    return built
+
+
+class TestRowCache:
+    "Each distinct steering row is built once per sweep, or once per run of blocks."
+
+    def test_panel_d_builds_each_distinct_row_once(self):
+        # seed 1: 829 distinct pairs; per-height blocks built 1440 transmit rows
+        plan = replace(load_preset("panel_d"), seed=1)
+        with rows_built() as built, cache_form() as forms:
+            table = run_plan(plan)
+        assert table.metadata["distinct_pairs"] == 829
+        assert forms == ["table", "table"]
+        assert built == [496, 204]
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_wide_blocks_build_rows_the_block_before_lacked(self, seed):
+        # seed 1 built 32000 transmit and 16000 receive rows with one row per
+        # unit and antenna
+        plan = wide_plan(1000, seed)
+        with rows_built(solve=False) as built, cache_form() as forms:
+            sim._plan_gains(plan)
+        assert forms == ["carried", "carried"]
+        indices = sim._sweep_streams(plan, np.arange(plan.trials)).indices
+        assert built == reference_rows_built(plan, indices)
+        if seed == 1:
+            assert built == [14464, 15919]
+
+    def test_carried_rows_match_the_reference_when_solved(self):
+        # 25 grid steps per antenna spacing on a 201-point grid: residue
+        # classes of a few units each share most transmit rows
+        plan = wide_plan(100, h_t_grid=(2.0, 2.02, 0.0001))
+        with rows_built() as built, cache_form() as forms:
+            table = run_plan(plan)
+        assert forms == ["carried", "carried"]
+        indices = sim._sweep_streams(plan, np.arange(plan.trials)).indices
+        assert built == reference_rows_built(plan, indices)
+        assert built[0] < 32 * plan.trials // 2
+        with cache_form("table"):
+            assert run_plan(plan) == table
+
+    @pytest.mark.parametrize("ratio, residue", [(25.0, True), (0.125, False), (1.0, False),
+                                                (2.5, False)])
+    def test_residue_order_needs_whole_grid_steps(self, ratio, residue):
+        plan = tiny_plan(h_t_grid=(2.0, 2.01, 0.0001), s_t=0.0001 * ratio)
+        indices = np.array([[30, 0], [5, 1], [55, 0], [4, 2], [29, 0]])
+        # residues mod 25: 5, 5, 5, 4, 4
+        expected = [3, 4, 1, 0, 2] if residue else [3, 1, 4, 0, 2]
+        assert sim._unit_order(plan, indices).tolist() == expected
+
+
 class TestBlockMemory:
-    "A block's arrays stay within _BLOCK_BYTES, counted at _unit_bytes per unit."
+    """A block's arrays, with the rows carried into it, stay within
+    _BLOCK_BYTES, counted at _unit_bytes per unit."""
 
-    @staticmethod
-    def wide_plan(trials):
-        "The benchmark's wide sweep: 32x16 arrays, 256 elements, 0.1 mm grids."
-        return replace(fine_plan(1), n_t=32, n_r=16, n_ris=256, trials=trials,
-                       benchmark_ris_phase="random")
-
-    @pytest.mark.parametrize("shape", ["panel_d", "wide_fine"])
+    @pytest.mark.parametrize("shape", ["panel_d", "wide_fine", "wide_carried"])
     def test_block_peaks_within_budget(self, shape):
-        # panel_d runs grid pairs with its receive leg tabled, the wide sweep
-        # runs trials with per-block legs and random benchmark phases
-        plan = (replace(load_preset("panel_d"), trials=60) if shape == "panel_d"
-                else self.wide_plan(12))
-        peaks, block_gains = [], sim._block_gains
+        # panel_d runs grid pairs from sweep tables; the wide sweeps run
+        # trials with random benchmark phases from carried rows, and on a
+        # 201-point grid blocks carry many of them
+        plan = {"panel_d": replace(load_preset("panel_d"), trials=60),
+                "wide_fine": wide_plan(12),
+                "wide_carried": wide_plan(40, h_t_grid=(2.0, 2.02, 0.0001))}[shape]
+        start, peaks, carried = [], [], []
+        block_gains, carry = sim._block_gains, sim._LegCache.carry
 
-        def spy(plan, cfg, legs, tables, indices, draw_phases):
-            start = tracemalloc.get_traced_memory()[0]
+        def spy(*args):
+            # measured from the first block's start, so that the rows a block
+            # carries into the next count against the next
+            if not start:
+                start.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
-            gains = block_gains(plan, cfg, legs, tables, indices, draw_phases)
-            peaks.append((len(indices), tracemalloc.get_traced_memory()[1] - start))
+            gains = block_gains(*args)
+            peaks.append((len(next(iter(gains.values()))),
+                          tracemalloc.get_traced_memory()[1] - start[0]))
             return gains
+
+        def carry_spy(cache, steer):
+            carry(cache, steer)
+            carried.append(0 if cache.table is not None else len(cache.carried[0]))
         tracemalloc.start()
         try:
-            with mock.patch.object(sim, "_block_gains", spy):
+            with mock.patch.object(sim, "_block_gains", spy), \
+                    mock.patch.object(sim._LegCache, "carry", carry_spy):
                 table = run_plan(plan)
         finally:
             tracemalloc.stop()
@@ -447,13 +561,14 @@ class TestBlockMemory:
         full, rest = divmod(units, per_block)
         assert [n for n, _ in peaks] == [per_block] * full + [rest] * (rest > 0)
         assert len(peaks) >= 3
+        assert (max(carried) > 0) == (shape == "wide_carried")
         for n, peak in peaks:
             assert peak <= n * unit_bytes <= sim._BLOCK_BYTES
 
     def test_block_counts_at_a_thousand_trials(self):
         # at 512 KiB of steering per block the wide sweep ran 500 blocks and
         # panel_d (829 distinct pairs at seed 1) 52
-        wide = self.wide_plan(1000)
+        wide = wide_plan(1000)
         assert math.ceil(1000 / (sim._BLOCK_BYTES // sim._unit_bytes(wide))) <= 250
         panel_d = replace(load_preset("panel_d"), seed=1)
         pairs = len(np.unique(sim._sweep_streams(panel_d, np.arange(1000)).indices, axis=0))
