@@ -19,7 +19,6 @@ from .channel import (
     normalization_constant,
     principal_angle,
     unnormalized_h,
-    wrap_phase,
 )
 from .config import load_preset, parse_plan_file, parse_plan_text
 from .geometry import (
@@ -98,6 +97,5 @@ __all__ = [
     "solve_ris_only",
     "trial_gains",
     "unnormalized_h",
-    "wrap_phase",
     "write_csv",
 ]

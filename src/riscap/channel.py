@@ -51,28 +51,11 @@ def scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def wrap_phase(phi) -> NDArray[np.float64]:
-    "Wrap phases (radians) to the canonical interval (-pi, pi]."
-    phi = np.asarray(phi, dtype=float)
-    # phi - 2*pi*ceil((phi - pi) / (2*pi)), in one scratch array
-    turns = np.subtract(phi, np.pi, out=np.empty_like(phi))
-    turns /= 2.0 * np.pi
-    np.ceil(turns, out=turns)
-    turns *= 2.0 * np.pi
-    return fold_turn(np.subtract(phi, turns, out=turns))[()]
-
-
 def fold_turn(phi: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Move entries up to one turn outside (-pi, pi] into it, and -0.0 to
-    0.0, in place.
-
-    The last step of ``wrap_phase``, whose quotient can round a result one
-    turn out (at ``nextafter(-pi, 0)`` its formula gives pi + 4.4e-16); the
-    turn then comes off exactly. On arctan2's angles, which lie in [-pi, pi],
-    it is all that ``wrap_phase`` does: -pi becomes pi, and -0.0 becomes 0.0.
-    """
+    """Move arctan2's angles, which lie in [-pi, pi], into (-pi, pi], in
+    place: -pi becomes pi, -0.0 becomes 0.0, and every other angle keeps
+    its bits."""
     phi += 0.0
-    np.subtract(phi, 2.0 * np.pi, out=phi, where=phi > np.pi)
     np.add(phi, 2.0 * np.pi, out=phi, where=phi <= -np.pi)
     return phi
 

@@ -29,15 +29,13 @@ budget, else per block, building the rows the block before lacked. Units go
 by transmit grid index, first by its residue modulo the antenna spacing in
 grid steps when that is whole, so arrays that share element heights share
 blocks. At seed 1 the wide sweep builds 14,464 transmit and 15,919 receive
-rows (32,000 and 16,000 at a row per unit and antenna) and panel_d 496 and
-204 (1,440 and 204 when rows were built per array height). Gains go back to
-trial order before the reduction, and each unit's gain is bit-identical to
-the single-scene calls, so the layout never shows in the results.
+rows and panel_d 496 and 204. Gains go back to trial order before the
+reduction, and each unit's gain is bit-identical to the single-scene calls,
+so the layout never shows in the results.
 """
 
-from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -81,36 +79,19 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
     return plan.n_ris * per_element + 48 * plan.n_t * plan.n_r
 
 
-@dataclass
-class _Block:
-    """A block's channel and transmit and receive array factors along a
-    leading unit axis. Its benchmark channel is lazy, and so are the
-    benchmark phases it is built at: ``draw_phases()`` for random phases,
-    zero when it is None."""
-
-    ch: CascadeChannel
-    factors: tuple[NDArray[np.float64], NDArray[np.float64]]
-    draw_phases: Callable[[], NDArray[np.float64]] | None
-
-    @cached_property
-    def h_bench(self) -> NDArray[np.complex128]:
-        phases = (np.zeros(self.ch.u_mat.shape[:-1]) if self.draw_phases is None
-                  else self.draw_phases())
-        return assemble_h(self.ch, phases)
-
-
-# Coherent-sum gain of each scheme over a block. The benchmarks run on the
-# channel at the fixed (not optimized) benchmark RIS phases.
+# Coherent-sum gain of each scheme over a block, from its channel ``ch``,
+# the transmit and receive array factors and the benchmark channel ``h``:
+# the channel at the fixed (not optimized) benchmark RIS phases.
 _SCHEME_GAINS = {
-    "basic": lambda b: np.abs(b.h_bench.sum(axis=(-2, -1))),
-    "cophasing": lambda b: cophasing_gain(solve_cophasing_mimo(b.h_bench), b.h_bench),
-    "joint": lambda b: solved_joint_gain(b.ch),
-    "ris_only": lambda b: solve_ris_only(b.ch).b_gain,
+    "basic": lambda ch, f_t, f_r, h: np.abs(h.sum(axis=(-2, -1))),
+    "cophasing": lambda ch, f_t, f_r, h: cophasing_gain(solve_cophasing_mimo(h), h),
+    "joint": lambda ch, f_t, f_r, h: solved_joint_gain(ch),
+    "ris_only": lambda ch, f_t, f_r, h: solve_ris_only(ch).b_gain,
     # approx_gain's sum, from the legs' array factors
-    "ris_only_approx": lambda b: b.ch.k_norm * np.sum(b.factors[0] * b.factors[1], axis=-1),
+    "ris_only_approx": lambda ch, f_t, f_r, h: ch.k_norm * np.sum(f_t * f_r, axis=-1),
 }
 SCHEMES = tuple(_SCHEME_GAINS)
-# the schemes that read h_bench, and so the benchmark phases
+# the schemes that read the benchmark channel, and so the benchmark phases
 _BENCHMARK_SCHEMES = {"basic", "cophasing"}
 BENCHMARK_PHASE_MODES = ("zero", "random")
 
@@ -235,6 +216,7 @@ def _trial_stream(plan: SimulationPlan,
                   trial: int) -> "tuple[np.random.Generator, tuple[int, int]]":
     """A trial's generator, hashed from (seed, trial) alone, after its first
     two draws, and those draws: the trial's h_t and h_r grid indices."""
+    require_int("trial_index", trial, 0)
     rng = np.random.default_rng(np.random.SeedSequence((plan.seed, trial)))
     return rng, tuple(int(rng.integers(len(grid))) for grid in plan.grids)
 
@@ -258,17 +240,13 @@ def _sweep_streams(plan: SimulationPlan, trials) -> TrialStreams:
     return streams
 
 
-def _benchmark_phases(plan: SimulationPlan, trials, rows, streams) -> NDArray[np.float64]:
+def _benchmark_phases(plan: SimulationPlan, trials, streams, rows) -> NDArray[np.float64]:
     """Random benchmark phases of the units at positions ``rows`` of
     ``trials``: the ``n_ris`` draws right after each trial's grid indices,
     from the twin's ``streams`` of ``trials`` where it covers them, else from
     the trial's own generator."""
-    if streams is None:
-        phases, fallback = np.empty((len(rows), plan.n_ris)), range(len(rows))
-    else:
-        phases = streams.phases(rows, plan.n_ris)
-        fallback = np.flatnonzero(streams.flagged[rows])
-    for i in fallback:
+    phases = streams.phases(rows, plan.n_ris)
+    for i in np.flatnonzero(streams.flagged[rows]):
         rng = _trial_stream(plan, int(trials[rows[i]]))[0]
         phases[i] = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
     return phases
@@ -356,14 +334,19 @@ class _LegCache:
 def _block_gains(plan: SimulationPlan, cfg: SceneConfig, caches, start: int,
                  draw_phases) -> dict:
     """Gains of every requested scheme for the block at sweep position
-    ``start``, whose random benchmark phases ``draw_phases()`` draws (None
-    for zero phases)."""
+    ``start``, whose benchmark phases ``draw_phases()`` draws (None for zero
+    phases). The benchmark channel is assembled, and its phases drawn, only
+    when a requested scheme reads it."""
     (u_mat, d2_corner, factor_t), (v_mat, d1_corner, factor_r) = (
         cache.block(start) for cache in caches)
     ch = CascadeChannel(u_mat=u_mat, v_mat=v_mat,
                         k_norm=corner_normalization(cfg, d1_corner, d2_corner))
-    block = _Block(ch, (factor_t, factor_r), draw_phases)
-    gains = {scheme: _SCHEME_GAINS[scheme](block) for scheme in plan.schemes}
+    h_bench = None
+    if _BENCHMARK_SCHEMES & set(plan.schemes):
+        phases = np.zeros(u_mat.shape[:-1]) if draw_phases is None else draw_phases()
+        h_bench = assemble_h(ch, phases)
+    gains = {scheme: _SCHEME_GAINS[scheme](ch, factor_t, factor_r, h_bench)
+             for scheme in plan.schemes}
     # after the solve, so carried rows never sit beside the solvers' scratch
     for cache, steer in zip(caches, (u_mat, v_mat)):
         cache.carry(steer)
@@ -381,16 +364,14 @@ def _unit_order(plan: SimulationPlan, indices) -> NDArray[np.intp]:
     return np.lexsort(keys)
 
 
-def _sweep_gains(plan: SimulationPlan, trials, indices, streams=None) -> dict:
+def _sweep_gains(plan: SimulationPlan, indices, phases=None) -> dict:
     """Gain arrays of every requested scheme over the units at (h_t, h_r)
     grid ``indices``, in that order.
 
-    ``trials`` holds each unit's trial index, or is None when the units are
-    grid pairs, whose benchmark phases are zero. Random benchmark phases come
-    from ``streams``, the stream twin of ``trials``, when given. Units run in
+    ``phases(rows)`` returns the benchmark phases of the units at sweep
+    positions ``rows``; None means zero phases. Units run in
     ``_unit_order``, in blocks of ``_BLOCK_BYTES // _unit_bytes(plan)``.
     """
-    random_phases = trials is not None and plan.benchmark_ris_phase == "random"
     order = _unit_order(plan, indices)
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
@@ -407,8 +388,7 @@ def _sweep_gains(plan: SimulationPlan, trials, indices, streams=None) -> dict:
     gains = {scheme: np.empty(len(indices)) for scheme in plan.schemes}
     for start in range(0, len(order), block_size):
         block = order[start:start + block_size]
-        draw_phases = (partial(_benchmark_phases, plan, trials, block, streams)
-                       if random_phases else None)
+        draw_phases = None if phases is None else partial(phases, block)
         for scheme, values in _block_gains(plan, cfg, caches, start, draw_phases).items():
             gains[scheme][block] = values
     return gains
@@ -419,10 +399,15 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
 
     Capacity follows from a gain via the shared single-stream map, so the
     per-trial work is SNR-independent. This is the sweep's block engine on
-    a block of one trial, with its heights drawn from the trial's generator.
+    a block of one trial, with its heights and random benchmark phases drawn
+    from the trial's generator.
     """
-    indices = np.array([_trial_stream(plan, trial_index)[1]])
-    gains = _sweep_gains(plan, [trial_index], indices)
+    rng, indices = _trial_stream(plan, trial_index)
+    phases = None
+    if plan.benchmark_ris_phase == "random":
+        def phases(rows):
+            return rng.uniform(-np.pi, np.pi, size=(len(rows), plan.n_ris))
+    gains = _sweep_gains(plan, np.array([indices]), phases)
     return {scheme: float(values[0]) for scheme, values in gains.items()}
 
 
@@ -440,9 +425,10 @@ def _plan_gains(plan: SimulationPlan) -> tuple[dict, int]:
     n_r = len(plan.grids[1])
     codes, inverse = np.unique(indices[:, 0] * n_r + indices[:, 1], return_inverse=True)
     if plan.benchmark_ris_phase == "random" and _BENCHMARK_SCHEMES & set(plan.schemes):
-        return _sweep_gains(plan, trials, indices, streams), len(codes)
+        phases = partial(_benchmark_phases, plan, trials, streams)
+        return _sweep_gains(plan, indices, phases), len(codes)
     pairs = np.stack(np.divmod(codes, n_r), axis=-1)
-    gains = _sweep_gains(plan, None, pairs)
+    gains = _sweep_gains(plan, pairs)
     return {scheme: values[inverse] for scheme, values in gains.items()}, len(codes)
 
 

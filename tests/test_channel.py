@@ -16,7 +16,6 @@ from riscap import (
     solve_joint,
     solve_ris_only,
     unnormalized_h,
-    wrap_phase,
 )
 from riscap.channel import gain_rows
 
@@ -30,23 +29,13 @@ def panel(scene):
 
 
 class TestPhaseHelpers:
-    def test_wrap_phase_interval(self):
-        values = np.array([0.0, math.pi, -math.pi, 3 * math.pi, -2.5 * math.pi, 0.1])
-        wrapped = wrap_phase(values)
-        assert np.all(wrapped > -math.pi) and np.all(wrapped <= math.pi)
-        assert wrapped[0] == 0.0
-        assert wrapped[1] == math.pi
-        assert wrapped[2] == math.pi  # -pi maps to the +pi endpoint
-        assert wrapped[3] == pytest.approx(math.pi, abs=1e-12)
-        assert np.allclose(np.exp(1j * wrapped), np.exp(1j * values), atol=1e-12)
-
     def test_principal_angle_zero(self):
         assert principal_angle(0) == 0.0
         assert principal_angle(complex(-1.0, 0.0)) == math.pi
 
 
 def formula_wrap(phi):
-    "wrap_phase before its last fold: phi - 2*pi*ceil((phi - pi) / (2*pi))."
+    "The closed-form wrap to (-pi, pi]: phi - 2*pi*ceil((phi - pi) / (2*pi))."
     phi = np.asarray(phi, dtype=float)
     return phi - np.ceil((phi - np.pi) / (2.0 * np.pi)) * (2.0 * np.pi)
 
@@ -60,31 +49,8 @@ def near(x):
     return st.integers(-300, 300).map(lambda k: float(x + k * np.spacing(x)))
 
 
-# floats over many turns, and the neighbourhoods of the cut, of zero and of
-# odd multiples of pi
-phases = st.one_of(st.floats(-1e9, 1e9), *(near(x) for x in (
-    -np.pi, np.pi, -3 * np.pi, 3 * np.pi, 2 * np.pi, -2 * np.pi, 1e-300)), st.just(-0.0))
-
-
 class TestPhaseProperties:
-    "wrap_phase and principal_angle land in (-pi, pi] and move nothing else."
-
-    @given(phi=phases)
-    @example(phi=float(np.nextafter(-np.pi, 0)))
-    def test_wrap_phase_in_interval_and_bits_kept(self, phi):
-        wrapped = wrap_phase(phi)
-        assert -np.pi < wrapped <= np.pi
-        # the same angle: phi - wrapped is a whole number of turns
-        turns = (phi - wrapped) / (2.0 * np.pi)
-        assert abs(turns - round(turns)) <= 1e-15 * max(1.0, abs(turns))
-        old = formula_wrap(phi)
-        if -np.pi < old <= np.pi:
-            assert same_bits(wrapped, old)
-
-    def test_wrap_phase_keeps_a_phase_just_above_minus_pi(self):
-        phi = np.nextafter(-np.pi, 0)
-        assert same_bits(wrap_phase(phi), phi)
-        assert same_bits(wrap_phase(np.array([phi, -np.pi])), [phi, np.pi])
+    "principal_angle lands in (-pi, pi] and moves nothing else."
 
     @given(re=st.one_of(st.floats(-1e3, 1e3), near(-1.0)),
            im=st.one_of(st.floats(-1e3, 1e3), near(1e-300), near(-1e-16), st.just(-0.0)))

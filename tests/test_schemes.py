@@ -26,7 +26,6 @@ from riscap import (
     solve_cophasing_mimo,
     solve_joint,
     solve_ris_only,
-    wrap_phase,
 )
 from riscap.channel import gain_rows
 from riscap.schemes import solved_joint_gain
@@ -371,10 +370,10 @@ class TestJointPhasesForm:
 
     @staticmethod
     def mean_form(ch):
-        "The phases as one mean of wrapped angles, built with wrap_phase."
+        "The phases as one mean of wrapped angles, built with principal_angle."
         terms = gain_rows(ch, "joint").swapaxes(-1, -2)
         zero = ~terms.any(axis=-1)
-        return np.where(zero, 0.0, -wrap_phase(np.angle(terms)).mean(axis=-1))
+        return np.where(zero, 0.0, -principal_angle(terms).mean(axis=-1))
 
     @settings(max_examples=40, deadline=None)
     @given(batch=st.lists(st.integers(1, 3), max_size=2), n_t=st.integers(1, 20),

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -158,6 +159,13 @@ class TestSampleHeights:
         draws = np.array([sample_heights(plan, i)[0] for i in range(100_000)])
         assert abs(draws.mean() - 2.5) < 0.003
 
+    @pytest.mark.parametrize("bad", [True, 1.5, -1])
+    def test_rejects_bad_trial_index_naming_it(self, bad):
+        plan = load_preset("panel_a")
+        for call in (sample_heights, trial_gains):
+            with pytest.raises(ValueError, match="trial_index must be an integer"):
+                call(plan, bad)
+
 
 def replay_trial(plan, trial):
     """Gains of one trial from the single-scene public calls.
@@ -258,7 +266,7 @@ class TestStreamTwin:
         trials = np.arange(first, first + 6)
         streams = sim._sweep_streams(plan, trials)
         rows = np.array([5, 0, 3, 1])
-        phases = sim._benchmark_phases(plan, trials, rows, streams)
+        phases = sim._benchmark_phases(plan, trials, streams, rows)
         for values, row in zip(phases, rows):
             rng = np.random.default_rng(np.random.SeedSequence((seed, int(trials[row]))))
             for size in sizes:
@@ -279,7 +287,7 @@ class TestStreamTwin:
         indices = sim._sweep_streams(plan, np.array([trial])).indices
         t, r = indices[0]
         assert (plan.grids[0][t], plan.grids[1][r]) == sample_heights(plan, trial)
-        gains = sim._sweep_gains(plan, [trial], indices)
+        gains = sim._sweep_gains(plan, indices)
         assert {k: float(v[0]) for k, v in gains.items()} == replay_trial(plan, trial)
 
     def test_wide_seed_runs_through_fallback(self):
@@ -323,6 +331,48 @@ class TestTrialGains:
         # same trial heights, different benchmark channel
         assert g_rand["basic"] != trial_gains(zero_plan, 0)["basic"]
         assert g_rand["ris_only"] == trial_gains(zero_plan, 0)["ris_only"]
+
+
+class TestBenchmarkLaziness:
+    "The benchmark channel and its phases are made only for the schemes that read them."
+
+    @pytest.mark.parametrize("mode", ["zero", "random"])
+    @pytest.mark.parametrize("schemes", [("joint", "ris_only", "ris_only_approx"), ("basic",),
+                                         ("cophasing", "joint")])
+    def test_sweep_assembles_once_per_block_only_for_benchmark_schemes(self, mode, schemes):
+        plan = replace(load_preset("panel_a"), trials=200, schemes=schemes,
+                       benchmark_ris_phase=mode)
+        benchmark = bool({"basic", "cophasing"} & set(schemes))
+        with mock.patch.object(sim, "assemble_h", wraps=sim.assemble_h) as assemble, \
+                mock.patch.object(sim, "_benchmark_phases",
+                                  wraps=sim._benchmark_phases) as phases, \
+                mock.patch.object(sim, "_block_gains", wraps=sim._block_gains) as blocks:
+            run_plan(plan)
+        assert blocks.call_count >= 2
+        assert assemble.call_count == (blocks.call_count if benchmark else 0)
+        random = benchmark and mode == "random"
+        assert phases.call_count == (blocks.call_count if random else 0)
+
+    @pytest.mark.parametrize("schemes, drawn", [
+        (("joint", "ris_only", "ris_only_approx"), False),
+        (("basic",), True),
+    ])
+    def test_random_trial_draws_phases_only_for_benchmark_schemes(self, schemes, drawn):
+        plan = replace(load_preset("panel_a"), schemes=schemes, benchmark_ris_phase="random")
+        streams, trial_stream = [], sim._trial_stream
+
+        def spy(plan, trial):
+            streams.append(trial_stream(plan, trial))
+            return streams[-1]
+        with mock.patch.object(sim, "_trial_stream", spy), \
+                mock.patch.object(sim, "assemble_h", wraps=sim.assemble_h) as assemble:
+            trial_gains(plan, 5)
+        assert assemble.call_count == (1 if drawn else 0)
+        # the trial's generator has moved past its grid draws only if the
+        # phases were drawn from it
+        (rng, _), = streams
+        untouched = sim._trial_stream(plan, 5)[0].bit_generator.state
+        assert (rng.bit_generator.state != untouched) == drawn
 
 
 @st.composite
@@ -385,6 +435,16 @@ def rows_built(solve=True):
         yield built
 
 
+def trial_unit_gains(plan):
+    "Gain arrays of a sweep that solves every trial as its own unit."
+    trials = np.arange(plan.trials)
+    streams = sim._sweep_streams(plan, trials)
+    phases = None
+    if plan.benchmark_ris_phase == "random":
+        phases = partial(sim._benchmark_phases, plan, trials, streams)
+    return sim._sweep_gains(plan, streams.indices, phases)
+
+
 def wide_plan(trials, seed=1, h_t_grid=(2.0, 3.0, 0.0001)):
     "The benchmark's wide sweep: 32x16 arrays, 256 elements, 0.1 mm grids."
     return replace(fine_plan(seed), n_t=32, n_r=16, n_ris=256, trials=trials,
@@ -399,9 +459,8 @@ def wide_plan(trials, seed=1, h_t_grid=(2.0, 3.0, 0.0001)):
          block_trials=2)
 def check_every_trial_matches_single_scene_calls(plan, block_trials):
     budget = block_trials * sim._unit_bytes(plan)
-    trials = np.arange(plan.trials)
     with mock.patch.object(sim, "_BLOCK_BYTES", budget):
-        gains = sim._sweep_gains(plan, trials, sim._sweep_streams(plan, trials).indices)
+        gains = trial_unit_gains(plan)
     for trial in range(plan.trials):
         got = {scheme: float(gains[scheme][trial]) for scheme in SCHEMES}
         assert got == replay_trial(plan, trial)
@@ -580,25 +639,21 @@ class TestPairUnits:
     "Sweeps solve each distinct grid pair once unless random phases are read."
 
     @staticmethod
-    def trial_unit_gains(plan):
-        trials = np.arange(plan.trials)
-        return sim._sweep_gains(plan, trials, sim._sweep_streams(plan, trials).indices)
-
-    @staticmethod
     @contextmanager
     def units_run():
-        "Collects, per sweep, the kind and number of units the engine ran."
+        """Collects, per sweep, the kind and number of units the engine ran:
+        trials when it is given a phase source, else grid pairs."""
         runs, sweep_gains = [], sim._sweep_gains
 
-        def spy(plan, trials, indices, *streams):
-            runs.append(("trials" if trials is not None else "pairs", len(indices)))
-            return sweep_gains(plan, trials, indices, *streams)
+        def spy(plan, indices, phases=None):
+            runs.append(("trials" if phases is not None else "pairs", len(indices)))
+            return sweep_gains(plan, indices, phases)
         with mock.patch.object(sim, "_sweep_gains", spy):
             yield runs
 
     def assert_gains_equal(self, plan):
         gains, _ = sim._plan_gains(plan)
-        expected = self.trial_unit_gains(plan)
+        expected = trial_unit_gains(plan)
         assert gains.keys() == expected.keys()
         for scheme, values in expected.items():
             assert np.array_equal(gains[scheme], values), scheme
