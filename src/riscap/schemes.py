@@ -16,7 +16,6 @@ channel functions do; slice ``i`` of a batched result is bit-identical to
 the single-scene result, and a single scene's gains are Python floats.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from numpy.typing import NDArray
 
 from .channel import (
     CascadeChannel,
-    assemble_h,
     fold_turn,
     gain_rows,
     principal_angle,
@@ -34,12 +32,12 @@ from .channel import (
 
 @dataclass(frozen=True)
 class SnrPoint:
-    "Symbol-energy to noise-density ratio, stored linear."
+    "Symbol-energy to noise-density ratio, stored linear: a value or an array."
 
-    es_over_n0: float
+    es_over_n0: float | NDArray[np.float64]
 
     def __post_init__(self):
-        if not self.es_over_n0 > 0:
+        if not np.all(self.es_over_n0 > 0):
             raise ValueError(f"es_over_n0 must be positive, got {self.es_over_n0}")
 
     @classmethod
@@ -48,7 +46,7 @@ class SnrPoint:
 
     @property
     def db(self) -> float:
-        return 10.0 * math.log10(self.es_over_n0)
+        return 10.0 * np.log10(self.es_over_n0)
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ class CoPhasingSolution:
 
 
 def capacity_from_gain(gain, n_t: int, n_r: int, snr: SnrPoint):
-    "Single-stream capacity in bits for a coherent-sum gain value or array."
+    "Single-stream capacity in bits of coherent-sum gains, broadcast against the SNRs."
     return np.log2(1.0 + gain**2 / (n_t * n_r) * snr.es_over_n0)
 
 
@@ -114,8 +112,9 @@ def solve_joint(ch: CascadeChannel) -> JointSolution:
 
     Step 1 sets each RIS phase to the negative mean of the phase deviations
     of the transmit-antenna terms it influences (global co-phasing, target
-    phase 0). Step 2 assembles the resulting channel and co-phases the
-    per-transmit-antenna receive sums with precoder phases beta.
+    phase 0). Step 2 sums the gain rows at the solved phases, assembling no
+    channel, and co-phases the per-transmit-antenna receive sums with
+    precoder phases beta.
 
     The raw deviations satisfy ``sum_t(delta[t, l] + phi[l]) == 0`` per
     element by construction.
@@ -123,19 +122,26 @@ def solve_joint(ch: CascadeChannel) -> JointSolution:
     return _solve_joint(ch)[0]
 
 
+def _receive_sums(ch: CascadeChannel, terms, phi) -> NDArray[np.complex128]:
+    """Receive sums ``sum_r H(r, t)`` at RIS phases ``phi``, from the joint
+    gain-row ``terms`` ``(..., n_ris, n_t)``: ``k_norm * exp(j*phi) @ terms``."""
+    sums = (np.exp(1j * phi)[..., np.newaxis, :] @ terms)[..., 0, :]
+    return sums * np.asarray(ch.k_norm)[..., np.newaxis]
+
+
 def _solve_joint(ch: CascadeChannel) -> tuple[JointSolution, NDArray[np.complex128]]:
     "``solve_joint`` and the receive sums of the solved channel."
     terms = gain_rows(ch, "joint").swapaxes(-1, -2)  # (..., n_ris, n_t)
-    zero = ~terms.any(axis=-1)
+    # ~terms.any(axis=-1), reading a whole row only where its first term is zero
+    zero = ~terms[..., :1].any(axis=-1)
+    zero[zero] = ~terms[zero].any(axis=-1)
     # -principal_angle(terms).mean(axis=-1) bit for bit: one arctan2, and the
-    # mean's division by n_t takes the sign. The terms are freed before the
-    # channel is assembled.
+    # mean's division by n_t takes the sign.
     phi = fold_turn(np.angle(terms)).sum(axis=-1)
-    del terms
     phi /= -ch.n_t
     phi = np.where(zero, 0.0, phi)
 
-    sums = assemble_h(ch, phi).sum(axis=-2)
+    sums = _receive_sums(ch, terms, phi)
     beta = -principal_angle(sums)
     degenerate = tuple(map(int, np.flatnonzero(zero))) if zero.ndim == 1 else zero
     return JointSolution(phi=phi, beta=beta, degenerate=degenerate), sums
@@ -148,15 +154,12 @@ def _precoded_sum(sums: NDArray[np.complex128], beta: NDArray[np.float64]) -> fl
 
 def joint_gain(sol: JointSolution, ch: CascadeChannel) -> float:
     "Coherent sum |sum_{r,t} H(r,t) exp(j*beta_t)| on the solved channel."
-    return _precoded_sum(assemble_h(ch, sol.phi).sum(axis=-2), sol.beta)
+    terms = gain_rows(ch, "joint").swapaxes(-1, -2)
+    return _precoded_sum(_receive_sums(ch, terms, sol.phi), sol.beta)
 
 
 def solved_joint_gain(ch: CascadeChannel) -> float:
-    """``joint_gain(solve_joint(ch), ch)``, bit for bit.
-
-    Reuses the receive sums the solver computed instead of assembling the
-    solved channel a second time.
-    """
+    "``joint_gain(solve_joint(ch), ch)`` bit for bit, from the solver's receive sums."
     sol, sums = _solve_joint(ch)
     return _precoded_sum(sums, sol.beta)
 

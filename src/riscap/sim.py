@@ -20,18 +20,15 @@ to the trials that drew it. Otherwise the units are the trials themselves.
 Units run in blocks, in ``_unit_order``, with every scheme solved over a
 leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a block's arrays hold
 at once, counted at ``_unit_bytes`` per unit: steering, solver scratch and
-per-element arrays. A 1000-trial sweep of the benchmark's 32x16x256 wide
-scene runs 250 blocks of 4 trials, and panel_d's 829 distinct pairs at seed
-1 run 40 blocks of 21. Steering depends on each element's height
-z = h + offset alone, so ``_LegCache`` builds each distinct row of a leg
-once, keyed by the exact float z: for the whole sweep when the rows fit the
-budget, else per block, building the rows the block before lacked. Units go
-by transmit grid index, first by its residue modulo the antenna spacing in
-grid steps when that is whole, so arrays that share element heights share
-blocks. At seed 1 the wide sweep builds 14,464 transmit and 15,919 receive
-rows and panel_d 496 and 204. Gains go back to trial order before the
-reduction, and each unit's gain is bit-identical to the single-scene calls,
-so the layout never shows in the results.
+per-element arrays. Steering depends on each element's height z = h + offset
+alone, so ``_LegCache`` builds each distinct row of a leg once, keyed by the
+exact float z: for the whole sweep when the rows fit the budget, else per
+block, building the rows the block before lacked. Units go by transmit grid
+index, first by its residue modulo the antenna spacing in grid steps when
+that is whole, so arrays that share element heights share blocks. Gains go
+back to trial order before the reduction, and each unit's gain is
+bit-identical to the single-scene calls, so the layout never shows in the
+results.
 """
 
 from dataclasses import asdict, dataclass
@@ -43,14 +40,13 @@ from numpy.typing import NDArray
 from . import __version__
 from ._stream import TrialStreams
 from .approx import array_factor
-from .channel import CascadeChannel, assemble_h, corner_normalization, steering
+from .channel import CascadeChannel, assemble_h, corner_normalization, element_sums, steering
 from .geometry import Leg, SceneConfig, build_positions, legs, require_int
 from .schemes import (
     SnrPoint,
     capacity_from_gain,
     cophasing_gain,
     solve_cophasing_mimo,
-    solve_ris_only,
     solved_joint_gain,
 )
 
@@ -65,13 +61,14 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
 
     Its steering, 16 per complex entry of both legs, is live throughout. On
     top comes the larger of the joint solver's gain-row terms and their
-    angles, 24 per element and transmit antenna, and an assembled channel's
+    angles, 24 per element and transmit antenna, and the benchmark channel's
     receive-side temporaries and NumPy's cast buffer, up to 48 per element
-    and receive antenna; 128 per element for path lengths, angles and array
-    factors; and 48 per antenna pair for assembled channels and their
-    angles. Steering rows carried in from the block before are live only
-    while a block gathers its steering, before any solver scratch, and are
-    no more than its own steering, so the scratch term covers them too.
+    and receive antenna (the joint assembles no channel); 128 per element
+    for path lengths, angles and array factors; and 48 per antenna pair for
+    the benchmark channel and its angles. Steering rows carried in from the
+    block before are live only while a block gathers its steering, before
+    any solver scratch, and are no more than its own steering, so the
+    scratch term covers them too.
     Measured with tracemalloc, this bounds every block of the shipped
     presets and the benchmark's wide sweep.
     """
@@ -86,7 +83,8 @@ _SCHEME_GAINS = {
     "basic": lambda ch, f_t, f_r, h: np.abs(h.sum(axis=(-2, -1))),
     "cophasing": lambda ch, f_t, f_r, h: cophasing_gain(solve_cophasing_mimo(h), h),
     "joint": lambda ch, f_t, f_r, h: solved_joint_gain(ch),
-    "ris_only": lambda ch, f_t, f_r, h: solve_ris_only(ch).b_gain,
+    # solve_ris_only's b_gain, without the phases
+    "ris_only": lambda ch, f_t, f_r, h: ch.k_norm * np.sum(np.abs(element_sums(ch)), axis=-1),
     # approx_gain's sum, from the legs' array factors
     "ris_only_approx": lambda ch, f_t, f_r, h: ch.k_norm * np.sum(f_t * f_r, axis=-1),
 }
@@ -164,6 +162,8 @@ class SimulationPlan:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; valid: {SCHEMES}")
+        if not self.schemes:
+            raise ValueError(f"schemes must name at least one of {SCHEMES}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ValueError(f"duplicate scheme names in {self.schemes}")
         if self.benchmark_ris_phase not in BENCHMARK_PHASE_MODES:
@@ -443,21 +443,16 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     require_int("workers", workers, 1)
     gains, distinct_pairs = _plan_gains(plan)
 
+    # one capacity row per SNR, and trials along the last axis
+    snr = SnrPoint(_snr_linear(plan.snr_db)[:, np.newaxis])
     rows = []
     for scheme in sorted(plan.schemes):
-        for snr_db, rho in zip(plan.snr_db, _snr_linear(plan.snr_db)):
-            caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, SnrPoint(rho))
-            stderr = (
-                float(np.std(caps, ddof=1) / np.sqrt(plan.trials))
-                if plan.trials > 1 else 0.0
-            )
-            rows.append(ResultRow(
-                scheme=scheme,
-                snr_db=float(snr_db),
-                mean_capacity_bits=float(np.mean(caps)),
-                stderr_bits=stderr,
-                trials=plan.trials,
-            ))
+        caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, snr)
+        stderrs = (np.std(caps, axis=-1, ddof=1) / np.sqrt(plan.trials)
+                   if plan.trials > 1 else np.zeros(len(caps)))
+        rows += [ResultRow(scheme=scheme, snr_db=float(snr_db), mean_capacity_bits=float(mean),
+                           stderr_bits=float(stderr), trials=plan.trials)
+                 for snr_db, mean, stderr in zip(plan.snr_db, np.mean(caps, axis=-1), stderrs)]
     rows.sort(key=lambda r: (r.scheme, r.snr_db))
 
     metadata = {"plan": asdict(plan), "seed": plan.seed, "version": __version__,

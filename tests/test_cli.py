@@ -89,6 +89,15 @@ class TestSimulate:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_empty_schemes_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.replace("schemes = ris_only, basic", "schemes ="))
+        code = cli_main(["simulate", "--config", str(bad),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "schemes" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_worker_count_is_config_error(self, workers, config_file, tmp_path, capsys):
         code = cli_main(["simulate", "--config", str(config_file),

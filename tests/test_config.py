@@ -78,6 +78,11 @@ class TestParsePlanText:
         with pytest.raises(ValueError, match="unknown schemes"):
             parse_plan_text(MINIMAL + "schemes = ris_only, turbo\n")
 
+    @pytest.mark.parametrize("value", ["", " , ,"])
+    def test_empty_schemes_rejected_naming_the_key(self, value):
+        with pytest.raises(ValueError, match="schemes must name at least one"):
+            parse_plan_text(MINIMAL + f"schemes = {value}\n")
+
 
 class TestFilesAndPresets:
     def test_parse_plan_file(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from riscap import (
     solve_joint,
     solve_ris_only,
 )
+from riscap import channel, schemes, sim
 from riscap.channel import gain_rows
-from riscap.schemes import solved_joint_gain
+from riscap.schemes import _solve_joint, solved_joint_gain
 
 
 def cascade_for(scene, n_t, n_r, n_ris, **overrides):
@@ -47,6 +49,17 @@ class TestSnrPoint:
             SnrPoint(0.0)
         with pytest.raises(ValueError):
             SnrPoint(-2.0)
+        with pytest.raises(ValueError):
+            SnrPoint(np.array([[1.0], [0.0]]))
+
+    def test_column_maps_gains_to_one_row_per_snr(self):
+        gains, rho = np.array([0.5, 2.0, 7.0]), np.array([1.0, 10.0, 1000.0])
+        snr = SnrPoint(rho[:, np.newaxis])
+        assert snr.db[:, 0] == pytest.approx([0.0, 10.0, 30.0], abs=1e-12)
+        caps = capacity_from_gain(gains, 4, 2, snr)
+        assert caps.shape == (3, 3)
+        for row, value in zip(caps, rho):
+            assert row.tobytes() == capacity_from_gain(gains, 4, 2, SnrPoint(value)).tobytes()
 
 
 class TestRisOnly:
@@ -365,6 +378,74 @@ class TestBatchAxes:
             assert np.array_equal(sol.beta[i], single.beta)
 
 
+@st.composite
+def phasor_channels(draw):
+    """Unit-modulus channels of one scene or a batch, whose last element has
+    a zero receive-column sum when there are two receive antennas or more."""
+    batch = draw(st.lists(st.integers(1, 3), max_size=2))
+    n_t, n_r = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    n_ris = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def phasors(*shape):
+        return np.exp(1j * rng.uniform(-np.pi, np.pi, size=(*batch, *shape)))
+    v = phasors(n_r, n_ris)
+    v[..., 0] = 1.0
+    if n_r > 1 and n_ris > 1:
+        v[..., -1] = 0.0
+        v[..., 0, -1], v[..., 1, -1] = 1.0, -1.0
+    return CascadeChannel(u_mat=phasors(n_ris, n_t), v_mat=v,
+                          k_norm=rng.uniform(0.5, 2.0, size=tuple(batch)))
+
+
+class TestJointReceiveSums:
+    """The joint scheme sums its gain rows at the solved phases: the assembled
+    channel's receive sums to rounding, and no channel is assembled."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ch=phasor_channels())
+    def test_sums_and_gain_match_the_assembled_channel(self, ch):
+        sol, sums = _solve_joint(ch)
+        assembled = assemble_h(ch, sol.phi).sum(axis=-2)
+        # relative to the largest modulus a receive sum can reach
+        scale = np.asarray(ch.k_norm)[..., np.newaxis] * ch.n_r * ch.n_ris
+        assert np.all(np.abs(sums - assembled) <= 1e-12 * scale)
+        gain = np.abs(np.sum(assembled * np.exp(1j * sol.beta), axis=-1))
+        assert np.all(np.abs(joint_gain(sol, ch) - gain) <= 1e-12 * scale[..., 0] * ch.n_t)
+        assert np.array_equal(solved_joint_gain(ch), joint_gain(sol, ch))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ch=phasor_channels(), zeros=st.lists(st.integers(0, 10**6), max_size=6),
+           rows=st.lists(st.integers(0, 10**6), max_size=3))
+    def test_degenerate_mask_is_exact(self, ch, zeros, rows):
+        # zeroed terms, zeroed rows, and first terms that underflow to zero
+        u, v = ch.u_mat.reshape(-1, ch.n_t), ch.v_mat
+        for i in zeros:
+            u[i % len(u), i // len(u) % ch.n_t] = 0.0
+        for i in rows:
+            u[i % len(u)] = 0.0
+        u[:, 0] *= 1e-170
+        v[..., 0, :] *= 1e-170
+        want = ~gain_rows(ch, "joint").any(axis=-2)
+        got = solve_joint(ch).degenerate
+        assert np.array_equal(got, want) if want.ndim > 1 else got == tuple(np.flatnonzero(want))
+
+    def test_joint_calls_assemble_nothing(self, scene):
+        _, ch = cascade_for(scene, 4, 3, 12)
+        with mock.patch.object(channel, "assemble_h", side_effect=AssertionError):
+            solved_joint_gain(ch)
+            joint_gain(solve_joint(ch), ch)
+        assert not hasattr(schemes, "assemble_h")
+
+
+@settings(max_examples=40, deadline=None)
+@given(ch=phasor_channels())
+def test_sweep_ris_only_gain_is_the_solvers_bit_for_bit(ch):
+    # the sweep's gain-only form skips the phases
+    got = sim._SCHEME_GAINS["ris_only"](ch, None, None, None)
+    assert np.array_equal(got, solve_ris_only(ch).b_gain)
+
+
 class TestJointPhasesForm:
     "The joint phases keep the form -mean(principal angle) bit for bit."
 
@@ -376,20 +457,8 @@ class TestJointPhasesForm:
         return np.where(zero, 0.0, -principal_angle(terms).mean(axis=-1))
 
     @settings(max_examples=40, deadline=None)
-    @given(batch=st.lists(st.integers(1, 3), max_size=2), n_t=st.integers(1, 20),
-           n_r=st.integers(1, 4), n_ris=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-    def test_equals_negated_mean_of_principal_angles(self, batch, n_t, n_r, n_ris, seed):
-        rng = np.random.default_rng(seed)
-        def phasors(*shape):
-            return np.exp(1j * rng.uniform(-np.pi, np.pi, size=(*batch, *shape)))
-        v = phasors(n_r, n_ris)
-        v[..., 0] = 1.0
-        if n_r > 1 and n_ris > 1:
-            # a receive column that sums to zero: a degenerate element
-            v[..., -1] = 0.0
-            v[..., 0, -1], v[..., 1, -1] = 1.0, -1.0
-        ch = CascadeChannel(u_mat=phasors(n_ris, n_t), v_mat=v,
-                            k_norm=rng.uniform(0.5, 2.0, size=tuple(batch)))
+    @given(ch=phasor_channels())
+    def test_equals_negated_mean_of_principal_angles(self, ch):
         # a term at angle -pi, which wraps to pi
         ch.u_mat[..., 0, 0] = complex(-1.0, -0.0)
         assert np.angle(gain_rows(ch, "joint")[..., 0, 0]).flat[0] == -np.pi

@@ -15,10 +15,12 @@ from riscap import (
     ResultRow,
     ResultTable,
     SimulationPlan,
+    SnrPoint,
     approx_gain,
     assemble_h,
     build_cascade,
     build_positions,
+    capacity_from_gain,
     cophasing_gain,
     joint_gain,
     load_preset,
@@ -30,7 +32,7 @@ from riscap import (
     trial_gains,
     write_csv,
 )
-from riscap import sim
+from riscap import channel, schemes, sim
 from riscap._stream import TrialStreams
 from riscap.sim import SCHEMES, height_grid
 
@@ -352,6 +354,16 @@ class TestBenchmarkLaziness:
         assert assemble.call_count == (blocks.call_count if benchmark else 0)
         random = benchmark and mode == "random"
         assert phases.call_count == (blocks.call_count if random else 0)
+
+    def test_joint_only_sweep_assembles_no_channel(self):
+        plan = replace(load_preset("panel_a"), trials=200, schemes=("joint",))
+        with mock.patch.object(sim, "assemble_h", side_effect=AssertionError), \
+                mock.patch.object(channel, "assemble_h", side_effect=AssertionError), \
+                mock.patch.object(sim, "_block_gains", wraps=sim._block_gains) as blocks:
+            run_plan(plan)
+            trial_gains(plan, 3)
+        assert blocks.call_count >= 3
+        assert not hasattr(schemes, "assemble_h")
 
     @pytest.mark.parametrize("schemes, drawn", [
         (("joint", "ris_only", "ris_only_approx"), False),
@@ -785,6 +797,31 @@ class TestRunPlan:
         assert table.metadata["distinct_pairs"] == 1
 
 
+def per_snr_rows(plan, gains):
+    "The table's rows from one scalar-SNR capacity pass per scheme and SNR."
+    rows = []
+    for scheme in sorted(plan.schemes):
+        for snr_db, rho in zip(plan.snr_db, sim._snr_linear(plan.snr_db)):
+            caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, SnrPoint(rho))
+            stderr = (float(np.std(caps, ddof=1) / np.sqrt(plan.trials))
+                      if plan.trials > 1 else 0.0)
+            rows.append(ResultRow(scheme, float(snr_db), float(np.mean(caps)), stderr,
+                                  plan.trials))
+    return tuple(rows)
+
+
+class TestReduction:
+    "The capacity table, one broadcast per scheme, keeps the per-SNR bits."
+
+    @pytest.mark.parametrize("overrides", [
+        dict(trials=300), dict(trials=300, benchmark_ris_phase="random"),
+        dict(trials=1), dict(trials=40, snr_db=(12.5,)), dict(trials=1, snr_db=(-3.0,)),
+    ])
+    def test_rows_equal_scalar_snr_passes(self, overrides):
+        plan = replace(load_preset("panel_d"), **overrides)
+        assert run_plan(plan).rows == per_snr_rows(plan, sim._plan_gains(plan)[0])
+
+
 class TestGoldenCsv:
     "50-trial CSVs of the shipped presets and a random-phase sweep, pinned byte for byte."
 
@@ -805,10 +842,9 @@ class TestGoldenCsv:
 class TestWriteCsv:
     HEADER = "scheme,snr_db,mean_capacity_bits,stderr_bits,trials"
 
-    def test_header_only_for_empty_schemes(self, tmp_path):
-        table = run_plan(tiny_plan(schemes=()))
+    def test_header_only_for_a_table_without_rows(self, tmp_path):
         out = tmp_path / "empty.csv"
-        write_csv(table, out)
+        write_csv(ResultTable(rows=(), metadata={}), out)
         assert out.read_bytes() == (self.HEADER + "\n").encode()
 
     def test_single_row_roundtrip(self, tmp_path):
