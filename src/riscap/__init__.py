@@ -37,7 +37,6 @@ from .oracle import (
 from .schemes import (
     CoPhasingSolution,
     JointSolution,
-    RisOnlySolution,
     SnrPoint,
     capacity_from_gain,
     cophasing_gain,
@@ -47,7 +46,6 @@ from .schemes import (
     solve_ris_only,
 )
 from .sim import (
-    SCHEMES,
     ResultRow,
     ResultTable,
     SimulationPlan,
@@ -65,8 +63,6 @@ __all__ = [
     "QuantizedSearchSpec",
     "ResultRow",
     "ResultTable",
-    "RisOnlySolution",
-    "SCHEMES",
     "SceneConfig",
     "ScenePositions",
     "SimulationPlan",

@@ -1,17 +1,17 @@
-"""Array-code twin of a trial's stream up to its benchmark phases.
+"""A trial's stream up to its benchmark phases, and its array-code twin.
 
-A trial's stream is ``default_rng(SeedSequence((seed, trial)))``: NumPy's
-SeedSequence hash mixing seeds PCG64 (O'Neill, HMC-CS-2014-0905), whose
-first XSL-RR output splits into a low and a buffered high 32-bit half, and
-``integers(n)`` maps each half with Lemire's bounded draw (ACM TOMACS
-29(1), 2019). Those two draws are the trial's grid indices; the benchmark
-phases come next. The twin computes the seeding and the first output of
-every trial at once, and hands each trial's PCG64 state after its grid
-draws to NumPy's own generator for the phases, which skips the
-SeedSequence hash per trial. Only one-word entropy is covered: rows whose
-seed or trial index needs more than 32 bits, or whose draw falls below
-Lemire's rejection threshold (where NumPy draws again), are flagged for
-NumPy to draw.
+A trial's stream is ``default_rng(SeedSequence((seed, trial)))``
+(``trial_stream``): NumPy's SeedSequence hash mixing seeds PCG64 (O'Neill,
+HMC-CS-2014-0905), whose first XSL-RR output splits into a low and a
+buffered high 32-bit half, and ``integers(n)`` maps each half with Lemire's
+bounded draw (ACM TOMACS 29(1), 2019). Those two draws are the trial's grid
+indices; the benchmark phases come next. The twin computes the seeding and
+the first output of every trial at once, and hands each trial's PCG64 state
+after its grid draws to NumPy's own generator for the phases, which skips
+the SeedSequence hash per trial. Only one-word entropy is covered: rows
+whose seed or trial index needs more than 32 bits, or whose draw falls below
+Lemire's rejection threshold (where NumPy draws again), are flagged and
+drawn by ``trial_stream`` itself.
 """
 
 from functools import cached_property
@@ -70,14 +70,22 @@ def _step(state, inc):
     return hi + (lo < inc[1]), lo
 
 
+def trial_stream(seed: int, trial: int, sizes) -> "tuple[np.random.Generator, tuple[int, ...]]":
+    """A trial's generator, hashed from (seed, trial) alone, after its grid
+    draws ``integers(size)`` for each of ``sizes``, and those draws."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+    return rng, tuple(int(rng.integers(size)) for size in sizes)
+
+
 class TrialStreams:
     """The streams ``default_rng(SeedSequence((seed, t)))`` of ``trials``.
 
     ``indices`` is the ``(len(trials), 2)`` array of each stream's
     ``integers(sizes[0])`` and ``integers(sizes[1])``: the trial's grid
     indices. A one-point grid draws nothing, as ``integers(1)`` does.
-    ``flagged`` marks the rows whose indices and state are not their
-    stream's: a seed or trial index of 2^32 or more, or a Lemire rejection.
+    ``flagged`` marks the rows the twin does not cover, a seed or trial index
+    of 2^32 or more or a Lemire rejection; ``trial_stream`` draws their
+    indices, and their state goes into the twin's arrays.
     """
 
     def __init__(self, seed: int, trials, sizes):
@@ -100,6 +108,13 @@ class TrialStreams:
         # What the grid draws leave: the first output's state once they use
         # it, and its high half, buffered after one draw and kept after two.
         self._state, self._draws, self._high = first if draws else state, draws, output >> _U32
+        self._buffered = np.full(len(trials), draws == 1)
+        for row in np.flatnonzero(self.flagged):
+            rng, self.indices[row] = trial_stream(seed, int(trials[row]), sizes)
+            drawn = rng.bit_generator.state
+            for (hi, lo), key in ((self._state, "state"), (self._inc, "inc")):
+                hi[row], lo[row] = divmod(drawn["state"][key], 1 << 64)
+            self._buffered[row], self._high[row] = drawn["has_uint32"], drawn["uinteger"]
 
     def state(self, row: int) -> dict:
         "PCG64's ``state`` dict of the stream at ``row`` right after its grid draws."
@@ -107,7 +122,7 @@ class TrialStreams:
         return {"bit_generator": "PCG64",
                 "state": {"state": int(hi[row]) << 64 | int(lo[row]),
                           "inc": int(inc_hi[row]) << 64 | int(inc_lo[row])},
-                "has_uint32": int(self._draws == 1),
+                "has_uint32": int(self._buffered[row]),
                 "uinteger": int(self._high[row]) if self._draws else 0}
 
     @cached_property
@@ -118,11 +133,9 @@ class TrialStreams:
     def phases(self, rows, count: int):
         """``(len(rows), count)`` draws ``uniform(-pi, pi, count)`` of the
         streams at ``rows`` right after their grid draws: the benchmark
-        phases. NumPy's PCG64 draws them from the twin's state. Flagged rows
-        are left at zero."""
-        out = np.zeros((len(rows), count))
+        phases. NumPy's PCG64 draws them from each row's ``state``."""
+        out = np.empty((len(rows), count))
         for values, row in zip(out, rows):
-            if not self.flagged[row]:
-                self._generator.bit_generator.state = self.state(row)
-                values[:] = self._generator.uniform(-np.pi, np.pi, size=count)
+            self._generator.bit_generator.state = self.state(row)
+            values[:] = self._generator.uniform(-np.pi, np.pi, size=count)
         return out

@@ -19,11 +19,14 @@ from .schemes import SnrPoint, capacity_from_gain, solve_joint, joint_gain, solv
 from .sim import run_plan, write_csv
 
 
-def _worker_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
+def _int_flag(least: int):
+    "An argparse type for integers >= ``least``, so a bad value fails naming its flag."
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,14 +40,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True,
                      help="config file path or preset name (panel_a..panel_d)")
     sim.add_argument("--out", required=True, help="output CSV path")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--trials", type=int, default=None,
+    sim.add_argument("--seed", type=_int_flag(0), default=None, help="override the config seed")
+    sim.add_argument("--trials", type=_int_flag(1), default=None,
                      help="override the config trial count")
-    sim.add_argument("--workers", type=_worker_count, default=1,
+    sim.add_argument("--workers", type=_int_flag(1), default=1,
                      help="accepted for compatibility (>= 1); trials run serially")
 
     val = sub.add_parser("validate", help="run the brute-force solver checks")
-    val.add_argument("--seed", type=int, default=7, help="seed for random restarts")
+    val.add_argument("--seed", type=_int_flag(0), default=7, help="seed for random restarts")
 
     apx = sub.add_parser("approx-check",
                          help="compare exact and approximate gains at mean heights")

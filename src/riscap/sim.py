@@ -6,12 +6,10 @@ capacity at every SNR point. A plan builds its two height grids once, when
 it is validated. Per-trial randomness is derived from (seed, trial_index)
 alone: a trial's stream is ``default_rng(SeedSequence((seed, trial)))``, its
 first two draws are the grid indices and the next ``n_ris`` are the random
-benchmark phases (``_trial_stream``). A sweep draws the indices of all trials
-at once with an array-code twin of that stream, and each trial's random
-benchmark phases with NumPy's PCG64 set to the state the twin computed;
-rows the twin flags (a seed or trial index of 2^32 or more, or a Lemire
-rejection) and single trials draw from the trial's own generator, which is
-cheaper for one trial.
+benchmark phases. ``_stream`` holds that stream: single trials draw from the
+trial's own generator (``trial_stream``), which is cheaper for one trial, and
+a sweep takes every trial's indices and phases from ``TrialStreams``, the
+stream's array-code twin.
 
 A sweep's units are its distinct (h_t, h_r) grid pairs: unless a requested
 benchmark scheme reads random benchmark phases, every gain is a function of
@@ -38,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import __version__
-from ._stream import TrialStreams
+from ._stream import TrialStreams, trial_stream
 from .approx import array_factor
 from .channel import CascadeChannel, assemble_h, corner_normalization, element_sums, steering
 from .geometry import Leg, SceneConfig, build_positions, legs, require_int
@@ -92,6 +90,11 @@ SCHEMES = tuple(_SCHEME_GAINS)
 # the schemes that read the benchmark channel, and so the benchmark phases
 _BENCHMARK_SCHEMES = {"basic", "cophasing"}
 BENCHMARK_PHASE_MODES = ("zero", "random")
+
+
+def _reads_phases(plan: "SimulationPlan") -> bool:
+    "Whether a requested scheme reads random benchmark phases."
+    return plan.benchmark_ris_phase == "random" and bool(_BENCHMARK_SCHEMES & set(plan.schemes))
 
 
 def _snr_linear(snr_db) -> NDArray[np.float64]:
@@ -166,6 +169,8 @@ class SimulationPlan:
             raise ValueError(f"schemes must name at least one of {SCHEMES}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ValueError(f"duplicate scheme names in {self.schemes}")
+        if len(set(self.snr_db)) != len(self.snr_db):
+            raise ValueError(f"duplicate snr_db values in {self.snr_db}")
         if self.benchmark_ris_phase not in BENCHMARK_PHASE_MODES:
             raise ValueError(
                 f"benchmark_ris_phase must be one of {BENCHMARK_PHASE_MODES}, "
@@ -212,44 +217,16 @@ class ResultTable:
     metadata: dict
 
 
-def _trial_stream(plan: SimulationPlan,
-                  trial: int) -> "tuple[np.random.Generator, tuple[int, int]]":
-    """A trial's generator, hashed from (seed, trial) alone, after its first
-    two draws, and those draws: the trial's h_t and h_r grid indices."""
-    require_int("trial_index", trial, 0)
-    rng = np.random.default_rng(np.random.SeedSequence((plan.seed, trial)))
-    return rng, tuple(int(rng.integers(len(grid))) for grid in plan.grids)
-
-
 def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float]:
     """Heights for one trial, uniform over the inclusive discrete grids.
 
     Depends only on (plan.seed, trial_index), not on any previously sampled
     trial, so single trials can be replayed in isolation.
     """
-    _, indices = _trial_stream(plan, trial_index)
+    require_int("trial_index", trial_index, 0)
+    _, indices = trial_stream(plan.seed, trial_index, [len(grid) for grid in plan.grids])
     h_t, h_r = (float(grid[i]) for grid, i in zip(plan.grids, indices))
     return h_t, h_r
-
-
-def _sweep_streams(plan: SimulationPlan, trials) -> TrialStreams:
-    "The stream twin of ``trials``, with the grid indices of its flagged rows from NumPy."
-    streams = TrialStreams(plan.seed, trials, [len(grid) for grid in plan.grids])
-    for row in np.flatnonzero(streams.flagged):
-        streams.indices[row] = _trial_stream(plan, int(trials[row]))[1]
-    return streams
-
-
-def _benchmark_phases(plan: SimulationPlan, trials, streams, rows) -> NDArray[np.float64]:
-    """Random benchmark phases of the units at positions ``rows`` of
-    ``trials``: the ``n_ris`` draws right after each trial's grid indices,
-    from the twin's ``streams`` of ``trials`` where it covers them, else from
-    the trial's own generator."""
-    phases = streams.phases(rows, plan.n_ris)
-    for i in np.flatnonzero(streams.flagged[rows]):
-        rng = _trial_stream(plan, int(trials[rows[i]]))[0]
-        phases[i] = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
-    return phases
 
 
 def _build_rows(leg: Leg, wavelength: float, z) -> NDArray[np.complex128]:
@@ -332,19 +309,17 @@ class _LegCache:
 
 
 def _block_gains(plan: SimulationPlan, cfg: SceneConfig, caches, start: int,
-                 draw_phases) -> dict:
+                 phases) -> dict:
     """Gains of every requested scheme for the block at sweep position
-    ``start``, whose benchmark phases ``draw_phases()`` draws (None for zero
-    phases). The benchmark channel is assembled, and its phases drawn, only
-    when a requested scheme reads it."""
+    ``start``, whose benchmark phases are ``phases`` (None for zero phases).
+    The benchmark channel is assembled only when a requested scheme reads it."""
     (u_mat, d2_corner, factor_t), (v_mat, d1_corner, factor_r) = (
         cache.block(start) for cache in caches)
     ch = CascadeChannel(u_mat=u_mat, v_mat=v_mat,
                         k_norm=corner_normalization(cfg, d1_corner, d2_corner))
     h_bench = None
     if _BENCHMARK_SCHEMES & set(plan.schemes):
-        phases = np.zeros(u_mat.shape[:-1]) if draw_phases is None else draw_phases()
-        h_bench = assemble_h(ch, phases)
+        h_bench = assemble_h(ch, np.zeros(u_mat.shape[:-1]) if phases is None else phases)
     gains = {scheme: _SCHEME_GAINS[scheme](ch, factor_t, factor_r, h_bench)
              for scheme in plan.schemes}
     # after the solve, so carried rows never sit beside the solvers' scratch
@@ -388,8 +363,8 @@ def _sweep_gains(plan: SimulationPlan, indices, phases=None) -> dict:
     gains = {scheme: np.empty(len(indices)) for scheme in plan.schemes}
     for start in range(0, len(order), block_size):
         block = order[start:start + block_size]
-        draw_phases = None if phases is None else partial(phases, block)
-        for scheme, values in _block_gains(plan, cfg, caches, start, draw_phases).items():
+        block_phases = None if phases is None else phases(block)
+        for scheme, values in _block_gains(plan, cfg, caches, start, block_phases).items():
             gains[scheme][block] = values
     return gains
 
@@ -402,9 +377,10 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     a block of one trial, with its heights and random benchmark phases drawn
     from the trial's generator.
     """
-    rng, indices = _trial_stream(plan, trial_index)
+    require_int("trial_index", trial_index, 0)
+    rng, indices = trial_stream(plan.seed, trial_index, [len(grid) for grid in plan.grids])
     phases = None
-    if plan.benchmark_ris_phase == "random":
+    if _reads_phases(plan):
         def phases(rows):
             return rng.uniform(-np.pi, np.pi, size=(len(rows), plan.n_ris))
     gains = _sweep_gains(plan, np.array([indices]), phases)
@@ -419,13 +395,12 @@ def _plan_gains(plan: SimulationPlan) -> tuple[dict, int]:
     its trials, unless a requested benchmark scheme reads random phases
     from the trials' streams; then every trial is solved.
     """
-    trials = np.arange(plan.trials)
-    streams = _sweep_streams(plan, trials)
+    streams = TrialStreams(plan.seed, np.arange(plan.trials), [len(grid) for grid in plan.grids])
     indices = streams.indices
     n_r = len(plan.grids[1])
     codes, inverse = np.unique(indices[:, 0] * n_r + indices[:, 1], return_inverse=True)
-    if plan.benchmark_ris_phase == "random" and _BENCHMARK_SCHEMES & set(plan.schemes):
-        phases = partial(_benchmark_phases, plan, trials, streams)
+    if _reads_phases(plan):
+        phases = partial(streams.phases, count=plan.n_ris)
         return _sweep_gains(plan, indices, phases), len(codes)
     pairs = np.stack(np.divmod(codes, n_r), axis=-1)
     gains = _sweep_gains(plan, pairs)

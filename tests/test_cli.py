@@ -106,6 +106,22 @@ class TestSimulate:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_seed_is_config_error_naming_the_flag(self, config_file, tmp_path, capsys):
+        code = cli_main(["simulate", "--config", str(config_file),
+                         "--out", str(tmp_path / "x.csv"), "--seed", "-1"])
+        assert code == 1
+        assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_duplicate_snr_points_are_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.replace("snr_db = 0, 10", "snr_db = 5, 5, 0"))
+        code = cli_main(["simulate", "--config", str(bad),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "snr_db" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_output_is_runtime_error(self, config_file, tmp_path):
         code = cli_main(["simulate", "--config", str(config_file),
                          "--out", str(tmp_path / "missing_dir" / "x.csv")])
@@ -131,6 +147,11 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "sandwich" in out
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_config_error_naming_the_flag(self, seed, capsys):
+        assert cli_main(["validate", "--seed", seed]) == 1
+        assert "argument --seed" in capsys.readouterr().err
 
 
 class TestApproxCheck:

@@ -74,6 +74,12 @@ class TestParsePlanText:
         with pytest.raises(ValueError, match="expected 'key = value'"):
             parse_plan_text(MINIMAL + "just words\n")
 
+    @pytest.mark.parametrize("values", ["5, 5, 0", "0, 10, 0.0"])
+    def test_rejects_duplicate_snr_points_naming_the_key(self, values):
+        # each repeated point would write every scheme's row twice
+        with pytest.raises(ValueError, match="duplicate snr_db"):
+            parse_plan_text(MINIMAL + f"snr_db = {values}\n")
+
     def test_bad_scheme_name_rejected_by_plan(self):
         with pytest.raises(ValueError, match="unknown schemes"):
             parse_plan_text(MINIMAL + "schemes = ris_only, turbo\n")

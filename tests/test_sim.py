@@ -203,29 +203,30 @@ def reference_indices(seed, trials, sizes):
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
-def reference_run(plan):
-    "run_plan with every trial's draws made by its own NumPy generator."
-    def all_flagged(seed, trials, sizes):
-        streams = TrialStreams(seed, trials, sizes)
-        streams.indices[:] = 0
-        streams.flagged[:] = True
-        return streams
-    with mock.patch.object(sim, "TrialStreams", all_flagged):
-        return run_plan(plan)
+def reference_rows(plan):
+    """run_plan's rows reduced from per-trial ``trial_gains``, whose draws
+    come from each trial's own NumPy generator."""
+    gains = [trial_gains(plan, trial) for trial in range(plan.trials)]
+    return per_snr_rows(plan, {scheme: np.array([g[scheme] for g in gains])
+                               for scheme in plan.schemes})
+
+
+def sweep_streams(plan):
+    "The stream twin of all of a plan's trials."
+    return TrialStreams(plan.seed, np.arange(plan.trials), [len(grid) for grid in plan.grids])
+
+
+def numpy_draws(seed, trial, sizes, n_ris):
+    "A trial's grid indices and the next ``n_ris`` phases, from its own NumPy generator."
+    rng = np.random.default_rng(np.random.SeedSequence((seed, int(trial))))
+    indices = [int(rng.integers(size)) for size in sizes]
+    return indices, rng.uniform(-np.pi, np.pi, n_ris)
 
 
 def fine_plan(seed):
     "Plan with 10001-point height grids (0.1 mm steps)."
     return tiny_plan(h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001),
                      seed=seed, schemes=SCHEMES)
-
-
-def sized_plan(seed, sizes, **overrides):
-    "Plan whose height grids have ``sizes`` points (0.1 mm steps)."
-    def grid(lo, size):
-        return (lo, lo + 0.0001 * (size - 1), 0.0001)
-    return tiny_plan(h_t_grid=grid(2.0, sizes[0]), h_r_grid=grid(0.8, sizes[1]),
-                     seed=seed, **overrides)
 
 
 grid_sizes = st.one_of(st.just(1), st.integers(1, 10**4))
@@ -252,9 +253,8 @@ class TestStreamTwin:
            first=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 5, 2**40)),
            sizes=st.tuples(grid_sizes, grid_sizes))
     def test_sweep_indices_match_numpy(self, seed, first, sizes):
-        plan = sized_plan(seed, sizes)
         trials = np.arange(first, first + 10)
-        np.testing.assert_array_equal(sim._sweep_streams(plan, trials).indices,
+        np.testing.assert_array_equal(TrialStreams(seed, trials, sizes).indices,
                                       reference_indices(seed, trials, sizes))
 
     @settings(max_examples=60, deadline=None)
@@ -264,50 +264,66 @@ class TestStreamTwin:
            sizes=st.tuples(grid_sizes, grid_sizes))
     @example(seed=1, first=609287, n_ris=5, sizes=(10001, 10001))
     def test_benchmark_phases_match_numpy(self, seed, first, n_ris, sizes):
-        plan = sized_plan(seed, sizes, n_ris=n_ris, benchmark_ris_phase="random")
         trials = np.arange(first, first + 6)
-        streams = sim._sweep_streams(plan, trials)
+        streams = TrialStreams(seed, trials, sizes)
         rows = np.array([5, 0, 3, 1])
-        phases = sim._benchmark_phases(plan, trials, streams, rows)
+        phases = streams.phases(rows, n_ris)
         for values, row in zip(phases, rows):
             rng = np.random.default_rng(np.random.SeedSequence((seed, int(trials[row]))))
             for size in sizes:
                 rng.integers(size)
-            if not streams.flagged[row]:
-                assert streams.state(row) == rng.bit_generator.state
+            assert streams.state(row) == rng.bit_generator.state
             assert values.tobytes() == rng.uniform(-np.pi, np.pi, n_ris).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([1, 12345, 2**32 - 1, 2**32]),
+                          st.integers(0, 2**32 - 1), st.integers(2**32, 2**64)),
+           others=st.lists(st.integers(0, 2**40), max_size=6),
+           n_ris=st.integers(1, 40), data=st.data())
+    def test_trial_sets_with_lemire_rows_match_numpy(self, seed, others, n_ris, data):
+        # 609287 is a Lemire rejection at seed 1 and 236055 at seed 12345
+        trials = np.array(others + [609287, 236055], dtype=np.uint64)
+        sizes = (10001, 10001)
+        streams = TrialStreams(seed, trials, sizes)
+        if seed in (1, 12345):
+            assert streams.flagged[len(others) + (seed == 12345)]
+        rows = np.array(data.draw(st.permutations(range(len(trials)))))
+        phases = streams.phases(rows, n_ris)
+        for values, row in zip(phases, rows):
+            indices, expected = numpy_draws(seed, trials[row], sizes, n_ris)
+            assert streams.indices[row].tolist() == indices
+            assert values.tobytes() == expected.tobytes()
+        assert streams.phases(rows, n_ris).tobytes() == phases.tobytes()
 
     @pytest.mark.parametrize("seed, trial", [(1, 609287), (12345, 236055)])
     def test_lemire_rejection_falls_back(self, seed, trial):
         sizes = (10001, 10001)
         streams = TrialStreams(seed, [trial], sizes)
-        indices, flagged = streams.indices, streams.flagged
-        # numpy draws again here, so the unflagged twin would be wrong
-        assert flagged.tolist() == [True]
-        assert indices.tolist() != reference_indices(seed, [trial], sizes).tolist()
+        # numpy draws again here, so the twin's own draw would be wrong
+        assert streams.flagged.tolist() == [True]
+        np.testing.assert_array_equal(streams.indices, reference_indices(seed, [trial], sizes))
         plan = fine_plan(seed)
-        indices = sim._sweep_streams(plan, np.array([trial])).indices
-        t, r = indices[0]
+        t, r = streams.indices[0]
         assert (plan.grids[0][t], plan.grids[1][r]) == sample_heights(plan, trial)
-        gains = sim._sweep_gains(plan, indices)
+        gains = sim._sweep_gains(plan, streams.indices)
         assert {k: float(v[0]) for k, v in gains.items()} == replay_trial(plan, trial)
 
     def test_wide_seed_runs_through_fallback(self):
         plan = replace(load_preset("panel_a"), seed=2**32 + 7, trials=60)
         assert TrialStreams(plan.seed, np.arange(60), (51, 51)).flagged.all()
-        assert run_plan(plan) == reference_run(plan)
+        assert run_plan(plan).rows == reference_rows(plan)
 
     @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
     def test_sweep_matches_reference_draws(self, panel):
         plan = replace(load_preset(panel), trials=60)
-        assert run_plan(plan) == reference_run(plan)
+        assert run_plan(plan).rows == reference_rows(plan)
 
     @pytest.mark.parametrize("seed", [12345, 2**32 + 7])
     def test_random_phase_sweep_matches_reference_draws(self, seed):
         # trial units: every trial's phases come from the twin or its fallback
         plan = replace(load_preset("panel_a"), trials=60, seed=seed,
                        benchmark_ris_phase="random")
-        assert run_plan(plan) == reference_run(plan)
+        assert run_plan(plan).rows == reference_rows(plan)
 
 
 class TestTrialGains:
@@ -345,15 +361,19 @@ class TestBenchmarkLaziness:
         plan = replace(load_preset("panel_a"), trials=200, schemes=schemes,
                        benchmark_ris_phase=mode)
         benchmark = bool({"basic", "cophasing"} & set(schemes))
+        drawn, draw = [], TrialStreams.phases
+
+        def phases(streams, rows, count):
+            drawn.append(len(rows))
+            return draw(streams, rows, count)
         with mock.patch.object(sim, "assemble_h", wraps=sim.assemble_h) as assemble, \
-                mock.patch.object(sim, "_benchmark_phases",
-                                  wraps=sim._benchmark_phases) as phases, \
+                mock.patch.object(TrialStreams, "phases", phases), \
                 mock.patch.object(sim, "_block_gains", wraps=sim._block_gains) as blocks:
             run_plan(plan)
         assert blocks.call_count >= 2
         assert assemble.call_count == (blocks.call_count if benchmark else 0)
         random = benchmark and mode == "random"
-        assert phases.call_count == (blocks.call_count if random else 0)
+        assert len(drawn) == (blocks.call_count if random else 0)
 
     def test_joint_only_sweep_assembles_no_channel(self):
         plan = replace(load_preset("panel_a"), trials=200, schemes=("joint",))
@@ -371,20 +391,20 @@ class TestBenchmarkLaziness:
     ])
     def test_random_trial_draws_phases_only_for_benchmark_schemes(self, schemes, drawn):
         plan = replace(load_preset("panel_a"), schemes=schemes, benchmark_ris_phase="random")
-        streams, trial_stream = [], sim._trial_stream
+        streams, trial_stream = [], sim.trial_stream
 
-        def spy(plan, trial):
-            streams.append(trial_stream(plan, trial))
+        def spy(*args):
+            streams.append(trial_stream(*args))
             return streams[-1]
-        with mock.patch.object(sim, "_trial_stream", spy), \
+        with mock.patch.object(sim, "trial_stream", spy), \
                 mock.patch.object(sim, "assemble_h", wraps=sim.assemble_h) as assemble:
             trial_gains(plan, 5)
         assert assemble.call_count == (1 if drawn else 0)
         # the trial's generator has moved past its grid draws only if the
         # phases were drawn from it
         (rng, _), = streams
-        untouched = sim._trial_stream(plan, 5)[0].bit_generator.state
-        assert (rng.bit_generator.state != untouched) == drawn
+        untouched = trial_stream(plan.seed, 5, [len(grid) for grid in plan.grids])[0]
+        assert (rng.bit_generator.state != untouched.bit_generator.state) == drawn
 
 
 @st.composite
@@ -438,7 +458,7 @@ def rows_built(solve=True):
             return build_rows(leg, wavelength, z)
         return np.zeros((len(z), len(leg.x)), dtype=complex)
 
-    def gather_only(plan, cfg, caches, start, draw_phases):
+    def gather_only(plan, cfg, caches, start, phases):
         for cache in caches:
             cache.carry(cache.block(start)[0])
         return {}
@@ -449,11 +469,10 @@ def rows_built(solve=True):
 
 def trial_unit_gains(plan):
     "Gain arrays of a sweep that solves every trial as its own unit."
-    trials = np.arange(plan.trials)
-    streams = sim._sweep_streams(plan, trials)
+    streams = sweep_streams(plan)
     phases = None
     if plan.benchmark_ris_phase == "random":
-        phases = partial(sim._benchmark_phases, plan, trials, streams)
+        phases = partial(streams.phases, count=plan.n_ris)
     return sim._sweep_gains(plan, streams.indices, phases)
 
 
@@ -562,7 +581,7 @@ class TestRowCache:
         with rows_built(solve=False) as built, cache_form() as forms:
             sim._plan_gains(plan)
         assert forms == ["carried", "carried"]
-        indices = sim._sweep_streams(plan, np.arange(plan.trials)).indices
+        indices = sweep_streams(plan).indices
         assert built == reference_rows_built(plan, indices)
         if seed == 1:
             assert built == [14464, 15919]
@@ -574,7 +593,7 @@ class TestRowCache:
         with rows_built() as built, cache_form() as forms:
             table = run_plan(plan)
         assert forms == ["carried", "carried"]
-        indices = sim._sweep_streams(plan, np.arange(plan.trials)).indices
+        indices = sweep_streams(plan).indices
         assert built == reference_rows_built(plan, indices)
         assert built[0] < 32 * plan.trials // 2
         with cache_form("table"):
@@ -642,7 +661,7 @@ class TestBlockMemory:
         wide = wide_plan(1000)
         assert math.ceil(1000 / (sim._BLOCK_BYTES // sim._unit_bytes(wide))) <= 250
         panel_d = replace(load_preset("panel_d"), seed=1)
-        pairs = len(np.unique(sim._sweep_streams(panel_d, np.arange(1000)).indices, axis=0))
+        pairs = len(np.unique(sweep_streams(panel_d).indices, axis=0))
         assert pairs == 829
         assert math.ceil(pairs / (sim._BLOCK_BYTES // sim._unit_bytes(panel_d))) < 52
 
@@ -701,12 +720,12 @@ class TestPairUnits:
 
     @pytest.mark.parametrize("mode", ["zero", "random"])
     def test_pair_units_draw_no_per_trial_stream(self, mode):
-        # one generator per trial would be built only to go unread
+        # one generator state per trial would be set only to go unread
         plan = replace(load_preset("panel_d"), trials=100, benchmark_ris_phase=mode,
                        schemes=SCHEMES if mode == "zero" else ("joint", "ris_only"))
-        with mock.patch.object(sim, "_trial_stream", wraps=sim._trial_stream) as streams:
+        with mock.patch.object(TrialStreams, "phases", side_effect=AssertionError), \
+                mock.patch.object(sim, "trial_stream", side_effect=AssertionError):
             run_plan(plan)
-        assert streams.call_count == 0
 
 
 class TestGainProperties:
