@@ -143,9 +143,14 @@ def assemble_h(ch: CascadeChannel, phi) -> NDArray[np.complex128]:
             f"phase vector has shape {phi.shape}, expected {ch.u_mat.shape[:-1]}"
         )
     # k_norm * (v_mat * exp(j*phi)) @ u_mat bit for bit, in one temporary:
-    # the product's operand order is the one that keeps the bits
+    # the product's operand order is the one that keeps the bits. Zero phases
+    # skip the exp: v * (1+0j) is v bit for bit when no part of v is zero, as
+    # in steering.
+    k_norm = np.asarray(ch.k_norm)[..., np.newaxis, np.newaxis]
+    if not phi.any():
+        return (ch.v_mat * k_norm) @ ch.u_mat
     x = ch.v_mat * np.exp(1j * phi)[..., np.newaxis, :]
-    x *= np.asarray(ch.k_norm)[..., np.newaxis, np.newaxis]
+    x *= k_norm
     return x @ ch.u_mat
 
 

@@ -122,17 +122,20 @@ def _coordinate_ascent(a_mat: NDArray[np.complex128], phi0: NDArray[np.float64],
     active = np.ones(phi.shape[0], dtype=bool)
     while active.any():
         improved = np.zeros_like(gain)
-        sums = np.exp(1j * phi) @ a_mat.T  # recomputed per sweep to avoid drift
+        factors = np.exp(1j * phi)  # per sweep against drift; phi[:, l] holds until its turn
+        sums = factors @ a_mat.T
         for l, col in enumerate(a_mat.T):
-            rest = sums - np.exp(1j * phi[:, l])[:, np.newaxis] * col
-            proposal = -np.angle(rest.conj() @ col)
+            rest = sums - factors[:, l, np.newaxis] * col
+            z = rest.conj() @ col
+            proposal = -np.arctan2(z.imag, z.real)  # np.angle's own form
             candidate = rest + np.exp(1j * proposal)[:, np.newaxis] * col
             new_gain = np.sum(np.abs(candidate), axis=1)
-            accept = active & (new_gain > gain)
-            improved = np.maximum(improved, np.where(accept, new_gain - gain, 0.0))
-            gain[accept] = new_gain[accept]
-            phi[accept, l] = proposal[accept]
-            sums[accept] = candidate[accept]
+            step = new_gain - gain
+            accept = active & (step > 0)
+            np.maximum(improved, step, out=improved, where=accept)
+            np.copyto(gain, new_gain, where=accept)
+            np.copyto(phi[:, l], proposal, where=accept)
+            np.copyto(sums, candidate, where=accept[:, np.newaxis])
         active &= improved > tol
     return phi, gain
 

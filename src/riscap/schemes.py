@@ -129,9 +129,12 @@ def _receive_sums(ch: CascadeChannel, terms, phi) -> NDArray[np.complex128]:
     return sums * np.asarray(ch.k_norm)[..., np.newaxis]
 
 
-def _solve_joint(ch: CascadeChannel) -> tuple[JointSolution, NDArray[np.complex128]]:
-    "``solve_joint`` and the receive sums of the solved channel."
-    terms = gain_rows(ch, "joint").swapaxes(-1, -2)  # (..., n_ris, n_t)
+def _solve_joint(ch: CascadeChannel, column_sums=None,
+                 ) -> tuple[JointSolution, NDArray[np.complex128]]:
+    """``solve_joint`` and the receive sums of the solved channel, from the
+    receive-column sums ``v_mat.sum(axis=-2)`` when they are given."""
+    column_sums = ch.v_mat.sum(axis=-2) if column_sums is None else column_sums
+    terms = column_sums[..., np.newaxis] * ch.u_mat  # gain_rows(ch, "joint"), (..., n_ris, n_t)
     # ~terms.any(axis=-1), reading a whole row only where its first term is zero
     zero = ~terms[..., :1].any(axis=-1)
     zero[zero] = ~terms[zero].any(axis=-1)
@@ -147,21 +150,21 @@ def _solve_joint(ch: CascadeChannel) -> tuple[JointSolution, NDArray[np.complex1
     return JointSolution(phi=phi, beta=beta, degenerate=degenerate), sums
 
 
-def _precoded_sum(sums: NDArray[np.complex128], beta: NDArray[np.float64]) -> float:
-    "Coherent sum |sum_t sums_t exp(j*beta_t)| of per-transmit-antenna receive sums."
-    return scalar_or_array(np.abs(np.sum(sums * np.exp(1j * beta), axis=-1)))
+def _precoded_sum(sol: JointSolution, sums: NDArray[np.complex128]) -> float:
+    """Coherent sum |sum_t sums_t exp(j*beta_t)| of per-transmit-antenna
+    receive sums at the solution's precoder phases ``sol.beta``."""
+    return scalar_or_array(np.abs(np.sum(sums * np.exp(1j * sol.beta), axis=-1)))
 
 
 def joint_gain(sol: JointSolution, ch: CascadeChannel) -> float:
     "Coherent sum |sum_{r,t} H(r,t) exp(j*beta_t)| on the solved channel."
     terms = gain_rows(ch, "joint").swapaxes(-1, -2)
-    return _precoded_sum(_receive_sums(ch, terms, sol.phi), sol.beta)
+    return _precoded_sum(sol, _receive_sums(ch, terms, sol.phi))
 
 
 def solved_joint_gain(ch: CascadeChannel) -> float:
     "``joint_gain(solve_joint(ch), ch)`` bit for bit, from the solver's receive sums."
-    sol, sums = _solve_joint(ch)
-    return _precoded_sum(sums, sol.beta)
+    return _precoded_sum(*_solve_joint(ch))
 
 
 # ---------------------------------------------------------------------------

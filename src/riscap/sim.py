@@ -20,13 +20,13 @@ leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a block's arrays hold
 at once, counted at ``_unit_bytes`` per unit: steering, solver scratch and
 per-element arrays. Steering depends on each element's height z = h + offset
 alone, so ``_LegCache`` builds each distinct row of a leg once, keyed by the
-exact float z: for the whole sweep when the rows fit the budget, else per
-block, building the rows the block before lacked. Units go by transmit grid
-index, first by its residue modulo the antenna spacing in grid steps when
-that is whole, so arrays that share element heights share blocks. Gains go
-back to trial order before the reduction, and each unit's gain is
-bit-identical to the single-scene calls, so the layout never shows in the
-results.
+exact float z: for the whole sweep when the rows and their layout per array
+height fit the budget, with the antenna sums, corner path length and array
+factor per height for blocks to gather; else per block, building the rows
+the block before lacked. Units go by transmit grid index, first by residue
+modulo the antenna spacing in grid steps when that is whole, so arrays that
+share element heights share blocks. Gains return to trial order before the
+reduction; each unit's gain is bit-identical to the single-scene calls.
 """
 
 from dataclasses import asdict, dataclass
@@ -38,19 +38,20 @@ from numpy.typing import NDArray
 from . import __version__
 from ._stream import TrialStreams, trial_stream
 from .approx import array_factor
-from .channel import CascadeChannel, assemble_h, corner_normalization, element_sums, steering
+from .channel import CascadeChannel, assemble_h, corner_normalization, steering
 from .geometry import Leg, SceneConfig, build_positions, legs, require_int
 from .schemes import (
     SnrPoint,
+    _precoded_sum,
+    _solve_joint,
     capacity_from_gain,
     cophasing_gain,
     solve_cophasing_mimo,
-    solved_joint_gain,
 )
 
 # The most bytes a block's arrays may hold at once, counted at _unit_bytes
-# per unit, and the most a leg's row table may take to build. Blocks hold
-# at least one unit, so memory does not grow with the trial count.
+# per unit, and the most a leg's row table, or its layout, may take to build.
+# Blocks hold at least one unit, so memory does not grow with the trial count.
 _BLOCK_BYTES = 7 << 18
 
 
@@ -74,17 +75,17 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
     return plan.n_ris * per_element + 48 * plan.n_t * plan.n_r
 
 
-# Coherent-sum gain of each scheme over a block, from its channel ``ch``,
-# the transmit and receive array factors and the benchmark channel ``h``:
-# the channel at the fixed (not optimized) benchmark RIS phases.
+# Coherent-sum gain of each scheme over a block, from its channel ``ch``, the
+# legs' antenna sums (u_mat.sum(-1), v_mat.sum(-2)) and array factors, and the
+# benchmark channel ``h``: the channel at the fixed benchmark RIS phases.
 _SCHEME_GAINS = {
-    "basic": lambda ch, f_t, f_r, h: np.abs(h.sum(axis=(-2, -1))),
-    "cophasing": lambda ch, f_t, f_r, h: cophasing_gain(solve_cophasing_mimo(h), h),
-    "joint": lambda ch, f_t, f_r, h: solved_joint_gain(ch),
-    # solve_ris_only's b_gain, without the phases
-    "ris_only": lambda ch, f_t, f_r, h: ch.k_norm * np.sum(np.abs(element_sums(ch)), axis=-1),
+    "basic": lambda ch, sums, f, h: np.abs(h.sum(axis=(-2, -1))),
+    "cophasing": lambda ch, sums, f, h: cophasing_gain(solve_cophasing_mimo(h), h),
+    "joint": lambda ch, sums, f, h: _precoded_sum(*_solve_joint(ch, sums[1])),
+    # solve_ris_only's b_gain sans phases; element_sums(ch) is sums[1] * sums[0]
+    "ris_only": lambda ch, sums, f, h: ch.k_norm * np.sum(np.abs(sums[1] * sums[0]), axis=-1),
     # approx_gain's sum, from the legs' array factors
-    "ris_only_approx": lambda ch, f_t, f_r, h: ch.k_norm * np.sum(f_t * f_r, axis=-1),
+    "ris_only_approx": lambda ch, sums, f, h: ch.k_norm * np.sum(f[0] * f[1], axis=-1),
 }
 SCHEMES = tuple(_SCHEME_GAINS)
 # the schemes that read the benchmark channel, and so the benchmark phases
@@ -234,10 +235,11 @@ def _build_rows(leg: Leg, wavelength: float, z) -> NDArray[np.complex128]:
     return steering(leg.rows(z), wavelength)
 
 
-def _row_table(leg: Leg, wavelength: float, keys):
+def _row_table(leg: Leg, wavelength: float, keys, count: int):
     """The rows at all of a sweep's element heights ``keys``, or None if
-    building them takes more than ``_BLOCK_BYTES`` (24 bytes per entry)."""
-    fits = 24 * len(keys) * len(leg.x) <= _BLOCK_BYTES
+    building them (24 bytes per entry) or laying them out for ``count``
+    array heights (16 bytes per entry) takes more than ``_BLOCK_BYTES``."""
+    fits = max(24 * len(keys), 16 * count * len(leg.offsets)) * len(leg.x) <= _BLOCK_BYTES
     return _build_rows(leg, wavelength, keys) if fits else None
 
 
@@ -250,15 +252,16 @@ def _found(keys, values) -> NDArray[np.bool_]:
 
 
 class _LegCache:
-    """A leg's steering, corner path length and array factor for blocks of
-    ``size`` units at array ``heights``, in sweep order.
+    """A leg's steering, antenna sums, corner path length and array factor
+    for blocks of ``size`` units at array ``heights``, in sweep order.
 
     Steering depends on each element's height ``z = h + offset`` alone, so
-    its rows are keyed by the exact float ``z``. They form one table when
-    ``_row_table`` builds it, and the corner and factor are then computed once
-    per distinct height. Otherwise each block builds the rows the block
-    before it lacked, and ``carry`` copies out of the block's solved steering
-    the rows the next block needs.
+    its rows are keyed by the exact float ``z``. When ``_row_table`` builds
+    them as one table, they are laid out per distinct array height, a few
+    heights at a time, and the sums, corner and factor are computed once per
+    distinct height: a block only gathers them. Otherwise each block builds
+    the rows the block before it lacked, and ``carry`` copies out of the
+    block's solved steering the rows the next block needs.
     """
 
     def __init__(self, leg: Leg, wavelength: float, heights, size: int):
@@ -266,12 +269,20 @@ class _LegCache:
         # np.unique(z) would load numpy.ma, about 1 MB of peak RSS
         z = np.sort(leg.heights(heights), axis=None)
         keys = z[np.concatenate(([True], z[1:] != z[:-1]))]
-        rows = _row_table(leg, wavelength, keys)
+        distinct, at = np.unique(heights, return_inverse=True)
+        rows = _row_table(leg, wavelength, keys, len(distinct))
         self.table = None
         if rows is not None:
-            distinct, at = np.unique(heights, return_inverse=True)
-            self.table = keys, rows, at, self._per_height(distinct)
+            found = np.searchsorted(keys, leg.heights(distinct))
+            steer = np.empty((len(found), *leg.layout(rows[found[:0]]).shape[1:]), dtype=complex)
+            for i in range(0, len(found), 4):
+                steer[i:i + 4] = leg.layout(rows[found[i:i + 4]])
+            self.table = at, (steer, self._sums(steer), *self._per_height(distinct))
         self.carried = np.empty(0), np.empty((0, len(leg.x)), dtype=complex)
+
+    def _sums(self, steer) -> NDArray[np.complex128]:
+        "Antenna sums of steering ``steer`` in the leg's layout."
+        return steer.sum(axis=-1 if self.leg.elements_first else -2)
 
     def _per_height(self, h) -> tuple:
         "Element-(1,1) path length and array factor of arrays at heights ``h``."
@@ -280,14 +291,14 @@ class _LegCache:
         return np.hypot(self.leg.x[0], h + self.leg.offsets[0]), factor
 
     def block(self, start: int) -> tuple:
-        "Steering in the leg's layout, corner path length and array factor of a block."
+        """Steering in the leg's layout, its antenna sums, corner path length
+        and array factor of a block."""
         stop = start + self.size
+        if self.table is not None:
+            at, per_height = self.table
+            return tuple(values[at[start:stop]] for values in per_height)
         h = self.heights[start:stop]
         z = self.leg.heights(h)
-        if self.table is not None:
-            keys, table, at, per_height = self.table
-            return (self.leg.layout(table[np.searchsorted(keys, z)]),
-                    *(values[at[start:stop]] for values in per_height))
         distinct, first, local = np.unique(z, return_index=True, return_inverse=True)
         (held, carried), self.carried = self.carried, None
         new = ~_found(distinct, held)
@@ -298,7 +309,8 @@ class _LegCache:
         keep = _found(distinct, self.leg.heights(self.heights[stop:stop + self.size]).ravel())
         self.kept = distinct[keep], np.unravel_index(first[keep], z.shape)
         rows = rows[local.reshape(z.shape)]  # frees the block's own table
-        return self.leg.layout(rows), *self._per_height(h)
+        steer = self.leg.layout(rows)
+        return steer, self._sums(steer), *self._per_height(h)
 
     def carry(self, steer) -> None:
         "Keep the rows the next block needs, copied out of this block's solved ``steer``."
@@ -313,18 +325,15 @@ def _block_gains(plan: SimulationPlan, cfg: SceneConfig, caches, start: int,
     """Gains of every requested scheme for the block at sweep position
     ``start``, whose benchmark phases are ``phases`` (None for zero phases).
     The benchmark channel is assembled only when a requested scheme reads it."""
-    (u_mat, d2_corner, factor_t), (v_mat, d1_corner, factor_r) = (
-        cache.block(start) for cache in caches)
-    ch = CascadeChannel(u_mat=u_mat, v_mat=v_mat,
-                        k_norm=corner_normalization(cfg, d1_corner, d2_corner))
+    steer, sums, (d2_corner, d1_corner), factors = zip(*(cache.block(start) for cache in caches))
+    ch = CascadeChannel(*steer, k_norm=corner_normalization(cfg, d1_corner, d2_corner))
     h_bench = None
     if _BENCHMARK_SCHEMES & set(plan.schemes):
-        h_bench = assemble_h(ch, np.zeros(u_mat.shape[:-1]) if phases is None else phases)
-    gains = {scheme: _SCHEME_GAINS[scheme](ch, factor_t, factor_r, h_bench)
-             for scheme in plan.schemes}
+        h_bench = assemble_h(ch, np.zeros(ch.u_mat.shape[:-1]) if phases is None else phases)
+    gains = {scheme: _SCHEME_GAINS[scheme](ch, sums, factors, h_bench) for scheme in plan.schemes}
     # after the solve, so carried rows never sit beside the solvers' scratch
-    for cache, steer in zip(caches, (u_mat, v_mat)):
-        cache.carry(steer)
+    for cache, leg_steer in zip(caches, steer):
+        cache.carry(leg_steer)
     return gains
 
 

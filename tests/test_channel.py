@@ -158,9 +158,12 @@ class TestAssembleH:
             v_mat=np.exp(1j * rng.uniform(-1e3, 1e3, (*batch, n_r, n_ris))),
             k_norm=(rng.uniform(0.1, 10.0, batch) if batch else float(rng.uniform(0.1, 10.0))))
         phi = rng.uniform(-np.pi, np.pi, (*batch, n_ris))
+        # zero phases, some of them -0.0, take the path that skips the exp
+        zeros = np.where(rng.random(phi.shape) < 0.5, -0.0, 0.0)
         k_norm = np.asarray(ch.k_norm)[..., np.newaxis, np.newaxis]
-        old = k_norm * (ch.v_mat * np.exp(1j * phi)[..., np.newaxis, :]) @ ch.u_mat
-        assert assemble_h(ch, phi).tobytes() == old.tobytes()
+        for phases in (phi, zeros):
+            old = k_norm * (ch.v_mat * np.exp(1j * phases)[..., np.newaxis, :]) @ ch.u_mat
+            assert assemble_h(ch, phases).tobytes() == old.tobytes()
 
 
 class TestGainRows:

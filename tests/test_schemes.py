@@ -442,8 +442,21 @@ class TestJointReceiveSums:
 @given(ch=phasor_channels())
 def test_sweep_ris_only_gain_is_the_solvers_bit_for_bit(ch):
     # the sweep's gain-only form skips the phases
-    got = sim._SCHEME_GAINS["ris_only"](ch, None, None, None)
+    sums = ch.u_mat.sum(axis=-1), ch.v_mat.sum(axis=-2)
+    got = sim._SCHEME_GAINS["ris_only"](ch, sums, None, None)
     assert np.array_equal(got, solve_ris_only(ch).b_gain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ch=phasor_channels(), others=st.integers(0, 3))
+def test_sweep_joint_gain_from_column_sums_is_the_solvers_bit_for_bit(ch, others):
+    # column sums gathered out of a leg table with other heights in it
+    v = ch.v_mat.reshape(-1, ch.n_r, ch.n_ris)
+    table = np.concatenate([np.exp(1j * np.arange(others * v[0].size)).reshape(-1, *v[0].shape),
+                            v])
+    column_sums = table.sum(axis=-2)[others:].reshape(*ch.v_mat.shape[:-2], ch.n_ris)
+    got = sim._SCHEME_GAINS["joint"](ch, (None, column_sums), None, None)
+    assert np.array_equal(got, joint_gain(solve_joint(ch), ch))
 
 
 class TestJointPhasesForm:

@@ -34,6 +34,7 @@ from riscap import (
 )
 from riscap import channel, schemes, sim
 from riscap._stream import TrialStreams
+from riscap.geometry import Leg
 from riscap.sim import SCHEMES, height_grid
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -433,13 +434,13 @@ def cache_form(form=None):
     keeps the sweep's own choice), and collects the form each leg took."""
     forms, row_table = [], sim._row_table
 
-    def spy(leg, wavelength, keys):
+    def spy(leg, wavelength, keys, count):
         if form == "carried":
             table = None
         elif form == "table":
             table = sim._build_rows(leg, wavelength, keys)
         else:
-            table = row_table(leg, wavelength, keys)
+            table = row_table(leg, wavelength, keys, count)
         forms.append("carried" if table is None else "table")
         return table
     with mock.patch.object(sim, "_row_table", spy):
@@ -607,6 +608,44 @@ class TestRowCache:
         # residues mod 25: 5, 5, 5, 4, 4
         expected = [3, 4, 1, 0, 2] if residue else [3, 1, 4, 0, 2]
         assert sim._unit_order(plan, indices).tolist() == expected
+
+
+class TestLegTables:
+    """A tabled leg lays out its steering and sums it once per distinct
+    array height, when the laid-out table fits the block budget."""
+
+    def test_panel_d_lays_out_and_sums_each_distinct_height_once(self):
+        # per block, the 829 distinct pairs laid out 829 of each leg's arrays
+        plan = replace(load_preset("panel_d"), seed=1)
+        laid, summed = [0, 0], [0, 0]
+        layout, sums = Leg.layout, sim._LegCache._sums
+
+        def layout_spy(leg, rows):
+            laid[not leg.elements_first] += len(rows)
+            return layout(leg, rows)
+
+        def sums_spy(cache, steer):
+            summed[not cache.leg.elements_first] += len(steer)
+            return sums(cache, steer)
+        with mock.patch.object(Leg, "layout", layout_spy), \
+                mock.patch.object(sim._LegCache, "_sums", sums_spy), cache_form() as forms:
+            table = run_plan(plan)
+        assert table.metadata["distinct_pairs"] == 829
+        assert forms == ["table", "table"]
+        assert laid == summed == [51, 51]
+
+    @pytest.mark.parametrize("plan, want", [
+        (wide_plan(1000), ["carried", "carried"]),
+        # against a budget of 1835008 bytes, 496 transmit rows of 140 or 141
+        # elements take 1.67-1.68 MB to build, and laid out for 51 heights
+        # 1827840 bytes at 140 elements and 1840896 at 141
+        (replace(load_preset("panel_d"), seed=1, n_ris=140), ["table", "table"]),
+        (replace(load_preset("panel_d"), seed=1, n_ris=141), ["carried", "table"]),
+    ], ids=["wide", "panel_d_140", "panel_d_141"])
+    def test_laid_out_tables_take_the_block_budget(self, plan, want):
+        with cache_form() as forms, mock.patch.object(sim, "_block_gains", return_value={}):
+            sim._plan_gains(plan)
+        assert forms == want
 
 
 class TestBlockMemory:
