@@ -10,14 +10,11 @@ sweeps that emit machine-readable CSV results.
 # the package version from this line.
 __version__ = "0.1.0"
 
-from .approx import approx_gain, aux_g
+from .approx import approx_gain
 from .channel import (
     CascadeChannel,
     assemble_h,
     build_cascade,
-    element_sums,
-    normalization_constant,
-    principal_angle,
     unnormalized_h,
 )
 from .config import load_preset, parse_plan_file, parse_plan_text
@@ -25,7 +22,6 @@ from .geometry import (
     SceneConfig,
     ScenePositions,
     build_positions,
-    normalization_reference,
 )
 from .oracle import (
     QuantizedSearchSpec,
@@ -69,21 +65,16 @@ __all__ = [
     "SnrPoint",
     "approx_gain",
     "assemble_h",
-    "aux_g",
     "build_cascade",
     "build_positions",
     "capacity_from_gain",
     "cophasing_gain",
-    "element_sums",
     "exhaustive_best",
     "joint_gain",
     "joint_objective",
     "load_preset",
-    "normalization_constant",
-    "normalization_reference",
     "parse_plan_file",
     "parse_plan_text",
-    "principal_angle",
     "random_restart_best",
     "ris_only_objective",
     "run_plan",

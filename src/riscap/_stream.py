@@ -1,4 +1,4 @@
-"""A trial's stream up to its benchmark phases, and its array-code twin.
+"""A trial's stream, its grid indices and benchmark phases, and its array-code twin.
 
 A trial's stream is ``default_rng(SeedSequence((seed, trial)))``
 (``trial_stream``): NumPy's SeedSequence hash mixing seeds PCG64 (O'Neill,
@@ -70,25 +70,31 @@ def _step(state, inc):
     return hi + (lo < inc[1]), lo
 
 
-def trial_stream(seed: int, trial: int, sizes) -> "tuple[np.random.Generator, tuple[int, ...]]":
+def trial_stream(seed: int, trial: int, grids) -> "tuple[np.random.Generator, tuple[int, ...]]":
     """A trial's generator, hashed from (seed, trial) alone, after its grid
-    draws ``integers(size)`` for each of ``sizes``, and those draws."""
+    draws ``integers(len(grid))`` for each of ``grids``, and those draws."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-    return rng, tuple(int(rng.integers(size)) for size in sizes)
+    return rng, tuple(int(rng.integers(len(grid))) for grid in grids)
+
+
+def trial_phases(rng: "np.random.Generator", rows, count: int):
+    """``(len(rows), count)`` draws ``uniform(-pi, pi)`` of a single trial's
+    generator ``rng`` after its grid draws: its benchmark phases."""
+    return rng.uniform(-np.pi, np.pi, size=(len(rows), count))
 
 
 class TrialStreams:
     """The streams ``default_rng(SeedSequence((seed, t)))`` of ``trials``.
 
     ``indices`` is the ``(len(trials), 2)`` array of each stream's
-    ``integers(sizes[0])`` and ``integers(sizes[1])``: the trial's grid
-    indices. A one-point grid draws nothing, as ``integers(1)`` does.
+    ``integers(len(grids[0]))`` and ``integers(len(grids[1]))``: the trial's
+    grid indices. A one-point grid draws nothing, as ``integers(1)`` does.
     ``flagged`` marks the rows the twin does not cover, a seed or trial index
     of 2^32 or more or a Lemire rejection; ``trial_stream`` draws their
     indices, and their state goes into the twin's arrays.
     """
 
-    def __init__(self, seed: int, trials, sizes):
+    def __init__(self, seed: int, trials, grids):
         trials = np.asarray(trials, dtype=np.uint64)
         self.flagged = (trials > _MASK32) | (seed > _MASK32)
         state, self._inc = _seeded(seed & _MASK32, (trials & _LOW).astype(np.uint32))
@@ -99,7 +105,7 @@ class TrialStreams:
         halves = iter((output & _LOW, output >> _U32))
         self.indices = np.zeros((len(trials), 2), dtype=np.int64)
         draws = 0
-        for column, size in enumerate(sizes):
+        for column, size in enumerate(map(len, grids)):
             if size > 1:
                 scaled = next(halves) * np.uint64(size)
                 self.flagged |= (scaled & _LOW) < (1 << 32) % size
@@ -110,7 +116,7 @@ class TrialStreams:
         self._state, self._draws, self._high = first if draws else state, draws, output >> _U32
         self._buffered = np.full(len(trials), draws == 1)
         for row in np.flatnonzero(self.flagged):
-            rng, self.indices[row] = trial_stream(seed, int(trials[row]), sizes)
+            rng, self.indices[row] = trial_stream(seed, int(trials[row]), grids)
             drawn = rng.bit_generator.state
             for (hi, lo), key in ((self._state, "state"), (self._inc, "inc")):
                 hi[row], lo[row] = divmod(drawn["state"][key], 1 << 64)

@@ -11,7 +11,7 @@ array lengths are much smaller than the array-to-RIS distances.
 import numpy as np
 
 from .channel import normalization_constant, scalar_or_array
-from .geometry import SceneConfig, ScenePositions
+from .geometry import SceneConfig, ScenePositions, require_int
 
 # |sin(x)| below this counts as a main-lobe center; the ratio limit is N.
 _SINGULAR_EPS = 1e-9
@@ -24,8 +24,7 @@ def aux_g(n: int, x):
     raw ratio is 0/0. Vectorized over ``x``; scalar in, scalar out. Bounded
     by ``0 <= g <= n`` everywhere and even and pi-periodic in ``x``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_int("n", n, 1)
     # Fold x into [-pi/2, pi/2] first (g is pi-periodic): near a lobe center
     # k*pi, k != 0, the rounding of n*x is not small next to sin(n*x).
     x = np.asarray(x, dtype=float)

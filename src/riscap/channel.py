@@ -98,27 +98,19 @@ def build_cascade(pos: ScenePositions, cfg: SceneConfig) -> CascadeChannel:
     )
 
 
-def element_sums(ch: CascadeChannel) -> NDArray[np.complex128]:
-    """Per-RIS-element sum over all antenna pairs, before any phase shift.
-
-    Entry l is ``(sum_r V[r, l]) * (sum_t U[l, t])``; the double sum over
-    antennas factorizes because the element couples the two legs
-    multiplicatively. Unscaled by the normalization constant.
-    """
-    return ch.v_mat.sum(axis=-2) * ch.u_mat.sum(axis=-1)
-
-
 def gain_rows(ch: CascadeChannel, scheme: str) -> NDArray[np.complex128]:
     """Rows A of a RIS-optimized gain, linear in exp(j*phi).
 
     The gain at RIS phases phi is ``k_norm * sum_i |A[i] @ exp(j*phi)|``
     (Wu & Zhang's passive-beamforming objective). ``ris_only`` has a single
-    row of per-element double sums. ``joint`` has one row per transmit
-    antenna, ``A[t, l] = (sum_r V[r, l]) * U[l, t]``: optimal transmit
-    phases co-phase each row, so their moduli add. Unscaled by k_norm.
+    row, ``A[0, l] = (sum_r V[r, l]) * (sum_t U[l, t])``: each element's sum
+    over all antenna pairs, which factorizes because the element couples the
+    two legs multiplicatively. ``joint`` has one row per transmit antenna,
+    ``A[t, l] = (sum_r V[r, l]) * U[l, t]``: optimal transmit phases
+    co-phase each row, so their moduli add. Unscaled by k_norm.
     """
     if scheme == "ris_only":
-        return element_sums(ch)[..., np.newaxis, :]
+        return (ch.v_mat.sum(axis=-2) * ch.u_mat.sum(axis=-1))[..., np.newaxis, :]
     if scheme == "joint":
         return (ch.v_mat.sum(axis=-2)[..., np.newaxis] * ch.u_mat).swapaxes(-1, -2)
     raise ValueError(f"no gain rows for {scheme!r}; expected 'ris_only' or 'joint'")

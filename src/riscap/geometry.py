@@ -73,8 +73,6 @@ class ScenePositions:
     ris_pos: NDArray[np.float64]
     d1: NDArray[np.float64]
     d2: NDArray[np.float64]
-    d_t_mid: NDArray[np.float64]
-    d_r_mid: NDArray[np.float64]
     cos_theta_t: NDArray[np.float64]
     cos_theta_r: NDArray[np.float64]
 
@@ -116,17 +114,12 @@ class Leg:
         "Per-element ``rows`` ``(..., n, n_ris)`` in this leg's layout, C-ordered."
         return np.ascontiguousarray(rows.swapaxes(-1, -2)) if self.elements_first else rows
 
-    def toward(self, h) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Distance from array midpoints at heights ``h`` to each RIS element,
-        and its direction cosine against the upward array axis: negative, as
-        the element lies below; downstream use is sign-blind."""
+    def toward(self, h) -> NDArray[np.float64]:
+        """Direction cosine of each RIS element seen from array midpoints at
+        heights ``h``, against the upward array axis: negative, as the
+        element lies below; downstream use is sign-blind."""
         h = np.asarray(h, dtype=float)[..., np.newaxis]
-        d_mid = np.hypot(self.x, h)
-        return d_mid, -h / d_mid
-
-    def at(self, h) -> tuple:
-        "``(dist, d_mid, cos_theta)`` at midpoint heights ``h``, dist in this leg's layout."
-        return self.layout(self.rows(self.heights(h))), *self.toward(h)
+        return -h / np.hypot(self.x, h)
 
 
 def legs(cfg: SceneConfig) -> tuple[Leg, Leg]:
@@ -156,8 +149,6 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
         (0, d_wall).
     """
     transmit, receive = legs(cfg)
-    d2, d_t_mid, cos_theta_t = transmit.at(cfg.h_t)
-    d1, d_r_mid, cos_theta_r = receive.at(cfg.h_r)
     # each array's (n, 2) element coordinates on its wall, lowest first
     tx_pos, rx_pos = (np.column_stack([np.full(len(leg.offsets), x), leg.heights(h)])
                       for leg, x, h in ((transmit, 0.0, cfg.h_t), (receive, cfg.d_wall, cfg.h_r)))
@@ -172,8 +163,9 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
         )
     return ScenePositions(
         tx_pos=tx_pos, rx_pos=rx_pos, ris_pos=np.column_stack([ris_x, np.zeros(cfg.n_ris)]),
-        d1=d1, d2=d2, d_t_mid=d_t_mid, d_r_mid=d_r_mid,
-        cos_theta_t=cos_theta_t, cos_theta_r=cos_theta_r)
+        d1=receive.layout(receive.rows(rx_pos[:, 1])),
+        d2=transmit.layout(transmit.rows(tx_pos[:, 1])),
+        cos_theta_t=transmit.toward(cfg.h_t), cos_theta_r=receive.toward(cfg.h_r))
 
 
 def normalization_reference(cfg: SceneConfig) -> tuple[float, float]:

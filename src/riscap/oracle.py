@@ -25,23 +25,20 @@ from .geometry import require_int
 TARGETS = ("ris_only", "joint")
 
 _CHUNK = 1 << 16
+# The most candidates (levels**n_ris) an exhaustive search enumerates; a
+# larger search is refused instead of subsampled.
+_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
 class QuantizedSearchSpec:
-    """Exhaustive-search configuration over the phase grid {2*pi*m/levels}.
-
-    ``budget`` bounds the enumeration size: a search of more than ``budget``
-    candidates (``levels**n_ris``) is refused instead of subsampled.
-    """
+    "Exhaustive-search configuration over the phase grid {2*pi*m/levels}."
 
     levels: int
     target: str = "ris_only"
-    budget: int = 2**24
 
     def __post_init__(self):
         require_int("levels", self.levels, 2)
-        require_int("budget", self.budget, 1)
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
 
@@ -72,15 +69,15 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
     at least one) under fixed high digits. Returns the first maximizer in
     that order and its gain. Gain-row magnitudes are added in row order,
     NumPy's ``sum`` order below 8 rows (pairwise from 8 on: last bits may
-    differ). Raises over the candidate budget, naming the count.
+    differ). Raises over ``_BUDGET`` candidates, naming the count.
     """
     n = ch.n_ris
     levels = int(spec.levels)
     candidates = levels**n
-    if candidates > spec.budget:
+    if candidates > _BUDGET:
         raise ValueError(
             f"exhaustive search refused: {spec.levels}^{n} = {candidates} "
-            f"candidates (budget: {spec.budget})"
+            f"candidates (budget: {_BUDGET})"
         )
 
     a_mat = ch.k_norm * gain_rows(ch, spec.target)
@@ -148,6 +145,7 @@ def random_restart_best(ch: CascadeChannel, target: str, restarts: int,
     restarts, seed); repeat calls return bit-identical results.
     """
     require_int("restarts", restarts, 1)
+    require_int("seed", seed, 0)
     a_mat = ch.k_norm * gain_rows(ch, target)
     starts = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(restarts, ch.n_ris))
     phi, gain = _coordinate_ascent(a_mat, starts)

@@ -37,8 +37,8 @@ class SnrPoint:
     es_over_n0: float | NDArray[np.float64]
 
     def __post_init__(self):
-        if not np.all(self.es_over_n0 > 0):
-            raise ValueError(f"es_over_n0 must be positive, got {self.es_over_n0}")
+        if not np.all(np.isfinite(self.es_over_n0) & (self.es_over_n0 > 0)):
+            raise ValueError(f"es_over_n0 must be positive and finite, got {self.es_over_n0}")
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrPoint":
@@ -160,11 +160,6 @@ def joint_gain(sol: JointSolution, ch: CascadeChannel) -> float:
     "Coherent sum |sum_{r,t} H(r,t) exp(j*beta_t)| on the solved channel."
     terms = gain_rows(ch, "joint").swapaxes(-1, -2)
     return _precoded_sum(sol, _receive_sums(ch, terms, sol.phi))
-
-
-def solved_joint_gain(ch: CascadeChannel) -> float:
-    "``joint_gain(solve_joint(ch), ch)`` bit for bit, from the solver's receive sums."
-    return _precoded_sum(*_solve_joint(ch))
 
 
 # ---------------------------------------------------------------------------

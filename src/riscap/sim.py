@@ -7,9 +7,9 @@ it is validated. Per-trial randomness is derived from (seed, trial_index)
 alone: a trial's stream is ``default_rng(SeedSequence((seed, trial)))``, its
 first two draws are the grid indices and the next ``n_ris`` are the random
 benchmark phases. ``_stream`` holds that stream: single trials draw from the
-trial's own generator (``trial_stream``), which is cheaper for one trial, and
-a sweep takes every trial's indices and phases from ``TrialStreams``, the
-stream's array-code twin.
+trial's own generator (``trial_stream``, ``trial_phases``), which is cheaper
+for one trial, and a sweep takes every trial's indices and phases from
+``TrialStreams``, the stream's array-code twin.
 
 A sweep's units are its distinct (h_t, h_r) grid pairs: unless a requested
 benchmark scheme reads random benchmark phases, every gain is a function of
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import __version__
-from ._stream import TrialStreams, trial_stream
+from ._stream import TrialStreams, trial_phases, trial_stream
 from .approx import array_factor
 from .channel import CascadeChannel, assemble_h, corner_normalization, steering
 from .geometry import Leg, SceneConfig, build_positions, legs, require_int
@@ -82,7 +82,7 @@ _SCHEME_GAINS = {
     "basic": lambda ch, sums, f, h: np.abs(h.sum(axis=(-2, -1))),
     "cophasing": lambda ch, sums, f, h: cophasing_gain(solve_cophasing_mimo(h), h),
     "joint": lambda ch, sums, f, h: _precoded_sum(*_solve_joint(ch, sums[1])),
-    # solve_ris_only's b_gain sans phases; element_sums(ch) is sums[1] * sums[0]
+    # solve_ris_only's b_gain sans phases; its gain row is sums[1] * sums[0]
     "ris_only": lambda ch, sums, f, h: ch.k_norm * np.sum(np.abs(sums[1] * sums[0]), axis=-1),
     # approx_gain's sum, from the legs' array factors
     "ris_only_approx": lambda ch, sums, f, h: ch.k_norm * np.sum(f[0] * f[1], axis=-1),
@@ -225,7 +225,7 @@ def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float
     trial, so single trials can be replayed in isolation.
     """
     require_int("trial_index", trial_index, 0)
-    _, indices = trial_stream(plan.seed, trial_index, [len(grid) for grid in plan.grids])
+    _, indices = trial_stream(plan.seed, trial_index, plan.grids)
     h_t, h_r = (float(grid[i]) for grid, i in zip(plan.grids, indices))
     return h_t, h_r
 
@@ -286,7 +286,7 @@ class _LegCache:
 
     def _per_height(self, h) -> tuple:
         "Element-(1,1) path length and array factor of arrays at heights ``h``."
-        factor = array_factor(len(self.leg.offsets), self.leg.spacing, self.leg.toward(h)[1],
+        factor = array_factor(len(self.leg.offsets), self.leg.spacing, self.leg.toward(h),
                               self.wavelength)
         return np.hypot(self.leg.x[0], h + self.leg.offsets[0]), factor
 
@@ -387,11 +387,8 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     from the trial's generator.
     """
     require_int("trial_index", trial_index, 0)
-    rng, indices = trial_stream(plan.seed, trial_index, [len(grid) for grid in plan.grids])
-    phases = None
-    if _reads_phases(plan):
-        def phases(rows):
-            return rng.uniform(-np.pi, np.pi, size=(len(rows), plan.n_ris))
+    rng, indices = trial_stream(plan.seed, trial_index, plan.grids)
+    phases = partial(trial_phases, rng, count=plan.n_ris) if _reads_phases(plan) else None
     gains = _sweep_gains(plan, np.array([indices]), phases)
     return {scheme: float(values[0]) for scheme, values in gains.items()}
 
@@ -404,7 +401,7 @@ def _plan_gains(plan: SimulationPlan) -> tuple[dict, int]:
     its trials, unless a requested benchmark scheme reads random phases
     from the trials' streams; then every trial is solved.
     """
-    streams = TrialStreams(plan.seed, np.arange(plan.trials), [len(grid) for grid in plan.grids])
+    streams = TrialStreams(plan.seed, np.arange(plan.trials), plan.grids)
     indices = streams.indices
     n_r = len(plan.grids[1])
     codes, inverse = np.unique(indices[:, 0] * n_r + indices[:, 1], return_inverse=True)

@@ -22,7 +22,6 @@ from riscap import (
     exhaustive_best,
     joint_gain,
     load_preset,
-    principal_angle,
     run_plan,
     solve_joint,
     solve_ris_only,
@@ -30,6 +29,7 @@ from riscap import (
     write_csv,
 )
 from riscap import sim
+from riscap.channel import principal_angle
 
 PANELS = ("panel_a", "panel_b", "panel_c", "panel_d")
 GOLDEN = Path(__file__).parent / "golden"

@@ -6,14 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riscap import (
-    approx_gain,
-    aux_g,
-    build_cascade,
-    build_positions,
-    normalization_constant,
-    solve_ris_only,
-)
+from riscap import approx_gain, build_cascade, build_positions, solve_ris_only
+from riscap.approx import aux_g
+from riscap.channel import normalization_constant
 
 
 class TestAuxG:
@@ -71,6 +66,12 @@ class TestAuxG:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             aux_g(0, 1.0)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_rejects_non_integer_n(self, n):
+        # a bool is not a count, and sin(2.5*x)/sin(x) is no array factor
+        with pytest.raises(ValueError, match="n must be an integer"):
+            aux_g(n, 0.3)
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(aux_g(3, 0.3), float)

@@ -12,12 +12,11 @@ from riscap import (
     build_cascade,
     build_positions,
     joint_gain,
-    principal_angle,
     solve_joint,
     solve_ris_only,
     unnormalized_h,
 )
-from riscap.channel import gain_rows
+from riscap.channel import gain_rows, principal_angle
 
 
 @pytest.fixture

@@ -9,9 +9,9 @@ from riscap import (
     build_cascade,
     build_positions,
     load_preset,
-    normalization_reference,
     random_restart_best,
 )
+from riscap.geometry import normalization_reference
 
 
 class TestSceneConfig:
@@ -35,7 +35,7 @@ class TestSceneConfig:
         for field, build in [
             ("n_t", lambda: replace(load_preset("panel_a"), n_t=True)),
             ("n_ris", lambda: scene(n_ris=True)),
-            ("budget", lambda: QuantizedSearchSpec(levels=4, budget=True)),
+            ("levels", lambda: QuantizedSearchSpec(levels=True)),
             ("restarts", lambda: random_restart_best(ch, "ris_only", restarts=True, seed=1)),
         ]:
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -92,7 +92,7 @@ class TestBuildPositions:
         pos = build_positions(scene(n_t=8, n_r=4, n_ris=50))
         assert pos.d1.shape == (4, 50)
         assert pos.d2.shape == (50, 8)
-        assert pos.d_t_mid.shape == pos.d_r_mid.shape == (50,)
+        assert pos.cos_theta_t.shape == pos.cos_theta_r.shape == (50,)
         assert np.all(pos.d1 > 0) and np.all(pos.d2 > 0)
         assert np.all(np.abs(pos.cos_theta_t) <= 1.0)
         assert np.all(np.abs(pos.cos_theta_r) <= 1.0)
@@ -112,8 +112,10 @@ class TestBuildPositions:
         pos = build_positions(cfg)
         half_rx = (cfg.n_r - 1) / 2 * cfg.s_r
         half_tx = (cfg.n_t - 1) / 2 * cfg.s_t
-        assert np.all(np.abs(pos.d1 - pos.d_r_mid[None, :]) <= half_rx + 1e-12)
-        assert np.all(np.abs(pos.d2 - pos.d_t_mid[:, None]) <= half_tx + 1e-12)
+        x_l = pos.ris_pos[:, 0]
+        d_r_mid, d_t_mid = np.hypot(cfg.d_wall - x_l, cfg.h_r), np.hypot(x_l, cfg.h_t)
+        assert np.all(np.abs(pos.d1 - d_r_mid[None, :]) <= half_rx + 1e-12)
+        assert np.all(np.abs(pos.d2 - d_t_mid[:, None]) <= half_tx + 1e-12)
 
     def test_cos_theta_definition(self, scene):
         cfg = scene(n_t=4, n_r=3, n_ris=7)

@@ -1,10 +1,16 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import riscap
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 PROBE = """
 import json, sys
@@ -37,3 +43,23 @@ def test_import_loads_neither_metadata_nor_numpy_random():
     assert "numpy.ma" not in probe["ran"]
     assert isinstance(probe["version"], str)
     assert probe["recorded"] == probe["version"]
+
+
+def riscap_imports(source: str) -> set:
+    "Names that Python source imports from the top-level ``riscap`` package."
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "riscap"
+            for alias in node.names}
+
+
+def test_all_is_the_public_surface_programs_import():
+    # one list of exports: what the package binds is what __all__ names
+    assert len(riscap.__all__) == len(set(riscap.__all__))
+    public = {name for name, value in vars(riscap).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert set(riscap.__all__) == public
+    readme = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    for source in ((ROOT / "perfbench" / "workloads.py").read_text(), example):
+        imported = riscap_imports(source)
+        assert imported and imported <= set(riscap.__all__)

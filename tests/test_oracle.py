@@ -73,7 +73,6 @@ class TestSearchSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("levels", 2.5), ("levels", 8.0), ("levels", "8"),
-        ("budget", 0), ("budget", 1e6),
     ])
     def test_rejects_non_integer_or_too_small_sizes(self, field, value):
         params = {"levels": 4, field: value}
@@ -81,8 +80,7 @@ class TestSearchSpec:
             QuantizedSearchSpec(**params)
 
     def test_accepts_numpy_integers(self):
-        spec = QuantizedSearchSpec(levels=np.int64(4), budget=np.int32(16))
-        assert (spec.levels, spec.budget) == (4, 16)
+        assert QuantizedSearchSpec(levels=np.int64(4)).levels == 4
 
 
 class TestObjectives:
@@ -95,13 +93,17 @@ class TestObjectives:
 
 
 class TestExhaustiveBest:
-    def test_refuses_over_budget_with_count(self, scene):
+    def test_refuses_over_budget_with_count(self, scene, monkeypatch):
         _, ch = cascade_for(scene, 1, 1, 3)
-        with pytest.raises(ValueError, match=r"64\^3"):
-            exhaustive_best(ch, QuantizedSearchSpec(levels=64, budget=1000))
+        spec = QuantizedSearchSpec(levels=64)
+        monkeypatch.setattr(oracle_mod, "_BUDGET", 1000)
+        with pytest.raises(ValueError, match=r"64\^3 = 262144 candidates \(budget: 1000\)"):
+            exhaustive_best(ch, spec)
+        monkeypatch.setattr(oracle_mod, "_BUDGET", 64**3 - 1)
         with pytest.raises(ValueError, match="262144"):
-            exhaustive_best(ch, QuantizedSearchSpec(levels=64, budget=64**3 - 1))
-        exhaustive_best(ch, QuantizedSearchSpec(levels=64, budget=64**3))
+            exhaustive_best(ch, spec)
+        monkeypatch.setattr(oracle_mod, "_BUDGET", 64**3)
+        exhaustive_best(ch, spec)
 
     def test_element_count_bounded_by_budget_alone(self, scene):
         # 8^5 = 32768 candidates: five elements fit the default budget
@@ -222,6 +224,13 @@ class TestRandomRestartBest:
         for restarts in (0, 2.5, 4.0):
             with pytest.raises(ValueError, match="restarts must be an integer"):
                 random_restart_best(ch, "ris_only", restarts=restarts, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_bad_seed_naming_it(self, scene, seed):
+        # NumPy's own errors for these name no argument
+        _, ch = cascade_for(scene, 1, 1, 2)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            random_restart_best(ch, "ris_only", restarts=1, seed=seed)
 
     @pytest.mark.parametrize("seed", range(1, 21))
     def test_matches_serial_per_restart_ascent(self, scene, seed):

@@ -185,6 +185,11 @@ def replay_trial(plan, trial):
         for grid in plan.grids:
             rng.integers(len(grid))
         phi = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
+    return scene_gains(cfg, pos, ch, phi)
+
+
+def scene_gains(cfg, pos, ch, phi):
+    "Every scheme's gain of one scene's channel ``ch`` at benchmark RIS phases ``phi``."
     h = assemble_h(ch, phi)
     return {
         "basic": float(np.abs(h.sum())),
@@ -193,6 +198,11 @@ def replay_trial(plan, trial):
         "ris_only": solve_ris_only(ch).b_gain,
         "ris_only_approx": approx_gain(pos, cfg),
     }
+
+
+def grids_of(sizes):
+    "Stand-in height grids of the given sizes: the stream reads only their lengths."
+    return [range(size) for size in sizes]
 
 
 def reference_indices(seed, trials, sizes):
@@ -214,7 +224,7 @@ def reference_rows(plan):
 
 def sweep_streams(plan):
     "The stream twin of all of a plan's trials."
-    return TrialStreams(plan.seed, np.arange(plan.trials), [len(grid) for grid in plan.grids])
+    return TrialStreams(plan.seed, np.arange(plan.trials), plan.grids)
 
 
 def numpy_draws(seed, trial, sizes, n_ris):
@@ -242,7 +252,7 @@ class TestStreamTwin:
            sizes=st.tuples(grid_sizes, grid_sizes))
     def test_unflagged_rows_match_numpy(self, seed, first, sizes):
         trials = np.arange(first, first + 20)
-        streams = TrialStreams(seed, trials, sizes)
+        streams = TrialStreams(seed, trials, grids_of(sizes))
         indices, flagged = streams.indices, streams.flagged
         expected = reference_indices(seed, trials, sizes)
         np.testing.assert_array_equal(indices[~flagged], expected[~flagged])
@@ -255,7 +265,7 @@ class TestStreamTwin:
            sizes=st.tuples(grid_sizes, grid_sizes))
     def test_sweep_indices_match_numpy(self, seed, first, sizes):
         trials = np.arange(first, first + 10)
-        np.testing.assert_array_equal(TrialStreams(seed, trials, sizes).indices,
+        np.testing.assert_array_equal(TrialStreams(seed, trials, grids_of(sizes)).indices,
                                       reference_indices(seed, trials, sizes))
 
     @settings(max_examples=60, deadline=None)
@@ -266,7 +276,7 @@ class TestStreamTwin:
     @example(seed=1, first=609287, n_ris=5, sizes=(10001, 10001))
     def test_benchmark_phases_match_numpy(self, seed, first, n_ris, sizes):
         trials = np.arange(first, first + 6)
-        streams = TrialStreams(seed, trials, sizes)
+        streams = TrialStreams(seed, trials, grids_of(sizes))
         rows = np.array([5, 0, 3, 1])
         phases = streams.phases(rows, n_ris)
         for values, row in zip(phases, rows):
@@ -285,7 +295,7 @@ class TestStreamTwin:
         # 609287 is a Lemire rejection at seed 1 and 236055 at seed 12345
         trials = np.array(others + [609287, 236055], dtype=np.uint64)
         sizes = (10001, 10001)
-        streams = TrialStreams(seed, trials, sizes)
+        streams = TrialStreams(seed, trials, grids_of(sizes))
         if seed in (1, 12345):
             assert streams.flagged[len(others) + (seed == 12345)]
         rows = np.array(data.draw(st.permutations(range(len(trials)))))
@@ -299,7 +309,7 @@ class TestStreamTwin:
     @pytest.mark.parametrize("seed, trial", [(1, 609287), (12345, 236055)])
     def test_lemire_rejection_falls_back(self, seed, trial):
         sizes = (10001, 10001)
-        streams = TrialStreams(seed, [trial], sizes)
+        streams = TrialStreams(seed, [trial], grids_of(sizes))
         # numpy draws again here, so the twin's own draw would be wrong
         assert streams.flagged.tolist() == [True]
         np.testing.assert_array_equal(streams.indices, reference_indices(seed, [trial], sizes))
@@ -311,7 +321,7 @@ class TestStreamTwin:
 
     def test_wide_seed_runs_through_fallback(self):
         plan = replace(load_preset("panel_a"), seed=2**32 + 7, trials=60)
-        assert TrialStreams(plan.seed, np.arange(60), (51, 51)).flagged.all()
+        assert TrialStreams(plan.seed, np.arange(60), plan.grids).flagged.all()
         assert run_plan(plan).rows == reference_rows(plan)
 
     @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
@@ -404,7 +414,7 @@ class TestBenchmarkLaziness:
         # the trial's generator has moved past its grid draws only if the
         # phases were drawn from it
         (rng, _), = streams
-        untouched = trial_stream(plan.seed, 5, [len(grid) for grid in plan.grids])[0]
+        untouched = trial_stream(plan.seed, 5, plan.grids)[0]
         assert (rng.bit_generator.state != untouched.bit_generator.state) == drawn
 
 
@@ -781,6 +791,58 @@ class TestGainProperties:
         cap = k_norm * plan.n_ris * plan.n_t * plan.n_r
         for scheme, gain in replay_trial(plan, 0).items():
             assert 0.0 <= gain <= cap * (1 + self.ROUNDING), scheme
+
+
+def rotated_legs(ch, theta_u, theta_v):
+    "The channel with its transmit and receive steering rotated by exp(j*theta) each."
+    return replace(ch, u_mat=ch.u_mat * np.exp(1j * theta_u),
+                   v_mat=ch.v_mat * np.exp(1j * theta_v))
+
+
+class TestGaugeInvariance:
+    """A common phase on one leg's steering is only the carrier's phase
+    reference, so no scheme's gain may depend on it."""
+
+    # relative to the coherent cap k*n_ris*n_t*n_r: a gain that cancels to
+    # near zero keeps no relative digits
+    ROUNDING = 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=small_plans(), h_t=st.floats(2.0, 3.0), h_r=st.floats(0.8, 1.8),
+           theta_u=st.floats(-math.pi, math.pi), theta_v=st.floats(-math.pi, math.pi),
+           seed=st.integers(0, 2**32 - 1))
+    def test_phase_free_schemes_ignore_a_common_leg_phase(self, plan, h_t, h_r, theta_u,
+                                                           theta_v, seed):
+        cfg = plan.scene(h_t, h_r)
+        pos = build_positions(cfg)
+        ch = build_cascade(pos, cfg)
+        phi = np.zeros(plan.n_ris)
+        if plan.benchmark_ris_phase == "random":
+            phi = np.random.default_rng(seed).uniform(-np.pi, np.pi, plan.n_ris)
+        gains = scene_gains(cfg, pos, ch, phi)
+        moved = scene_gains(cfg, pos, rotated_legs(ch, theta_u, theta_v), phi)
+        cap = ch.k_norm * plan.n_ris * plan.n_t * plan.n_r
+        for scheme in ("basic", "ris_only", "ris_only_approx"):
+            assert abs(moved[scheme] - gains[scheme]) <= self.ROUNDING * cap, scheme
+
+    # Global co-phasing averages term angles cut at +-pi, so a common leg
+    # phase moves which angles wrap. On this panel_a scene the joint gain
+    # moves by 28-72% and the co-phasing gain by 9-124% at these angles.
+    @pytest.mark.xfail(strict=True, reason="global co-phasing takes the arithmetic mean "
+                       "of wrapped angles, which a common leg phase moves")
+    @pytest.mark.parametrize("scheme", ["joint", "cophasing"])
+    @pytest.mark.parametrize("leg", ["u_mat", "v_mat"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 3.0])
+    def test_cophasing_schemes_ignore_a_common_leg_phase(self, scheme, leg, theta):
+        cfg = load_preset("panel_a").scene(2.52, 1.06)
+        pos = build_positions(cfg)
+        ch = build_cascade(pos, cfg)
+        phi = np.zeros(cfg.n_ris)
+        thetas = (theta, 0.0) if leg == "u_mat" else (0.0, theta)
+        moved = scene_gains(cfg, pos, rotated_legs(ch, *thetas), phi)[scheme]
+        gain = scene_gains(cfg, pos, ch, phi)[scheme]
+        cap = ch.k_norm * cfg.n_ris * cfg.n_t * cfg.n_r
+        assert abs(moved - gain) <= self.ROUNDING * cap
 
 
 class TestRunPlan:
