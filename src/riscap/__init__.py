@@ -11,12 +11,7 @@ sweeps that emit machine-readable CSV results.
 __version__ = "0.1.0"
 
 from .approx import approx_gain
-from .channel import (
-    CascadeChannel,
-    assemble_h,
-    build_cascade,
-    unnormalized_h,
-)
+from .channel import CascadeChannel, assemble_h, build_cascade
 from .config import load_preset, parse_plan_file, parse_plan_text
 from .geometry import (
     SceneConfig,
@@ -83,6 +78,5 @@ __all__ = [
     "solve_joint",
     "solve_ris_only",
     "trial_gains",
-    "unnormalized_h",
     "write_csv",
 ]

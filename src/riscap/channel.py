@@ -51,18 +51,14 @@ def scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def fold_turn(phi: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Move arctan2's angles, which lie in [-pi, pi], into (-pi, pi], in
-    place: -pi becomes pi, -0.0 becomes 0.0, and every other angle keeps
-    its bits."""
-    phi += 0.0
-    np.add(phi, 2.0 * np.pi, out=phi, where=phi <= -np.pi)
-    return phi
-
-
 def principal_angle(z) -> NDArray[np.float64]:
     "Argument of a complex number in (-pi, pi], with arg(0) defined as 0."
-    return fold_turn(np.asarray(np.angle(z)))[()]
+    # arctan2's angles lie in [-pi, pi]: in place, -pi becomes pi, -0.0
+    # becomes 0.0, and every other angle keeps its bits
+    phi = np.asarray(np.angle(z))
+    phi += 0.0
+    np.add(phi, 2.0 * np.pi, out=phi, where=phi <= -np.pi)
+    return phi[()]
 
 
 def normalization_constant(pos: ScenePositions, cfg: SceneConfig) -> float:

@@ -146,10 +146,9 @@ def _cmd_approx_check(args) -> int:
     print(f"approximate gain {approx:.9g}")
     print(f"relative error   {rel:.3e}")
     print("snr_db,capacity_exact_bits,capacity_approx_bits")
-    for snr_db in plan.snr_db:
-        snr = SnrPoint.from_db(snr_db)
-        c_exact = capacity_from_gain(exact, cfg.n_t, cfg.n_r, snr)
-        c_approx = capacity_from_gain(approx, cfg.n_t, cfg.n_r, snr)
+    snr = SnrPoint.from_db(plan.snr_db)  # the CSV's linear SNRs
+    caps = (capacity_from_gain(gain, cfg.n_t, cfg.n_r, snr) for gain in (exact, approx))
+    for snr_db, c_exact, c_approx in zip(plan.snr_db, *caps):
         print(f"{snr_db:.9g},{c_exact:.9g},{c_approx:.9g}")
     return 0
 

@@ -82,11 +82,6 @@ def _ula_offsets(n: int, spacing: float) -> NDArray[np.float64]:
     return (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
 
 
-def _ris_x(cfg: SceneConfig) -> NDArray[np.float64]:
-    "RIS element x coordinates on the floor, lowest-index first."
-    return cfg.d_ris + _ula_offsets(cfg.n_ris, cfg.s_ris)
-
-
 @dataclass(frozen=True)
 class Leg:
     """One array's side of the scene as a function of its midpoint height ``h``.
@@ -124,7 +119,7 @@ class Leg:
 
 def legs(cfg: SceneConfig) -> tuple[Leg, Leg]:
     "The scene's transmit and receive legs, whose distances are ``d2`` and ``d1``."
-    ris_x = _ris_x(cfg)
+    ris_x = cfg.d_ris + _ula_offsets(cfg.n_ris, cfg.s_ris)
     return (Leg(ris_x, _ula_offsets(cfg.n_t, cfg.s_t), cfg.s_t, True),
             Leg(cfg.d_wall - ris_x, _ula_offsets(cfg.n_r, cfg.s_r), cfg.s_r, False))
 
@@ -155,7 +150,7 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
     for name, low in (("transmit", tx_pos[0, 1]), ("receive", rx_pos[0, 1])):
         if low <= 0:
             raise ValueError(f"{name} array intersects the floor (lowest element at y={low:.6g})")
-    ris_x = _ris_x(cfg)
+    ris_x = transmit.x
     if ris_x[0] <= 0 or ris_x[-1] >= cfg.d_wall:
         raise ValueError(
             f"RIS span [{ris_x[0]:.6g}, {ris_x[-1]:.6g}] m must lie strictly "

@@ -23,7 +23,6 @@ from numpy.typing import NDArray
 
 from .channel import (
     CascadeChannel,
-    fold_turn,
     gain_rows,
     principal_angle,
     scalar_or_array,
@@ -41,12 +40,11 @@ class SnrPoint:
             raise ValueError(f"es_over_n0 must be positive and finite, got {self.es_over_n0}")
 
     @classmethod
-    def from_db(cls, snr_db: float) -> "SnrPoint":
-        return cls(es_over_n0=10.0 ** (snr_db / 10.0))
-
-    @property
-    def db(self) -> float:
-        return 10.0 * np.log10(self.es_over_n0)
+    def from_db(cls, snr_db) -> "SnrPoint":
+        """Linear SNR ``10 ** (snr_db / 10)`` of a dB value or array; an array can
+        differ from per-value ``**`` in the last bit, and the CSV uses the array."""
+        with np.errstate(over="ignore"):
+            return cls(es_over_n0=(10.0 ** (np.asarray(snr_db, dtype=float) / 10.0))[()])
 
 
 @dataclass(frozen=True)
@@ -138,10 +136,7 @@ def _solve_joint(ch: CascadeChannel, column_sums=None,
     # ~terms.any(axis=-1), reading a whole row only where its first term is zero
     zero = ~terms[..., :1].any(axis=-1)
     zero[zero] = ~terms[zero].any(axis=-1)
-    # -principal_angle(terms).mean(axis=-1) bit for bit: one arctan2, and the
-    # mean's division by n_t takes the sign.
-    phi = fold_turn(np.angle(terms)).sum(axis=-1)
-    phi /= -ch.n_t
+    phi = principal_angle(terms).sum(axis=-1) / -ch.n_t
     phi = np.where(zero, 0.0, phi)
 
     sums = _receive_sums(ch, terms, phi)

@@ -51,7 +51,9 @@ from .schemes import (
 
 # The most bytes a block's arrays may hold at once, counted at _unit_bytes
 # per unit, and the most a leg's row table, or its layout, may take to build.
-# Blocks hold at least one unit, so memory does not grow with the trial count.
+# A tabled leg's build holds its row table and its layout at once, so it can
+# take up to twice this. Blocks hold at least one unit, so memory does not
+# grow with the trial count.
 _BLOCK_BYTES = 7 << 18
 
 
@@ -96,15 +98,6 @@ BENCHMARK_PHASE_MODES = ("zero", "random")
 def _reads_phases(plan: "SimulationPlan") -> bool:
     "Whether a requested scheme reads random benchmark phases."
     return plan.benchmark_ris_phase == "random" and bool(_BENCHMARK_SCHEMES & set(plan.schemes))
-
-
-def _snr_linear(snr_db) -> NDArray[np.float64]:
-    """Linear SNRs of a dB grid.
-
-    NumPy's array power can differ from Python's ``**`` (SnrPoint.from_db)
-    in the last bit; the array form is the one the CSV bytes are pinned to.
-    """
-    return 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
 
 
 def height_grid(lo: float, hi: float, step: float) -> NDArray[np.float64]:
@@ -154,13 +147,11 @@ class SimulationPlan:
         object.__setattr__(self, "grids", grids)
         if len(self.snr_db) == 0:
             raise ValueError("snr_db grid must not be empty")
-        with np.errstate(over="ignore"):
-            rho = _snr_linear(self.snr_db)
-        if not np.all(np.isfinite(rho) & (rho > 0)):
-            raise ValueError(
-                f"snr_db values must give a positive finite linear SNR, "
-                f"got {self.snr_db}"
-            )
+        try:
+            SnrPoint.from_db(self.snr_db)
+        except ValueError as err:
+            raise ValueError(f"snr_db values must give a positive finite linear SNR, "
+                             f"got {self.snr_db}") from err
         require_int("trials", self.trials, 1)
         require_int("seed", self.seed, 0)
         unknown = set(self.schemes) - set(SCHEMES)
@@ -425,7 +416,7 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     gains, distinct_pairs = _plan_gains(plan)
 
     # one capacity row per SNR, and trials along the last axis
-    snr = SnrPoint(_snr_linear(plan.snr_db)[:, np.newaxis])
+    snr = SnrPoint.from_db(np.asarray(plan.snr_db)[:, np.newaxis])
     rows = []
     for scheme in sorted(plan.schemes):
         caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, snr)

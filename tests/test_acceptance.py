@@ -221,7 +221,7 @@ def exact_means(plan):
     return {(scheme, snr_db): float(np.mean(capacity_from_gain(gains[scheme], plan.n_t,
                                                                plan.n_r, SnrPoint(rho))))
             for scheme in plan.schemes
-            for snr_db, rho in zip(plan.snr_db, sim._snr_linear(plan.snr_db))}
+            for snr_db, rho in zip(plan.snr_db, SnrPoint.from_db(plan.snr_db).es_over_n0)}
 
 
 def test_shipped_panels_estimate_the_exact_grid_expectation(plans, tables):

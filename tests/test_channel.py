@@ -14,9 +14,8 @@ from riscap import (
     joint_gain,
     solve_joint,
     solve_ris_only,
-    unnormalized_h,
 )
-from riscap.channel import gain_rows, principal_angle
+from riscap.channel import gain_rows, principal_angle, unnormalized_h
 
 
 @pytest.fixture

@@ -295,6 +295,34 @@ def oracle_cases(draw):
     return dims, phi, draw(st.integers(0, 2**32 - 1))
 
 
+def rotation_slice_best(ch, spec):
+    "Best gain over the grid slice where element 0 has phase 0, enumerated whole."
+    n, a_mat = ch.n_ris, ch.k_norm * gain_rows(ch, spec.target)
+    combos = list(itertools.product(range(spec.levels), repeat=n - 1))
+    digits = np.zeros((len(combos), n), dtype=np.intp)
+    digits[:, 1:] = np.array(combos, dtype=np.intp).reshape(len(combos), n - 1)
+    phases = np.exp(2j * np.pi * digits / spec.levels)
+    return float(np.max(np.sum(np.abs(phases @ a_mat.T), axis=1)))
+
+
+class TestRotationQuotient:
+    """Both functionals ignore a common rotation of all RIS phases, and the
+    grid is closed under a rotation by one step, so pinning element 0 at
+    phase 0 loses no maximum."""
+
+    @settings(max_examples=24, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=oracle_cases(), levels=st.sampled_from([4, 8, 16]))
+    def test_slice_with_element_zero_at_phase_zero_holds_the_maximum(self, scene, case,
+                                                                      levels):
+        dims, _, _ = case
+        _, ch = cascade_for(scene, **dims)
+        for target in oracle_mod.TARGETS:
+            spec = QuantizedSearchSpec(levels=levels, target=target)
+            _, best = exhaustive_best(ch, spec)
+            assert rotation_slice_best(ch, spec) == pytest.approx(best, rel=1e-14, abs=0)
+
+
 class TestOracleProperties:
     "Invariants of the two gain functionals and the ascent on random scenes."
 

@@ -704,6 +704,28 @@ class TestBlockMemory:
         for n, peak in peaks:
             assert peak <= n * unit_bytes <= sim._BLOCK_BYTES
 
+    def test_tabled_leg_builds_within_twice_the_budget(self):
+        # while a tabled leg is laid out, its row table and its layout are
+        # live together, each within _BLOCK_BYTES: panel_d's transmit leg
+        # took 2.56 MB traced, above one budget of 1.84 MB
+        plan = replace(load_preset("panel_d"), seed=1)
+        peaks, init = [], sim._LegCache.__init__
+
+        def spy(cache, *args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            init(cache, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(sim._LegCache, "__init__", spy), cache_form() as forms, \
+                    mock.patch.object(sim, "_block_gains", return_value={}):
+                sim._plan_gains(plan)
+        finally:
+            tracemalloc.stop()
+        assert forms == ["table", "table"]
+        assert peaks[0] <= 2 * sim._BLOCK_BYTES
+
     def test_block_counts_at_a_thousand_trials(self):
         # at 512 KiB of steering per block the wide sweep ran 500 blocks and
         # panel_d (829 distinct pairs at seed 1) 52
@@ -921,7 +943,7 @@ def per_snr_rows(plan, gains):
     "The table's rows from one scalar-SNR capacity pass per scheme and SNR."
     rows = []
     for scheme in sorted(plan.schemes):
-        for snr_db, rho in zip(plan.snr_db, sim._snr_linear(plan.snr_db)):
+        for snr_db, rho in zip(plan.snr_db, SnrPoint.from_db(plan.snr_db).es_over_n0):
             caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, SnrPoint(rho))
             stderr = (float(np.std(caps, ddof=1) / np.sqrt(plan.trials))
                       if plan.trials > 1 else 0.0)
