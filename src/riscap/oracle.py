@@ -9,9 +9,13 @@ vectors on tiny instances:
   every candidate phase vector, i.e. the quantity the joint scheme's
   capacity actually depends on.
 
-The exhaustive search enumerates a quantized phase grid exactly (with a hard
-candidate budget, never silent truncation); the random-restart search runs
-deterministic coordinate ascent from seeded uniform starts.
+The exhaustive search returns the exact maximizer of a quantized phase grid,
+the one a walk of every candidate returns, bit for bit. Both functionals
+ignore a common rotation of all phases, so it walks one member of each
+rotation class and then every rotation of the few classes that come within
+a derived rounding bound of the best (with a hard budget on the grid's size,
+never silent truncation). The random-restart search runs deterministic
+coordinate ascent from seeded uniform starts.
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,11 @@ from .geometry import require_int
 
 TARGETS = ("ris_only", "joint")
 
-_CHUNK = 1 << 16
+# The most rows a phase table holds (a table holds at least one whole digit).
+_CHUNK = 1 << 12
+# The safety factor on the rounding bound that sets the width of
+# exhaustive_best's band.
+_MARGIN = 100
 # The most candidates (levels**n_ris) an exhaustive search enumerates; a
 # larger search is refused instead of subsampled.
 _BUDGET = 2**24
@@ -60,16 +68,44 @@ def joint_objective(ch: CascadeChannel, phi) -> float:
     return _objective(ch.k_norm * gain_rows(ch, "joint"), phi)
 
 
+def _gains(phases: NDArray[np.complex128], a_t: NDArray[np.complex128]) -> NDArray[np.float64]:
+    "Gain of every row of a phase table: gain-row magnitudes added in row order."
+    return sum(np.abs(phases @ a_t).T)
+
+
 def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
                     ) -> tuple[NDArray[np.float64], float]:
     """True maximum of the target functional over the quantized phase grid.
 
-    Candidates run as an odometer, element 0 fastest, in blocks: every
-    combination of the ``low`` fastest digits (as many as fit in ``_CHUNK``,
-    at least one) under fixed high digits. Returns the first maximizer in
-    that order and its gain. Gain-row magnitudes are added in row order,
-    NumPy's ``sum`` order below 8 rows (pairwise from 8 on: last bits may
-    differ). Raises over ``_BUDGET`` candidates, naming the count.
+    Returns the first maximizer in odometer order (element 0 fastest) and
+    its gain, bit for bit what a walk of all ``levels**n_ris`` candidates
+    returns. Gain-row magnitudes are added in row order, NumPy's ``sum``
+    order below 8 rows (pairwise from 8 on: last bits may differ). Raises
+    over ``_BUDGET`` candidates, counted on the whole grid, naming the count.
+
+    Both functionals ignore a common rotation of all phases and the grid is
+    closed under one, so each candidate is one of ``levels`` rotations of a
+    class with one exact gain. The search walks the slice with the last
+    element at level 0, one member per class, in blocks: every combination
+    of the ``low`` fastest digits (as many as fit in ``_CHUNK``, at least
+    one) under fixed higher ones. The band is every class whose slice gain
+    is within twice the rounding bound (below) of the slice maximum; no
+    class outside it has a rotation that reaches that maximum. Every
+    rotation of the band is evaluated again, in tables of whole classes: a
+    row's gain bits do not depend on its table once the table has two or
+    more rows (NumPy takes another kernel for one row), so they are the
+    whole grid's bits. That is ``levels**(n_ris-1) + levels*|band|`` rows;
+    exact ties between classes can widen the band up to the whole slice,
+    about one walk of the grid.
+
+    The rounding bound, with u = 2**-53, R gain rows and A their absolute
+    sum: each grid factor is within 22u of exact (three roundings of a phase
+    below 2*pi, then ``exp``); each row's n-term complex product adds at
+    most sqrt(2)(n+1)u of its absolute row sum, in any order, fused or not;
+    ``abs`` adds 2u of each magnitude and the row-order sum (R-1)u of the
+    gain. So a computed gain is within (1.5n + R + 25)uA of its class's
+    exact gain, to first order; the band takes ``_MARGIN`` times
+    (2n + R + 32)uA.
     """
     n = ch.n_ris
     levels = int(spec.levels)
@@ -81,27 +117,44 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
         )
 
     a_mat = ch.k_norm * gain_rows(ch, spec.target)
+    u = np.finfo(float).eps / 2
+    width = 2 * _MARGIN * (2 * n + len(a_mat) + 32) * u * float(np.sum(np.abs(a_mat)))
     grid = 2.0 * np.pi * np.arange(levels) / levels
     factors = np.exp(1j * grid)  # the only distinct phase factors
-    low = next((k for k in range(n, 1, -1) if levels**k <= _CHUNK), 1)
+    free = n - 1  # the slice's digits: none for a single element
+    low = next((k for k in range(free, 1, -1) if levels**k <= _CHUNK), min(free, 1))
     rest = np.arange(levels**low)
     digits = np.zeros((rest.size, n), dtype=np.intp)
     for l in range(low):  # element 0 varies fastest
         rest, digits[:, l] = np.divmod(rest, levels)
     phases = factors[digits]  # the low-digit table, built once
 
-    best_gain = -np.inf
-    best_digits = np.zeros(n, dtype=np.intp)
-    for block in range(candidates // len(phases)):
-        digits[:, low:] = np.unravel_index(block, (levels,) * (n - low), order="F")
-        phases[:, low:] = factors[digits[0, low:]]
-        gains = sum(np.abs(phases @ a_mat.T).T)  # gain rows added in row order
-        block_arg = int(np.argmax(gains))
-        if gains[block_arg] > best_gain:
-            best_gain = float(gains[block_arg])
-            best_digits = digits[block_arg].copy()  # the buffer is reused
+    top, kept, kept_gains = -np.inf, [], []
+    for block in range(levels ** (free - low)):
+        high = np.unravel_index(block, (levels,) * (free - low), order="F")
+        phases[:, low:free] = factors[np.array(high, dtype=np.intp)]
+        gains = _gains(phases, a_mat.T)
+        top = max(top, gains.max())
+        # kept as they come, so memory follows the band, not the slice;
+        # cut to the final top below
+        near = np.flatnonzero(gains >= top - width)
+        kept.append(block * len(phases) + near)
+        kept_gains.append(gains[near])
+    band = np.concatenate(kept)[np.concatenate(kept_gains) >= top - width]
 
-    return grid[best_digits], best_gain
+    strides = levels ** np.arange(n)
+    shifts = np.arange(levels)[:, np.newaxis]
+    best_gain, best_index = -np.inf, 0
+    per_table = max(1, _CHUNK // levels)  # whole classes: at least two rows
+    for start in range(0, band.size, per_table):
+        classes = band[start:start + per_table, np.newaxis, np.newaxis]
+        rotated = ((classes // strides + shifts) % levels).reshape(-1, n)
+        gains = _gains(factors[rotated], a_mat.T)
+        peak = gains.max()
+        index = int((rotated @ strides)[gains == peak].min())  # lowest index wins a tie
+        if peak > best_gain or (peak == best_gain and index < best_index):
+            best_gain, best_index = float(peak), index
+    return grid[best_index // strides % levels], best_gain
 
 
 def _coordinate_ascent(a_mat: NDArray[np.complex128], phi0: NDArray[np.float64],

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -14,12 +15,37 @@ from riscap import (
     exhaustive_best,
     joint_gain,
     joint_objective,
+    parse_plan_text,
     random_restart_best,
     ris_only_objective,
+    sample_heights,
     solve_joint,
     solve_ris_only,
 )
-from riscap.channel import gain_rows
+from riscap.channel import CascadeChannel, gain_rows
+
+SHIPPED_CHUNK = oracle_mod._CHUNK
+
+# The benchmark's toy certification scene: 2x2x4 at the heights seed 1 draws.
+TOY_PLAN = """\
+lambda_m = 0.005
+s_t_m = 0.0025
+s_r_m = 0.0025
+s_ris_m = 0.0025
+d_wall_m = 5.0
+d_ris_m = 2.5
+h_t_min_m = 2.0
+h_t_max_m = 3.0
+h_r_min_m = 0.8
+h_r_max_m = 1.8
+h_t_step_m = 0.02
+h_r_step_m = 0.02
+n_t = 2
+n_r = 2
+n_ris = 4
+trials = 1
+seed = 1
+"""
 
 
 def cascade_for(scene, n_t, n_r, n_ris, **overrides):
@@ -180,13 +206,14 @@ class TestExhaustiveBest:
     @pytest.mark.parametrize("levels", [16, 32])
     @pytest.mark.parametrize("target", ["ris_only", "joint"])
     def test_odometer_blocks_bit_identical(self, scene, monkeypatch, levels, target):
-        # Shipped _CHUNK: 16 levels are one block of all four digits, 32
-        # levels 32 blocks of three. At 1024 both run blocks of two low
-        # digits under two high ones, so the carry crosses high digits.
+        # The slice holds the three fastest digits. Shipped _CHUNK: 16 levels
+        # walk it as one block of all three, 32 levels as 32 blocks of two.
+        # At 64 both run blocks of one low digit under two high ones, so the
+        # carry crosses high digits; at 1 each class verifies in its own table.
         _, ch = cascade_for(scene, 3, 2, 4)
         spec = QuantizedSearchSpec(levels=levels, target=target)
         ref_phi, ref_gain = reference_exhaustive(ch, spec, 65536)
-        for chunk in (65536, 1024):
+        for chunk in (SHIPPED_CHUNK, 64, 1):
             monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
             phi, gain = exhaustive_best(ch, spec)
             assert gain == ref_gain
@@ -209,6 +236,77 @@ class TestExhaustiveBest:
         _, ref_gain = reference_exhaustive(ch, spec, 65536)
         assert gain == pytest.approx(ref_gain, rel=1e-15)
         assert joint_objective(ch, phi) == pytest.approx(gain, rel=1e-15)
+
+    @pytest.mark.parametrize("zeroed", [0, 3])
+    @pytest.mark.parametrize("levels", [4, 8, 12])
+    @pytest.mark.parametrize("target", ["ris_only", "joint"])
+    def test_exact_tie_returns_lowest_odometer_index(self, scene, zeroed, levels, target):
+        # A zero gain-row column leaves its element's phase free: the levels
+        # candidates that differ only there tie bit for bit, and their classes
+        # all fall in the band. The lowest index sets that element to level 0.
+        _, ch = cascade_for(scene, 2, 2, 4)
+        v_mat = ch.v_mat.copy()
+        v_mat[:, zeroed] = 0.0
+        ch = dataclasses.replace(ch, v_mat=v_mat)
+        assert not gain_rows(ch, target)[:, zeroed].any()
+        spec = QuantizedSearchSpec(levels=levels, target=target)
+        phi, gain = exhaustive_best(ch, spec)
+        ref_phi, ref_gain = reference_exhaustive(ch, spec, 65536)
+        assert gain == ref_gain
+        assert np.array_equal(phi, ref_phi)
+        assert phi[zeroed] == 0.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mirror_class_near_tie_matches_full_grid(self, seed):
+        # Real gain rows give a class and its mirror (every phase negated)
+        # the same exact gain, and computed gains that differ in the last
+        # bits, so the maximizer can be a rotation of a class whose slice
+        # gain is below the slice maximum: a band narrower than the rounding
+        # bound drops it.
+        rng = np.random.default_rng(seed)
+        for n_t, n_r, n_ris in ((2, 2, 4), (1, 1, 3), (3, 2, 4)):
+            ch = CascadeChannel(u_mat=rng.standard_normal((n_ris, n_t)) + 0j,
+                                v_mat=rng.standard_normal((n_r, n_ris)) + 0j, k_norm=1.0)
+            for levels in (5, 8, 12):
+                for target in oracle_mod.TARGETS:
+                    spec = QuantizedSearchSpec(levels=levels, target=target)
+                    phi, gain = exhaustive_best(ch, spec)
+                    ref_phi, ref_gain = reference_exhaustive(ch, spec, 65536)
+                    assert gain == ref_gain
+                    assert np.array_equal(phi, ref_phi)
+
+    @pytest.mark.parametrize("target", ["ris_only", "joint"])
+    def test_toy_scene_evaluates_slice_and_one_band_class(self, monkeypatch, target):
+        # 32^3 slice rows, then the 32 rotations of the one class in the band
+        plan = parse_plan_text(TOY_PLAN)
+        cfg = plan.scene(*sample_heights(plan, 0))
+        ch = build_cascade(build_positions(cfg), cfg)
+        gains, rows = oracle_mod._gains, []
+
+        def counted(phases, a_t):
+            rows.append(len(phases))
+            return gains(phases, a_t)
+
+        monkeypatch.setattr(oracle_mod, "_gains", counted)
+        exhaustive_best(ch, QuantizedSearchSpec(levels=32, target=target))
+        assert sum(rows) == 32**3 + 32
+        assert rows[-1] == 32
+
+    @pytest.mark.parametrize("size", [2, 3, 17, 1000])
+    @pytest.mark.parametrize("target", ["ris_only", "joint"])
+    def test_row_gain_bits_do_not_depend_on_the_table(self, scene, size, target):
+        # The premise of the quotient search: a candidate's gain bits are the
+        # same in any table of two or more rows, wherever the row sits.
+        _, ch = cascade_for(scene, 3, 2, 4)
+        a_t = (ch.k_norm * gain_rows(ch, target)).T
+        levels = 8
+        factors = np.exp(1j * 2.0 * np.pi * np.arange(levels) / levels)
+        digits = np.array(list(itertools.product(range(levels), repeat=4)), dtype=np.intp)
+        full = oracle_mod._gains(factors[digits], a_t)
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            pick = rng.choice(len(digits), size=size, replace=False)
+            assert np.array_equal(oracle_mod._gains(factors[digits[pick]], a_t), full[pick])
 
 
 class TestRandomRestartBest:
@@ -321,6 +419,22 @@ class TestRotationQuotient:
             spec = QuantizedSearchSpec(levels=levels, target=target)
             _, best = exhaustive_best(ch, spec)
             assert rotation_slice_best(ch, spec) == pytest.approx(best, rel=1e-14, abs=0)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=oracle_cases(), levels=st.integers(2, 16))
+    def test_quotient_search_matches_full_grid_bit_for_bit(self, scene, monkeypatch, case,
+                                                           levels):
+        dims, _, _ = case
+        _, ch = cascade_for(scene, **dims)
+        for target in oracle_mod.TARGETS:
+            spec = QuantizedSearchSpec(levels=levels, target=target)
+            ref_phi, ref_gain = reference_exhaustive(ch, spec, 65536)
+            for chunk in (1, 17, SHIPPED_CHUNK):
+                monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
+                phi, gain = exhaustive_best(ch, spec)
+                assert gain == ref_gain
+                assert np.array_equal(phi, ref_phi)
 
 
 class TestOracleProperties:
