@@ -53,4 +53,5 @@ def approx_gain(pos: ScenePositions, cfg: SceneConfig) -> float:
     per_element = (array_factor(cfg.n_t, cfg.s_t, pos.cos_theta_t, cfg.wavelength)
                    * array_factor(cfg.n_r, cfg.s_r, pos.cos_theta_r, cfg.wavelength))
     return scalar_or_array(
-        normalization_constant(pos, cfg) * np.sum(per_element, axis=-1))
+        normalization_constant(cfg, pos.d1[..., 0, 0], pos.d2[..., 0, 0])
+        * np.sum(per_element, axis=-1))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import SceneConfig, ScenePositions, normalization_reference
+from .geometry import SceneConfig, ScenePositions
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,15 @@ def principal_angle(z) -> NDArray[np.float64]:
     return phi[()]
 
 
-def normalization_constant(pos: ScenePositions, cfg: SceneConfig) -> float:
-    """Amplitude normalization k: center reference over the element-(1,1) path.
+def normalization_constant(cfg: SceneConfig, d1_corner, d2_corner) -> float:
+    """Amplitude normalization k: the center reference path product over the
+    element-(1,1) path product ``d1[..., 0, 0] * d2[..., 0, 0]``.
 
-    The reference element pairing is literal: the first RIS element with the
-    lowest transmit and receive antennas.
+    The reference legs run from the *mean* array heights to the RIS midpoint,
+    so they do not depend on the realized h_t / h_r.
     """
-    return corner_normalization(cfg, pos.d1[..., 0, 0], pos.d2[..., 0, 0])
-
-
-def corner_normalization(cfg: SceneConfig, d1_corner, d2_corner) -> float:
-    "k from the element-(1,1) path lengths ``d1[..., 0, 0]`` and ``d2[..., 0, 0]``."
-    d1_c, d2_c = normalization_reference(cfg)
+    d1_c = np.hypot(cfg.h_r_mean, cfg.d_wall - cfg.d_ris)
+    d2_c = np.hypot(cfg.h_t_mean, cfg.d_ris)
     return scalar_or_array(d1_c * d2_c / (d1_corner * d2_corner))
 
 
@@ -90,7 +87,7 @@ def build_cascade(pos: ScenePositions, cfg: SceneConfig) -> CascadeChannel:
     return CascadeChannel(
         u_mat=steering(pos.d2, cfg.wavelength),
         v_mat=steering(pos.d1, cfg.wavelength),
-        k_norm=normalization_constant(pos, cfg),
+        k_norm=normalization_constant(cfg, pos.d1[..., 0, 0], pos.d2[..., 0, 0]),
     )
 
 
@@ -151,7 +148,7 @@ def unnormalized_h(pos: ScenePositions, cfg: SceneConfig, phi) -> NDArray[np.com
     normalized model; capacity computations consume the normalized form.
     """
     phi = np.asarray(phi, dtype=float)
-    n_ris = pos.ris_pos.shape[0]
+    n_ris = pos.d2.shape[0]
     if phi.shape != (n_ris,):
         raise ValueError(f"phase vector has shape {phi.shape}, expected ({n_ris},)")
     # axes: (r, l, t)

@@ -133,10 +133,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_approx_check(args) -> int:
     plan = _load_plan(args.config)
-    cfg = plan.scene(
-        (plan.h_t_grid[0] + plan.h_t_grid[1]) / 2.0,
-        (plan.h_r_grid[0] + plan.h_r_grid[1]) / 2.0,
-    )
+    base = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
+    cfg = replace(base, h_t=base.h_t_mean, h_r=base.h_r_mean)
     pos = build_positions(cfg)
     ch = build_cascade(pos, cfg)
     exact = solve_ris_only(ch).b_gain

@@ -59,7 +59,7 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class ScenePositions:
-    """Element coordinates and every pairwise distance/angle the model needs.
+    """Every pairwise distance and angle the model needs.
 
     ``d1[r, l]`` is the distance from RIS element ``l`` to receive antenna
     ``r``; ``d2[l, t]`` from transmit antenna ``t`` to RIS element ``l``.
@@ -68,9 +68,6 @@ class ScenePositions:
     upward vertical array axis.
     """
 
-    tx_pos: NDArray[np.float64]
-    rx_pos: NDArray[np.float64]
-    ris_pos: NDArray[np.float64]
     d1: NDArray[np.float64]
     d2: NDArray[np.float64]
     cos_theta_t: NDArray[np.float64]
@@ -113,8 +110,8 @@ class Leg:
         """Direction cosine of each RIS element seen from array midpoints at
         heights ``h``, against the upward array axis: negative, as the
         element lies below; downstream use is sign-blind."""
-        h = np.asarray(h, dtype=float)[..., np.newaxis]
-        return -h / np.hypot(self.x, h)
+        h = np.asarray(h, dtype=float)
+        return -h[..., np.newaxis] / self.rows(h)
 
 
 def legs(cfg: SceneConfig) -> tuple[Leg, Leg]:
@@ -125,29 +122,15 @@ def legs(cfg: SceneConfig) -> tuple[Leg, Leg]:
 
 
 def build_positions(cfg: SceneConfig) -> ScenePositions:
-    """Place every element in the vertical plane and derive distances/angles.
+    """Distances and direction cosines between the arrays and the RIS.
 
-    Parameters
-    ----------
-    cfg : SceneConfig
-        Validated scene parameters.
-
-    Returns
-    -------
-    ScenePositions
-
-    Raises
-    ------
-    ValueError
-        If an antenna array would touch or cross the floor (lowest element
-        at y <= 0) or an RIS element would fall outside the open interval
-        (0, d_wall).
+    Raises ValueError if an antenna array would touch or cross the floor
+    (lowest element at y <= 0) or an RIS element would fall outside the
+    open interval (0, d_wall).
     """
     transmit, receive = legs(cfg)
-    # each array's (n, 2) element coordinates on its wall, lowest first
-    tx_pos, rx_pos = (np.column_stack([np.full(len(leg.offsets), x), leg.heights(h)])
-                      for leg, x, h in ((transmit, 0.0, cfg.h_t), (receive, cfg.d_wall, cfg.h_r)))
-    for name, low in (("transmit", tx_pos[0, 1]), ("receive", rx_pos[0, 1])):
+    z_t, z_r = transmit.heights(cfg.h_t), receive.heights(cfg.h_r)  # lowest first
+    for name, low in (("transmit", z_t[0]), ("receive", z_r[0])):
         if low <= 0:
             raise ValueError(f"{name} array intersects the floor (lowest element at y={low:.6g})")
     ris_x = transmit.x
@@ -157,25 +140,6 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
             f"between the walls (0, {cfg.d_wall})"
         )
     return ScenePositions(
-        tx_pos=tx_pos, rx_pos=rx_pos, ris_pos=np.column_stack([ris_x, np.zeros(cfg.n_ris)]),
-        d1=receive.layout(receive.rows(rx_pos[:, 1])),
-        d2=transmit.layout(transmit.rows(tx_pos[:, 1])),
+        d1=receive.layout(receive.rows(z_r)), d2=transmit.layout(transmit.rows(z_t)),
         cos_theta_t=transmit.toward(cfg.h_t), cos_theta_r=receive.toward(cfg.h_r))
 
-
-def normalization_reference(cfg: SceneConfig) -> tuple[float, float]:
-    """Center-path reference distances used to normalize the channel.
-
-    Both legs run through the RIS midpoint and use the *mean* array heights,
-    so the reference is independent of the realized h_t / h_r:
-
-        d1_c = sqrt(h_r_mean^2 + (d_wall - d_ris)^2)
-        d2_c = sqrt(h_t_mean^2 + d_ris^2)
-
-    Returns
-    -------
-    (d1_c, d2_c) : tuple of float, meters
-    """
-    d1_c = float(np.hypot(cfg.h_r_mean, cfg.d_wall - cfg.d_ris))
-    d2_c = float(np.hypot(cfg.h_t_mean, cfg.d_ris))
-    return d1_c, d2_c

@@ -33,9 +33,17 @@ _CHUNK = 1 << 12
 # The safety factor on the rounding bound that sets the width of
 # exhaustive_best's band.
 _MARGIN = 100
+# An ascent start stops after a sweep whose largest step gains at most this.
+_TOL = 1e-12
 # The most candidates (levels**n_ris) an exhaustive search enumerates; a
 # larger search is refused instead of subsampled.
 _BUDGET = 2**24
+
+
+def _require_target(target: str) -> None:
+    "Reject ``target`` unless it names one of the gain functionals."
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}, expected one of {TARGETS}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +55,7 @@ class QuantizedSearchSpec:
 
     def __post_init__(self):
         require_int("levels", self.levels, 2)
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
+        _require_target(self.target)
 
 
 def _objective(a_mat: NDArray[np.complex128], phi) -> float:
@@ -158,14 +165,14 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
 
 
 def _coordinate_ascent(a_mat: NDArray[np.complex128], phi0: NDArray[np.float64],
-                       tol: float = 1e-12) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+                       ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Sweep the coordinates of a batch of starts with co-phasing steps.
 
     ``phi0`` has shape ``(starts, n)``; phases and gains come back per start.
     Each step aligns one element's contribution with the aggregate of the
     others (summed over the linear forms) and is accepted only where the
     exact objective improves, so every gain is monotone non-decreasing. A
-    start stops after a sweep whose largest step gained at most ``tol``.
+    start stops after a sweep whose largest step gained at most ``_TOL``.
     """
     phi = np.array(phi0, dtype=float)
     gain = np.sum(np.abs(np.exp(1j * phi) @ a_mat.T), axis=1)
@@ -186,7 +193,7 @@ def _coordinate_ascent(a_mat: NDArray[np.complex128], phi0: NDArray[np.float64],
             np.copyto(gain, new_gain, where=accept)
             np.copyto(phi[:, l], proposal, where=accept)
             np.copyto(sums, candidate, where=accept[:, np.newaxis])
-        active &= improved > tol
+        active &= improved > _TOL
     return phi, gain
 
 
@@ -197,6 +204,7 @@ def random_restart_best(ch: CascadeChannel, target: str, restarts: int,
     All starts ascend together. Deterministic for a fixed (target,
     restarts, seed); repeat calls return bit-identical results.
     """
+    _require_target(target)
     require_int("restarts", restarts, 1)
     require_int("seed", seed, 0)
     a_mat = ch.k_norm * gain_rows(ch, target)

@@ -38,7 +38,7 @@ from numpy.typing import NDArray
 from . import __version__
 from ._stream import TrialStreams, trial_phases, trial_stream
 from .approx import array_factor
-from .channel import CascadeChannel, assemble_h, corner_normalization, steering
+from .channel import CascadeChannel, assemble_h, normalization_constant, steering
 from .geometry import Leg, SceneConfig, build_positions, legs, require_int
 from .schemes import (
     SnrPoint,
@@ -102,11 +102,17 @@ def _reads_phases(plan: "SimulationPlan") -> bool:
 
 def height_grid(lo: float, hi: float, step: float) -> NDArray[np.float64]:
     "Inclusive discrete grid lo, lo+step, ..., hi; step must divide the range."
+    if not np.isfinite([lo, hi, step]).all():
+        raise ValueError(f"grid bounds and step must be finite, got [{lo}, {hi}] step {step}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"grid range [{lo}, {hi}] is empty")
     count = (hi - lo) / step
+    # Up to 2**32 points, integers(n) draws one 32-bit word, which
+    # TrialStreams reproduces; past that NumPy draws 64 bits.
+    if count + 1 > 2**32:
+        raise ValueError(f"grid step {step} over [{lo}, {hi}] gives more than 2**32 points")
     if abs(count - round(count)) > 1e-9:
         raise ValueError(
             f"grid step {step} does not divide the range [{lo}, {hi}]"
@@ -141,10 +147,15 @@ class SimulationPlan:
     benchmark_ris_phase: str = "zero"
 
     def __post_init__(self):
-        grids = height_grid(*self.h_t_grid), height_grid(*self.h_r_grid)
-        for grid in grids:
+        grids = []
+        for name in ("h_t_grid", "h_r_grid"):
+            try:
+                grid = height_grid(*getattr(self, name))
+            except ValueError as err:
+                raise ValueError(f"{name}: {err}") from err
             grid.flags.writeable = False
-        object.__setattr__(self, "grids", grids)
+            grids.append(grid)
+        object.__setattr__(self, "grids", tuple(grids))
         if len(self.snr_db) == 0:
             raise ValueError("snr_db grid must not be empty")
         try:
@@ -317,7 +328,7 @@ def _block_gains(plan: SimulationPlan, cfg: SceneConfig, caches, start: int,
     ``start``, whose benchmark phases are ``phases`` (None for zero phases).
     The benchmark channel is assembled only when a requested scheme reads it."""
     steer, sums, (d2_corner, d1_corner), factors = zip(*(cache.block(start) for cache in caches))
-    ch = CascadeChannel(*steer, k_norm=corner_normalization(cfg, d1_corner, d2_corner))
+    ch = CascadeChannel(*steer, k_norm=normalization_constant(cfg, d1_corner, d2_corner))
     h_bench = None
     if _BENCHMARK_SCHEMES & set(plan.schemes):
         h_bench = assemble_h(ch, np.zeros(ch.u_mat.shape[:-1]) if phases is None else phases)

@@ -99,7 +99,7 @@ class TestApproxGain:
     def test_single_antennas_give_element_count(self, scene):
         cfg = scene(n_ris=50)
         pos = build_positions(cfg)
-        k = normalization_constant(pos, cfg)
+        k = normalization_constant(cfg, pos.d1[0, 0], pos.d2[0, 0])
         assert approx_gain(pos, cfg) == pytest.approx(k * cfg.n_ris, rel=1e-12)
 
     def test_matches_exact_gain_at_reference_geometry(self, scene):
@@ -128,6 +128,6 @@ class TestApproxGain:
         for dims in ((8, 4, 50), (16, 4, 100), (2, 2, 25)):
             cfg = scene(n_t=dims[0], n_r=dims[1], n_ris=dims[2])
             pos = build_positions(cfg)
-            k = normalization_constant(pos, cfg)
+            k = normalization_constant(cfg, pos.d1[0, 0], pos.d2[0, 0])
             gain = approx_gain(pos, cfg)
             assert 0.0 <= gain <= k * cfg.n_ris * cfg.n_t * cfg.n_r

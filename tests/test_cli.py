@@ -89,6 +89,22 @@ class TestSimulate:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("key, value, grid", [
+        ("h_r_step_m", "0.03", "h_r_grid"), ("h_t_step_m", "1e-12", "h_t_grid"),
+    ])
+    def test_bad_grid_step_is_config_error_naming_the_grid(self, key, value, grid,
+                                                           tmp_path, capsys):
+        # 1e-12 asks for 1e12 grid points: refused, not allocated
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in CONFIG.splitlines()]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(lines))
+        code = cli_main(["simulate", "--config", str(bad),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert grid in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_empty_schemes_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CONFIG.replace("schemes = ris_only, basic", "schemes ="))

@@ -323,6 +323,12 @@ class TestRandomRestartBest:
             with pytest.raises(ValueError, match="restarts must be an integer"):
                 random_restart_best(ch, "ris_only", restarts=restarts, seed=0)
 
+    @pytest.mark.parametrize("target", ["basic", "other"])
+    def test_rejects_unknown_target_naming_it(self, scene, target):
+        _, ch = cascade_for(scene, 1, 1, 2)
+        with pytest.raises(ValueError, match=f"unknown target '{target}'"):
+            random_restart_best(ch, target, restarts=1, seed=0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_rejects_bad_seed_naming_it(self, scene, seed):
         # NumPy's own errors for these name no argument

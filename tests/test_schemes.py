@@ -356,10 +356,8 @@ class TestBatchAxes:
         batch = stack_channels(*chs)
         phis = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(2, 50))
         h_batch = assemble_h(batch, phis)
-        pos_batch = ScenePositions(**{
-            f.name: getattr(pos[0], f.name) if f.name == "ris_pos"
-            else np.stack([getattr(p, f.name) for p in pos])
-            for f in fields(ScenePositions)})
+        pos_batch = ScenePositions(**{f.name: np.stack([getattr(p, f.name) for p in pos])
+                                      for f in fields(ScenePositions)})
         ris, joint = solve_ris_only(batch), solve_joint(batch)
         cop = solve_cophasing_mimo(h_batch)
         for i, (cfg, p, ch, phi) in enumerate(zip(cfgs, pos, chs, phis)):
@@ -367,7 +365,8 @@ class TestBatchAxes:
             assert np.array_equal(h_batch[i], h)
             for scheme in ("ris_only", "joint"):
                 assert np.array_equal(gain_rows(batch, scheme)[i], gain_rows(ch, scheme))
-            assert normalization_constant(pos_batch, cfg)[i] == ch.k_norm
+            k = normalization_constant(cfg, pos_batch.d1[..., 0, 0], pos_batch.d2[..., 0, 0])
+            assert k[i] == ch.k_norm
             assert approx_gain(pos_batch, cfg)[i] == approx_gain(p, cfg)
             single = solve_ris_only(ch)
             assert np.array_equal(ris.phi[i], single.phi)
@@ -389,7 +388,7 @@ class TestBatchAxes:
         assert sol.degenerate == ()
         for gain in (solve_ris_only(ch).b_gain, joint_gain(sol, ch),
                      cophasing_gain(solve_cophasing_mimo(h), h),
-                     approx_gain(p, cfg), normalization_constant(p, cfg)):
+                     approx_gain(p, cfg), normalization_constant(cfg, p.d1[0, 0], p.d2[0, 0])):
             assert type(gain) is float
 
     def test_degenerate_element_pinned_inside_batch(self):

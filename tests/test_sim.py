@@ -75,6 +75,26 @@ class TestHeightGrid:
     def test_single_point_grid(self):
         assert height_grid(1.3, 1.3, 0.02).tolist() == [1.3]
 
+    @pytest.mark.parametrize("spec", [
+        (math.nan, 3.0, 0.02), (2.0, math.inf, 0.02), (-math.inf, 3.0, 0.02),
+        (2.0, 3.0, math.nan), (2.0, 3.0, math.inf),
+    ])
+    def test_rejects_non_finite_bound_or_step(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            height_grid(*spec)
+
+    @pytest.mark.parametrize("spec", [
+        (2.0, 3.0, 1e-12), (0.0, 2.0**40, 1.0), (0.0, 2.0**32 - 0.5, 1.0),
+        (-1e308, 1e308, 1.0), (0.0, 1.0, 1e-320),
+    ])
+    def test_refuses_more_than_2_to_the_32_points(self, spec):
+        # past 2**32 points NumPy's integers(n) draws 64-bit words, which the
+        # stream twin does not reproduce; refused before any allocation.
+        # Every spec here, the one just past 2**32 points too, would fail
+        # to allocate or fail to divide without the check, never build.
+        with pytest.raises(ValueError, match=r"more than 2\*\*32 points"):
+            height_grid(*spec)
+
 
 class TestPlanValidation:
     def test_rejects_bad_trials_and_seed(self):
@@ -112,6 +132,16 @@ class TestPlanValidation:
         # -4000 dB underflows to a linear SNR of 0 and 4000 dB overflows
         with pytest.raises(ValueError, match="snr_db"):
             tiny_plan(snr_db=(0.0, bad))
+
+    @pytest.mark.parametrize("key, spec, message", [
+        ("h_r_grid", (0.8, 1.8, 0.03), "does not divide"),
+        ("h_t_grid", (2.0, 3.0, math.nan), "finite"),
+        ("h_t_grid", (2.0, 3.0, 1e-12), "2\\*\\*32"),
+        ("h_r_grid", (1.8, 0.8, 0.02), "empty"),
+    ])
+    def test_grid_errors_name_the_grid(self, key, spec, message):
+        with pytest.raises(ValueError, match=f"^{key}: .*{message}"):
+            tiny_plan(**{key: spec})
 
     def test_rejects_geometry_invalid_at_grid_floor(self):
         # the lowest receive height would sink the array into the floor
