@@ -4,14 +4,14 @@ A trial's stream is ``default_rng(SeedSequence((seed, trial)))``
 (``trial_stream``): NumPy's SeedSequence hash mixing seeds PCG64 (O'Neill,
 HMC-CS-2014-0905), whose first XSL-RR output splits into a low and a
 buffered high 32-bit half, and ``integers(n)`` maps each half with Lemire's
-bounded draw (ACM TOMACS 29(1), 2019). Those two draws are the trial's grid
-indices; the benchmark phases come next. The twin computes the seeding and
-the first output of every trial at once, and hands each trial's PCG64 state
-after its grid draws to NumPy's own generator for the phases, which skips
-the SeedSequence hash per trial. Only one-word entropy is covered: rows
-whose seed or trial index needs more than 32 bits, or whose draw falls below
-Lemire's rejection threshold (where NumPy draws again), are flagged and
-drawn by ``trial_stream`` itself.
+bounded draw (ACM TOMACS 29(1), 2019). Those two draws are the trial's
+indices into grids of given point counts; the benchmark phases come next.
+The twin computes the seeding and the first output of every trial at once,
+and hands each trial's PCG64 state after its grid draws to NumPy's own
+generator for the phases, which skips the SeedSequence hash per trial. Only
+one-word entropy is covered: rows whose seed or trial index needs more than
+32 bits, or whose draw falls below Lemire's rejection threshold (where NumPy
+draws again), are flagged and drawn by ``trial_stream`` itself.
 """
 
 from functools import cached_property
@@ -70,11 +70,11 @@ def _step(state, inc):
     return hi + (lo < inc[1]), lo
 
 
-def trial_stream(seed: int, trial: int, grids) -> "tuple[np.random.Generator, tuple[int, ...]]":
+def trial_stream(seed: int, trial: int, sizes) -> "tuple[np.random.Generator, tuple[int, ...]]":
     """A trial's generator, hashed from (seed, trial) alone, after its grid
-    draws ``integers(len(grid))`` for each of ``grids``, and those draws."""
+    draws ``integers(size)`` for each point count of ``sizes``, and those."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-    return rng, tuple(int(rng.integers(len(grid))) for grid in grids)
+    return rng, tuple(int(rng.integers(size)) for size in sizes)
 
 
 def trial_phases(rng: "np.random.Generator", rows, count: int):
@@ -87,14 +87,14 @@ class TrialStreams:
     """The streams ``default_rng(SeedSequence((seed, t)))`` of ``trials``.
 
     ``indices`` is the ``(len(trials), 2)`` array of each stream's
-    ``integers(len(grids[0]))`` and ``integers(len(grids[1]))``: the trial's
-    grid indices. A one-point grid draws nothing, as ``integers(1)`` does.
-    ``flagged`` marks the rows the twin does not cover, a seed or trial index
-    of 2^32 or more or a Lemire rejection; ``trial_stream`` draws their
+    ``integers(sizes[0])`` and ``integers(sizes[1])``, sizes up to 2**32: the
+    trial's grid indices. A one-point grid draws nothing, as ``integers(1)``
+    does. ``flagged`` marks the rows the twin does not cover, a seed or trial
+    index of 2^32 or more or a Lemire rejection; ``trial_stream`` draws their
     indices, and their state goes into the twin's arrays.
     """
 
-    def __init__(self, seed: int, trials, grids):
+    def __init__(self, seed: int, trials, sizes):
         trials = np.asarray(trials, dtype=np.uint64)
         self.flagged = (trials > _MASK32) | (seed > _MASK32)
         state, self._inc = _seeded(seed & _MASK32, (trials & _LOW).astype(np.uint32))
@@ -105,7 +105,7 @@ class TrialStreams:
         halves = iter((output & _LOW, output >> _U32))
         self.indices = np.zeros((len(trials), 2), dtype=np.int64)
         draws = 0
-        for column, size in enumerate(map(len, grids)):
+        for column, size in enumerate(sizes):
             if size > 1:
                 scaled = next(halves) * np.uint64(size)
                 self.flagged |= (scaled & _LOW) < (1 << 32) % size
@@ -116,7 +116,7 @@ class TrialStreams:
         self._state, self._draws, self._high = first if draws else state, draws, output >> _U32
         self._buffered = np.full(len(trials), draws == 1)
         for row in np.flatnonzero(self.flagged):
-            rng, self.indices[row] = trial_stream(seed, int(trials[row]), grids)
+            rng, self.indices[row] = trial_stream(seed, int(trials[row]), sizes)
             drawn = rng.bit_generator.state
             for (hi, lo), key in ((self._state, "state"), (self._inc, "inc")):
                 hi[row], lo[row] = divmod(drawn["state"][key], 1 << 64)

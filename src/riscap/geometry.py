@@ -46,8 +46,8 @@ class SceneConfig:
         for name in ("wavelength", "s_t", "s_r", "s_ris", "d_wall", "d_ris",
                      "h_t", "h_r", "h_t_mean", "h_r_mean"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
         for name in ("n_t", "n_r", "n_ris"):
             require_int(name, getattr(self, name), 1)
         if not self.d_ris < self.d_wall:

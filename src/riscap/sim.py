@@ -2,13 +2,14 @@
 
 Each trial draws array-midpoint heights from discrete uniform grids, builds
 the scene and cascade channel, solves the requested schemes, and evaluates
-capacity at every SNR point. A plan builds its two height grids once, when
-it is validated. Per-trial randomness is derived from (seed, trial_index)
-alone: a trial's stream is ``default_rng(SeedSequence((seed, trial)))``, its
-first two draws are the grid indices and the next ``n_ris`` are the random
-benchmark phases. ``_stream`` holds that stream: single trials draw from the
-trial's own generator (``trial_stream``, ``trial_phases``), which is cheaper
-for one trial, and a sweep takes every trial's indices and phases from
+capacity at every SNR point. A height grid is its ``(lo, hi, step)``, and
+heights ``lo + step * i`` exist only at the grid indices ``i`` drawn.
+Per-trial randomness is derived from (seed, trial_index) alone: a trial's
+stream is ``default_rng(SeedSequence((seed, trial)))``, its first two draws
+are the grid indices and the next ``n_ris`` are the random benchmark phases.
+``_stream`` holds that stream: single trials draw from the trial's own
+generator (``trial_stream``, ``trial_phases``), which is cheaper for one
+trial, and a sweep takes every trial's indices and phases from
 ``TrialStreams``, the stream's array-code twin.
 
 A sweep's units are its distinct (h_t, h_r) grid pairs: unless a requested
@@ -100,8 +101,8 @@ def _reads_phases(plan: "SimulationPlan") -> bool:
     return plan.benchmark_ris_phase == "random" and bool(_BENCHMARK_SCHEMES & set(plan.schemes))
 
 
-def height_grid(lo: float, hi: float, step: float) -> NDArray[np.float64]:
-    "Inclusive discrete grid lo, lo+step, ..., hi; step must divide the range."
+def grid_points(lo: float, hi: float, step: float) -> int:
+    "Point count of the inclusive grid lo, lo+step, ..., hi; step must divide the range."
     if not np.isfinite([lo, hi, step]).all():
         raise ValueError(f"grid bounds and step must be finite, got [{lo}, {hi}] step {step}")
     if step <= 0:
@@ -114,19 +115,27 @@ def height_grid(lo: float, hi: float, step: float) -> NDArray[np.float64]:
     if count + 1 > 2**32:
         raise ValueError(f"grid step {step} over [{lo}, {hi}] gives more than 2**32 points")
     if abs(count - round(count)) > 1e-9:
-        raise ValueError(
-            f"grid step {step} does not divide the range [{lo}, {hi}]"
-        )
-    return lo + step * np.arange(round(count) + 1)
+        raise ValueError(f"grid step {step} does not divide the range [{lo}, {hi}]")
+    return round(count) + 1
+
+
+def _heights(plan: "SimulationPlan", t, r) -> tuple:
+    "Heights ``lo + step * i`` at the plan's (h_t, h_r) grid indices ``t`` and ``r``."
+    return plan.h_t_grid[0] + plan.h_t_grid[2] * t, plan.h_r_grid[0] + plan.h_r_grid[2] * r
+
+
+def _grid_sizes(plan: "SimulationPlan") -> tuple[int, int]:
+    "Point counts of the plan's (h_t, h_r) grids."
+    return grid_points(*plan.h_t_grid), grid_points(*plan.h_r_grid)
 
 
 @dataclass(frozen=True)
 class SimulationPlan:
     """Everything one sweep needs: base geometry, height grids, SNR grid.
 
-    Heights are *not* part of the plan; they are sampled per trial. The
-    normalization reference heights are the grid midpoints. ``grids`` holds
-    the read-only (h_t, h_r) height grids, built once during validation.
+    Heights are *not* part of the plan; they are sampled per trial. A grid
+    is its ``(lo, hi, step)``, validated by ``grid_points`` and never built.
+    The normalization reference heights are the grid midpoints.
     """
 
     wavelength: float
@@ -147,15 +156,11 @@ class SimulationPlan:
     benchmark_ris_phase: str = "zero"
 
     def __post_init__(self):
-        grids = []
         for name in ("h_t_grid", "h_r_grid"):
             try:
-                grid = height_grid(*getattr(self, name))
+                grid_points(*getattr(self, name))
             except ValueError as err:
                 raise ValueError(f"{name}: {err}") from err
-            grid.flags.writeable = False
-            grids.append(grid)
-        object.__setattr__(self, "grids", tuple(grids))
         if len(self.snr_db) == 0:
             raise ValueError("snr_db grid must not be empty")
         try:
@@ -227,9 +232,8 @@ def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float
     trial, so single trials can be replayed in isolation.
     """
     require_int("trial_index", trial_index, 0)
-    _, indices = trial_stream(plan.seed, trial_index, plan.grids)
-    h_t, h_r = (float(grid[i]) for grid, i in zip(plan.grids, indices))
-    return h_t, h_r
+    _, indices = trial_stream(plan.seed, trial_index, _grid_sizes(plan))
+    return _heights(plan, *indices)
 
 
 def _build_rows(leg: Leg, wavelength: float, z) -> NDArray[np.complex128]:
@@ -362,8 +366,8 @@ def _sweep_gains(plan: SimulationPlan, indices, phases=None) -> dict:
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
     block_size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
-    caches = [_LegCache(leg, cfg.wavelength, grid[column[order]], block_size)
-              for leg, grid, column in zip(legs(cfg), plan.grids, indices.T)]
+    caches = [_LegCache(leg, cfg.wavelength, heights, block_size)
+              for leg, heights in zip(legs(cfg), _heights(plan, *indices[order].T))]
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
     # freed so far, and every block would then fault its pages in again (a
@@ -389,7 +393,7 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     from the trial's generator.
     """
     require_int("trial_index", trial_index, 0)
-    rng, indices = trial_stream(plan.seed, trial_index, plan.grids)
+    rng, indices = trial_stream(plan.seed, trial_index, _grid_sizes(plan))
     phases = partial(trial_phases, rng, count=plan.n_ris) if _reads_phases(plan) else None
     gains = _sweep_gains(plan, np.array([indices]), phases)
     return {scheme: float(values[0]) for scheme, values in gains.items()}
@@ -403,13 +407,14 @@ def _plan_gains(plan: SimulationPlan) -> tuple[dict, int]:
     its trials, unless a requested benchmark scheme reads random phases
     from the trials' streams; then every trial is solved.
     """
-    streams = TrialStreams(plan.seed, np.arange(plan.trials), plan.grids)
-    indices = streams.indices
-    n_r = len(plan.grids[1])
-    codes, inverse = np.unique(indices[:, 0] * n_r + indices[:, 1], return_inverse=True)
+    sizes = _grid_sizes(plan)
+    streams = TrialStreams(plan.seed, np.arange(plan.trials), sizes)
+    # pair codes t * n_r + r in uint64, below 2**64 on grids of up to 2**32 points
+    (t, r), n_r = streams.indices.T.astype(np.uint64), np.uint64(sizes[1])
+    codes, inverse = np.unique(t * n_r + r, return_inverse=True)
     if _reads_phases(plan):
         phases = partial(streams.phases, count=plan.n_ris)
-        return _sweep_gains(plan, indices, phases), len(codes)
+        return _sweep_gains(plan, streams.indices, phases), len(codes)
     pairs = np.stack(np.divmod(codes, n_r), axis=-1)
     gains = _sweep_gains(plan, pairs)
     return {scheme: values[inverse] for scheme, values in gains.items()}, len(codes)

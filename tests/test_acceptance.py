@@ -215,7 +215,7 @@ def test_shipped_panels_match_golden_csv(tables, tmp_path):
 def exact_means(plan):
     """Mean capacity of every scheme at every SNR over all (h_t, h_r) grid
     pairs, each equally likely: the expectation a zero-phase sweep estimates."""
-    n_t, n_r = (len(grid) for grid in plan.grids)
+    n_t, n_r = sim._grid_sizes(plan)
     pairs = np.stack(np.divmod(np.arange(n_t * n_r), n_r), axis=-1)
     gains = sim._sweep_gains(plan, pairs)
     return {(scheme, snr_db): float(np.mean(capacity_from_gain(gains[scheme], plan.n_t,

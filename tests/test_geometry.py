@@ -33,6 +33,14 @@ class TestSceneConfig:
             with pytest.raises(ValueError, match=field):
                 scene(**{field: 0.0})
 
+    @pytest.mark.parametrize("field", ["wavelength", "s_t", "s_r", "s_ris", "d_wall", "d_ris",
+                                       "h_t", "h_r", "h_t_mean", "h_r_mean"])
+    def test_rejects_infinite_lengths(self, scene, field):
+        # inf > 0 holds: an infinite wavelength would give finite-looking
+        # capacities, an infinite wall separation NaN rows
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            scene(**{field: math.inf})
+
     def test_rejects_bad_counts(self, scene):
         with pytest.raises(ValueError, match="n_t"):
             scene(n_t=0)

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -35,7 +35,7 @@ from riscap import (
 from riscap import channel, schemes, sim
 from riscap._stream import TrialStreams
 from riscap.geometry import Leg
-from riscap.sim import SCHEMES, height_grid
+from riscap.sim import SCHEMES, grid_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,25 +55,41 @@ def tiny_plan(**overrides):
 
 class TestHeightGrid:
     def test_default_grids_have_51_values(self):
-        grid = height_grid(2.0, 3.0, 0.02)
-        assert len(grid) == 51
-        assert grid[0] == 2.0
-        assert grid[-1] == pytest.approx(3.0, abs=1e-12)
-        grid = height_grid(0.8, 1.8, 0.02)
-        assert len(grid) == 51
+        assert grid_points(2.0, 3.0, 0.02) == grid_points(0.8, 1.8, 0.02) == 51
+        plan = load_preset("panel_a")
+        assert sim._heights(plan, 0, 0) == (2.0, 0.8)
+        assert sim._heights(plan, 50, 50) == pytest.approx((3.0, 1.8), abs=1e-12)
 
     def test_rejects_non_dividing_step(self):
         with pytest.raises(ValueError, match="divide"):
-            height_grid(2.0, 3.0, 0.03)
+            grid_points(2.0, 3.0, 0.03)
 
     def test_rejects_bad_step_or_range(self):
         with pytest.raises(ValueError, match="positive"):
-            height_grid(2.0, 3.0, 0.0)
+            grid_points(2.0, 3.0, 0.0)
         with pytest.raises(ValueError, match="empty"):
-            height_grid(3.0, 2.0, 0.02)
+            grid_points(3.0, 2.0, 0.02)
 
     def test_single_point_grid(self):
-        assert height_grid(1.3, 1.3, 0.02).tolist() == [1.3]
+        assert grid_points(1.3, 1.3, 0.02) == 1
+        assert sim._heights(tiny_plan(), 0, 0) == (2.5, 1.3)
+
+    @pytest.mark.parametrize("h_t_grid, h_r_grid", [
+        ((2.0, 3.0, 0.02), (0.8, 1.8, 0.02)), ((2.0, 3.0, 0.0001), (0.8, 1.8, 0.0001)),
+        ((2.5, 2.5, 0.02), (1.3, 1.3, 0.02)), ((2.0, 2.2, 0.01), (0.75, 1.8, 0.05)),
+        ((0.1, 0.7, 0.003), (1.0, 2.0, 2.0**-20)),
+    ])
+    def test_heights_are_the_built_grid_bit_for_bit(self, h_t_grid, h_r_grid):
+        "Heights at drawn indices, as arrays or ints, are lo + step * np.arange(n) there."
+        plan = tiny_plan(h_t_grid=h_t_grid, h_r_grid=h_r_grid)
+        grids = [lo + step * np.arange(n)
+                 for (lo, _, step), n in zip((h_t_grid, h_r_grid), sim._grid_sizes(plan))]
+        rng = np.random.default_rng(3)
+        t, r = (np.append(rng.integers(len(grid), size=200), len(grid) - 1) for grid in grids)
+        for got, grid, i in zip(sim._heights(plan, t, r), grids, (t, r)):
+            assert got.tobytes() == grid[i].tobytes()
+        for i, j in zip(t.tolist(), r.tolist()):
+            assert sim._heights(plan, i, j) == (grids[0][i], grids[1][j])
 
     @pytest.mark.parametrize("spec", [
         (math.nan, 3.0, 0.02), (2.0, math.inf, 0.02), (-math.inf, 3.0, 0.02),
@@ -81,7 +97,7 @@ class TestHeightGrid:
     ])
     def test_rejects_non_finite_bound_or_step(self, spec):
         with pytest.raises(ValueError, match="finite"):
-            height_grid(*spec)
+            grid_points(*spec)
 
     @pytest.mark.parametrize("spec", [
         (2.0, 3.0, 1e-12), (0.0, 2.0**40, 1.0), (0.0, 2.0**32 - 0.5, 1.0),
@@ -93,7 +109,7 @@ class TestHeightGrid:
         # Every spec here, the one just past 2**32 points too, would fail
         # to allocate or fail to divide without the check, never build.
         with pytest.raises(ValueError, match=r"more than 2\*\*32 points"):
-            height_grid(*spec)
+            grid_points(*spec)
 
 
 class TestPlanValidation:
@@ -143,28 +159,59 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=f"^{key}: .*{message}"):
             tiny_plan(**{key: spec})
 
+    @pytest.mark.parametrize("field", ["wavelength", "s_t", "s_r", "s_ris", "d_wall", "d_ris"])
+    def test_rejects_infinite_lengths_naming_them(self, field):
+        # one transmit antenna: an infinite s_t then reached _unit_order's
+        # round(s_t / step) and raised a bare OverflowError
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            replace(load_preset("panel_a"), n_t=1, trials=3, **{field: math.inf})
+
     def test_rejects_geometry_invalid_at_grid_floor(self):
         # the lowest receive height would sink the array into the floor
         with pytest.raises(ValueError, match="floor"):
             tiny_plan(n_r=32, h_r_grid=(0.02, 1.8, 0.02))
 
 
-class TestPlanGrids:
-    def test_grids_built_once_and_read_only(self):
-        plan = replace(load_preset("panel_a"), trials=20, benchmark_ris_phase="random")
-        with mock.patch.object(sim, "height_grid", wraps=sim.height_grid) as built:
-            run_plan(plan)
-            sample_heights(plan, 3)
-            trial_gains(plan, 3)
-        assert built.call_count == 0
-        with pytest.raises(ValueError, match="read-only"):
-            plan.grids[0][0] = 0.0
-        for grid, spec in zip(plan.grids, (plan.h_t_grid, plan.h_r_grid)):
-            np.testing.assert_array_equal(grid, height_grid(*spec))
+# (lo, hi, step) of the 2**32-point transmit and receive grids, exact in binary
+LIMIT_GRIDS = dict(h_t_grid=(2.0, 3.0 - 2.0**-32, 2.0**-32),
+                   h_r_grid=(1.0, 2.0 - 2.0**-32, 2.0**-32))
 
-    def test_replace_rebuilds_grids(self):
+
+class TestPlanGrids:
+    "A grid is its (lo, hi, step): a plan builds no heights, only the drawn ones exist."
+
+    def test_plan_holds_only_its_fields(self):
+        plan = replace(load_preset("panel_a"), **LIMIT_GRIDS)
+        assert vars(plan).keys() == {field.name for field in fields(plan)}
+        assert sim._grid_sizes(plan) == (2**32, 2**32)
+
+    def test_validating_million_point_grids_stays_small(self):
+        # the two built grids alone would take 16 MB; building them peaked
+        # at 22.95 MB traced
+        tracemalloc.start()
+        try:
+            plan = tiny_plan(h_t_grid=(2.0, 3.0, 1e-6), h_r_grid=(1.0, 2.0, 1e-6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sim._grid_sizes(plan) == (1_000_001, 1_000_001)
+        assert peak < 1 << 20
+
+    def test_replace_revalidates_grids(self):
         plan = replace(load_preset("panel_a"), h_t_grid=(2.0, 2.1, 0.02))
-        assert len(plan.grids[0]) == 6 and len(plan.grids[1]) == 51
+        assert sim._grid_sizes(plan) == (6, 51)
+        with pytest.raises(ValueError, match="^h_t_grid: .*does not divide"):
+            replace(plan, h_t_grid=(2.0, 2.1, 0.03))
+
+    def test_2_to_the_32_point_sweep_matches_trial_gains(self):
+        # Pair codes t * n_r + r reach up to 2**64 - 1 here: 19 of the 40
+        # trials draw t >= 2**31, whose int64 codes wrap and decode wrongly.
+        plan = replace(load_preset("panel_a"), seed=1, trials=40, **LIMIT_GRIDS)
+        assert (sweep_streams(plan).indices[:, 0] >= 2**31).sum() == 19
+        gains, distinct = sim._plan_gains(plan)
+        assert distinct == 40
+        for trial in range(plan.trials):
+            assert {k: float(v[trial]) for k, v in gains.items()} == trial_gains(plan, trial)
 
 
 class TestSampleHeights:
@@ -174,7 +221,8 @@ class TestSampleHeights:
 
     def test_values_on_grid(self):
         plan = load_preset("panel_a")
-        h_t_grid, h_r_grid = (set(np.round(grid, 9)) for grid in plan.grids)
+        h_t_grid, h_r_grid = (set(np.round(lo + step * np.arange(n), 9)) for (lo, _, step), n
+                              in zip((plan.h_t_grid, plan.h_r_grid), sim._grid_sizes(plan)))
         for i in range(200):
             h_t, h_r = sample_heights(plan, i)
             assert round(h_t, 9) in h_t_grid
@@ -212,8 +260,8 @@ def replay_trial(plan, trial):
     phi = np.zeros(plan.n_ris)
     if plan.benchmark_ris_phase == "random":
         rng = np.random.default_rng(np.random.SeedSequence((plan.seed, trial)))
-        for grid in plan.grids:
-            rng.integers(len(grid))
+        for size in sim._grid_sizes(plan):
+            rng.integers(size)
         phi = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
     return scene_gains(cfg, pos, ch, phi)
 
@@ -228,11 +276,6 @@ def scene_gains(cfg, pos, ch, phi):
         "ris_only": solve_ris_only(ch).b_gain,
         "ris_only_approx": approx_gain(pos, cfg),
     }
-
-
-def grids_of(sizes):
-    "Stand-in height grids of the given sizes: the stream reads only their lengths."
-    return [range(size) for size in sizes]
 
 
 def reference_indices(seed, trials, sizes):
@@ -254,7 +297,7 @@ def reference_rows(plan):
 
 def sweep_streams(plan):
     "The stream twin of all of a plan's trials."
-    return TrialStreams(plan.seed, np.arange(plan.trials), plan.grids)
+    return TrialStreams(plan.seed, np.arange(plan.trials), sim._grid_sizes(plan))
 
 
 def numpy_draws(seed, trial, sizes, n_ris):
@@ -270,7 +313,11 @@ def fine_plan(seed):
                      seed=seed, schemes=SCHEMES)
 
 
-grid_sizes = st.one_of(st.just(1), st.integers(1, 10**4))
+# Grids up to the 2**32-point limit. At 2**31 + 1 points Lemire's threshold
+# 2**32 % size is 2**31 - 1, so about half the draws are rejections: that
+# size goes only into comparisons of all rows, not the flag-count bound.
+grid_sizes = st.one_of(st.just(1), st.integers(1, 10**4), st.sampled_from([2**32 - 1, 2**32]))
+all_row_sizes = st.one_of(grid_sizes, st.just(2**31 + 1))
 
 
 class TestStreamTwin:
@@ -282,7 +329,7 @@ class TestStreamTwin:
            sizes=st.tuples(grid_sizes, grid_sizes))
     def test_unflagged_rows_match_numpy(self, seed, first, sizes):
         trials = np.arange(first, first + 20)
-        streams = TrialStreams(seed, trials, grids_of(sizes))
+        streams = TrialStreams(seed, trials, sizes)
         indices, flagged = streams.indices, streams.flagged
         expected = reference_indices(seed, trials, sizes)
         np.testing.assert_array_equal(indices[~flagged], expected[~flagged])
@@ -292,10 +339,10 @@ class TestStreamTwin:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64)),
            first=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 5, 2**40)),
-           sizes=st.tuples(grid_sizes, grid_sizes))
+           sizes=st.tuples(all_row_sizes, all_row_sizes))
     def test_sweep_indices_match_numpy(self, seed, first, sizes):
         trials = np.arange(first, first + 10)
-        np.testing.assert_array_equal(TrialStreams(seed, trials, grids_of(sizes)).indices,
+        np.testing.assert_array_equal(TrialStreams(seed, trials, sizes).indices,
                                       reference_indices(seed, trials, sizes))
 
     @settings(max_examples=60, deadline=None)
@@ -306,7 +353,7 @@ class TestStreamTwin:
     @example(seed=1, first=609287, n_ris=5, sizes=(10001, 10001))
     def test_benchmark_phases_match_numpy(self, seed, first, n_ris, sizes):
         trials = np.arange(first, first + 6)
-        streams = TrialStreams(seed, trials, grids_of(sizes))
+        streams = TrialStreams(seed, trials, sizes)
         rows = np.array([5, 0, 3, 1])
         phases = streams.phases(rows, n_ris)
         for values, row in zip(phases, rows):
@@ -325,7 +372,7 @@ class TestStreamTwin:
         # 609287 is a Lemire rejection at seed 1 and 236055 at seed 12345
         trials = np.array(others + [609287, 236055], dtype=np.uint64)
         sizes = (10001, 10001)
-        streams = TrialStreams(seed, trials, grids_of(sizes))
+        streams = TrialStreams(seed, trials, sizes)
         if seed in (1, 12345):
             assert streams.flagged[len(others) + (seed == 12345)]
         rows = np.array(data.draw(st.permutations(range(len(trials)))))
@@ -336,22 +383,30 @@ class TestStreamTwin:
             assert values.tobytes() == expected.tobytes()
         assert streams.phases(rows, n_ris).tobytes() == phases.tobytes()
 
+    @pytest.mark.parametrize("size, flagged", [(2**32, 0), (2**32 - 1, 0), (2**31 + 1, 145)])
+    def test_grid_limit_sizes_match_numpy(self, size, flagged):
+        # 200 trials of grids at and near the 2**32-point limit
+        trials = np.arange(200)
+        streams = TrialStreams(1, trials, (size, size))
+        assert streams.flagged.sum() == flagged
+        np.testing.assert_array_equal(streams.indices, reference_indices(1, trials, (size, size)))
+
     @pytest.mark.parametrize("seed, trial", [(1, 609287), (12345, 236055)])
     def test_lemire_rejection_falls_back(self, seed, trial):
         sizes = (10001, 10001)
-        streams = TrialStreams(seed, [trial], grids_of(sizes))
+        streams = TrialStreams(seed, [trial], sizes)
         # numpy draws again here, so the twin's own draw would be wrong
         assert streams.flagged.tolist() == [True]
         np.testing.assert_array_equal(streams.indices, reference_indices(seed, [trial], sizes))
         plan = fine_plan(seed)
         t, r = streams.indices[0]
-        assert (plan.grids[0][t], plan.grids[1][r]) == sample_heights(plan, trial)
+        assert sim._heights(plan, t, r) == sample_heights(plan, trial)
         gains = sim._sweep_gains(plan, streams.indices)
         assert {k: float(v[0]) for k, v in gains.items()} == replay_trial(plan, trial)
 
     def test_wide_seed_runs_through_fallback(self):
         plan = replace(load_preset("panel_a"), seed=2**32 + 7, trials=60)
-        assert TrialStreams(plan.seed, np.arange(60), plan.grids).flagged.all()
+        assert TrialStreams(plan.seed, np.arange(60), sim._grid_sizes(plan)).flagged.all()
         assert run_plan(plan).rows == reference_rows(plan)
 
     @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
@@ -444,7 +499,7 @@ class TestBenchmarkLaziness:
         # the trial's generator has moved past its grid draws only if the
         # phases were drawn from it
         (rng, _), = streams
-        untouched = trial_stream(plan.seed, 5, plan.grids)[0]
+        untouched = trial_stream(plan.seed, 5, sim._grid_sizes(plan))[0]
         assert (rng.bit_generator.state != untouched.bit_generator.state) == drawn
 
 
@@ -589,10 +644,10 @@ def reference_rows_built(plan, indices):
     order = np.lexsort((indices[:, 1], indices[:, 0], indices[:, 0] % steps))
     size = sim._BLOCK_BYTES // sim._unit_bytes(plan)
     built = []
-    for grid, column, n, spacing in zip(plan.grids, indices.T, (plan.n_t, plan.n_r),
-                                        (plan.s_t, plan.s_r)):
+    for heights, n, spacing in zip(sim._heights(plan, *indices[order].T), (plan.n_t, plan.n_r),
+                                   (plan.s_t, plan.s_r)):
         offsets = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
-        z = grid[column[order]][:, np.newaxis] + offsets
+        z = heights[:, np.newaxis] + offsets
         count, held = 0, np.array([])
         for start in range(0, len(z), size):
             distinct = np.unique(z[start:start + size])
