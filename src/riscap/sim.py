@@ -14,8 +14,8 @@ trial, and a sweep takes every trial's indices and phases from
 
 A sweep's units are its distinct (h_t, h_r) grid pairs: unless a requested
 benchmark scheme reads random benchmark phases, every gain is a function of
-the pair alone, so each pair is solved once and its gains are scattered back
-to the trials that drew it. Otherwise the units are the trials themselves.
+the pair alone, so each pair is solved once and weighted by the number of
+trials that drew it. Otherwise the units are the trials themselves.
 Units run in blocks, in ``_unit_order``, with every scheme solved over a
 leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a block's arrays hold
 at once, counted at ``_unit_bytes`` per unit: steering, solver scratch and
@@ -26,8 +26,8 @@ height fit the budget, with the antenna sums, corner path length and array
 factor per height for blocks to gather; else per block, building the rows
 the block before lacked. Units go by transmit grid index, first by residue
 modulo the antenna spacing in grid steps when that is whole, so arrays that
-share element heights share blocks. Gains return to trial order before the
-reduction; each unit's gain is bit-identical to the single-scene calls.
+share element heights share blocks. Each unit's gain is bit-identical to
+the single-scene calls, and ``_rows`` weights it by its trial count.
 """
 
 from dataclasses import asdict, dataclass
@@ -114,7 +114,8 @@ def grid_points(lo: float, hi: float, step: float) -> int:
     # TrialStreams reproduces; past that NumPy draws 64 bits.
     if count + 1 > 2**32:
         raise ValueError(f"grid step {step} over [{lo}, {hi}] gives more than 2**32 points")
-    if abs(count - round(count)) > 1e-9:
+    # (hi - lo) / step is off a whole count by rounding at the count's scale
+    if abs(count - round(count)) > max(1e-9, 8 * np.finfo(float).eps * count):
         raise ValueError(f"grid step {step} does not divide the range [{lo}, {hi}]")
     return round(count) + 1
 
@@ -399,29 +400,42 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     return {scheme: float(values[0]) for scheme, values in gains.items()}
 
 
-def _plan_gains(plan: SimulationPlan) -> tuple[dict, int]:
-    """Gain arrays of every requested scheme in trial order, and the number
-    of distinct (h_t, h_r) grid pairs the trials drew.
-
-    Each distinct pair is solved once and its gains are scattered back to
-    its trials, unless a requested benchmark scheme reads random phases
-    from the trials' streams; then every trial is solved.
-    """
+def _plan_gains(plan: SimulationPlan) -> tuple[dict, NDArray[np.int64], int]:
+    """Gains of every requested scheme over the sweep's units, each unit's
+    trial count, and the number of distinct (h_t, h_r) grid pairs drawn: the
+    units are those pairs in code order, or the trials, each of count 1, when
+    a requested benchmark scheme reads the trials' random phases."""
     sizes = _grid_sizes(plan)
     streams = TrialStreams(plan.seed, np.arange(plan.trials), sizes)
     # pair codes t * n_r + r in uint64, below 2**64 on grids of up to 2**32 points
     (t, r), n_r = streams.indices.T.astype(np.uint64), np.uint64(sizes[1])
-    codes, inverse = np.unique(t * n_r + r, return_inverse=True)
+    codes, counts = np.unique(t * n_r + r, return_counts=True)
     if _reads_phases(plan):
         phases = partial(streams.phases, count=plan.n_ris)
-        return _sweep_gains(plan, streams.indices, phases), len(codes)
-    pairs = np.stack(np.divmod(codes, n_r), axis=-1)
-    gains = _sweep_gains(plan, pairs)
-    return {scheme: values[inverse] for scheme, values in gains.items()}, len(codes)
+        return _sweep_gains(plan, streams.indices, phases), np.ones(plan.trials, int), len(codes)
+    return _sweep_gains(plan, np.stack(np.divmod(codes, n_r), axis=-1)), counts, len(codes)
+
+
+def _rows(plan: SimulationPlan, gains: dict, counts) -> tuple[ResultRow, ...]:
+    """Mean capacity and standard error, 0 over one trial, of every scheme at
+    every SNR over units of ``gains`` weighted by their trial ``counts``: the
+    two-pass weighted variance (Chan, Golub & LeVeque, 1983). Pairwise sums
+    along the unit axis give each SNR's row the bits of a one-SNR pass."""
+    n = int(np.sum(counts))
+    snr = SnrPoint.from_db(np.asarray(plan.snr_db)[:, np.newaxis])  # units on the last axis
+    rows = []
+    for scheme in plan.schemes:
+        caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, snr)
+        means = np.sum(caps * counts, axis=-1) / n
+        stderrs = np.sqrt(np.sum((caps - means[:, np.newaxis]) ** 2 * counts, axis=-1)
+                          / max(n - 1, 1)) / np.sqrt(n)
+        rows += [ResultRow(scheme, float(snr_db), float(mean), float(stderr), n)
+                 for snr_db, mean, stderr in zip(plan.snr_db, means, stderrs)]
+    return tuple(sorted(rows, key=lambda r: (r.scheme, r.snr_db)))
 
 
 def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
-    """Run all trials and aggregate mean capacity and standard error.
+    """Run all trials and reduce each unit's capacities, weighted by its trial count.
 
     ``workers`` is accepted for compatibility and must be an integer >= 1;
     it does not change how trials run, so the table is identical for any
@@ -429,23 +443,9 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     height pairs the trials drew.
     """
     require_int("workers", workers, 1)
-    gains, distinct_pairs = _plan_gains(plan)
-
-    # one capacity row per SNR, and trials along the last axis
-    snr = SnrPoint.from_db(np.asarray(plan.snr_db)[:, np.newaxis])
-    rows = []
-    for scheme in sorted(plan.schemes):
-        caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, snr)
-        stderrs = (np.std(caps, axis=-1, ddof=1) / np.sqrt(plan.trials)
-                   if plan.trials > 1 else np.zeros(len(caps)))
-        rows += [ResultRow(scheme=scheme, snr_db=float(snr_db), mean_capacity_bits=float(mean),
-                           stderr_bits=float(stderr), trials=plan.trials)
-                 for snr_db, mean, stderr in zip(plan.snr_db, np.mean(caps, axis=-1), stderrs)]
-    rows.sort(key=lambda r: (r.scheme, r.snr_db))
-
-    metadata = {"plan": asdict(plan), "seed": plan.seed, "version": __version__,
-                "distinct_pairs": distinct_pairs}
-    return ResultTable(rows=tuple(rows), metadata=metadata)
+    gains, counts, pairs = _plan_gains(plan)
+    return ResultTable(rows=_rows(plan, gains, counts), metadata={
+        "plan": asdict(plan), "seed": plan.seed, "version": __version__, "distinct_pairs": pairs})
 
 
 def write_csv(table: ResultTable, path) -> None:

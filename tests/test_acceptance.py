@@ -214,14 +214,12 @@ def test_shipped_panels_match_golden_csv(tables, tmp_path):
 
 def exact_means(plan):
     """Mean capacity of every scheme at every SNR over all (h_t, h_r) grid
-    pairs, each equally likely: the expectation a zero-phase sweep estimates."""
+    pairs, each equally likely: the expectation a zero-phase sweep estimates.
+    It is the sweep's own reduction over every pair at weight 1."""
     n_t, n_r = sim._grid_sizes(plan)
     pairs = np.stack(np.divmod(np.arange(n_t * n_r), n_r), axis=-1)
-    gains = sim._sweep_gains(plan, pairs)
-    return {(scheme, snr_db): float(np.mean(capacity_from_gain(gains[scheme], plan.n_t,
-                                                               plan.n_r, SnrPoint(rho))))
-            for scheme in plan.schemes
-            for snr_db, rho in zip(plan.snr_db, SnrPoint.from_db(plan.snr_db).es_over_n0)}
+    rows = sim._rows(plan, sim._sweep_gains(plan, pairs), np.ones(len(pairs), dtype=np.int64))
+    return {(row.scheme, row.snr_db): row.mean_capacity_bits for row in rows}
 
 
 def test_shipped_panels_estimate_the_exact_grid_expectation(plans, tables):

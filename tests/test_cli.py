@@ -105,6 +105,14 @@ class TestSimulate:
         assert grid in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_fine_grid_that_divides_its_range_runs(self, tmp_path):
+        # 1e-9 over [2, 3] is 1e9 steps to within 1.2e-7, a rounding error
+        fine = tmp_path / "fine.cfg"
+        fine.write_text(CONFIG.replace("h_t_step_m = 0.02", "h_t_step_m = 1e-9"))
+        out = tmp_path / "fine.csv"
+        assert cli_main(["simulate", "--config", str(fine), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2
+
     def test_empty_schemes_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CONFIG.replace("schemes = ris_only, basic", "schemes ="))

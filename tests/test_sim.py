@@ -61,8 +61,19 @@ class TestHeightGrid:
         assert sim._heights(plan, 50, 50) == pytest.approx((3.0, 1.8), abs=1e-12)
 
     def test_rejects_non_dividing_step(self):
-        with pytest.raises(ValueError, match="divide"):
-            grid_points(2.0, 3.0, 0.03)
+        # 1.0000001e-9 over [0, 4] is 4e-5 steps off a whole count
+        for spec in [(2.0, 3.0, 0.03), (0.0, 4.0, 1.0000001e-9)]:
+            with pytest.raises(ValueError, match="divide"):
+                grid_points(*spec)
+
+    @pytest.mark.parametrize("spec, count", [
+        ((2.0, 3.0, 1e-8), 100_000_001), ((0.5, 0.6, 1e-8), 10_000_001),
+        ((2.0, 3.0, 1e-9), 1_000_000_001), ((2.0, 3.0 - 2.0**-32, 2.0**-32), 2**32),
+    ])
+    def test_fine_grids_that_divide_their_range(self, spec, count):
+        # (hi - lo) / step is 1.9e-9 steps off 1e7 and 1.2e-7 off 1e9 on the
+        # two decimal grids: rounding at the count's scale, not a remainder
+        assert grid_points(*spec) == count
 
     def test_rejects_bad_step_or_range(self):
         with pytest.raises(ValueError, match="positive"):
@@ -208,8 +219,9 @@ class TestPlanGrids:
         # trials draw t >= 2**31, whose int64 codes wrap and decode wrongly.
         plan = replace(load_preset("panel_a"), seed=1, trials=40, **LIMIT_GRIDS)
         assert (sweep_streams(plan).indices[:, 0] >= 2**31).sum() == 19
-        gains, distinct = sim._plan_gains(plan)
+        gains, counts, distinct = sim._plan_gains(plan)
         assert distinct == 40
+        gains = trial_order(plan, gains, counts)
         for trial in range(plan.trials):
             assert {k: float(v[trial]) for k, v in gains.items()} == trial_gains(plan, trial)
 
@@ -289,15 +301,44 @@ def reference_indices(seed, trials, sizes):
 
 def reference_rows(plan):
     """run_plan's rows reduced from per-trial ``trial_gains``, whose draws
-    come from each trial's own NumPy generator."""
+    come from each trial's own NumPy generator. Unless random phases are
+    read, the units are the grid pairs NumPy drew: every trial of a pair
+    must have its gains bit for bit, and the pair counts its trials."""
     gains = [trial_gains(plan, trial) for trial in range(plan.trials)]
-    return per_snr_rows(plan, {scheme: np.array([g[scheme] for g in gains])
-                               for scheme in plan.schemes})
+    gains = {scheme: np.array([g[scheme] for g in gains]) for scheme in plan.schemes}
+    if sim._reads_phases(plan):
+        return per_snr_rows(plan, gains, np.ones(plan.trials, dtype=np.int64))
+    indices = reference_indices(plan.seed, range(plan.trials), sim._grid_sizes(plan))
+    inverse, counts = trial_units(indices)
+    first = np.unique(inverse, return_index=True)[1]
+    units = {scheme: values[first] for scheme, values in gains.items()}
+    for scheme, values in gains.items():
+        assert values.tobytes() == units[scheme][inverse].tobytes(), scheme
+    return per_snr_rows(plan, units, counts)
 
 
 def sweep_streams(plan):
     "The stream twin of all of a plan's trials."
     return TrialStreams(plan.seed, np.arange(plan.trials), sim._grid_sizes(plan))
+
+
+def trial_units(indices):
+    """Each trial's unit among the distinct grid pairs of ``indices``, in
+    pair-code order, and each unit's trial count."""
+    _, inverse, counts = np.unique(indices, axis=0, return_inverse=True, return_counts=True)
+    return inverse.ravel(), counts
+
+
+def trial_order(plan, gains, counts):
+    """The unit gains of ``_plan_gains``, with its trial ``counts``, laid out
+    per trial: pair units through the trial-to-pair map of the plan's stream
+    twin, trial units as they are. The counts must be the map's."""
+    if sim._reads_phases(plan):
+        inverse, expected = np.arange(plan.trials), np.ones(plan.trials, dtype=np.int64)
+    else:
+        inverse, expected = trial_units(sweep_streams(plan).indices)
+    assert np.array_equal(counts, expected)
+    return {scheme: values[inverse] for scheme, values in gains.items()}
 
 
 def numpy_draws(seed, trial, sizes, n_ris):
@@ -839,7 +880,7 @@ class TestPairUnits:
             yield runs
 
     def assert_gains_equal(self, plan):
-        gains, _ = sim._plan_gains(plan)
+        gains = trial_order(plan, *sim._plan_gains(plan)[:2])
         expected = trial_unit_gains(plan)
         assert gains.keys() == expected.keys()
         for scheme, values in expected.items():
@@ -1024,21 +1065,44 @@ class TestRunPlan:
         assert table.metadata["distinct_pairs"] == 1
 
 
-def per_snr_rows(plan, gains):
-    "The table's rows from one scalar-SNR capacity pass per scheme and SNR."
+def per_snr_rows(plan, gains, counts):
+    """The table's rows from one scalar-SNR pass per scheme and SNR of the
+    weighted reduction over units of gains ``gains`` and trial ``counts``."""
+    n = int(counts.sum())
     rows = []
     for scheme in sorted(plan.schemes):
         for snr_db, rho in zip(plan.snr_db, SnrPoint.from_db(plan.snr_db).es_over_n0):
             caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, SnrPoint(rho))
-            stderr = (float(np.std(caps, ddof=1) / np.sqrt(plan.trials))
-                      if plan.trials > 1 else 0.0)
-            rows.append(ResultRow(scheme, float(snr_db), float(np.mean(caps)), stderr,
-                                  plan.trials))
+            mean = np.sum(caps * counts) / n
+            stderr = (np.sqrt(np.sum((caps - mean) ** 2 * counts) / (n - 1)) / np.sqrt(n)
+                      if n > 1 else 0.0)
+            rows.append(ResultRow(scheme, float(snr_db), float(mean), float(stderr), n))
+    return tuple(rows)
+
+
+def trial_order_rows(plan, gains):
+    """The table's rows from per-trial ``gains``: np.mean and np.std(ddof=1)
+    of every trial's capacity, in trial order."""
+    snr = SnrPoint.from_db(np.asarray(plan.snr_db)[:, np.newaxis])
+    rows = []
+    for scheme in sorted(plan.schemes):
+        caps = capacity_from_gain(gains[scheme], plan.n_t, plan.n_r, snr)
+        stderrs = (np.std(caps, axis=-1, ddof=1) / np.sqrt(plan.trials)
+                   if plan.trials > 1 else np.zeros(len(caps)))
+        rows += [ResultRow(scheme, float(snr_db), float(mean), float(stderr), plan.trials)
+                 for snr_db, mean, stderr in zip(plan.snr_db, np.mean(caps, axis=-1), stderrs)]
     return tuple(rows)
 
 
 class TestReduction:
-    "The capacity table, one broadcast per scheme, keeps the per-SNR bits."
+    "The capacity table, one weighted broadcast per scheme over the sweep's units."
+
+    # Weighted sums add each pair's capacity once, times its count, in
+    # pair-code order; the trial-order reduction adds every trial's in trial
+    # order. Over the cases below, and 5000 zero-phase trials too, the rows
+    # differed by at most 4.3e-16 of their value (2 ulps); 2e-15 leaves a
+    # margin of more than 4x.
+    RELATIVE = 2e-15
 
     @pytest.mark.parametrize("overrides", [
         dict(trials=300), dict(trials=300, benchmark_ris_phase="random"),
@@ -1046,7 +1110,36 @@ class TestReduction:
     ])
     def test_rows_equal_scalar_snr_passes(self, overrides):
         plan = replace(load_preset("panel_d"), **overrides)
-        assert run_plan(plan).rows == per_snr_rows(plan, sim._plan_gains(plan)[0])
+        assert run_plan(plan).rows == per_snr_rows(plan, *sim._plan_gains(plan)[:2])
+
+    @pytest.mark.parametrize("mode", ["zero", "random"])
+    @pytest.mark.parametrize("panel", ["panel_a", "panel_b", "panel_c", "panel_d"])
+    def test_weighted_rows_match_trial_order_reduction(self, panel, mode):
+        for seed in (1, 2, 7, 99, 2024):
+            for trials in (1, 2, 3, 17, 1000):
+                plan = replace(load_preset(panel), seed=seed, trials=trials,
+                               benchmark_ris_phase=mode)
+                gains, counts, _ = sim._plan_gains(plan)
+                rows = sim._rows(plan, gains, counts)
+                expected = trial_order_rows(plan, trial_order(plan, gains, counts))
+                assert [(r.scheme, r.snr_db, r.trials) for r in rows] == \
+                    [(r.scheme, r.snr_db, r.trials) for r in expected]
+                for row, want in zip(rows, expected):
+                    for got, ref in ((row.mean_capacity_bits, want.mean_capacity_bits),
+                                     (row.stderr_bits, want.stderr_bits)):
+                        assert f"{got:.9g}" == f"{ref:.9g}"
+                        assert abs(got - ref) <= self.RELATIVE * abs(ref)
+
+    def test_trials_of_one_pair_are_one_unit_without_spread(self):
+        # at seed 10045 trials 0 and 1 both draw grid pair (14, 35)
+        plan = replace(load_preset("panel_a"), seed=10045, trials=2)
+        assert sweep_streams(plan).indices.tolist() == [[14, 35], [14, 35]]
+        gains, counts, distinct = sim._plan_gains(plan)
+        assert counts.tolist() == [2] and distinct == 1
+        assert {scheme: values.tolist() for scheme, values in gains.items()} == \
+            {scheme: [gain] for scheme, gain in trial_gains(plan, 0).items()}
+        rows = run_plan(plan).rows
+        assert all(row.stderr_bits == 0.0 and row.trials == 2 for row in rows)
 
 
 class TestGoldenCsv:
