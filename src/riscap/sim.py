@@ -20,11 +20,12 @@ Units run in blocks, in ``_unit_order``, with every scheme solved over a
 leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a block's arrays hold
 at once, counted at ``_unit_bytes`` per unit: steering, solver scratch and
 per-element arrays. Steering depends on each element's height z = h + offset
-alone, so ``_LegCache`` builds each distinct row of a leg once, keyed by the
-exact float z: for the whole sweep when the rows and their layout per array
-height fit the budget, with the antenna sums, corner path length and array
-factor per height for blocks to gather; else per block, building the rows
-the block before lacked. Units go by transmit grid index, first by residue
+alone, so one builder, ``_steering_blocks``, builds a leg's rows in blocks
+keyed by the exact float z, each block building the rows the block before
+lacked. When a leg's steering laid out per distinct array height fits the
+budget, it runs once over those heights, and blocks gather the steering,
+antenna sums, corner path length and array factor from that table; else it
+runs over the sweep's blocks. Units go by transmit grid index, first by residue
 modulo the antenna spacing in grid steps when that is whole, so arrays that
 share element heights share blocks. Each unit's gain is bit-identical to
 the single-scene calls, and ``_rows`` weights it by its trial count.
@@ -51,10 +52,9 @@ from .schemes import (
 )
 
 # The most bytes a block's arrays may hold at once, counted at _unit_bytes
-# per unit, and the most a leg's row table, or its layout, may take to build.
-# A tabled leg's build holds its row table and its layout at once, so it can
-# take up to twice this. Blocks hold at least one unit, so memory does not
-# grow with the trial count.
+# per unit, and the most a leg's steering laid out per distinct array height
+# may take as a table; its build holds one chunk of heights' rows on top.
+# Blocks hold at least one unit, so memory does not grow with the trial count.
 _BLOCK_BYTES = 7 << 18
 
 
@@ -67,10 +67,13 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
     receive-side temporaries and NumPy's cast buffer, up to 48 per element
     and receive antenna (the joint assembles no channel); 128 per element
     for path lengths, angles and array factors; and 48 per antenna pair for
-    the benchmark channel and its angles. Steering rows carried in from the
-    block before are live only while a block gathers its steering, before
-    any solver scratch, and are no more than its own steering, so the
-    scratch term covers them too.
+    the benchmark channel and its angles. The rows a block takes from the
+    block before are copied out of that block's steering when the block is
+    asked for, before it builds rows or any solver scratch, and are no more
+    than its own steering; the steering they come from stands in for its
+    own until dropped. So with blocks of equal size the scratch term covers
+    them too, and a last, smaller block can peak at up to the bound of the
+    block before it.
     Measured with tracemalloc, this bounds every block of the shipped
     presets and the benchmark's wide sweep.
     """
@@ -242,12 +245,9 @@ def _build_rows(leg: Leg, wavelength: float, z) -> NDArray[np.complex128]:
     return steering(leg.rows(z), wavelength)
 
 
-def _row_table(leg: Leg, wavelength: float, keys, count: int):
-    """The rows at all of a sweep's element heights ``keys``, or None if
-    building them (24 bytes per entry) or laying them out for ``count``
-    array heights (16 bytes per entry) takes more than ``_BLOCK_BYTES``."""
-    fits = max(24 * len(keys), 16 * count * len(leg.offsets)) * len(leg.x) <= _BLOCK_BYTES
-    return _build_rows(leg, wavelength, keys) if fits else None
+def _table_fits(leg: Leg, count: int) -> bool:
+    "Whether a leg's steering laid out for ``count`` array heights fits ``_BLOCK_BYTES``."
+    return 16 * count * len(leg.offsets) * len(leg.x) <= _BLOCK_BYTES
 
 
 def _found(keys, values) -> NDArray[np.bool_]:
@@ -258,90 +258,72 @@ def _found(keys, values) -> NDArray[np.bool_]:
     return found
 
 
-class _LegCache:
-    """A leg's steering, antenna sums, corner path length and array factor
-    for blocks of ``size`` units at array ``heights``, in sweep order.
+def _steering_blocks(leg: Leg, wavelength: float, heights, size: int):
+    """Steering in the leg's layout, its antenna sums, corner path length and
+    array factor of arrays at ``heights``, in blocks of ``size``.
 
     Steering depends on each element's height ``z = h + offset`` alone, so
-    its rows are keyed by the exact float ``z``. When ``_row_table`` builds
-    them as one table, they are laid out per distinct array height, a few
-    heights at a time, and the sums, corner and factor are computed once per
-    distinct height: a block only gathers them. Otherwise each block builds
-    the rows the block before it lacked, and ``carry`` copies out of the
-    block's solved steering the rows the next block needs.
+    its rows are keyed by the exact float ``z``: each block builds the rows
+    the block before it lacked. The rows the next block needs are copied out
+    of a block's steering when the next block is asked for, once the caller
+    is done with it, and that steering is dropped before the next block
+    builds its rows.
     """
-
-    def __init__(self, leg: Leg, wavelength: float, heights, size: int):
-        self.leg, self.wavelength, self.heights, self.size = leg, wavelength, heights, size
-        # np.unique(z) would load numpy.ma, about 1 MB of peak RSS
-        z = np.sort(leg.heights(heights), axis=None)
-        keys = z[np.concatenate(([True], z[1:] != z[:-1]))]
-        distinct, at = np.unique(heights, return_inverse=True)
-        rows = _row_table(leg, wavelength, keys, len(distinct))
-        self.table = None
-        if rows is not None:
-            found = np.searchsorted(keys, leg.heights(distinct))
-            steer = np.empty((len(found), *leg.layout(rows[found[:0]]).shape[1:]), dtype=complex)
-            for i in range(0, len(found), 4):
-                steer[i:i + 4] = leg.layout(rows[found[i:i + 4]])
-            self.table = at, (steer, self._sums(steer), *self._per_height(distinct))
-        self.carried = np.empty(0), np.empty((0, len(leg.x)), dtype=complex)
-
-    def _sums(self, steer) -> NDArray[np.complex128]:
-        "Antenna sums of steering ``steer`` in the leg's layout."
-        return steer.sum(axis=-1 if self.leg.elements_first else -2)
-
-    def _per_height(self, h) -> tuple:
-        "Element-(1,1) path length and array factor of arrays at heights ``h``."
-        factor = array_factor(len(self.leg.offsets), self.leg.spacing, self.leg.toward(h),
-                              self.wavelength)
-        return np.hypot(self.leg.x[0], h + self.leg.offsets[0]), factor
-
-    def block(self, start: int) -> tuple:
-        """Steering in the leg's layout, its antenna sums, corner path length
-        and array factor of a block."""
-        stop = start + self.size
-        if self.table is not None:
-            at, per_height = self.table
-            return tuple(values[at[start:stop]] for values in per_height)
-        h = self.heights[start:stop]
-        z = self.leg.heights(h)
+    held, carried = np.empty(0), np.empty((0, len(leg.x)), dtype=complex)
+    for start in range(0, len(heights), size):
+        h = heights[start:start + size]
+        z = leg.heights(h)
         distinct, first, local = np.unique(z, return_index=True, return_inverse=True)
-        (held, carried), self.carried = self.carried, None
         new = ~_found(distinct, held)
-        rows = np.empty((len(distinct), carried.shape[1]), dtype=complex)
+        rows = np.empty((len(distinct), len(leg.x)), dtype=complex)
         rows[~new] = carried
         del carried
-        rows[new] = _build_rows(self.leg, self.wavelength, distinct[new])
-        keep = _found(distinct, self.leg.heights(self.heights[stop:stop + self.size]).ravel())
-        self.kept = distinct[keep], np.unravel_index(first[keep], z.shape)
+        rows[new] = _build_rows(leg, wavelength, distinct[new])
+        keep = _found(distinct, leg.heights(heights[start + size:start + 2 * size]).ravel())
+        held, (units, antennas) = distinct[keep], np.unravel_index(first[keep], z.shape)
         rows = rows[local.reshape(z.shape)]  # frees the block's own table
-        steer = self.leg.layout(rows)
-        return steer, self._sums(steer), *self._per_height(h)
-
-    def carry(self, steer) -> None:
-        "Keep the rows the next block needs, copied out of this block's solved ``steer``."
-        if self.table is None:
-            held, (units, antennas) = self.kept
-            self.carried = held, (steer[units, :, antennas] if self.leg.elements_first
-                                  else steer[units, antennas])
+        steer = leg.layout(rows)
+        del rows
+        factor = array_factor(len(leg.offsets), leg.spacing, leg.toward(h), wavelength)
+        yield (steer, steer.sum(axis=-1 if leg.elements_first else -2),
+               np.hypot(leg.x[0], h + leg.offsets[0]), factor)
+        carried = steer[units, :, antennas] if leg.elements_first else steer[units, antennas]
+        del steer
 
 
-def _block_gains(plan: SimulationPlan, cfg: SceneConfig, caches, start: int,
-                 phases) -> dict:
-    """Gains of every requested scheme for the block at sweep position
-    ``start``, whose benchmark phases are ``phases`` (None for zero phases).
+def _leg_blocks(leg: Leg, wavelength: float, heights, size: int):
+    """Blocks of ``size`` from ``_steering_blocks`` over arrays at ``heights``.
+
+    When the leg's layout per distinct array height fits ``_BLOCK_BYTES``,
+    the builder runs once over those heights, into a table that blocks
+    gather from. Its chunks hold every height within one array length of
+    each, and at least 4, so each row is built once.
+    """
+    distinct, at = np.unique(heights, return_inverse=True)
+    if not _table_fits(leg, len(distinct)):
+        return _steering_blocks(leg, wavelength, heights, size)
+    near = np.searchsorted(distinct, distinct + (leg.offsets[-1] - leg.offsets[0]), side="right")
+    chunk = max(4, int(np.max(near - np.arange(len(distinct)))))
+    table, chunks = [], _steering_blocks(leg, wavelength, distinct, chunk)
+    for start in range(0, len(distinct), chunk):
+        for i, values in enumerate(next(chunks)):
+            if not start:
+                table.append(np.empty((len(distinct), *values.shape[1:]), dtype=values.dtype))
+            table[i][start:start + chunk] = values
+    return (tuple(values[at[start:start + size]] for values in table)
+            for start in range(0, len(at), size))
+
+
+def _block_gains(plan: SimulationPlan, cfg: SceneConfig, blocks, phases) -> dict:
+    """Gains of every requested scheme for the next block of each leg's
+    ``blocks``, whose benchmark phases are ``phases`` (None for zero phases).
     The benchmark channel is assembled only when a requested scheme reads it."""
-    steer, sums, (d2_corner, d1_corner), factors = zip(*(cache.block(start) for cache in caches))
+    steer, sums, (d2_corner, d1_corner), factors = zip(*map(next, blocks))
     ch = CascadeChannel(*steer, k_norm=normalization_constant(cfg, d1_corner, d2_corner))
     h_bench = None
     if _BENCHMARK_SCHEMES & set(plan.schemes):
         h_bench = assemble_h(ch, np.zeros(ch.u_mat.shape[:-1]) if phases is None else phases)
-    gains = {scheme: _SCHEME_GAINS[scheme](ch, sums, factors, h_bench) for scheme in plan.schemes}
-    # after the solve, so carried rows never sit beside the solvers' scratch
-    for cache, leg_steer in zip(caches, steer):
-        cache.carry(leg_steer)
-    return gains
+    return {scheme: _SCHEME_GAINS[scheme](ch, sums, factors, h_bench) for scheme in plan.schemes}
 
 
 def _unit_order(plan: SimulationPlan, indices) -> NDArray[np.intp]:
@@ -367,7 +349,7 @@ def _sweep_gains(plan: SimulationPlan, indices, phases=None) -> dict:
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
     block_size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
-    caches = [_LegCache(leg, cfg.wavelength, heights, block_size)
+    blocks = [_leg_blocks(leg, cfg.wavelength, heights, block_size)
               for leg, heights in zip(legs(cfg), _heights(plan, *indices[order].T))]
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
@@ -380,7 +362,7 @@ def _sweep_gains(plan: SimulationPlan, indices, phases=None) -> dict:
     for start in range(0, len(order), block_size):
         block = order[start:start + block_size]
         block_phases = None if phases is None else phases(block)
-        for scheme, values in _block_gains(plan, cfg, caches, start, block_phases).items():
+        for scheme, values in _block_gains(plan, cfg, blocks, block_phases).items():
             gains[scheme][block] = values
     return gains
 

@@ -566,27 +566,22 @@ def small_plans(draw):
 
 @contextmanager
 def cache_form(form=None):
-    """Forces every leg's row cache to ``form``, "table" or "carried" (None
+    """Forces every leg's steering to ``form``, "table" or "carried" (None
     keeps the sweep's own choice), and collects the form each leg took."""
-    forms, row_table = [], sim._row_table
+    forms, table_fits = [], sim._table_fits
 
-    def spy(leg, wavelength, keys, count):
-        if form == "carried":
-            table = None
-        elif form == "table":
-            table = sim._build_rows(leg, wavelength, keys)
-        else:
-            table = row_table(leg, wavelength, keys, count)
-        forms.append("carried" if table is None else "table")
-        return table
-    with mock.patch.object(sim, "_row_table", spy):
+    def spy(leg, count):
+        fits = form == "table" if form else table_fits(leg, count)
+        forms.append("table" if fits else "carried")
+        return fits
+    with mock.patch.object(sim, "_table_fits", spy):
         yield forms
 
 
 @contextmanager
 def rows_built(solve=True):
     """Counts the steering rows each leg builds, per leg (transmit, receive).
-    Unless ``solve``, rows are zeros and blocks only gather and carry them."""
+    Unless ``solve``, rows are zeros and blocks only build and gather them."""
     built, build_rows, block_gains = [0, 0], sim._build_rows, sim._block_gains
 
     def build_spy(leg, wavelength, z):
@@ -595,9 +590,9 @@ def rows_built(solve=True):
             return build_rows(leg, wavelength, z)
         return np.zeros((len(z), len(leg.x)), dtype=complex)
 
-    def gather_only(plan, cfg, caches, start, phases):
-        for cache in caches:
-            cache.carry(cache.block(start)[0])
+    def gather_only(plan, cfg, blocks, phases):
+        for leg_blocks in blocks:
+            next(leg_blocks)
         return {}
     with mock.patch.object(sim, "_build_rows", build_spy), \
             mock.patch.object(sim, "_block_gains", block_gains if solve else gather_only):
@@ -611,6 +606,11 @@ def trial_unit_gains(plan):
     if plan.benchmark_ris_phase == "random":
         phases = partial(streams.phases, count=plan.n_ris)
     return sim._sweep_gains(plan, streams.indices, phases)
+
+
+def fine_transmit_plan():
+    "panel_a at 200 trials with a 201-point transmit grid of 0.1 mm steps."
+    return replace(load_preset("panel_a"), h_t_grid=(2.0, 2.02, 0.0001), trials=200)
 
 
 def wide_plan(trials, seed=1, h_t_grid=(2.0, 3.0, 0.0001)):
@@ -736,6 +736,18 @@ class TestRowCache:
         with cache_form("table"):
             assert run_plan(plan) == table
 
+    def test_fine_table_builds_each_distinct_row_once(self):
+        # 0.1 mm steps against a 2.5 mm antenna spacing: arrays up to 175
+        # steps apart share a row, so chunks of 4 heights built 1056
+        # transmit rows
+        plan = fine_transmit_plan()
+        with rows_built() as built, cache_form() as forms:
+            run_plan(plan)
+        assert forms == ["table", "table"]
+        heights = sim._heights(plan, *sweep_streams(plan).indices.T)[0]
+        z = heights[:, np.newaxis] + (np.arange(1, 9) - 4.5) * plan.s_t
+        assert built[0] == len(np.unique(z)) == 520
+
     @pytest.mark.parametrize("ratio, residue", [(25.0, True), (0.125, False), (1.0, False),
                                                 (2.5, False)])
     def test_residue_order_needs_whole_grid_steps(self, ratio, residue):
@@ -754,17 +766,18 @@ class TestLegTables:
         # per block, the 829 distinct pairs laid out 829 of each leg's arrays
         plan = replace(load_preset("panel_d"), seed=1)
         laid, summed = [0, 0], [0, 0]
-        layout, sums = Leg.layout, sim._LegCache._sums
+        layout, steering_blocks = Leg.layout, sim._steering_blocks
 
         def layout_spy(leg, rows):
             laid[not leg.elements_first] += len(rows)
             return layout(leg, rows)
 
-        def sums_spy(cache, steer):
-            summed[not cache.leg.elements_first] += len(steer)
-            return sums(cache, steer)
+        def blocks_spy(leg, *args):
+            for steer, sums, *per_height in steering_blocks(leg, *args):
+                summed[not leg.elements_first] += len(sums)
+                yield steer, sums, *per_height
         with mock.patch.object(Leg, "layout", layout_spy), \
-                mock.patch.object(sim._LegCache, "_sums", sums_spy), cache_form() as forms:
+                mock.patch.object(sim, "_steering_blocks", blocks_spy), cache_form() as forms:
             table = run_plan(plan)
         assert table.metadata["distinct_pairs"] == 829
         assert forms == ["table", "table"]
@@ -797,11 +810,12 @@ class TestBlockMemory:
                 "wide_fine": wide_plan(12),
                 "wide_carried": wide_plan(40, h_t_grid=(2.0, 2.02, 0.0001))}[shape]
         start, peaks, carried = [], [], []
-        block_gains, carry = sim._block_gains, sim._LegCache.carry
+        block_gains, found = sim._block_gains, sim._found
 
         def spy(*args):
-            # measured from the first block's start, so that the rows a block
-            # carries into the next count against the next
+            # measured from the first block's start, over the block's row
+            # build and its solve, so that the rows a block carries into
+            # the next count against the next
             if not start:
                 start.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
@@ -810,13 +824,17 @@ class TestBlockMemory:
                           tracemalloc.get_traced_memory()[1] - start[0]))
             return gains
 
-        def carry_spy(cache, steer):
-            carry(cache, steer)
-            carried.append(0 if cache.table is not None else len(cache.carried[0]))
+        def found_spy(keys, values):
+            # once blocks run: the rows a block takes from the block before,
+            # and those it keeps for the next
+            mask = found(keys, values)
+            if start:
+                carried.append(int(mask.sum()))
+            return mask
         tracemalloc.start()
         try:
             with mock.patch.object(sim, "_block_gains", spy), \
-                    mock.patch.object(sim._LegCache, "carry", carry_spy):
+                    mock.patch.object(sim, "_found", found_spy):
                 table = run_plan(plan)
         finally:
             tracemalloc.stop()
@@ -826,31 +844,32 @@ class TestBlockMemory:
         full, rest = divmod(units, per_block)
         assert [n for n, _ in peaks] == [per_block] * full + [rest] * (rest > 0)
         assert len(peaks) >= 3
-        assert (max(carried) > 0) == (shape == "wide_carried")
+        assert (max(carried, default=0) > 0) == (shape == "wide_carried")
         for n, peak in peaks:
             assert peak <= n * unit_bytes <= sim._BLOCK_BYTES
 
-    def test_tabled_leg_builds_within_twice_the_budget(self):
-        # while a tabled leg is laid out, its row table and its layout are
-        # live together, each within _BLOCK_BYTES: panel_d's transmit leg
-        # took 2.56 MB traced, above one budget of 1.84 MB
+    def test_tabled_leg_builds_within_the_budget(self):
+        # a tabled leg's build holds its table and one chunk of heights; a
+        # row table for the whole sweep held beside the layout took 2.56 MB
+        # traced on panel_d's transmit leg
         plan = replace(load_preset("panel_d"), seed=1)
-        peaks, init = [], sim._LegCache.__init__
+        peaks, leg_blocks = [], sim._leg_blocks
 
-        def spy(cache, *args):
+        def spy(*args):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            init(cache, *args)
+            blocks = leg_blocks(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return blocks
         tracemalloc.start()
         try:
-            with mock.patch.object(sim._LegCache, "__init__", spy), cache_form() as forms, \
+            with mock.patch.object(sim, "_leg_blocks", spy), cache_form() as forms, \
                     mock.patch.object(sim, "_block_gains", return_value={}):
                 sim._plan_gains(plan)
         finally:
             tracemalloc.stop()
         assert forms == ["table", "table"]
-        assert peaks[0] <= 2 * sim._BLOCK_BYTES
+        assert peaks[0] <= sim._BLOCK_BYTES
 
     def test_block_counts_at_a_thousand_trials(self):
         # at 512 KiB of steering per block the wide sweep ran 500 blocks and
@@ -1157,6 +1176,13 @@ class TestGoldenCsv:
         path = tmp_path / "out.csv"
         write_csv(run_plan(plan), path)
         assert path.read_bytes() == (GOLDEN / "panel_a_random_200.csv").read_bytes()
+
+    def test_fine_transmit_grid_matches_golden_bytes(self, tmp_path):
+        # a sweep table whose rows are shared by many heights, not only by
+        # neighbouring ones
+        path = tmp_path / "out.csv"
+        write_csv(run_plan(fine_transmit_plan()), path)
+        assert path.read_bytes() == (GOLDEN / "panel_a_fine_tx_200.csv").read_bytes()
 
 
 class TestWriteCsv:
