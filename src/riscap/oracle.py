@@ -15,7 +15,8 @@ ignore a common rotation of all phases, so it walks one member of each
 rotation class and then every rotation of the few classes that come within
 a derived rounding bound of the best (with a hard budget on the grid's size,
 never silent truncation). The random-restart search runs deterministic
-coordinate ascent from seeded uniform starts.
+coordinate ascent from seeded uniform starts. Every function takes one
+scene: a channel with batch axes is refused, naming its batch shape.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,10 @@ _MARGIN = 100
 # An ascent start stops after a sweep whose largest step gains at most this.
 _TOL = 1e-12
 # The most candidates (levels**n_ris) an exhaustive search enumerates; a
-# larger search is refused instead of subsampled.
+# larger search is refused instead of subsampled. It counts the whole grid,
+# not the levels**(n_ris-1) slice the search walks: exact ties can widen the
+# band to the whole slice, whose rotations re-evaluate levels * levels**(n_ris-1)
+# rows, the whole grid.
 _BUDGET = 2**24
 
 
@@ -58,6 +62,14 @@ class QuantizedSearchSpec:
         _require_target(self.target)
 
 
+def _scaled_rows(ch: CascadeChannel, target: str) -> NDArray[np.complex128]:
+    "The target's gain rows times k_norm, of one scene; a batch is refused."
+    batch = ch.u_mat.shape[:-2] or ch.v_mat.shape[:-2] or np.shape(ch.k_norm)
+    if batch:
+        raise ValueError(f"the oracle takes one scene, got a batch of shape {batch}")
+    return ch.k_norm * gain_rows(ch, target)
+
+
 def _objective(a_mat: NDArray[np.complex128], phi) -> float:
     phi = np.asarray(phi, dtype=float)
     if phi.shape != a_mat.shape[-1:]:
@@ -67,12 +79,12 @@ def _objective(a_mat: NDArray[np.complex128], phi) -> float:
 
 def ris_only_objective(ch: CascadeChannel, phi) -> float:
     "Coherent double-sum gain at an arbitrary RIS phase vector."
-    return _objective(ch.k_norm * gain_rows(ch, "ris_only"), phi)
+    return _objective(_scaled_rows(ch, "ris_only"), phi)
 
 
 def joint_objective(ch: CascadeChannel, phi) -> float:
     "Joint-scheme gain at an arbitrary RIS phase vector, transmit phases optimal."
-    return _objective(ch.k_norm * gain_rows(ch, "joint"), phi)
+    return _objective(_scaled_rows(ch, "joint"), phi)
 
 
 def _gains(phases: NDArray[np.complex128], a_t: NDArray[np.complex128]) -> NDArray[np.float64]:
@@ -123,7 +135,7 @@ def exhaustive_best(ch: CascadeChannel, spec: QuantizedSearchSpec,
             f"candidates (budget: {_BUDGET})"
         )
 
-    a_mat = ch.k_norm * gain_rows(ch, spec.target)
+    a_mat = _scaled_rows(ch, spec.target)
     u = np.finfo(float).eps / 2
     width = 2 * _MARGIN * (2 * n + len(a_mat) + 32) * u * float(np.sum(np.abs(a_mat)))
     grid = 2.0 * np.pi * np.arange(levels) / levels
@@ -173,27 +185,48 @@ def _coordinate_ascent(a_mat: NDArray[np.complex128], phi0: NDArray[np.float64],
     others (summed over the linear forms) and is accepted only where the
     exact objective improves, so every gain is monotone non-decreasing. A
     start stops after a sweep whose largest step gained at most ``_TOL``.
+
+    The cost is NumPy dispatch, not arithmetic, so a step is one ufunc call
+    per operation, written into buffers allocated once per call: the same
+    ufuncs on the same operands in the same order as the plain expressions,
+    so the same bits. A step
+    records its proposal, step and acceptance in row ``l`` of per-sweep
+    ``(n, starts)`` arrays; the sweep's end writes the accepted phases (read
+    only at a sweep's start) and takes each start's largest accepted step.
+    A stopped start's steps are compared against +inf, so none is accepted.
     """
     phi = np.array(phi0, dtype=float)
-    gain = np.sum(np.abs(np.exp(1j * phi) @ a_mat.T), axis=1)
-    active = np.ones(phi.shape[0], dtype=bool)
-    while active.any():
-        improved = np.zeros_like(gain)
-        factors = np.exp(1j * phi)  # per sweep against drift; phi[:, l] holds until its turn
-        sums = factors @ a_mat.T
-        for l, col in enumerate(a_mat.T):
-            rest = sums - factors[:, l, np.newaxis] * col
-            z = rest.conj() @ col
-            proposal = -np.arctan2(z.imag, z.real)  # np.angle's own form
-            candidate = rest + np.exp(1j * proposal)[:, np.newaxis] * col
-            new_gain = np.sum(np.abs(candidate), axis=1)
-            step = new_gain - gain
-            accept = active & (step > 0)
-            np.maximum(improved, step, out=improved, where=accept)
-            np.copyto(gain, new_gain, where=accept)
-            np.copyto(phi[:, l], proposal, where=accept)
-            np.copyto(sums, candidate, where=accept[:, np.newaxis])
-        active &= improved > _TOL
+    starts, n = phi.shape
+    a_t = a_mat.T
+    gain = np.sum(np.abs(np.exp(1j * phi) @ a_t), axis=1)
+    factors = np.empty_like(phi, dtype=complex)
+    sums = np.empty((starts, len(a_mat)), dtype=complex)
+    rest, conj, candidate = (np.empty_like(sums) for _ in range(3))
+    magnitudes = np.empty(sums.shape)
+    z, unit = np.empty(starts, dtype=complex), np.empty(starts, dtype=complex)
+    z_imag, z_real, unit_col = z.imag, z.real, unit[:, np.newaxis]
+    new_gain = np.empty(starts)
+    proposals, steps = np.empty((n, starts)), np.empty((n, starts))
+    accepts = np.empty((n, starts), dtype=bool)
+    floor = np.zeros(starts)  # 0 while a start ascends, +inf once it stops
+    while np.isfinite(floor).any():
+        # per sweep against drift; phi is read only here
+        np.exp(np.multiply(1j, phi, factors), factors)
+        np.matmul(factors, a_t, sums)
+        for col, factor, proposal, step, accept, accept_col in zip(
+                a_t, factors.T[..., np.newaxis], proposals, steps, accepts,
+                accepts[..., np.newaxis]):
+            np.subtract(sums, np.multiply(factor, col, rest), rest)
+            np.matmul(np.conjugate(rest, conj), col, z)
+            np.negative(np.arctan2(z_imag, z_real, proposal), proposal)  # -np.angle(z), its own form
+            np.exp(np.multiply(1j, proposal, unit), unit)
+            np.add(rest, np.multiply(unit_col, col, candidate), candidate)
+            np.add.reduce(np.abs(candidate, magnitudes), 1, None, new_gain)  # np.sum's own
+            np.greater(np.subtract(new_gain, gain, step), floor, accept)
+            np.copyto(gain, new_gain, "same_kind", accept)
+            np.copyto(sums, candidate, "same_kind", accept_col)
+        np.copyto(phi.T, proposals, "same_kind", accepts)
+        floor[np.max(steps, axis=0, where=accepts, initial=0.0) <= _TOL] = np.inf
     return phi, gain
 
 
@@ -207,7 +240,7 @@ def random_restart_best(ch: CascadeChannel, target: str, restarts: int,
     _require_target(target)
     require_int("restarts", restarts, 1)
     require_int("seed", seed, 0)
-    a_mat = ch.k_norm * gain_rows(ch, target)
+    a_mat = _scaled_rows(ch, target)
     starts = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(restarts, ch.n_ris))
     phi, gain = _coordinate_ascent(a_mat, starts)
     best = int(np.argmax(gain))

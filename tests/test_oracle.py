@@ -26,8 +26,9 @@ from riscap.channel import CascadeChannel, gain_rows
 
 SHIPPED_CHUNK = oracle_mod._CHUNK
 
-# The benchmark's toy certification scene: 2x2x4 at the heights seed 1 draws.
-TOY_PLAN = """\
+# The benchmark's certification geometry; its scenes take the heights that
+# the plan's seed draws for trial 0.
+CERTIFY_GEOMETRY = """\
 lambda_m = 0.005
 s_t_m = 0.0025
 s_r_m = 0.0025
@@ -40,12 +41,16 @@ h_r_min_m = 0.8
 h_r_max_m = 1.8
 h_t_step_m = 0.02
 h_r_step_m = 0.02
-n_t = 2
-n_r = 2
-n_ris = 4
 trials = 1
-seed = 1
 """
+
+
+def certify_cascade(n_t, n_r, n_ris, seed):
+    "A scene of the benchmark's certification geometry at the seed's heights."
+    plan = parse_plan_text(CERTIFY_GEOMETRY + f"n_t = {n_t}\nn_r = {n_r}\n"
+                           f"n_ris = {n_ris}\nseed = {seed}\n")
+    cfg = plan.scene(*sample_heights(plan, 0))
+    return build_cascade(build_positions(cfg), cfg)
 
 
 def cascade_for(scene, n_t, n_r, n_ris, **overrides):
@@ -88,6 +93,50 @@ def reference_ascent_gain(a_mat, phi0, tol=1e-12):
             return gain
 
 
+def reference_batch_ascent(a_mat, phi0, tol=1e-12):
+    "The batched ascent that allocates per step, the bits the buffered one keeps."
+    phi = np.array(phi0, dtype=float)
+    gain = np.sum(np.abs(np.exp(1j * phi) @ a_mat.T), axis=1)
+    active = np.ones(phi.shape[0], dtype=bool)
+    while active.any():
+        improved = np.zeros_like(gain)
+        factors = np.exp(1j * phi)
+        sums = factors @ a_mat.T
+        for l, col in enumerate(a_mat.T):
+            rest = sums - factors[:, l, np.newaxis] * col
+            z = rest.conj() @ col
+            proposal = -np.arctan2(z.imag, z.real)
+            candidate = rest + np.exp(1j * proposal)[:, np.newaxis] * col
+            new_gain = np.sum(np.abs(candidate), axis=1)
+            step = new_gain - gain
+            accept = active & (step > 0)
+            np.maximum(improved, step, out=improved, where=accept)
+            np.copyto(gain, new_gain, where=accept)
+            np.copyto(phi[:, l], proposal, where=accept)
+            np.copyto(sums, candidate, where=accept[:, np.newaxis])
+        active &= improved > tol
+    return phi, gain
+
+
+def assert_same_bits(actual, expected):
+    "Equal bit for bit, signed zeros included."
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def assert_ascent_matches_reference(a_mat, starts):
+    phi, gain = oracle_mod._coordinate_ascent(a_mat, starts)
+    ref_phi, ref_gain = reference_batch_ascent(a_mat, starts)
+    assert_same_bits(phi, ref_phi)
+    assert_same_bits(gain, ref_gain)
+
+
+def batch_of_three(ch):
+    "Three copies of a scene stacked on a leading batch axis, k_norm kept scalar."
+    return CascadeChannel(u_mat=np.stack([ch.u_mat] * 3), v_mat=np.stack([ch.v_mat] * 3),
+                          k_norm=ch.k_norm)
+
+
 class TestSearchSpec:
     def test_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="levels"):
@@ -117,6 +166,15 @@ class TestObjectives:
         with pytest.raises(ValueError, match=r"expected \(3,\)"):
             objective(ch, phi)
 
+    @pytest.mark.parametrize("objective", [ris_only_objective, joint_objective])
+    def test_rejects_a_batch_naming_its_shape(self, scene, objective):
+        # summed over every scene, a batch gave one meaningless float
+        _, ch = cascade_for(scene, 2, 2, 3)
+        with pytest.raises(ValueError, match=r"batch of shape \(3,\)"):
+            objective(batch_of_three(ch), np.zeros(3))
+        with pytest.raises(ValueError, match=r"batch of shape \(2,\)"):
+            objective(dataclasses.replace(ch, k_norm=np.full(2, ch.k_norm)), np.zeros(3))
+
 
 class TestExhaustiveBest:
     def test_refuses_over_budget_with_count(self, scene, monkeypatch):
@@ -130,6 +188,11 @@ class TestExhaustiveBest:
             exhaustive_best(ch, spec)
         monkeypatch.setattr(oracle_mod, "_BUDGET", 64**3)
         exhaustive_best(ch, spec)
+
+    def test_rejects_a_batch_naming_its_shape(self, scene):
+        _, ch = cascade_for(scene, 2, 2, 3)
+        with pytest.raises(ValueError, match=r"batch of shape \(3,\)"):
+            exhaustive_best(batch_of_three(ch), QuantizedSearchSpec(levels=4))
 
     def test_element_count_bounded_by_budget_alone(self, scene):
         # 8^5 = 32768 candidates: five elements fit the default budget
@@ -278,9 +341,7 @@ class TestExhaustiveBest:
     @pytest.mark.parametrize("target", ["ris_only", "joint"])
     def test_toy_scene_evaluates_slice_and_one_band_class(self, monkeypatch, target):
         # 32^3 slice rows, then the 32 rotations of the one class in the band
-        plan = parse_plan_text(TOY_PLAN)
-        cfg = plan.scene(*sample_heights(plan, 0))
-        ch = build_cascade(build_positions(cfg), cfg)
+        ch = certify_cascade(2, 2, 4, seed=1)
         gains, rows = oracle_mod._gains, []
 
         def counted(phases, a_t):
@@ -317,6 +378,11 @@ class TestRandomRestartBest:
         assert first[1] == second[1]
         assert np.array_equal(first[0], second[0])
 
+    def test_rejects_a_batch_naming_its_shape(self, scene):
+        _, ch = cascade_for(scene, 2, 2, 3)
+        with pytest.raises(ValueError, match=r"batch of shape \(3,\)"):
+            random_restart_best(batch_of_three(ch), "joint", restarts=2, seed=0)
+
     def test_rejects_bad_restarts(self, scene):
         _, ch = cascade_for(scene, 1, 1, 2)
         for restarts in (0, 2.5, 4.0):
@@ -348,6 +414,35 @@ class TestRandomRestartBest:
             expected = max(reference_ascent_gain(a_mat, phi0) for phi0 in starts)
             _, gain = random_restart_best(ch, target, restarts, seed)
             assert gain == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_bit_identical_to_reference_batch_on_certify_scene(self, seed):
+        # the benchmark's 8x4x50 scene and restart count; every start's
+        # phases and gain, not only the best
+        ch = certify_cascade(8, 4, 50, seed)
+        starts = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(32, 50))
+        for target in oracle_mod.TARGETS:
+            assert_ascent_matches_reference(ch.k_norm * gain_rows(ch, target), starts)
+
+    @pytest.mark.parametrize("target", ["ris_only", "joint"])
+    def test_bit_identical_to_reference_batch_where_z_is_real(self, target):
+        # All-ones steering with one zero element column: gain rows are real
+        # or exactly zero, so from phases of 0 and pi every aggregate z has
+        # an imaginary part of exactly +-0, its proposals are +-0 or +-pi, and
+        # the zero column's proposal is -arctan2(0, 0).
+        u_mat = np.ones((5, 3), dtype=complex)
+        v_mat = np.ones((2, 5), dtype=complex)
+        v_mat[:, 2] = 0.0
+        a_mat = gain_rows(CascadeChannel(u_mat=u_mat, v_mat=v_mat, k_norm=1.0), target)
+        starts = np.array([[0.0, 0.0, 0.0, 0.0, 0.0],
+                           [np.pi, 0.0, -0.0, np.pi, 0.0],
+                           [-np.pi, np.pi, 0.0, 0.0, -0.0],
+                           [0.0, np.pi, np.pi, -np.pi, np.pi]])
+        rng = np.random.default_rng(0)
+        starts = np.concatenate([starts, rng.uniform(-np.pi, np.pi, size=(4, 5))])
+        assert_ascent_matches_reference(a_mat, starts)
+        for restart in starts:  # a single start takes the one-row kernels
+            assert_ascent_matches_reference(a_mat, restart[np.newaxis])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_ris_only_recovers_closed_form_from_any_start(self, scene, seed):
@@ -475,3 +570,14 @@ class TestOracleProperties:
             assert gain == pytest.approx(fn(ch, phi), rel=self.ROUNDING)
             if target == "ris_only":
                 assert gain == pytest.approx(solve_ris_only(ch).b_gain, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=oracle_cases(), restarts=st.integers(1, 4))
+    def test_ascent_bit_identical_to_reference_batch(self, scene, case, restarts):
+        # covers n_ris = 1 and the one-row ris_only target
+        dims, _, seed = case
+        _, ch = cascade_for(scene, **dims)
+        starts = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(restarts, ch.n_ris))
+        for target in oracle_mod.TARGETS:
+            assert_ascent_matches_reference(ch.k_norm * gain_rows(ch, target), starts)
