@@ -14,8 +14,6 @@ one-word entropy is covered: rows whose seed or trial index needs more than
 draws again), are flagged and drawn by ``trial_stream`` itself.
 """
 
-from functools import cached_property
-
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
@@ -131,17 +129,13 @@ class TrialStreams:
                 "has_uint32": int(self._buffered[row]),
                 "uinteger": int(self._high[row]) if self._draws else 0}
 
-    @cached_property
-    def _generator(self) -> "np.random.Generator":
-        "One generator whose state ``phases`` sets per row."
-        return np.random.default_rng(0)
-
     def phases(self, rows, count: int):
         """``(len(rows), count)`` draws ``uniform(-pi, pi, count)`` of the
         streams at ``rows`` right after their grid draws: the benchmark
-        phases. NumPy's PCG64 draws them from each row's ``state``."""
-        out = np.empty((len(rows), count))
+        phases. NumPy's PCG64 draws them from each row's ``state``, on a
+        generator of the call's own, so calls may run on several threads."""
+        out, rng = np.empty((len(rows), count)), np.random.default_rng(0)
         for values, row in zip(out, rows):
-            self._generator.bit_generator.state = self.state(row)
-            values[:] = self._generator.uniform(-np.pi, np.pi, size=count)
+            rng.bit_generator.state = self.state(row)
+            values[:] = rng.uniform(-np.pi, np.pi, size=count)
         return out

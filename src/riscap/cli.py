@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=_int_flag(1), default=None,
                      help="override the config trial count")
     sim.add_argument("--workers", type=_int_flag(1), default=1,
-                     help="accepted for compatibility (>= 1); trials run serially")
+                     help="accepted for compatibility (>= 1) and unused; the engine picks its "
+                          "threads from the CPUs and the BLAS thread count")
 
     val = sub.add_parser("validate", help="run the brute-force solver checks")
     val.add_argument("--seed", type=_int_flag(0), default=7, help="seed for random restarts")

@@ -25,14 +25,29 @@ keyed by the exact float z, each block building the rows the block before
 lacked. When a leg's steering laid out per distinct array height fits the
 budget, it runs once over those heights, and blocks gather the steering,
 antenna sums, corner path length and array factor from that table; else it
-runs over the sweep's blocks. Units go by transmit grid index, first by residue
+runs over each run's blocks. Units go by transmit grid index, first by residue
 modulo the antenna spacing in grid steps when that is whole, so arrays that
 share element heights share blocks. Each unit's gain is bit-identical to
 the single-scene calls, and ``_rows`` weights it by its trial count.
+
+When a leg builds its rows per block and the BLAS runs each call on one
+thread, the unit order is cut at blocks into contiguous runs, as many as
+the CPUs the process may run on and no more than the blocks. This thread
+runs the first run and a thread of its own each other, with a row builder
+per run; tabled legs are built once, and every run gathers from them. The
+large NumPy calls of a block release the GIL, so runs overlap, and as each
+unit's gain is the same in any block, the results are too. A BLAS that
+threads its calls itself, or one that cannot be asked, keeps the sweep on
+this thread, as concurrent calls contend inside it; so does a fully tabled
+sweep, where a second run costs a block's memory and saves no time that
+shows.
 """
 
+import ctypes
+import os
+import threading
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -295,17 +310,19 @@ def _steering_blocks(leg: Leg, wavelength: float, heights, size: int):
         del steer
 
 
-def _leg_blocks(leg: Leg, wavelength: float, heights, size: int):
-    """Blocks of ``size`` from ``_steering_blocks`` over arrays at ``heights``.
+def _tabled_blocks(leg: Leg, wavelength: float, heights, size: int):
+    """``blocks(first, stop)``, the blocks of ``size`` from ``_steering_blocks``
+    over the arrays at ``heights[first:stop]``, gathered from a table laid
+    out per distinct array height; None when the table does not fit
+    ``_BLOCK_BYTES``.
 
-    When the leg's layout per distinct array height fits ``_BLOCK_BYTES``,
-    the builder runs once over those heights, into a table that blocks
-    gather from. Its chunks hold every height within one array length of
-    each, and at least 4, so each row is built once.
+    The builder runs once over those heights, in chunks that hold every
+    height within one array length of each, and at least 4, so each row is
+    built once.
     """
     distinct, at = np.unique(heights, return_inverse=True)
     if not _table_fits(leg, len(distinct)):
-        return _steering_blocks(leg, wavelength, heights, size)
+        return None
     near = np.searchsorted(distinct, distinct + (leg.offsets[-1] - leg.offsets[0]), side="right")
     chunk = max(4, int(np.max(near - np.arange(len(distinct)))))
     table, chunks = [], _steering_blocks(leg, wavelength, distinct, chunk)
@@ -314,8 +331,72 @@ def _leg_blocks(leg: Leg, wavelength: float, heights, size: int):
             if not start:
                 table.append(np.empty((len(distinct), *values.shape[1:]), dtype=values.dtype))
             table[i][start:start + chunk] = values
-    return (tuple(values[at[start:start + size]] for values in table)
-            for start in range(0, len(at), size))
+    return lambda first, stop: (tuple(values[at[start:start + size]] for values in table)
+                                for start in range(first, stop, size))
+
+
+@cache
+def _openblas_threads():
+    """The ``get_num_threads`` function of the OpenBLAS mapped into this
+    process, or None when none is found."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for name in (f"{prefix}get_num_threads64_", f"{prefix}get_num_threads"):
+                fn = getattr(lib, name, None)
+                if fn is not None:
+                    fn.argtypes, fn.restype = [], ctypes.c_int
+                    return fn
+    return None
+
+
+def _blas_threads():
+    "The threads the loaded BLAS runs each call on, or None when it cannot be asked."
+    fn = _openblas_threads()
+    return None if fn is None else fn()
+
+
+def _threads() -> int:
+    """The threads a sweep may run on: one per CPU this process may run on
+    when the BLAS runs each call on one thread, else one, since concurrent
+    calls into a BLAS that threads them itself contend inside it."""
+    if _blas_threads() != 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _on_threads(work, runs) -> None:
+    """``work(*run)`` for every run of ``runs``: the first on this thread and
+    each other on a thread of its own. Once every thread has ended, the
+    first error a thread raised is raised here."""
+    errors = []
+
+    def guarded(*run):
+        try:
+            work(*run)
+        except BaseException as err:
+            errors.append(err)
+    threads = [threading.Thread(target=guarded, args=run) for run in runs[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(*runs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _block_gains(plan: SimulationPlan, cfg: SceneConfig, blocks, phases) -> dict:
@@ -348,13 +429,17 @@ def _sweep_gains(plan: SimulationPlan, indices, phases=None) -> dict:
     ``phases(rows)`` returns the benchmark phases of the units at sweep
     positions ``rows``; None means zero phases. Units run in
     ``_unit_order``, in blocks of ``_BLOCK_BYTES // _unit_bytes(plan)``.
+    When a leg builds its rows per block, the order is cut at blocks into
+    ``_threads()`` contiguous runs, and no more than blocks, each run on a
+    thread with a row builder of its own; tabled legs are built once, and
+    every run gathers from them.
     """
     order = _unit_order(plan, indices)
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
-    block_size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
-    blocks = [_leg_blocks(leg, cfg.wavelength, heights, block_size)
-              for leg, heights in zip(legs(cfg), _heights(plan, *indices[order].T))]
+    size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
+    sides = [(leg, heights, _tabled_blocks(leg, cfg.wavelength, heights, size))
+             for leg, heights in zip(legs(cfg), _heights(plan, *indices[order].T))]
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
     # freed so far, and every block would then fault its pages in again (a
@@ -363,11 +448,20 @@ def _sweep_gains(plan: SimulationPlan, indices, phases=None) -> dict:
     np.empty(2 * _BLOCK_BYTES, dtype=np.uint8)
 
     gains = {scheme: np.empty(len(indices)) for scheme in plan.schemes}
-    for start in range(0, len(order), block_size):
-        block = order[start:start + block_size]
-        block_phases = None if phases is None else phases(block)
-        for scheme, values in _block_gains(plan, cfg, blocks, block_phases).items():
-            gains[scheme][block] = values
+
+    def run(first: int, stop: int) -> None:
+        blocks = [_steering_blocks(leg, cfg.wavelength, heights[first:stop], size)
+                  if tabled is None else tabled(first, stop) for leg, heights, tabled in sides]
+        for start in range(first, stop, size):
+            block = order[start:start + size]
+            block_phases = None if phases is None else phases(block)
+            for scheme, values in _block_gains(plan, cfg, blocks, block_phases).items():
+                gains[scheme][block] = values
+
+    count = -(-len(order) // size)
+    runs = 1 if all(tabled is not None for *_, tabled in sides) else min(_threads(), count)
+    cuts = [min(len(order), size * (count * i // runs)) for i in range(runs + 1)]
+    _on_threads(run, list(zip(cuts[:-1], cuts[1:])))
     return gains
 
 
@@ -423,10 +517,13 @@ def _rows(plan: SimulationPlan, gains: dict, counts) -> tuple[ResultRow, ...]:
 def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     """Run all trials and reduce each unit's capacities, weighted by its trial count.
 
-    ``workers`` is accepted for compatibility and must be an integer >= 1;
-    it does not change how trials run, so the table is identical for any
-    worker count. ``metadata["distinct_pairs"]`` counts the distinct grid
-    height pairs the trials drew.
+    The engine picks its threads itself: a sweep whose legs build their rows
+    per block runs on up to one thread per CPU the process may run on when
+    the BLAS runs each call on one thread, and otherwise, as a fully tabled
+    sweep does, on this thread alone. ``workers`` is accepted for
+    compatibility and must be an integer >= 1; it is unused, so the table is
+    identical for any worker count. ``metadata["distinct_pairs"]`` counts the
+    distinct grid height pairs the trials drew.
     """
     require_int("workers", workers, 1)
     gains, counts, pairs = _plan_gains(plan)

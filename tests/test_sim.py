@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -424,6 +428,35 @@ class TestStreamTwin:
             assert values.tobytes() == expected.tobytes()
         assert streams.phases(rows, n_ris).tobytes() == phases.tobytes()
 
+    def test_threads_drawing_disjoint_rows_match_serial_draws(self):
+        # a generator shared between calls took one thread's row state for
+        # another's draws; long rows keep each draw out of the GIL while the
+        # other threads run, and there are more threads than most hosts' CPUs
+        streams = TrialStreams(1, np.arange(400), (10001, 10001))
+        parts = np.arange(400).reshape(4, 100)
+        serial = [streams.phases(rows, 4096).tobytes() for rows in parts]
+        start, same = threading.Barrier(len(parts), timeout=10), [None] * len(parts)
+
+        def draw(part):
+            start.wait()
+            same[part] = streams.phases(parts[part], 4096).tobytes() == serial[part]
+        # switching threads every microsecond interleaves the calls' rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                others = [threading.Thread(target=draw, args=(part,))
+                          for part in range(1, len(parts))]
+                for other in others:
+                    other.start()
+                draw(0)
+                for other in others:
+                    other.join(10)
+                    assert not other.is_alive()
+                assert same == [True] * len(parts)
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("size, flagged", [(2**32, 0), (2**32 - 1, 0), (2**31 + 1, 145)])
     def test_grid_limit_sizes_match_numpy(self, size, flagged):
         # 200 trials of grids at and near the 2**32-point limit
@@ -583,9 +616,11 @@ def rows_built(solve=True):
     """Counts the steering rows each leg builds, per leg (transmit, receive).
     Unless ``solve``, rows are zeros and blocks only build and gather them."""
     built, build_rows, block_gains = [0, 0], sim._build_rows, sim._block_gains
+    lock = threading.Lock()
 
     def build_spy(leg, wavelength, z):
-        built[not leg.elements_first] += len(z)
+        with lock:  # runs build on threads of their own
+            built[not leg.elements_first] += len(z)
         if solve:
             return build_rows(leg, wavelength, z)
         return np.zeros((len(z), len(leg.x)), dtype=complex)
@@ -597,6 +632,19 @@ def rows_built(solve=True):
     with mock.patch.object(sim, "_build_rows", build_spy), \
             mock.patch.object(sim, "_block_gains", block_gains if solve else gather_only):
         yield built
+
+
+def cpus(count):
+    """Makes the sweep engine see ``count`` CPUs and a BLAS that runs each
+    call on one thread, and so run up to ``count`` runs."""
+    return mock.patch.object(sim, "_threads", return_value=count)
+
+
+@contextmanager
+def threads_started():
+    "Counts the threads constructed, the runs past a sweep's first."
+    with mock.patch("threading.Thread", wraps=threading.Thread) as spy:
+        yield spy
 
 
 def trial_unit_gains(plan):
@@ -677,13 +725,16 @@ class TestBlockEngine:
         assert one_trial == run_plan(plan)
 
 
-def reference_rows_built(plan, indices):
+def reference_rows_built(plan, indices, runs=1):
     """Rows a sweep builds per leg, from its documented rule: units in
-    residue order, cut into blocks, and each block builds the distinct
-    element heights z = h + offset that the block before it did not hold."""
+    residue order, cut into blocks, the blocks cut into ``runs`` runs of
+    near-equal block counts, and each block builds the distinct element
+    heights z = h + offset that the block before it in its run did not hold."""
     steps = round(plan.s_t / plan.h_t_grid[2])
     order = np.lexsort((indices[:, 1], indices[:, 0], indices[:, 0] % steps))
     size = sim._BLOCK_BYTES // sim._unit_bytes(plan)
+    blocks = math.ceil(len(order) / size)
+    firsts = {size * (blocks * run // runs) for run in range(runs)}
     built = []
     for heights, n, spacing in zip(sim._heights(plan, *indices[order].T), (plan.n_t, plan.n_r),
                                    (plan.s_t, plan.s_r)):
@@ -691,6 +742,8 @@ def reference_rows_built(plan, indices):
         z = heights[:, np.newaxis] + offsets
         count, held = 0, np.array([])
         for start in range(0, len(z), size):
+            if start in firsts:
+                held = np.array([])
             distinct = np.unique(z[start:start + size])
             count += len(np.setdiff1d(distinct, held))
             held = distinct
@@ -699,7 +752,8 @@ def reference_rows_built(plan, indices):
 
 
 class TestRowCache:
-    "Each distinct steering row is built once per sweep, or once per run of blocks."
+    """Each distinct steering row is built once per sweep, or once per
+    stretch of blocks that hold it within a run."""
 
     def test_panel_d_builds_each_distinct_row_once(self):
         # seed 1: 829 distinct pairs; per-height blocks built 1440 transmit rows
@@ -715,7 +769,7 @@ class TestRowCache:
         # seed 1 built 32000 transmit and 16000 receive rows with one row per
         # unit and antenna
         plan = wide_plan(1000, seed)
-        with rows_built(solve=False) as built, cache_form() as forms:
+        with cpus(1), rows_built(solve=False) as built, cache_form() as forms:
             sim._plan_gains(plan)
         assert forms == ["carried", "carried"]
         indices = sweep_streams(plan).indices
@@ -723,11 +777,20 @@ class TestRowCache:
         if seed == 1:
             assert built == [14464, 15919]
 
+    def test_two_runs_rebuild_rows_only_at_the_second_runs_first_block(self):
+        # the second run's first block holds no rows from the block before
+        plan = wide_plan(1000)
+        with cpus(2), rows_built(solve=False) as built, cache_form() as forms:
+            sim._plan_gains(plan)
+        assert forms == ["carried", "carried"]
+        indices = sweep_streams(plan).indices
+        assert built == reference_rows_built(plan, indices, runs=2) == [14489, 15919]
+
     def test_carried_rows_match_the_reference_when_solved(self):
         # 25 grid steps per antenna spacing on a 201-point grid: residue
         # classes of a few units each share most transmit rows
         plan = wide_plan(100, h_t_grid=(2.0, 2.02, 0.0001))
-        with rows_built() as built, cache_form() as forms:
+        with cpus(1), rows_built() as built, cache_form() as forms:
             table = run_plan(plan)
         assert forms == ["carried", "carried"]
         indices = sweep_streams(plan).indices
@@ -799,7 +862,8 @@ class TestLegTables:
 
 class TestBlockMemory:
     """A block's arrays, with the rows carried into it, stay within
-    _BLOCK_BYTES, counted at _unit_bytes per unit."""
+    _BLOCK_BYTES, counted at _unit_bytes per unit, in each run; at one
+    CPU the sweep is one run, whose blocks peak one at a time."""
 
     @pytest.mark.parametrize("shape", ["panel_d", "wide_fine", "wide_carried"])
     def test_block_peaks_within_budget(self, shape):
@@ -833,7 +897,7 @@ class TestBlockMemory:
             return mask
         tracemalloc.start()
         try:
-            with mock.patch.object(sim, "_block_gains", spy), \
+            with cpus(1), mock.patch.object(sim, "_block_gains", spy), \
                     mock.patch.object(sim, "_found", found_spy):
                 table = run_plan(plan)
         finally:
@@ -853,17 +917,17 @@ class TestBlockMemory:
         # row table for the whole sweep held beside the layout took 2.56 MB
         # traced on panel_d's transmit leg
         plan = replace(load_preset("panel_d"), seed=1)
-        peaks, leg_blocks = [], sim._leg_blocks
+        peaks, tabled_blocks = [], sim._tabled_blocks
 
         def spy(*args):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            blocks = leg_blocks(*args)
+            blocks = tabled_blocks(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
             return blocks
         tracemalloc.start()
         try:
-            with mock.patch.object(sim, "_leg_blocks", spy), cache_form() as forms, \
+            with mock.patch.object(sim, "_tabled_blocks", spy), cache_form() as forms, \
                     mock.patch.object(sim, "_block_gains", return_value={}):
                 sim._plan_gains(plan)
         finally:
@@ -880,6 +944,112 @@ class TestBlockMemory:
         pairs = len(np.unique(sweep_streams(panel_d).indices, axis=0))
         assert pairs == 829
         assert math.ceil(pairs / (sim._BLOCK_BYTES // sim._unit_bytes(panel_d))) < 52
+
+
+class TestRuns:
+    """A sweep with a leg that builds its rows per block runs as contiguous
+    runs of the unit order, one per CPU and no more than its blocks; a
+    fully tabled sweep runs on this thread alone."""
+
+    @pytest.mark.parametrize("mode", ["zero", "random"])
+    def test_wide_csv_bytes_for_any_cpu_count(self, mode, tmp_path):
+        # 60 units in 15 blocks; tabled legs run on this thread alone
+        plan = replace(wide_plan(60), benchmark_ris_phase=mode)
+        with cache_form("table"):
+            write_csv(run_plan(plan), tmp_path / "table.csv")
+        for count in (1, 2, 3, 8):
+            with cpus(count), cache_form() as forms, threads_started() as threads:
+                write_csv(run_plan(plan), tmp_path / f"{count}.csv")
+            assert forms == ["carried", "carried"]
+            assert threads.call_count == count - 1
+            assert (tmp_path / f"{count}.csv").read_bytes() == \
+                (tmp_path / "table.csv").read_bytes(), count
+
+    def test_carried_pair_sweep_csv_bytes_for_any_cpu_count(self, tmp_path):
+        # 277 grid pairs in 14 blocks of 21
+        plan = replace(load_preset("panel_d"), trials=300)
+        with threads_started() as threads:
+            write_csv(run_plan(plan), tmp_path / "table.csv")
+        assert threads.call_count == 0
+        for count in (1, 2, 3, 8):
+            with cpus(count), cache_form("carried"), threads_started() as threads:
+                table = run_plan(plan)
+            write_csv(table, tmp_path / f"{count}.csv")
+            assert table.metadata["distinct_pairs"] == 277
+            assert threads.call_count == count - 1
+            assert (tmp_path / f"{count}.csv").read_bytes() == \
+                (tmp_path / "table.csv").read_bytes(), count
+
+    def test_no_more_runs_than_blocks(self):
+        # 20 trials in 5 blocks of 4: the transmit leg builds its rows per
+        # block, with one builder per run, and the receive leg is tabled
+        plan = wide_plan(20)
+        builders, steering_blocks = [], sim._steering_blocks
+
+        def spy(leg, wavelength, heights, size):
+            if leg.elements_first:
+                builders.append(len(heights))
+            return steering_blocks(leg, wavelength, heights, size)
+        with cpus(8), cache_form() as forms, threads_started() as threads, \
+                mock.patch.object(sim, "_steering_blocks", spy):
+            run_plan(plan)
+        assert forms == ["carried", "table"]
+        assert threads.call_count == 4
+        assert builders == [4] * 5
+
+    @pytest.mark.parametrize("blas, started", [(1, 4), (2, 0), (None, 0)])
+    def test_runs_only_where_blas_runs_each_call_on_one_thread(self, blas, started):
+        # 8 CPUs and 20 trials in 5 blocks; a BLAS that threads its calls
+        # itself, or one that cannot be asked, keeps the sweep on one run
+        with mock.patch.object(sim, "_blas_threads", return_value=blas), \
+                mock.patch.object(os, "sched_getaffinity", return_value=set(range(8)),
+                                  create=True), \
+                cache_form() as forms, threads_started() as threads:
+            run_plan(wide_plan(20))
+        assert forms == ["carried", "table"]
+        assert threads.call_count == started
+
+    @pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
+                        ["blas"]["name"], reason="NumPy's BLAS is not OpenBLAS")
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_blas_threads_reads_the_loaded_openblas(self, count):
+        if count > (os.cpu_count() or 1):
+            pytest.skip("OpenBLAS runs on no more threads than CPUs")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(count),
+                   PYTHONPATH=str(Path(sim.__file__).parent.parent))
+        out = subprocess.run([sys.executable, "-c", "from riscap import sim; print(sim._blas_threads())"],
+                             check=True, capture_output=True, text=True, env=env).stdout
+        assert out.strip() == str(count)
+
+    def test_tabled_sweep_starts_no_thread(self):
+        plan = replace(load_preset("panel_d"), seed=1)
+        with cpus(8), cache_form() as forms, \
+                mock.patch("threading.Thread", side_effect=AssertionError):
+            run_plan(plan)
+        assert forms == ["table", "table"]
+
+    def test_error_in_a_later_run_propagates_once_every_run_ends(self):
+        # 40 trials in 10 blocks over 3 runs of 3, 3 and 4 blocks; the later
+        # runs fail once this thread's run has solved its blocks
+        plan = wide_plan(40)
+        main, block_gains, solved = threading.get_ident(), sim._block_gains, []
+        ended = threading.Event()
+
+        def failing(*args):
+            if threading.get_ident() != main:
+                ended.wait(10)
+                raise RuntimeError("block failed")
+            solved.append(block_gains(*args))
+            if len(solved) == 3:
+                ended.set()
+            return solved[-1]
+        before = threading.active_count()
+        with cpus(3), threads_started() as threads, \
+                mock.patch.object(sim, "_block_gains", failing), \
+                pytest.raises(RuntimeError, match="block failed"):
+            run_plan(plan)
+        assert threads.call_count == 2
+        assert threading.active_count() == before
 
 
 class TestPairUnits:
