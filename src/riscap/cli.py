@@ -16,7 +16,7 @@ from .channel import build_cascade
 from .geometry import build_positions
 from .oracle import QuantizedSearchSpec, exhaustive_best, random_restart_best
 from .schemes import SnrPoint, capacity_from_gain, solve_joint, joint_gain, solve_ris_only
-from .sim import run_plan, write_csv
+from .sim import _set_blas_threads, run_plan, write_csv
 
 
 def _int_flag(least: int):
@@ -77,6 +77,10 @@ def _load_plan(source: str, seed=None, trials=None):
 
 def _cmd_simulate(args) -> int:
     plan = _load_plan(args.config, seed=args.seed, trials=args.trials)
+    # The command owns its process, so it holds OpenBLAS at one thread, as
+    # the benchmark does: a sweep then runs on every CPU where it can
+    # (sim._threads), and no two BLAS thread pools contend.
+    _set_blas_threads(1)
     table = run_plan(plan, workers=args.workers)
     write_csv(table, args.out)
     print(f"wrote {len(table.rows)} rows to {args.out} "

@@ -19,16 +19,23 @@ trials that drew it. Otherwise the units are the trials themselves.
 Units run in blocks, in ``_unit_order``, with every scheme solved over a
 leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a block's arrays hold
 at once, counted at ``_unit_bytes`` per unit: steering, solver scratch and
-per-element arrays. Steering depends on each element's height z = h + offset
-alone, so one builder, ``_steering_blocks``, builds a leg's rows in blocks
-keyed by the exact float z, each block building the rows the block before
-lacked. When a leg's steering laid out per distinct array height fits the
-budget, it runs once over those heights, and blocks gather the steering,
-antenna sums, corner path length and array factor from that table; else it
-runs over each run's blocks. Units go by transmit grid index, first by residue
-modulo the antenna spacing in grid steps when that is whole, so arrays that
-share element heights share blocks. Each unit's gain is bit-identical to
-the single-scene calls, and ``_rows`` weights it by its trial count.
+per-element arrays. A block only builds rows, gathers them and solves. The
+terms of a unit's heights alone come first: the normalization constants of
+all units at once, and each run's ``ris_only_approx`` gains from per-unit
+array factors, in chunks of whole blocks within the same budget
+(``_chunk_units``). Steering depends on each element's height
+z = h + offset alone, so one builder, ``_steering_blocks``, builds a leg's
+rows in blocks keyed by the exact float z: each block takes from the block
+before the rows at the heights both hold and builds the others, as
+``_row_plan`` finds them for a chunk of blocks with one stable sort. When a
+leg's steering laid out per distinct array height fits the budget, the
+builder runs once over those heights, and blocks gather the steering and
+antenna sums from that table, as the approximation gathers the array
+factors; else it runs over each run's blocks. Units go by transmit grid
+index, first by residue modulo the antenna spacing in grid steps when that
+is whole, so arrays that share element heights share blocks. Each unit's
+gain is bit-identical to the single-scene calls, and ``_rows`` weights it
+by its trial count.
 
 When a leg builds its rows per block and the BLAS runs each call on one
 thread, the unit order is cut at blocks into contiguous runs, as many as
@@ -40,13 +47,15 @@ unit's gain is the same in any block, the results are too. A BLAS that
 threads its calls itself, or one that cannot be asked, keeps the sweep on
 this thread, as concurrent calls contend inside it; so does a fully tabled
 sweep, where a second run costs a block's memory and saves no time that
-shows.
+shows. Each run draws its benchmark phases on one generator of its own.
+``riscap simulate`` owns its process and holds OpenBLAS at one thread
+before its sweep (``_set_blas_threads``); ``run_plan`` sets nothing.
 """
 
 import ctypes
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 
 import numpy as np
@@ -68,8 +77,9 @@ from .schemes import (
 
 # The most bytes a block's arrays may hold at once, counted at _unit_bytes
 # per unit, and the most a leg's steering laid out per distinct array height
-# may take as a table; its build holds one chunk of heights' rows on top.
-# Blocks hold at least one unit, so memory does not grow with the trial count.
+# may take as a table, whose build holds one chunk of heights' rows on top,
+# and a chunk's array factors and row plans. Blocks and chunks hold at least
+# one unit, so memory does not grow with the trial count.
 _BLOCK_BYTES = 7 << 18
 
 
@@ -81,38 +91,41 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
     angles, 24 per element and transmit antenna, and the benchmark channel's
     receive-side temporaries and NumPy's cast buffer, up to 48 per element
     and receive antenna (the joint assembles no channel); 128 per element
-    for path lengths, angles and array factors; and 48 per antenna pair for
-    the benchmark channel and its angles. The rows a block takes from the
-    block before are copied out of that block's steering when the block is
-    asked for, before it builds rows or any solver scratch, and are no more
-    than its own steering; the steering they come from stands in for its
-    own until dropped. So with blocks of equal size the scratch term covers
-    them too, and a last, smaller block can peak at up to the bound of the
-    block before it.
-    The charge is per unit: a block's fixed cost (index arrays, ``np.unique``
-    scratch, the benchmark phases) is not charged, and blocks of many units
-    absorb it. Measured with tracemalloc, this bounds every block of the
-    shipped presets and every full block of the benchmark's wide sweep. The
-    fixed cost shows on one-unit wide blocks, which peak at 478-483 KB
-    traced against 450,560 B.
+    for path lengths and angles; and 48 per antenna pair for the benchmark
+    channel and its angles. Array factors are not a block's: the sweep
+    computes them before its blocks run, in chunks within ``_BLOCK_BYTES``,
+    and the 128 per element leaves room for the row plan a block's chunk
+    keeps, about 24 per element height. The rows a
+    block takes from the block before are copied out of that block's
+    steering when the block is asked for, before it builds rows or any
+    solver scratch, and are no more than its own steering; the steering
+    they come from stands in for its own until dropped. So with blocks of
+    equal size the scratch term covers them too, and a last, smaller block
+    can peak at up to the bound of the block before it.
+    The charge is per unit: a block's fixed cost (index arrays, the row
+    plan of a chunk of few units, the benchmark phases) is not charged, and
+    blocks of many units absorb it. Measured with tracemalloc, this bounds
+    every full block of the shipped presets and of the benchmark's wide
+    sweep (1.78 MB at most, against 1.80 MB). The fixed cost shows on
+    one-unit wide blocks, which peak at 550 KB traced against 450,560 B.
     """
     per_element = 16 * (plan.n_t + plan.n_r) + max(24 * plan.n_t, 48 * plan.n_r) + 128
     return plan.n_ris * per_element + 48 * plan.n_t * plan.n_r
 
 
-# Coherent-sum gain of each scheme over a block, from its channel ``ch``, the
-# legs' antenna sums (u_mat.sum(-1), v_mat.sum(-2)) and array factors, and the
-# benchmark channel ``h``: the channel at the fixed benchmark RIS phases.
+# Coherent-sum gain of each scheme a block solves, from its channel ``ch``,
+# the legs' antenna sums (u_mat.sum(-1), v_mat.sum(-2)) and the benchmark
+# channel ``h``: the channel at the fixed benchmark RIS phases.
+# ris_only_approx, approx_gain's sum, reads the heights alone, and the sweep
+# computes it from the legs' array factors before the blocks run.
 _SCHEME_GAINS = {
-    "basic": lambda ch, sums, f, h: np.abs(h.sum(axis=(-2, -1))),
-    "cophasing": lambda ch, sums, f, h: cophasing_gain(solve_cophasing_mimo(h), h),
-    "joint": lambda ch, sums, f, h: _precoded_sum(*_solve_joint(ch, sums[1])),
+    "basic": lambda ch, sums, h: np.abs(h.sum(axis=(-2, -1))),
+    "cophasing": lambda ch, sums, h: cophasing_gain(solve_cophasing_mimo(h), h),
+    "joint": lambda ch, sums, h: _precoded_sum(*_solve_joint(ch, sums[1])),
     # solve_ris_only's b_gain sans phases; its gain row is sums[1] * sums[0]
-    "ris_only": lambda ch, sums, f, h: ch.k_norm * np.sum(np.abs(sums[1] * sums[0]), axis=-1),
-    # approx_gain's sum, from the legs' array factors
-    "ris_only_approx": lambda ch, sums, f, h: ch.k_norm * np.sum(f[0] * f[1], axis=-1),
+    "ris_only": lambda ch, sums, h: ch.k_norm * np.sum(np.abs(sums[1] * sums[0]), axis=-1),
 }
-SCHEMES = tuple(_SCHEME_GAINS)
+SCHEMES = (*_SCHEME_GAINS, "ris_only_approx")
 # the schemes that read the benchmark channel, and so the benchmark phases
 _BENCHMARK_SCHEMES = {"basic", "cophasing"}
 BENCHMARK_PHASE_MODES = ("zero", "random")
@@ -264,81 +277,172 @@ def _build_rows(leg: Leg, wavelength: float, z) -> NDArray[np.complex128]:
     return steering(leg.rows(z), wavelength)
 
 
+def _factors(leg: Leg, wavelength: float, heights) -> NDArray[np.float64]:
+    "Array factors ``(len(heights), n_ris)`` of a leg's arrays at ``heights`` toward each element."
+    return array_factor(len(leg.offsets), leg.spacing, leg.toward(heights), wavelength)
+
+
 def _table_fits(leg: Leg, count: int) -> bool:
     "Whether a leg's steering laid out for ``count`` array heights fits ``_BLOCK_BYTES``."
     return 16 * count * len(leg.offsets) * len(leg.x) <= _BLOCK_BYTES
 
 
-def _found(keys, values) -> NDArray[np.bool_]:
-    "Mask of the sorted, distinct ``keys`` found among ``values``."
-    at = np.searchsorted(keys[:-1], values)
-    found = np.zeros(len(keys), dtype=bool)
-    found[at[keys[at] == values]] = True
-    return found
+def _chunk_units(unit_bytes: int, size: int) -> int:
+    """Units of a chunk: the most whole blocks of ``size`` whose units, at
+    ``unit_bytes`` each, fit ``_BLOCK_BYTES``, and at least one block."""
+    return size * max(1, _BLOCK_BYTES // (unit_bytes * size))
 
 
-def _steering_blocks(leg: Leg, wavelength: float, heights, size: int):
-    """Steering in the leg's layout, its antenna sums, corner path length and
-    array factor of arrays at ``heights``, in blocks of ``size``.
+@dataclass
+class _Work:
+    """What one sweep did: the steering rows built and those taken from the
+    block before, per leg (transmit, receive), and its blocks, units and runs.
+    Table builds count their rows too."""
+
+    built: list = field(default_factory=lambda: [0, 0])
+    taken: list = field(default_factory=lambda: [0, 0])
+    blocks: int = 0
+    units: int = 0
+    runs: int = 0
+
+    def add(self, other: "_Work") -> None:
+        "Add ``other``'s counts to these."
+        for mine, theirs in ((self.built, other.built), (self.taken, other.taken)):
+            mine[0] += theirs[0]
+            mine[1] += theirs[1]
+        self.blocks += other.blocks
+        self.units += other.units
+        self.runs += other.runs
+
+
+def _row_plan(leg: Leg, heights, size: int, lead: bool):
+    """For each block of ``size`` arrays at ``heights``, after the first when
+    ``lead`` (which only lends its rows): the unit and antenna of the block
+    before that hold each row it takes from that block, the element heights
+    whose rows it builds, and the row of each element in a table of the
+    taken rows and then the built ones.
+
+    A block takes the rows at the heights the block before holds too and
+    builds the others. One stable sort of the element heights, keyed by the
+    exact float z, finds both for every block: each element follows the
+    element before it at its height.
+    """
+    n = len(leg.offsets)
+    step, z = size * n, leg.heights(heights).ravel()
+    order = np.argsort(z, kind="stable")
+    block, z_sorted = order // step, z[order]
+    # in sorted order: the block of the element before each at its height,
+    # -2 for none, and whether the element is its block's first at its height
+    same = np.flatnonzero(z_sorted[1:] == z_sorted[:-1]) + 1
+    before = np.full(len(z), -2)
+    before[same] = block[same - 1]
+    starts = before != block
+    first = np.flatnonzero(starts)
+    taken = first[before[first] == block[first] - 1]
+    # in element order: 1 where a block takes its row at that height from
+    # the block before, at the element before it in sorted order, 2 where
+    # the block builds it
+    kind = np.zeros(len(z), dtype=np.int8)
+    kind[order[first]] = 2
+    kind[order[taken]] = 1
+    source = np.empty(len(z), dtype=np.intp)
+    source[order[taken]] = order[taken - 1]
+    take, build = np.flatnonzero(kind == 1), np.flatnonzero(kind == 2)
+    # each block's table: its taken rows, then its built ones
+    edges = np.arange(0, len(z) + step, step)
+    t, b = np.searchsorted(take, edges), np.searchsorted(build, edges)
+    row = np.empty(len(z), dtype=np.intp)
+    row[take] = np.arange(len(take)) - t[take // step]
+    row[build] = np.arange(len(build)) - b[build // step] + np.diff(t)[build // step]
+    # every other element shares the row of its block's first at its height
+    head = np.maximum.accumulate(np.where(starts, np.arange(len(z)), 0))
+    row[order] = row[order[head]]
+    units, antennas = np.divmod(source[take] - (take // step - 1) * step, n)
+    z, t, b = z[build], t.tolist(), b.tolist()
+    return [((units[t[k]:t[k + 1]], antennas[t[k]:t[k + 1]]), z[b[k]:b[k + 1]],
+             row[k * step:(k + 1) * step].reshape(-1, n)) for k in range(lead, len(edges) - 1)]
+
+
+def _steering_blocks(leg: Leg, wavelength: float, heights, size: int, chunk: int,
+                     work: _Work):
+    """Steering in the leg's layout and its antenna sums of arrays at
+    ``heights``, in blocks of ``size``; ``work`` counts the rows built and
+    taken.
 
     Steering depends on each element's height ``z = h + offset`` alone, so
-    its rows are keyed by the exact float ``z``: each block builds the rows
-    the block before it lacked. The rows the next block needs are copied out
-    of a block's steering when the next block is asked for, once the caller
-    is done with it, and that steering is dropped before the next block
-    builds its rows.
+    its rows are keyed by the exact float ``z``: each block takes from the
+    block before the rows that block holds and builds the others.
+    ``_row_plan`` plans them once per ``chunk`` arrays, a whole number of
+    blocks. The taken rows are copied out of a block's steering when the
+    next block is asked for, once the caller is done with it, and that
+    steering is dropped before the next block builds its rows.
     """
-    held, carried = np.empty(0), np.empty((0, len(leg.x)), dtype=complex)
-    for start in range(0, len(heights), size):
-        h = heights[start:start + size]
-        z = leg.heights(h)
-        distinct, first, local = np.unique(z, return_index=True, return_inverse=True)
-        new = ~_found(distinct, held)
-        rows = np.empty((len(distinct), len(leg.x)), dtype=complex)
-        rows[~new] = carried
-        del carried
-        rows[new] = _build_rows(leg, wavelength, distinct[new])
-        keep = _found(distinct, leg.heights(heights[start + size:start + 2 * size]).ravel())
-        held, (units, antennas) = distinct[keep], np.unravel_index(first[keep], z.shape)
-        rows = rows[local.reshape(z.shape)]  # frees the block's own table
-        steer = leg.layout(rows)
-        del rows
-        factor = array_factor(len(leg.offsets), leg.spacing, leg.toward(h), wavelength)
-        yield (steer, steer.sum(axis=-1 if leg.elements_first else -2),
-               np.hypot(leg.x[0], h + leg.offsets[0]), factor)
-        carried = steer[units, :, antennas] if leg.elements_first else steer[units, antennas]
-        del steer
+    side = int(not leg.elements_first)
+    steer = leg.layout(np.empty((0, len(leg.offsets), len(leg.x)), dtype=complex))
+    for start in range(0, len(heights), chunk):
+        for (units, antennas), new, local in _row_plan(
+                leg, heights[max(start - size, 0):start + chunk], size, start > 0):
+            rows = np.empty((len(units) + len(new), len(leg.x)), dtype=complex)
+            rows[:len(units)] = steer[units, :, antennas] if leg.elements_first \
+                else steer[units, antennas]
+            del steer
+            rows[len(units):] = _build_rows(leg, wavelength, new)
+            work.built[side] += len(new)
+            work.taken[side] += len(units)
+            rows = rows[local]  # frees the block's own table
+            steer = leg.layout(rows)
+            del rows
+            yield steer, steer.sum(axis=-1 if leg.elements_first else -2)
 
 
-def _tabled_blocks(leg: Leg, wavelength: float, heights, size: int):
-    """``blocks(first, stop)``, the blocks of ``size`` from ``_steering_blocks``
-    over the arrays at ``heights[first:stop]``, gathered from a table laid
-    out per distinct array height; None when the table does not fit
-    ``_BLOCK_BYTES``.
+def _tabled_blocks(leg: Leg, wavelength: float, heights, size: int, work: _Work):
+    """``(blocks, factors)`` of a leg laid out in a table per distinct array
+    height, or None when the table does not fit ``_BLOCK_BYTES``:
+    ``blocks(first, stop, work)`` yields the blocks of ``size`` from
+    ``_steering_blocks`` over the arrays at ``heights[first:stop]`` and
+    ``factors(first, stop)`` returns their array factors, both gathered
+    from the table; ``work`` counts the rows the table's build builds.
 
     The builder runs once over those heights, in chunks that hold every
     height within one array length of each, and at least 4, so each row is
-    built once.
+    built once; its row plans take up to 128 bytes per element height.
     """
     distinct, at = np.unique(heights, return_inverse=True)
     if not _table_fits(leg, len(distinct)):
         return None
     near = np.searchsorted(distinct, distinct + (leg.offsets[-1] - leg.offsets[0]), side="right")
     chunk = max(4, int(np.max(near - np.arange(len(distinct)))))
-    table, chunks = [], _steering_blocks(leg, wavelength, distinct, chunk)
+    plans = _chunk_units(128 * len(leg.offsets), chunk)
+    table, chunks = [], _steering_blocks(leg, wavelength, distinct, chunk, plans, work)
     for start in range(0, len(distinct), chunk):
-        for i, values in enumerate(next(chunks)):
+        values = (*next(chunks), _factors(leg, wavelength, distinct[start:start + chunk]))
+        for i, value in enumerate(values):
             if not start:
-                table.append(np.empty((len(distinct), *values.shape[1:]), dtype=values.dtype))
-            table[i][start:start + chunk] = values
-    return lambda first, stop: (tuple(values[at[start:start + size]] for values in table)
-                                for start in range(first, stop, size))
+                table.append(np.empty((len(distinct), *value.shape[1:]), dtype=value.dtype))
+            table[i][start:start + chunk] = value
+        del values
+    steer, sums, factors = table
+
+    def blocks(first: int, stop: int, work: _Work):
+        for start in range(first, stop, size):
+            yield steer[at[start:start + size]], sums[at[start:start + size]]
+    return blocks, lambda first, stop: factors[at[first:stop]]
+
+
+def _carried(leg: Leg, wavelength: float, heights, size: int, chunk: int):
+    """``(blocks, factors)`` of a leg that builds its rows per block, as
+    ``_tabled_blocks`` returns them for a tabled leg: the builder runs over
+    each run's blocks, with a row plan per ``chunk`` units, and the array
+    factors are computed per unit."""
+    return (lambda first, stop, work: _steering_blocks(leg, wavelength, heights[first:stop],
+                                                       size, chunk, work),
+            lambda first, stop: _factors(leg, wavelength, heights[first:stop]))
 
 
 @cache
-def _openblas_threads():
-    """The ``get_num_threads`` function of the OpenBLAS mapped into this
-    process, or None when none is found."""
+def _openblas():
+    """The ``get_num_threads`` and ``set_num_threads`` functions of the
+    OpenBLAS mapped into this process, or None when none is found."""
     try:
         with open("/proc/self/maps") as handle:
             paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
@@ -350,18 +454,28 @@ def _openblas_threads():
         except OSError:
             continue
         for prefix in ("scipy_openblas_", "openblas_"):
-            for name in (f"{prefix}get_num_threads64_", f"{prefix}get_num_threads"):
-                fn = getattr(lib, name, None)
-                if fn is not None:
-                    fn.argtypes, fn.restype = [], ctypes.c_int
-                    return fn
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
     return None
 
 
 def _blas_threads():
     "The threads the loaded BLAS runs each call on, or None when it cannot be asked."
-    fn = _openblas_threads()
-    return None if fn is None else fn()
+    found = _openblas()
+    return None if found is None else found[0]()
+
+
+def _set_blas_threads(count: int) -> None:
+    """Make the loaded OpenBLAS run each call on ``count`` threads, for the
+    whole process; without one, do nothing."""
+    found = _openblas()
+    if found is not None:
+        found[1](count)
 
 
 def _threads() -> int:
@@ -399,16 +513,18 @@ def _on_threads(work, runs) -> None:
         raise errors[0]
 
 
-def _block_gains(plan: SimulationPlan, cfg: SceneConfig, blocks, phases) -> dict:
-    """Gains of every requested scheme for the next block of each leg's
-    ``blocks``, whose benchmark phases are ``phases`` (None for zero phases).
-    The benchmark channel is assembled only when a requested scheme reads it."""
-    steer, sums, (d2_corner, d1_corner), factors = zip(*map(next, blocks))
-    ch = CascadeChannel(*steer, k_norm=normalization_constant(cfg, d1_corner, d2_corner))
+def _block_gains(plan: SimulationPlan, blocks, k_norm, phases) -> dict:
+    """Gains of the requested schemes a block solves, for the next block of
+    each leg's ``blocks``, whose normalization constants are ``k_norm`` and
+    benchmark phases ``phases`` (None for zero phases). The benchmark channel
+    is assembled only when a requested scheme reads it."""
+    steer, sums = zip(*map(next, blocks))
+    ch = CascadeChannel(*steer, k_norm=k_norm)
     h_bench = None
     if _BENCHMARK_SCHEMES & set(plan.schemes):
         h_bench = assemble_h(ch, np.zeros(ch.u_mat.shape[:-1]) if phases is None else phases)
-    return {scheme: _SCHEME_GAINS[scheme](ch, sums, factors, h_bench) for scheme in plan.schemes}
+    return {scheme: _SCHEME_GAINS[scheme](ch, sums, h_bench)
+            for scheme in plan.schemes if scheme in _SCHEME_GAINS}
 
 
 def _unit_order(plan: SimulationPlan, indices) -> NDArray[np.intp]:
@@ -422,24 +538,37 @@ def _unit_order(plan: SimulationPlan, indices) -> NDArray[np.intp]:
     return np.lexsort(keys)
 
 
-def _sweep_gains(plan: SimulationPlan, indices, phases=None) -> dict:
+def _sweep_gains(plan: SimulationPlan, indices, phases=None, work=None) -> dict:
     """Gain arrays of every requested scheme over the units at (h_t, h_r)
-    grid ``indices``, in that order.
+    grid ``indices``, in that order; ``work``, a ``_Work``, gets the
+    sweep's counts.
 
-    ``phases(rows)`` returns the benchmark phases of the units at sweep
-    positions ``rows``; None means zero phases. Units run in
-    ``_unit_order``, in blocks of ``_BLOCK_BYTES // _unit_bytes(plan)``.
-    When a leg builds its rows per block, the order is cut at blocks into
-    ``_threads()`` contiguous runs, and no more than blocks, each run on a
-    thread with a row builder of its own; tabled legs are built once, and
-    every run gathers from them.
+    ``phases(rows, rng)`` returns the benchmark phases of the units at sweep
+    positions ``rows``, drawn on ``rng``, a generator of the run's own;
+    None means zero phases. Units run in ``_unit_order``, in blocks of
+    ``_BLOCK_BYTES // _unit_bytes(plan)``. When a leg builds its rows per
+    block, the order is cut at blocks into ``_threads()`` contiguous runs,
+    and no more than blocks, each run on a thread with a row builder of its
+    own; tabled legs are built once, and every run gathers from them. The
+    terms of a unit's heights alone, its normalization constant and
+    ``ris_only_approx`` gain, are computed before the blocks run.
     """
     order = _unit_order(plan, indices)
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
     size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
-    sides = [(leg, heights, _tabled_blocks(leg, cfg.wavelength, heights, size))
-             for leg, heights in zip(legs(cfg), _heights(plan, *indices[order].T))]
+    # A chunk's array factors take up to 64 bytes per element (57 measured),
+    # and its legs' row plans up to 128 per element height (100 while a plan
+    # is made, 24 kept while its blocks run).
+    chunk = _chunk_units(64 * plan.n_ris + 128 * (plan.n_t + plan.n_r), size)
+    work = _Work() if work is None else work
+    sides, corners, all_tabled = [], [], True
+    for leg, heights in zip(legs(cfg), _heights(plan, *indices[order].T)):
+        corners.append(np.hypot(leg.x[0], heights + leg.offsets[0]))
+        tabled = _tabled_blocks(leg, cfg.wavelength, heights, size, work)
+        all_tabled &= tabled is not None
+        sides.append(tabled or _carried(leg, cfg.wavelength, heights, size, chunk))
+    k_norm = normalization_constant(cfg, corners[1], corners[0])
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
     # freed so far, and every block would then fault its pages in again (a
@@ -449,19 +578,34 @@ def _sweep_gains(plan: SimulationPlan, indices, phases=None) -> dict:
 
     gains = {scheme: np.empty(len(indices)) for scheme in plan.schemes}
 
-    def run(first: int, stop: int) -> None:
-        blocks = [_steering_blocks(leg, cfg.wavelength, heights[first:stop], size)
-                  if tabled is None else tabled(first, stop) for leg, heights, tabled in sides]
+    def run(first: int, stop: int, work: _Work) -> None:
+        if "ris_only_approx" in gains:
+            for start in range(first, stop, chunk):
+                end = min(start + chunk, stop)
+                f_t, f_r = (factors(start, end) for _, factors in sides)
+                gains["ris_only_approx"][order[start:end]] = \
+                    k_norm[start:end] * np.sum(f_t * f_r, axis=-1)
+                del f_t, f_r
+        blocks = [side_blocks(first, stop, work) for side_blocks, _ in sides]
+        rng = None if phases is None else np.random.default_rng(0)
         for start in range(first, stop, size):
             block = order[start:start + size]
-            block_phases = None if phases is None else phases(block)
-            for scheme, values in _block_gains(plan, cfg, blocks, block_phases).items():
+            block_phases = None if phases is None else phases(block, rng=rng)
+            for scheme, values in _block_gains(plan, blocks, k_norm[start:start + size],
+                                               block_phases).items():
                 gains[scheme][block] = values
+            work.blocks += 1
+        work.units += stop - first
+        work.runs += 1
 
     count = -(-len(order) // size)
-    runs = 1 if all(tabled is not None for *_, tabled in sides) else min(_threads(), count)
+    runs = 1 if all_tabled else min(_threads(), count)
     cuts = [min(len(order), size * (count * i // runs)) for i in range(runs + 1)]
-    _on_threads(run, list(zip(cuts[:-1], cuts[1:])))
+    records = [_Work() for _ in range(runs)]
+    _on_threads(run, [(first, stop, record)
+                      for first, stop, record in zip(cuts[:-1], cuts[1:], records)])
+    for record in records:
+        work.add(record)
     return gains
 
 
@@ -474,17 +618,21 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     from the trial's generator.
     """
     require_int("trial_index", trial_index, 0)
-    rng, indices = trial_stream(plan.seed, trial_index, _grid_sizes(plan))
-    phases = partial(trial_phases, rng, count=plan.n_ris) if _reads_phases(plan) else None
+    own, indices = trial_stream(plan.seed, trial_index, _grid_sizes(plan))
+    phases = None
+    if _reads_phases(plan):
+        def phases(rows, rng):  # the trial's own generator, not the run's
+            return trial_phases(own, rows, plan.n_ris)
     gains = _sweep_gains(plan, np.array([indices]), phases)
     return {scheme: float(values[0]) for scheme, values in gains.items()}
 
 
-def _plan_gains(plan: SimulationPlan) -> tuple[dict, NDArray[np.int64], int]:
+def _plan_gains(plan: SimulationPlan, work=None) -> tuple[dict, NDArray[np.int64], int]:
     """Gains of every requested scheme over the sweep's units, each unit's
     trial count, and the number of distinct (h_t, h_r) grid pairs drawn: the
     units are those pairs in code order, or the trials, each of count 1, when
-    a requested benchmark scheme reads the trials' random phases."""
+    a requested benchmark scheme reads the trials' random phases. ``work``,
+    a ``_Work``, gets the sweep's counts."""
     sizes = _grid_sizes(plan)
     streams = TrialStreams(plan.seed, np.arange(plan.trials), sizes)
     # pair codes t * n_r + r in uint64, below 2**64 on grids of up to 2**32 points
@@ -492,8 +640,10 @@ def _plan_gains(plan: SimulationPlan) -> tuple[dict, NDArray[np.int64], int]:
     codes, counts = np.unique(t * n_r + r, return_counts=True)
     if _reads_phases(plan):
         phases = partial(streams.phases, count=plan.n_ris)
-        return _sweep_gains(plan, streams.indices, phases), np.ones(plan.trials, int), len(codes)
-    return _sweep_gains(plan, np.stack(np.divmod(codes, n_r), axis=-1)), counts, len(codes)
+        gains = _sweep_gains(plan, streams.indices, phases, work=work)
+        return gains, np.ones(plan.trials, int), len(codes)
+    return _sweep_gains(plan, np.stack(np.divmod(codes, n_r), axis=-1), work=work), counts, \
+        len(codes)
 
 
 def _rows(plan: SimulationPlan, gains: dict, counts) -> tuple[ResultRow, ...]:
@@ -520,7 +670,8 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     The engine picks its threads itself: a sweep whose legs build their rows
     per block runs on up to one thread per CPU the process may run on when
     the BLAS runs each call on one thread, and otherwise, as a fully tabled
-    sweep does, on this thread alone. ``workers`` is accepted for
+    sweep does, on this thread alone. It reads the BLAS thread count and
+    sets none; ``riscap simulate`` sets one. ``workers`` is accepted for
     compatibility and must be an integer >= 1; it is unused, so the table is
     identical for any worker count. ``metadata["distinct_pairs"]`` counts the
     distinct grid height pairs the trials drew.

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from riscap import cli, sim
 from riscap.cli import cli_main
 
 CONFIG = """
@@ -23,6 +26,15 @@ trials = 4
 seed = 3
 schemes = ris_only, basic
 """
+
+
+@pytest.fixture(autouse=True)
+def blas_threads(monkeypatch):
+    """The thread counts set on a stand-in for the loaded OpenBLAS, which
+    starts at 2: commands run here must not set this process's BLAS."""
+    threads = [2]
+    monkeypatch.setattr(sim, "_openblas", lambda: (lambda: threads[-1], threads.append))
+    return threads
 
 
 @pytest.fixture
@@ -150,6 +162,24 @@ class TestSimulate:
         code = cli_main(["simulate", "--config", str(config_file),
                          "--out", str(tmp_path / "missing_dir" / "x.csv")])
         assert code == 2
+
+
+    def test_holds_the_blas_at_one_thread_before_the_sweep(self, blas_threads, config_file,
+                                                          tmp_path, monkeypatch):
+        # the command owns its process; run_plan, a library call, sets nothing
+        seen, run_plan = [], cli.run_plan
+
+        def spy(*args, **kwargs):
+            seen.append(sim._blas_threads())
+            return run_plan(*args, **kwargs)
+        monkeypatch.setattr(cli, "run_plan", spy)
+        assert sim._blas_threads() == 2
+        sim.run_plan(replace(cli.config.load_preset("panel_a"), trials=2))
+        assert blas_threads == [2]
+        assert cli_main(["simulate", "--config", str(config_file),
+                         "--out", str(tmp_path / "x.csv")]) == 0
+        assert blas_threads == [2, 1]
+        assert seen == [1]
 
 
 class TestArgHandling:

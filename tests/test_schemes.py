@@ -472,7 +472,7 @@ class TestJointReceiveSums:
 def test_sweep_ris_only_gain_is_the_solvers_bit_for_bit(ch):
     # the sweep's gain-only form skips the phases
     sums = ch.u_mat.sum(axis=-1), ch.v_mat.sum(axis=-2)
-    got = sim._SCHEME_GAINS["ris_only"](ch, sums, None, None)
+    got = sim._SCHEME_GAINS["ris_only"](ch, sums, None)
     assert np.array_equal(got, solve_ris_only(ch).b_gain)
 
 
@@ -484,7 +484,7 @@ def test_sweep_joint_gain_from_column_sums_is_the_solvers_bit_for_bit(ch, others
     table = np.concatenate([np.exp(1j * np.arange(others * v[0].size)).reshape(-1, *v[0].shape),
                             v])
     column_sums = table.sum(axis=-2)[others:].reshape(*ch.v_mat.shape[:-2], ch.n_ris)
-    got = sim._SCHEME_GAINS["joint"](ch, (None, column_sums), None, None)
+    got = sim._SCHEME_GAINS["joint"](ch, (None, column_sums), None)
     assert np.array_equal(got, joint_gain(solve_joint(ch), ch))
 
 

@@ -38,7 +38,7 @@ from riscap import (
 )
 from riscap import channel, schemes, sim
 from riscap._stream import TrialStreams
-from riscap.geometry import Leg
+from riscap.geometry import Leg, legs
 from riscap.sim import SCHEMES, grid_points
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -533,17 +533,16 @@ class TestBenchmarkLaziness:
         benchmark = bool({"basic", "cophasing"} & set(schemes))
         drawn, draw = [], TrialStreams.phases
 
-        def phases(streams, rows, count):
+        def phases(streams, rows, count, rng=None):
             drawn.append(len(rows))
-            return draw(streams, rows, count)
+            return draw(streams, rows, count, rng)
         with mock.patch.object(sim, "assemble_h", wraps=sim.assemble_h) as assemble, \
-                mock.patch.object(TrialStreams, "phases", phases), \
-                mock.patch.object(sim, "_block_gains", wraps=sim._block_gains) as blocks:
-            run_plan(plan)
-        assert blocks.call_count >= 2
-        assert assemble.call_count == (blocks.call_count if benchmark else 0)
+                mock.patch.object(TrialStreams, "phases", phases):
+            work, _ = sweep_work(plan)
+        assert work.blocks >= 2
+        assert assemble.call_count == (work.blocks if benchmark else 0)
         random = benchmark and mode == "random"
-        assert len(drawn) == (blocks.call_count if random else 0)
+        assert len(drawn) == (work.blocks if random else 0)
 
     def test_joint_only_sweep_assembles_no_channel(self):
         plan = replace(load_preset("panel_a"), trials=200, schemes=("joint",))
@@ -611,27 +610,10 @@ def cache_form(form=None):
         yield forms
 
 
-@contextmanager
-def rows_built(solve=True):
-    """Counts the steering rows each leg builds, per leg (transmit, receive).
-    Unless ``solve``, rows are zeros and blocks only build and gather them."""
-    built, build_rows, block_gains = [0, 0], sim._build_rows, sim._block_gains
-    lock = threading.Lock()
-
-    def build_spy(leg, wavelength, z):
-        with lock:  # runs build on threads of their own
-            built[not leg.elements_first] += len(z)
-        if solve:
-            return build_rows(leg, wavelength, z)
-        return np.zeros((len(z), len(leg.x)), dtype=complex)
-
-    def gather_only(plan, cfg, blocks, phases):
-        for leg_blocks in blocks:
-            next(leg_blocks)
-        return {}
-    with mock.patch.object(sim, "_build_rows", build_spy), \
-            mock.patch.object(sim, "_block_gains", block_gains if solve else gather_only):
-        yield built
+def sweep_work(plan):
+    "What ``_plan_gains`` did on ``plan``, as its ``_Work`` record, and its gains."
+    work = sim._Work()
+    return work, sim._plan_gains(plan, work)[0]
 
 
 def cpus(count):
@@ -725,6 +707,29 @@ class TestBlockEngine:
         assert one_trial == run_plan(plan)
 
 
+def reference_leg_rows(z, size, firsts):
+    """Rows a leg builds for element heights ``z``, one row of them per unit,
+    in blocks of ``size``: each block builds the distinct heights that the
+    block before it in its run did not hold, and runs start at the units
+    ``firsts``."""
+    count, held = 0, np.array([])
+    for start in range(0, len(z), size):
+        if start in firsts:
+            held = np.array([])
+        distinct = np.unique(z[start:start + size])
+        count += len(np.setdiff1d(distinct, held))
+        held = distinct
+    return count
+
+
+def run_cuts(units, size, runs):
+    "The (first, stop) units of a sweep's runs: its blocks cut into near-equal runs."
+    blocks = math.ceil(units / size)
+    runs = min(runs, blocks)
+    cuts = [min(units, size * (blocks * run // runs)) for run in range(runs + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def reference_rows_built(plan, indices, runs=1):
     """Rows a sweep builds per leg, from its documented rule: units in
     residue order, cut into blocks, the blocks cut into ``runs`` runs of
@@ -733,22 +738,82 @@ def reference_rows_built(plan, indices, runs=1):
     steps = round(plan.s_t / plan.h_t_grid[2])
     order = np.lexsort((indices[:, 1], indices[:, 0], indices[:, 0] % steps))
     size = sim._BLOCK_BYTES // sim._unit_bytes(plan)
-    blocks = math.ceil(len(order) / size)
-    firsts = {size * (blocks * run // runs) for run in range(runs)}
+    firsts = {first for first, _ in run_cuts(len(order), size, runs)}
     built = []
     for heights, n, spacing in zip(sim._heights(plan, *indices[order].T), (plan.n_t, plan.n_r),
                                    (plan.s_t, plan.s_r)):
         offsets = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
-        z = heights[:, np.newaxis] + offsets
-        count, held = 0, np.array([])
-        for start in range(0, len(z), size):
-            if start in firsts:
-                held = np.array([])
-            distinct = np.unique(z[start:start + size])
-            count += len(np.setdiff1d(distinct, held))
-            held = distinct
-        built.append(count)
+        built.append(reference_leg_rows(heights[:, np.newaxis] + offsets, size, firsts))
     return built
+
+
+@st.composite
+def leg_sweeps(draw):
+    """A transmit or receive leg of 1-8 antennas facing 1-8 elements, and
+    1-40 arrays in any order at heights a fifth of the antenna spacing
+    apart, so that their elements share heights within and across blocks."""
+    plan = tiny_plan(n_t=draw(st.integers(1, 8)), n_r=draw(st.integers(1, 8)),
+                     n_ris=draw(st.integers(1, 8)))
+    leg = legs(plan.scene(2.5, 1.3))[draw(st.integers(0, 1))]
+    steps = draw(st.lists(st.integers(0, 30), min_size=1, max_size=40))
+    return leg, 2.0 + 0.0005 * np.array(steps), plan.wavelength
+
+
+class TestRowPlan:
+    """Each block's rows, planned once per chunk of blocks, are the rows
+    built for each unit alone, and a leg builds as many as the rule says."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep=leg_sweeps(), size=st.integers(1, 9), runs=st.integers(1, 3),
+           chunk=st.integers(1, 3), form=st.sampled_from(["table", "carried"]))
+    def test_each_units_steering_is_its_own_rows(self, sweep, size, runs, chunk, form):
+        leg, heights, wavelength = sweep
+        side = int(not leg.elements_first)
+        cuts, work = run_cuts(len(heights), size, runs), sim._Work()
+        # row plans of ``chunk`` blocks, or of as many heights of a table;
+        # the table form is forced
+        budget = 128 * len(leg.offsets) * chunk
+        with mock.patch.object(sim, "_BLOCK_BYTES", budget), cache_form(form):
+            blocks, _ = sim._tabled_blocks(leg, wavelength, heights, size, work) or \
+                sim._carried(leg, wavelength, heights, size, size * chunk)
+            for first, stop in cuts:
+                starts = range(first, stop, size)
+                for start, (steer, sums) in zip(starts, blocks(first, stop, work)):
+                    for unit, h in enumerate(heights[start:min(start + size, stop)]):
+                        rows = leg.layout(sim._build_rows(leg, wavelength, leg.heights(h)))
+                        assert steer[unit].tobytes() == rows.tobytes()
+                        axis = -1 if leg.elements_first else -2
+                        assert sums[unit].tobytes() == rows.sum(axis=axis).tobytes()
+        z = leg.heights(heights)
+        if form == "table":
+            assert work.built[side] == len(np.unique(z))
+        else:
+            firsts = {first for first, _ in cuts}
+            assert work.built[side] == reference_leg_rows(z, size, firsts)
+        assert work.built[1 - side] == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(plan=small_plans(), size=st.integers(1, 9), runs=st.integers(1, 3),
+           form=st.sampled_from(["table", "carried"]))
+    def test_height_terms_are_the_single_scene_calls(self, plan, size, runs, form):
+        # each unit's normalization constant and approximate gain, computed
+        # before the blocks run
+        norms, constant = [], sim.normalization_constant
+
+        def spy(*args):
+            norms.append(constant(*args))
+            return norms[-1]
+        with mock.patch.object(sim, "_BLOCK_BYTES", size * sim._unit_bytes(plan)), \
+                cpus(runs), cache_form(form), \
+                mock.patch.object(sim, "normalization_constant", spy):
+            gains = trial_unit_gains(plan)
+        k_norm, = norms
+        order = sim._unit_order(plan, sweep_streams(plan).indices)
+        for position, trial in enumerate(order):
+            cfg = plan.scene(*sample_heights(plan, trial))
+            pos = build_positions(cfg)
+            assert k_norm[position] == build_cascade(pos, cfg).k_norm
+            assert gains["ris_only_approx"][trial] == approx_gain(pos, cfg)
 
 
 class TestRowCache:
@@ -758,58 +823,62 @@ class TestRowCache:
     def test_panel_d_builds_each_distinct_row_once(self):
         # seed 1: 829 distinct pairs; per-height blocks built 1440 transmit rows
         plan = replace(load_preset("panel_d"), seed=1)
-        with rows_built() as built, cache_form() as forms:
-            table = run_plan(plan)
-        assert table.metadata["distinct_pairs"] == 829
+        with cache_form() as forms:
+            work, gains = sweep_work(plan)
         assert forms == ["table", "table"]
-        assert built == [496, 204]
+        assert work.units == len(gains["joint"]) == 829
+        assert work.built == [496, 204]
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_wide_blocks_build_rows_the_block_before_lacked(self, seed):
         # seed 1 built 32000 transmit and 16000 receive rows with one row per
         # unit and antenna
         plan = wide_plan(1000, seed)
-        with cpus(1), rows_built(solve=False) as built, cache_form() as forms:
-            sim._plan_gains(plan)
+        with cpus(1), cache_form() as forms:
+            work, _ = sweep_work(plan)
         assert forms == ["carried", "carried"]
+        assert (work.runs, work.blocks, work.units) == (1, 250, 1000)
         indices = sweep_streams(plan).indices
-        assert built == reference_rows_built(plan, indices)
+        assert work.built == reference_rows_built(plan, indices)
         if seed == 1:
-            assert built == [14464, 15919]
+            assert work.built == [14464, 15919]
 
     def test_two_runs_rebuild_rows_only_at_the_second_runs_first_block(self):
         # the second run's first block holds no rows from the block before
         plan = wide_plan(1000)
-        with cpus(2), rows_built(solve=False) as built, cache_form() as forms:
-            sim._plan_gains(plan)
+        with cpus(2), cache_form() as forms:
+            work, _ = sweep_work(plan)
         assert forms == ["carried", "carried"]
+        assert (work.runs, work.blocks, work.units) == (2, 250, 1000)
         indices = sweep_streams(plan).indices
-        assert built == reference_rows_built(plan, indices, runs=2) == [14489, 15919]
+        assert work.built == reference_rows_built(plan, indices, runs=2) == [14489, 15919]
 
     def test_carried_rows_match_the_reference_when_solved(self):
         # 25 grid steps per antenna spacing on a 201-point grid: residue
         # classes of a few units each share most transmit rows
         plan = wide_plan(100, h_t_grid=(2.0, 2.02, 0.0001))
-        with cpus(1), rows_built() as built, cache_form() as forms:
-            table = run_plan(plan)
+        with cpus(1), cache_form() as forms:
+            work, gains = sweep_work(plan)
         assert forms == ["carried", "carried"]
         indices = sweep_streams(plan).indices
-        assert built == reference_rows_built(plan, indices)
-        assert built[0] < 32 * plan.trials // 2
+        assert work.built == reference_rows_built(plan, indices)
+        assert work.built[0] < 32 * plan.trials // 2
         with cache_form("table"):
-            assert run_plan(plan) == table
+            tabled = sim._plan_gains(plan)[0]
+        for scheme, values in gains.items():
+            assert values.tobytes() == tabled[scheme].tobytes(), scheme
 
     def test_fine_table_builds_each_distinct_row_once(self):
         # 0.1 mm steps against a 2.5 mm antenna spacing: arrays up to 175
         # steps apart share a row, so chunks of 4 heights built 1056
         # transmit rows
         plan = fine_transmit_plan()
-        with rows_built() as built, cache_form() as forms:
-            run_plan(plan)
+        with cache_form() as forms:
+            work, _ = sweep_work(plan)
         assert forms == ["table", "table"]
         heights = sim._heights(plan, *sweep_streams(plan).indices.T)[0]
         z = heights[:, np.newaxis] + (np.arange(1, 9) - 4.5) * plan.s_t
-        assert built[0] == len(np.unique(z)) == 520
+        assert work.built[0] == len(np.unique(z)) == 520
 
     @pytest.mark.parametrize("ratio, residue", [(25.0, True), (0.125, False), (1.0, False),
                                                 (2.5, False)])
@@ -873,8 +942,8 @@ class TestBlockMemory:
         plan = {"panel_d": replace(load_preset("panel_d"), trials=60),
                 "wide_fine": wide_plan(12),
                 "wide_carried": wide_plan(40, h_t_grid=(2.0, 2.02, 0.0001))}[shape]
-        start, peaks, carried = [], [], []
-        block_gains, found = sim._block_gains, sim._found
+        start, peaks, work = [], [], sim._Work()
+        block_gains = sim._block_gains
 
         def spy(*args):
             # measured from the first block's start, over the block's row
@@ -887,28 +956,23 @@ class TestBlockMemory:
             peaks.append((len(next(iter(gains.values()))),
                           tracemalloc.get_traced_memory()[1] - start[0]))
             return gains
-
-        def found_spy(keys, values):
-            # once blocks run: the rows a block takes from the block before,
-            # and those it keeps for the next
-            mask = found(keys, values)
-            if start:
-                carried.append(int(mask.sum()))
-            return mask
         tracemalloc.start()
         try:
-            with cpus(1), mock.patch.object(sim, "_block_gains", spy), \
-                    mock.patch.object(sim, "_found", found_spy):
-                table = run_plan(plan)
+            with cpus(1), mock.patch.object(sim, "_block_gains", spy), cache_form() as forms:
+                _, _, pairs = sim._plan_gains(plan, work)
         finally:
             tracemalloc.stop()
-        units = table.metadata["distinct_pairs"] if shape == "panel_d" else plan.trials
+        units = pairs if shape == "panel_d" else plan.trials
         unit_bytes = sim._unit_bytes(plan)
         per_block = sim._BLOCK_BYTES // unit_bytes
         full, rest = divmod(units, per_block)
         assert [n for n, _ in peaks] == [per_block] * full + [rest] * (rest > 0)
-        assert len(peaks) >= 3
-        assert (max(carried, default=0) > 0) == (shape == "wide_carried")
+        assert work.blocks == len(peaks) >= 3
+        # panel_d and wide_fine gather every block from tables, whose builds
+        # take rows from the chunk before only on panel_d's 2 cm grid; the
+        # blocks of wide_carried take rows from the block before
+        assert forms == ["carried" if shape == "wide_carried" else "table"] * 2
+        assert (work.taken[0] > 0) == (shape != "wide_fine")
         for n, peak in peaks:
             assert peak <= n * unit_bytes <= sim._BLOCK_BYTES
 
@@ -984,18 +1048,11 @@ class TestRuns:
         # 20 trials in 5 blocks of 4: the transmit leg builds its rows per
         # block, with one builder per run, and the receive leg is tabled
         plan = wide_plan(20)
-        builders, steering_blocks = [], sim._steering_blocks
-
-        def spy(leg, wavelength, heights, size):
-            if leg.elements_first:
-                builders.append(len(heights))
-            return steering_blocks(leg, wavelength, heights, size)
-        with cpus(8), cache_form() as forms, threads_started() as threads, \
-                mock.patch.object(sim, "_steering_blocks", spy):
-            run_plan(plan)
+        with cpus(8), cache_form() as forms, threads_started() as threads:
+            work, _ = sweep_work(plan)
         assert forms == ["carried", "table"]
         assert threads.call_count == 4
-        assert builders == [4] * 5
+        assert (work.runs, work.blocks, work.units) == (5, 5, 20)
 
     @pytest.mark.parametrize("blas, started", [(1, 4), (2, 0), (None, 0)])
     def test_runs_only_where_blas_runs_each_call_on_one_thread(self, blas, started):
@@ -1062,9 +1119,9 @@ class TestPairUnits:
         trials when it is given a phase source, else grid pairs."""
         runs, sweep_gains = [], sim._sweep_gains
 
-        def spy(plan, indices, phases=None):
+        def spy(plan, indices, phases=None, work=None):
             runs.append(("trials" if phases is not None else "pairs", len(indices)))
-            return sweep_gains(plan, indices, phases)
+            return sweep_gains(plan, indices, phases, work)
         with mock.patch.object(sim, "_sweep_gains", spy):
             yield runs
 
