@@ -8,10 +8,12 @@ bounded draw (ACM TOMACS 29(1), 2019). Those two draws are the trial's
 indices into grids of given point counts; the benchmark phases come next.
 The twin computes the seeding and the first output of every trial at once,
 and hands each trial's PCG64 state after its grid draws to NumPy's own
-generator for the phases, which skips the SeedSequence hash per trial. Only
-one-word entropy is covered: rows whose seed or trial index needs more than
-32 bits, or whose draw falls below Lemire's rejection threshold (where NumPy
-draws again), are flagged and drawn by ``trial_stream`` itself.
+generator for the phases, which skips the SeedSequence hash per trial; the
+sweep engine reads all its draws from the twin. Only one-word entropy is
+covered: rows whose seed or trial index needs more than 32 bits, or whose
+draw falls below Lemire's rejection threshold (where NumPy draws again), are
+flagged and drawn by ``trial_stream`` itself, which also serves
+``sim.sample_heights``: for one trial its own generator is cheaper.
 """
 
 import numpy as np
@@ -73,12 +75,6 @@ def trial_stream(seed: int, trial: int, sizes) -> "tuple[np.random.Generator, tu
     draws ``integers(size)`` for each point count of ``sizes``, and those."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
     return rng, tuple(int(rng.integers(size)) for size in sizes)
-
-
-def trial_phases(rng: "np.random.Generator", rows, count: int):
-    """``(len(rows), count)`` draws ``uniform(-pi, pi)`` of a single trial's
-    generator ``rng`` after its grid draws: its benchmark phases."""
-    return rng.uniform(-np.pi, np.pi, size=(len(rows), count))
 
 
 class TrialStreams:

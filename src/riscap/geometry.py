@@ -13,10 +13,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 
-def require_int(name: str, value, low: int) -> None:
-    "Reject ``value`` unless it is an integer >= ``low``; a bool is not a count."
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def require_int(name: str, value, low: int, high=np.inf) -> None:
+    "Reject ``value`` unless it is an integer in [``low``, ``high``); a bool is not a count."
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not low <= value < high:
+        below = f" and below {high}" if high < np.inf else ""
+        raise ValueError(f"{name} must be an integer >= {low}{below}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ heights ``lo + step * i`` exist only at the grid indices ``i`` drawn.
 Per-trial randomness is derived from (seed, trial_index) alone: a trial's
 stream is ``default_rng(SeedSequence((seed, trial)))``, its first two draws
 are the grid indices and the next ``n_ris`` are the random benchmark phases.
-``_stream`` holds that stream: single trials draw from the trial's own
-generator (``trial_stream``, ``trial_phases``), which is cheaper for one
-trial, and a sweep takes every trial's indices and phases from
-``TrialStreams``, the stream's array-code twin.
+``_stream`` holds that stream. The engine reads every trial's draws from
+``TrialStreams``, its array-code twin, so ``trial_gains`` is the sweep of
+one trial; the trial's own generator (``trial_stream``) serves
+``sample_heights``, where it is cheaper, and the rows the twin flags.
 
 A sweep's units are its distinct (h_t, h_r) grid pairs: unless a requested
 benchmark scheme reads random benchmark phases, every gain is a function of
@@ -56,13 +56,13 @@ import ctypes
 import os
 import threading
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import __version__
-from ._stream import TrialStreams, trial_phases, trial_stream
+from ._stream import TrialStreams, trial_stream
 from .approx import array_factor
 from .channel import CascadeChannel, assemble_h, normalization_constant, steering
 from .geometry import Leg, SceneConfig, build_positions, legs, require_int
@@ -264,8 +264,8 @@ class ResultTable:
 def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float]:
     """Heights for one trial, uniform over the inclusive discrete grids.
 
-    Depends only on (plan.seed, trial_index), not on any previously sampled
-    trial, so single trials can be replayed in isolation.
+    Drawn on the trial's own generator from (plan.seed, trial_index) alone,
+    so single trials replay in isolation.
     """
     require_int("trial_index", trial_index, 0)
     _, indices = trial_stream(plan.seed, trial_index, _grid_sizes(plan))
@@ -538,14 +538,14 @@ def _unit_order(plan: SimulationPlan, indices) -> NDArray[np.intp]:
     return np.lexsort(keys)
 
 
-def _sweep_gains(plan: SimulationPlan, indices, phases=None, work=None) -> dict:
+def _sweep_gains(plan: SimulationPlan, indices, streams=None, work=None) -> dict:
     """Gain arrays of every requested scheme over the units at (h_t, h_r)
     grid ``indices``, in that order; ``work``, a ``_Work``, gets the
     sweep's counts.
 
-    ``phases(rows, rng)`` returns the benchmark phases of the units at sweep
-    positions ``rows``, drawn on ``rng``, a generator of the run's own;
-    None means zero phases. Units run in ``_unit_order``, in blocks of
+    ``streams``, the ``TrialStreams`` whose rows are the units, gives their
+    benchmark phases, each run's drawn on a generator of its own; None
+    means zero phases. Units run in ``_unit_order``, in blocks of
     ``_BLOCK_BYTES // _unit_bytes(plan)``. When a leg builds its rows per
     block, the order is cut at blocks into ``_threads()`` contiguous runs,
     and no more than blocks, each run on a thread with a row builder of its
@@ -587,10 +587,10 @@ def _sweep_gains(plan: SimulationPlan, indices, phases=None, work=None) -> dict:
                     k_norm[start:end] * np.sum(f_t * f_r, axis=-1)
                 del f_t, f_r
         blocks = [side_blocks(first, stop, work) for side_blocks, _ in sides]
-        rng = None if phases is None else np.random.default_rng(0)
+        rng = None if streams is None else np.random.default_rng(0)
         for start in range(first, stop, size):
             block = order[start:start + size]
-            block_phases = None if phases is None else phases(block, rng=rng)
+            block_phases = None if streams is None else streams.phases(block, plan.n_ris, rng)
             for scheme, values in _block_gains(plan, blocks, k_norm[start:start + size],
                                                block_phases).items():
                 gains[scheme][block] = values
@@ -613,35 +613,30 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     """Coherent-sum gain of every requested scheme for one trial.
 
     Capacity follows from a gain via the shared single-stream map, so the
-    per-trial work is SNR-independent. This is the sweep's block engine on
-    a block of one trial, with its heights and random benchmark phases drawn
-    from the trial's generator.
+    per-trial work is SNR-independent. This is the sweep of the one trial
+    ``trial_index``, an integer in [0, 2**64): its heights and random
+    benchmark phases come from the stream twin, as every sweep's do.
     """
-    require_int("trial_index", trial_index, 0)
-    own, indices = trial_stream(plan.seed, trial_index, _grid_sizes(plan))
-    phases = None
-    if _reads_phases(plan):
-        def phases(rows, rng):  # the trial's own generator, not the run's
-            return trial_phases(own, rows, plan.n_ris)
-    gains = _sweep_gains(plan, np.array([indices]), phases)
+    require_int("trial_index", trial_index, 0, 2**64)  # the twin holds uint64
+    gains = _plan_gains(plan, trials=[trial_index])[0]
     return {scheme: float(values[0]) for scheme, values in gains.items()}
 
 
-def _plan_gains(plan: SimulationPlan, work=None) -> tuple[dict, NDArray[np.int64], int]:
-    """Gains of every requested scheme over the sweep's units, each unit's
-    trial count, and the number of distinct (h_t, h_r) grid pairs drawn: the
-    units are those pairs in code order, or the trials, each of count 1, when
-    a requested benchmark scheme reads the trials' random phases. ``work``,
-    a ``_Work``, gets the sweep's counts."""
+def _plan_gains(plan: SimulationPlan, work=None, trials=None) -> tuple[dict, NDArray, int]:
+    """Gains of every requested scheme over the units of ``trials`` (all the
+    plan's by default), each unit's trial count, and the number of distinct
+    (h_t, h_r) grid pairs drawn: the units are those pairs in code order, or
+    the trials, each of count 1, when a requested benchmark scheme reads the
+    trials' random phases. ``work``, a ``_Work``, gets the sweep's counts."""
     sizes = _grid_sizes(plan)
-    streams = TrialStreams(plan.seed, np.arange(plan.trials), sizes)
+    trials = np.arange(plan.trials) if trials is None else trials
+    streams = TrialStreams(plan.seed, trials, sizes)
     # pair codes t * n_r + r in uint64, below 2**64 on grids of up to 2**32 points
     (t, r), n_r = streams.indices.T.astype(np.uint64), np.uint64(sizes[1])
     codes, counts = np.unique(t * n_r + r, return_counts=True)
     if _reads_phases(plan):
-        phases = partial(streams.phases, count=plan.n_ris)
-        gains = _sweep_gains(plan, streams.indices, phases, work=work)
-        return gains, np.ones(plan.trials, int), len(codes)
+        gains = _sweep_gains(plan, streams.indices, streams, work=work)
+        return gains, np.ones(len(trials), int), len(codes)
     return _sweep_gains(plan, np.stack(np.divmod(codes, n_r), axis=-1), work=work), counts, \
         len(codes)
 

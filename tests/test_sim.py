@@ -6,7 +6,6 @@ import threading
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -263,6 +262,16 @@ class TestSampleHeights:
             with pytest.raises(ValueError, match="trial_index must be an integer"):
                 call(plan, bad)
 
+    def test_only_trial_gains_stops_below_the_twins_uint64_trials(self):
+        # the stream twin holds trial indices as uint64; a trial's own
+        # generator takes any non-negative index
+        plan = load_preset("panel_a")
+        with pytest.raises(ValueError, match="trial_index must be an integer >= 0 and below"):
+            trial_gains(plan, 2**64)
+        assert set(trial_gains(plan, 2**64 - 1)) == set(plan.schemes)
+        _, (indices,) = numpy_streams(plan.seed, [2**64], sim._grid_sizes(plan))
+        assert sample_heights(plan, 2**64) == sim._heights(plan, *indices)
+
 
 def replay_trial(plan, trial):
     """Gains of one trial from the single-scene public calls.
@@ -275,9 +284,7 @@ def replay_trial(plan, trial):
     ch = build_cascade(pos, cfg)
     phi = np.zeros(plan.n_ris)
     if plan.benchmark_ris_phase == "random":
-        rng = np.random.default_rng(np.random.SeedSequence((plan.seed, trial)))
-        for size in sim._grid_sizes(plan):
-            rng.integers(size)
+        (rng,), _ = numpy_streams(plan.seed, [trial], sim._grid_sizes(plan))
         phi = rng.uniform(-np.pi, np.pi, size=plan.n_ris)
     return scene_gains(cfg, pos, ch, phi)
 
@@ -294,13 +301,16 @@ def scene_gains(cfg, pos, ch, phi):
     }
 
 
-def reference_indices(seed, trials, sizes):
-    "Grid indices of each trial from its own NumPy generator."
-    rows = []
+def numpy_streams(seed, trials, sizes):
+    """Each trial's own NumPy generator ``default_rng(SeedSequence((seed,
+    trial)))`` right after its grid draws ``integers(size)`` for each point
+    count of ``sizes``, and those draws, the ``(len(trials), 2)`` grid
+    indices. The generators draw the benchmark phases next."""
+    rngs, indices = [], []
     for trial in trials:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, int(trial))))
-        rows.append([int(rng.integers(sizes[0])), int(rng.integers(sizes[1]))])
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+        rngs.append(np.random.default_rng(np.random.SeedSequence((seed, int(trial)))))
+        indices.append([int(rngs[-1].integers(size)) for size in sizes])
+    return rngs, np.array(indices, dtype=np.int64).reshape(-1, 2)
 
 
 def reference_rows(plan):
@@ -312,7 +322,7 @@ def reference_rows(plan):
     gains = {scheme: np.array([g[scheme] for g in gains]) for scheme in plan.schemes}
     if sim._reads_phases(plan):
         return per_snr_rows(plan, gains, np.ones(plan.trials, dtype=np.int64))
-    indices = reference_indices(plan.seed, range(plan.trials), sim._grid_sizes(plan))
+    _, indices = numpy_streams(plan.seed, range(plan.trials), sim._grid_sizes(plan))
     inverse, counts = trial_units(indices)
     first = np.unique(inverse, return_index=True)[1]
     units = {scheme: values[first] for scheme, values in gains.items()}
@@ -345,13 +355,6 @@ def trial_order(plan, gains, counts):
     return {scheme: values[inverse] for scheme, values in gains.items()}
 
 
-def numpy_draws(seed, trial, sizes, n_ris):
-    "A trial's grid indices and the next ``n_ris`` phases, from its own NumPy generator."
-    rng = np.random.default_rng(np.random.SeedSequence((seed, int(trial))))
-    indices = [int(rng.integers(size)) for size in sizes]
-    return indices, rng.uniform(-np.pi, np.pi, n_ris)
-
-
 def fine_plan(seed):
     "Plan with 10001-point height grids (0.1 mm steps)."
     return tiny_plan(h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001),
@@ -376,7 +379,7 @@ class TestStreamTwin:
         trials = np.arange(first, first + 20)
         streams = TrialStreams(seed, trials, sizes)
         indices, flagged = streams.indices, streams.flagged
-        expected = reference_indices(seed, trials, sizes)
+        _, expected = numpy_streams(seed, trials, sizes)
         np.testing.assert_array_equal(indices[~flagged], expected[~flagged])
         # one-word entropy flags only Lemire rejections, about size/2^32
         assert flagged.sum() <= 1
@@ -388,7 +391,7 @@ class TestStreamTwin:
     def test_sweep_indices_match_numpy(self, seed, first, sizes):
         trials = np.arange(first, first + 10)
         np.testing.assert_array_equal(TrialStreams(seed, trials, sizes).indices,
-                                      reference_indices(seed, trials, sizes))
+                                      numpy_streams(seed, trials, sizes)[1])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**32 - 1),
@@ -401,10 +404,8 @@ class TestStreamTwin:
         streams = TrialStreams(seed, trials, sizes)
         rows = np.array([5, 0, 3, 1])
         phases = streams.phases(rows, n_ris)
-        for values, row in zip(phases, rows):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, int(trials[row]))))
-            for size in sizes:
-                rng.integers(size)
+        rngs, _ = numpy_streams(seed, trials[rows], sizes)
+        for values, row, rng in zip(phases, rows, rngs):
             assert streams.state(row) == rng.bit_generator.state
             assert values.tobytes() == rng.uniform(-np.pi, np.pi, n_ris).tobytes()
 
@@ -422,10 +423,10 @@ class TestStreamTwin:
             assert streams.flagged[len(others) + (seed == 12345)]
         rows = np.array(data.draw(st.permutations(range(len(trials)))))
         phases = streams.phases(rows, n_ris)
-        for values, row in zip(phases, rows):
-            indices, expected = numpy_draws(seed, trials[row], sizes, n_ris)
-            assert streams.indices[row].tolist() == indices
-            assert values.tobytes() == expected.tobytes()
+        rngs, indices = numpy_streams(seed, trials[rows], sizes)
+        np.testing.assert_array_equal(streams.indices[rows], indices)
+        for values, rng in zip(phases, rngs):
+            assert values.tobytes() == rng.uniform(-np.pi, np.pi, n_ris).tobytes()
         assert streams.phases(rows, n_ris).tobytes() == phases.tobytes()
 
     def test_threads_drawing_disjoint_rows_match_serial_draws(self):
@@ -463,7 +464,7 @@ class TestStreamTwin:
         trials = np.arange(200)
         streams = TrialStreams(1, trials, (size, size))
         assert streams.flagged.sum() == flagged
-        np.testing.assert_array_equal(streams.indices, reference_indices(1, trials, (size, size)))
+        np.testing.assert_array_equal(streams.indices, numpy_streams(1, trials, (size, size))[1])
 
     @pytest.mark.parametrize("seed, trial", [(1, 609287), (12345, 236055)])
     def test_lemire_rejection_falls_back(self, seed, trial):
@@ -471,7 +472,7 @@ class TestStreamTwin:
         streams = TrialStreams(seed, [trial], sizes)
         # numpy draws again here, so the twin's own draw would be wrong
         assert streams.flagged.tolist() == [True]
-        np.testing.assert_array_equal(streams.indices, reference_indices(seed, [trial], sizes))
+        np.testing.assert_array_equal(streams.indices, numpy_streams(seed, [trial], sizes)[1])
         plan = fine_plan(seed)
         t, r = streams.indices[0]
         assert sim._heights(plan, t, r) == sample_heights(plan, trial)
@@ -510,6 +511,15 @@ class TestTrialGains:
         plan = replace(load_preset("panel_a"), benchmark_ris_phase="zero")
         for trial in range(10):
             assert trial_gains(plan, trial) == replay_trial(plan, trial)
+
+    @pytest.mark.parametrize("seed, trial", [(1, 609287), (2**32 + 7, 3), (1, 2**40 + 3)])
+    def test_random_phase_twin_fallback_rows_match_public_call_replay(self, seed, trial):
+        # rows the stream twin flags and NumPy draws: 609287 is a Lemire
+        # rejection at seed 1 on the 0.1 mm grids, and seeds and trial
+        # indices of 2**32 or more need more than one-word entropy
+        plan = replace(fine_plan(seed), n_ris=8, benchmark_ris_phase="random")
+        assert TrialStreams(seed, [trial], sim._grid_sizes(plan)).flagged.tolist() == [True]
+        assert trial_gains(plan, trial) == replay_trial(plan, trial)
 
     def test_random_benchmark_mode_deterministic_and_different(self):
         plan = replace(load_preset("panel_a"), benchmark_ris_phase="random")
@@ -560,20 +570,11 @@ class TestBenchmarkLaziness:
     ])
     def test_random_trial_draws_phases_only_for_benchmark_schemes(self, schemes, drawn):
         plan = replace(load_preset("panel_a"), schemes=schemes, benchmark_ris_phase="random")
-        streams, trial_stream = [], sim.trial_stream
-
-        def spy(*args):
-            streams.append(trial_stream(*args))
-            return streams[-1]
-        with mock.patch.object(sim, "trial_stream", spy), \
+        with mock.patch.object(TrialStreams, "phases", autospec=True,
+                               side_effect=TrialStreams.phases) as phases, \
                 mock.patch.object(sim, "assemble_h", wraps=sim.assemble_h) as assemble:
             trial_gains(plan, 5)
-        assert assemble.call_count == (1 if drawn else 0)
-        # the trial's generator has moved past its grid draws only if the
-        # phases were drawn from it
-        (rng, _), = streams
-        untouched = trial_stream(plan.seed, 5, sim._grid_sizes(plan))[0]
-        assert (rng.bit_generator.state != untouched.bit_generator.state) == drawn
+        assert assemble.call_count == phases.call_count == (1 if drawn else 0)
 
 
 @st.composite
@@ -632,10 +633,8 @@ def threads_started():
 def trial_unit_gains(plan):
     "Gain arrays of a sweep that solves every trial as its own unit."
     streams = sweep_streams(plan)
-    phases = None
-    if plan.benchmark_ris_phase == "random":
-        phases = partial(streams.phases, count=plan.n_ris)
-    return sim._sweep_gains(plan, streams.indices, phases)
+    random = plan.benchmark_ris_phase == "random"
+    return sim._sweep_gains(plan, streams.indices, streams if random else None)
 
 
 def fine_transmit_plan():
@@ -1116,12 +1115,12 @@ class TestPairUnits:
     @contextmanager
     def units_run():
         """Collects, per sweep, the kind and number of units the engine ran:
-        trials when it is given a phase source, else grid pairs."""
+        trials when it is given the trials' streams, else grid pairs."""
         runs, sweep_gains = [], sim._sweep_gains
 
-        def spy(plan, indices, phases=None, work=None):
-            runs.append(("trials" if phases is not None else "pairs", len(indices)))
-            return sweep_gains(plan, indices, phases, work)
+        def spy(plan, indices, streams=None, work=None):
+            runs.append(("trials" if streams is not None else "pairs", len(indices)))
+            return sweep_gains(plan, indices, streams, work)
         with mock.patch.object(sim, "_sweep_gains", spy):
             yield runs
 
