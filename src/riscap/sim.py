@@ -21,21 +21,21 @@ leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a block's arrays hold
 at once, counted at ``_unit_bytes`` per unit: steering, solver scratch and
 per-element arrays. A block only builds rows, gathers them and solves. The
 terms of a unit's heights alone come first: the normalization constants of
-all units at once, and each run's ``ris_only_approx`` gains from per-unit
-array factors, in chunks of whole blocks within the same budget
-(``_chunk_units``). Steering depends on each element's height
-z = h + offset alone, so one builder, ``_steering_blocks``, builds a leg's
-rows in blocks keyed by the exact float z: each block takes from the block
-before the rows at the heights both hold and builds the others, as
-``_row_plan`` finds them for a chunk of blocks with one stable sort. When a
-leg's steering laid out per distinct array height fits the budget, the
-builder runs once over those heights, and blocks gather the steering and
-antenna sums from that table, as the approximation gathers the array
-factors; else it runs over each run's blocks. Units go by transmit grid
-index, first by residue modulo the antenna spacing in grid steps when that
-is whole, so arrays that share element heights share blocks. Each unit's
-gain is bit-identical to the single-scene calls, and ``_rows`` weights it
-by its trial count.
+all units at once, and each run's ``ris_only_approx`` gains from array
+factors computed once per distinct height of a chunk (``_factors``), in
+chunks of whole blocks within the same budget (``_chunk_units``). A leg
+gives the sweep its blocks and nothing else (``_leg_blocks``). Steering
+depends on each element's height z = h + offset alone, so one builder,
+``_steering_blocks``, builds a leg's rows in blocks keyed by the exact
+float z: each block takes from the block before the rows at the heights
+both hold and builds the others, as ``_row_plan`` finds them for a chunk of
+blocks with one stable sort. When a leg's steering laid out per distinct
+array height fits the budget, the builder runs once over those heights, and
+blocks gather the steering and antenna sums from that table; else it runs
+over each run's blocks. Units go by transmit grid index, first by residue
+modulo the antenna spacing in grid steps when that is whole, so arrays that
+share element heights share blocks. Each unit's gain is bit-identical to
+the single-scene calls, and ``_rows`` weights it by its trial count.
 
 When a leg builds its rows per block and the BLAS runs each call on one
 thread, the unit order is cut at blocks into contiguous runs, as many as
@@ -92,13 +92,13 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
     receive-side temporaries and NumPy's cast buffer, up to 48 per element
     and receive antenna (the joint assembles no channel); 128 per element
     for path lengths and angles; and 48 per antenna pair for the benchmark
-    channel and its angles. Array factors are not a block's: the sweep
-    computes them before its blocks run, in chunks within ``_BLOCK_BYTES``,
-    and the 128 per element leaves room for the row plan a block's chunk
-    keeps, about 24 per element height. The rows a
-    block takes from the block before are copied out of that block's
-    steering when the block is asked for, before it builds rows or any
-    solver scratch, and are no more than its own steering; the steering
+    channel and its angles. Array factors are not a block's, and no table
+    holds them: the sweep computes them from the units' heights before its
+    blocks run, in chunks within ``_BLOCK_BYTES``. The 128 per element
+    leaves room for the row plan a block's chunk keeps, about 24 per element
+    height. The rows a block takes from the block before are copied out of
+    that block's steering when the block is asked for, before it builds rows
+    or any solver scratch, and are no more than its own steering; the steering
     they come from stands in for its own until dropped. So with blocks of
     equal size the scratch term covers them too, and a last, smaller block
     can peak at up to the bound of the block before it.
@@ -278,8 +278,10 @@ def _build_rows(leg: Leg, wavelength: float, z) -> NDArray[np.complex128]:
 
 
 def _factors(leg: Leg, wavelength: float, heights) -> NDArray[np.float64]:
-    "Array factors ``(len(heights), n_ris)`` of a leg's arrays at ``heights`` toward each element."
-    return array_factor(len(leg.offsets), leg.spacing, leg.toward(heights), wavelength)
+    """Array factors ``(len(heights), n_ris)`` of a leg's arrays at ``heights``
+    toward each element, computed once per distinct height."""
+    distinct, at = np.unique(heights, return_inverse=True)
+    return array_factor(len(leg.offsets), leg.spacing, leg.toward(distinct), wavelength)[at]
 
 
 def _table_fits(leg: Leg, count: int) -> bool:
@@ -395,48 +397,40 @@ def _steering_blocks(leg: Leg, wavelength: float, heights, size: int, chunk: int
             yield steer, steer.sum(axis=-1 if leg.elements_first else -2)
 
 
-def _tabled_blocks(leg: Leg, wavelength: float, heights, size: int, work: _Work):
-    """``(blocks, factors)`` of a leg laid out in a table per distinct array
-    height, or None when the table does not fit ``_BLOCK_BYTES``:
-    ``blocks(first, stop, work)`` yields the blocks of ``size`` from
-    ``_steering_blocks`` over the arrays at ``heights[first:stop]`` and
-    ``factors(first, stop)`` returns their array factors, both gathered
-    from the table; ``work`` counts the rows the table's build builds.
+def _leg_blocks(leg: Leg, wavelength: float, heights, size: int, chunk: int, work: _Work):
+    """``(blocks, tabled)`` of a leg's arrays at ``heights``:
+    ``blocks(first, stop, work)`` yields the steering and antenna sums of
+    ``_steering_blocks`` over the arrays at ``heights[first:stop]``, in
+    blocks of ``size``, and ``tabled`` is whether it gathers them from a
+    table per distinct array height. The table is built here when it fits
+    ``_BLOCK_BYTES``, and ``work`` counts its rows; else the builder runs
+    over each run's blocks, with a row plan per ``chunk`` units.
 
-    The builder runs once over those heights, in chunks that hold every
-    height within one array length of each, and at least 4, so each row is
-    built once; its row plans take up to 128 bytes per element height.
+    A table's builder runs once over those heights, in chunks that hold
+    every height within one array length of each, and at least 4, so each
+    row is built once; its row plans take up to 128 bytes per element height.
     """
     distinct, at = np.unique(heights, return_inverse=True)
     if not _table_fits(leg, len(distinct)):
-        return None
+        return (lambda first, stop, work: _steering_blocks(leg, wavelength, heights[first:stop],
+                                                           size, chunk, work)), False
     near = np.searchsorted(distinct, distinct + (leg.offsets[-1] - leg.offsets[0]), side="right")
-    chunk = max(4, int(np.max(near - np.arange(len(distinct)))))
-    plans = _chunk_units(128 * len(leg.offsets), chunk)
-    table, chunks = [], _steering_blocks(leg, wavelength, distinct, chunk, plans, work)
-    for start in range(0, len(distinct), chunk):
-        values = (*next(chunks), _factors(leg, wavelength, distinct[start:start + chunk]))
+    span = max(4, int(np.max(near - np.arange(len(distinct)))))
+    plans = _chunk_units(128 * len(leg.offsets), span)
+    table, chunks = [], _steering_blocks(leg, wavelength, distinct, span, plans, work)
+    for start in range(0, len(distinct), span):
+        values = next(chunks)
         for i, value in enumerate(values):
             if not start:
                 table.append(np.empty((len(distinct), *value.shape[1:]), dtype=value.dtype))
-            table[i][start:start + chunk] = value
+            table[i][start:start + span] = value
         del values
-    steer, sums, factors = table
+    steer, sums = table
 
     def blocks(first: int, stop: int, work: _Work):
         for start in range(first, stop, size):
             yield steer[at[start:start + size]], sums[at[start:start + size]]
-    return blocks, lambda first, stop: factors[at[first:stop]]
-
-
-def _carried(leg: Leg, wavelength: float, heights, size: int, chunk: int):
-    """``(blocks, factors)`` of a leg that builds its rows per block, as
-    ``_tabled_blocks`` returns them for a tabled leg: the builder runs over
-    each run's blocks, with a row plan per ``chunk`` units, and the array
-    factors are computed per unit."""
-    return (lambda first, stop, work: _steering_blocks(leg, wavelength, heights[first:stop],
-                                                       size, chunk, work),
-            lambda first, stop: _factors(leg, wavelength, heights[first:stop]))
+    return blocks, True
 
 
 @cache
@@ -549,25 +543,26 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None, work=None) -> dict
     ``_BLOCK_BYTES // _unit_bytes(plan)``. When a leg builds its rows per
     block, the order is cut at blocks into ``_threads()`` contiguous runs,
     and no more than blocks, each run on a thread with a row builder of its
-    own; tabled legs are built once, and every run gathers from them. The
-    terms of a unit's heights alone, its normalization constant and
-    ``ris_only_approx`` gain, are computed before the blocks run.
+    own; tabled legs are built once, and every run gathers its steering
+    and sums from them. The terms of a unit's heights alone, its
+    normalization constant and ``ris_only_approx`` gain, are computed
+    before the blocks run, the gain from the array factors of each chunk's
+    distinct heights, for tabled and carried legs alike.
     """
     order = _unit_order(plan, indices)
     # Heights come from the legs; the scene fixes only the shared geometry.
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
     size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
-    # A chunk's array factors take up to 64 bytes per element (57 measured),
-    # and its legs' row plans up to 128 per element height (100 while a plan
-    # is made, 24 kept while its blocks run).
+    # A chunk's array factors take up to 64 bytes per element (57 measured,
+    # gathered from its distinct heights), and its legs' row plans up to 128
+    # per element height (100 while a plan is made, 24 kept while its blocks
+    # run).
     chunk = _chunk_units(64 * plan.n_ris + 128 * (plan.n_t + plan.n_r), size)
     work = _Work() if work is None else work
-    sides, corners, all_tabled = [], [], True
-    for leg, heights in zip(legs(cfg), _heights(plan, *indices[order].T)):
-        corners.append(np.hypot(leg.x[0], heights + leg.offsets[0]))
-        tabled = _tabled_blocks(leg, cfg.wavelength, heights, size, work)
-        all_tabled &= tabled is not None
-        sides.append(tabled or _carried(leg, cfg.wavelength, heights, size, chunk))
+    leg_heights = list(zip(legs(cfg), _heights(plan, *indices[order].T)))
+    corners = [np.hypot(leg.x[0], heights + leg.offsets[0]) for leg, heights in leg_heights]
+    sides, tabled = zip(*(_leg_blocks(leg, cfg.wavelength, heights, size, chunk, work)
+                          for leg, heights in leg_heights))
     k_norm = normalization_constant(cfg, corners[1], corners[0])
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
@@ -582,11 +577,12 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None, work=None) -> dict
         if "ris_only_approx" in gains:
             for start in range(first, stop, chunk):
                 end = min(start + chunk, stop)
-                f_t, f_r = (factors(start, end) for _, factors in sides)
+                f_t, f_r = (_factors(leg, cfg.wavelength, heights[start:end])
+                            for leg, heights in leg_heights)
                 gains["ris_only_approx"][order[start:end]] = \
                     k_norm[start:end] * np.sum(f_t * f_r, axis=-1)
                 del f_t, f_r
-        blocks = [side_blocks(first, stop, work) for side_blocks, _ in sides]
+        blocks = [side(first, stop, work) for side in sides]
         rng = None if streams is None else np.random.default_rng(0)
         for start in range(first, stop, size):
             block = order[start:start + size]
@@ -599,7 +595,7 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None, work=None) -> dict
         work.runs += 1
 
     count = -(-len(order) // size)
-    runs = 1 if all_tabled else min(_threads(), count)
+    runs = 1 if all(tabled) else min(_threads(), count)
     cuts = [min(len(order), size * (count * i // runs)) for i in range(runs + 1)]
     records = [_Work() for _ in range(runs)]
     _on_threads(run, [(first, stop, record)
