@@ -26,10 +26,10 @@ factors computed once per distinct height of a chunk (``_factors``), in
 chunks of whole blocks within the same budget (``_chunk_units``). A leg
 gives the sweep its blocks and nothing else (``_leg_blocks``). Steering
 depends on each element's height z = h + offset alone, so one builder,
-``_steering_blocks``, builds a leg's rows in blocks keyed by the exact
-float z: each block takes from the block before the rows at the heights
-both hold and builds the others, as ``_row_plan`` finds them for a chunk of
-blocks with one stable sort. When a leg's steering laid out per distinct
+``_steering_blocks``, builds a leg's rows in blocks, one per distinct exact
+float z in each: a block takes from the block before the rows at the
+heights both hold and builds the others, as ``_row_plan`` finds them per
+chunk with ``np.unique``. When a leg's steering laid out per distinct
 array height fits the budget, the builder runs once over those heights, and
 blocks gather the steering and antenna sums from that table; else it runs
 over each run's blocks. Units go by transmit grid index, first by residue
@@ -95,7 +95,7 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
     channel and its angles. Array factors are not a block's, and no table
     holds them: the sweep computes them from the units' heights before its
     blocks run, in chunks within ``_BLOCK_BYTES``. The 128 per element
-    leaves room for the row plan a block's chunk keeps, about 24 per element
+    leaves room for the row plan a block's chunk keeps, 19 to 28 per element
     height. The rows a block takes from the block before are copied out of
     that block's steering when the block is asked for, before it builds rows
     or any solver scratch, and are no more than its own steering; the steering
@@ -319,50 +319,33 @@ class _Work:
 
 def _row_plan(leg: Leg, heights, size: int, lead: bool):
     """For each block of ``size`` arrays at ``heights``, after the first when
-    ``lead`` (which only lends its rows): the unit and antenna of the block
-    before that hold each row it takes from that block, the element heights
-    whose rows it builds, and the row of each element in a table of the
-    taken rows and then the built ones.
+    ``lead`` (which only lends its rows), the plan of a table of one row per
+    distinct element height, in height order: which rows it takes from the
+    block before, the unit and antenna there that hold each, the heights of
+    the rows it builds, and the row of each element.
 
-    A block takes the rows at the heights the block before holds too and
-    builds the others. One stable sort of the element heights, keyed by the
-    exact float z, finds both for every block: each element follows the
-    element before it at its height.
+    One ``np.unique`` of the exact float heights z gives each element a
+    height id, and one of the keys ``block * len(values) + id`` each block's
+    distinct pairs; a pair is taken when the block before holds its height.
+    Each block's plan is slices of arrays made once per chunk.
     """
     n = len(leg.offsets)
-    step, z = size * n, leg.heights(heights).ravel()
-    order = np.argsort(z, kind="stable")
-    block, z_sorted = order // step, z[order]
-    # in sorted order: the block of the element before each at its height,
-    # -2 for none, and whether the element is its block's first at its height
-    same = np.flatnonzero(z_sorted[1:] == z_sorted[:-1]) + 1
-    before = np.full(len(z), -2)
-    before[same] = block[same - 1]
-    starts = before != block
-    first = np.flatnonzero(starts)
-    taken = first[before[first] == block[first] - 1]
-    # in element order: 1 where a block takes its row at that height from
-    # the block before, at the element before it in sorted order, 2 where
-    # the block builds it
-    kind = np.zeros(len(z), dtype=np.int8)
-    kind[order[first]] = 2
-    kind[order[taken]] = 1
-    source = np.empty(len(z), dtype=np.intp)
-    source[order[taken]] = order[taken - 1]
-    take, build = np.flatnonzero(kind == 1), np.flatnonzero(kind == 2)
-    # each block's table: its taken rows, then its built ones
-    edges = np.arange(0, len(z) + step, step)
-    t, b = np.searchsorted(take, edges), np.searchsorted(build, edges)
-    row = np.empty(len(z), dtype=np.intp)
-    row[take] = np.arange(len(take)) - t[take // step]
-    row[build] = np.arange(len(build)) - b[build // step] + np.diff(t)[build // step]
-    # every other element shares the row of its block's first at its height
-    head = np.maximum.accumulate(np.where(starts, np.arange(len(z)), 0))
-    row[order] = row[order[head]]
-    units, antennas = np.divmod(source[take] - (take // step - 1) * step, n)
-    z, t, b = z[build], t.tolist(), b.tolist()
-    return [((units[t[k]:t[k + 1]], antennas[t[k]:t[k + 1]]), z[b[k]:b[k + 1]],
-             row[k * step:(k + 1) * step].reshape(-1, n)) for k in range(lead, len(edges) - 1)]
+    step = size * n
+    values, keys = np.unique(leg.heights(heights).ravel(), return_inverse=True)
+    keys += np.arange(len(keys)) // step * len(values)
+    pairs, first, row = np.unique(keys, return_index=True, return_inverse=True)
+    at = np.searchsorted(pairs, pairs - len(values))
+    taken = pairs[at] == pairs - len(values)
+    units, antennas = np.divmod(first[at[taken]] % step, n)
+    new = values[pairs[~taken] % len(values)]
+    # each block's pairs, and its taken and built ones, as slices
+    edges = np.searchsorted(pairs, np.arange(-(-len(keys) // step) + 1) * len(values))
+    t = np.searchsorted(np.flatnonzero(taken), edges)
+    row -= edges[keys // len(values)]
+    e, t, b = edges.tolist(), t.tolist(), (edges - t).tolist()
+    return [(taken[e[k]:e[k + 1]], (units[t[k]:t[k + 1]], antennas[t[k]:t[k + 1]]),
+             new[b[k]:b[k + 1]], row[k * step:(k + 1) * step].reshape(-1, n))
+            for k in range(lead, len(e) - 1)]
 
 
 def _steering_blocks(leg: Leg, wavelength: float, heights, size: int, chunk: int,
@@ -371,24 +354,24 @@ def _steering_blocks(leg: Leg, wavelength: float, heights, size: int, chunk: int
     ``heights``, in blocks of ``size``; ``work`` counts the rows built and
     taken.
 
-    Steering depends on each element's height ``z = h + offset`` alone, so
-    its rows are keyed by the exact float ``z``: each block takes from the
-    block before the rows that block holds and builds the others.
-    ``_row_plan`` plans them once per ``chunk`` arrays, a whole number of
-    blocks. The taken rows are copied out of a block's steering when the
-    next block is asked for, once the caller is done with it, and that
-    steering is dropped before the next block builds its rows.
+    Steering depends on each element's height ``z = h + offset`` alone, so a
+    block's rows are its distinct exact float ``z``: each block takes from
+    the block before the rows at the heights that block holds and builds
+    the others. ``_row_plan`` plans them once per ``chunk`` arrays, a whole
+    number of blocks. The taken rows are copied out of a block's steering
+    when the next block is asked for, once the caller is done with it, and
+    that steering is dropped before the next block builds its rows.
     """
     side = int(not leg.elements_first)
     steer = leg.layout(np.empty((0, len(leg.offsets), len(leg.x)), dtype=complex))
     for start in range(0, len(heights), chunk):
-        for (units, antennas), new, local in _row_plan(
+        for taken, (units, antennas), new, local in _row_plan(
                 leg, heights[max(start - size, 0):start + chunk], size, start > 0):
-            rows = np.empty((len(units) + len(new), len(leg.x)), dtype=complex)
-            rows[:len(units)] = steer[units, :, antennas] if leg.elements_first \
+            rows = np.empty((len(taken), len(leg.x)), dtype=complex)
+            rows[taken] = steer[units, :, antennas] if leg.elements_first \
                 else steer[units, antennas]
             del steer
-            rows[len(units):] = _build_rows(leg, wavelength, new)
+            rows[~taken] = _build_rows(leg, wavelength, new)
             work.built[side] += len(new)
             work.taken[side] += len(units)
             rows = rows[local]  # frees the block's own table
@@ -555,8 +538,8 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None, work=None) -> dict
     size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
     # A chunk's array factors take up to 64 bytes per element (57 measured,
     # gathered from its distinct heights), and its legs' row plans up to 128
-    # per element height (100 while a plan is made, 24 kept while its blocks
-    # run).
+    # per element height (up to 80 while a plan is made, 28 kept while its
+    # blocks run).
     chunk = _chunk_units(64 * plan.n_ris + 128 * (plan.n_t + plan.n_r), size)
     work = _Work() if work is None else work
     leg_heights = list(zip(legs(cfg), _heights(plan, *indices[order].T)))

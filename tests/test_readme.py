@@ -1,5 +1,6 @@
-"The README's library example is the promised public API: it runs as written."
+"The README as written: its library example runs, and every name it cites exists."
 
+import importlib
 import re
 from pathlib import Path
 
@@ -12,3 +13,13 @@ def test_library_example_runs(capsys):
     exec(compile(code, f"{README}:Library", "exec"), {})
     capacity, unit = capsys.readouterr().out.split()
     assert float(capacity) > 0 and unit == "bits"
+
+
+def test_cited_names_exist():
+    # every sim._name and riscap.<module>.<name> the README cites
+    text = README.read_text()
+    cited = {("sim", name) for name in re.findall(r"\bsim\.(_\w+)", text)}
+    cited |= set(re.findall(r"\briscap\.(\w+)\.(\w+)", text))
+    missing = [f"riscap.{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"riscap.{module}"), name)]
+    assert cited and not missing

@@ -707,18 +707,20 @@ class TestBlockEngine:
 
 
 def reference_leg_rows(z, size, firsts):
-    """Rows a leg builds for element heights ``z``, one row of them per unit,
-    in blocks of ``size``: each block builds the distinct heights that the
-    block before it in its run did not hold, and runs start at the units
-    ``firsts``."""
-    count, held = 0, np.array([])
+    """Rows a leg builds and takes for element heights ``z``, one row of them
+    per unit, in blocks of ``size``: each block takes the distinct heights
+    that it and the block before it in its run both hold and builds the
+    others, and runs start at the units ``firsts``."""
+    built, taken, held = 0, 0, np.array([])
     for start in range(0, len(z), size):
         if start in firsts:
             held = np.array([])
         distinct = np.unique(z[start:start + size])
-        count += len(np.setdiff1d(distinct, held))
+        shared = len(np.intersect1d(distinct, held))
+        built += len(distinct) - shared
+        taken += shared
         held = distinct
-    return count
+    return built, taken
 
 
 def run_cuts(units, size, runs):
@@ -729,21 +731,22 @@ def run_cuts(units, size, runs):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def reference_rows_built(plan, indices, runs=1):
-    """Rows a sweep builds per leg, from its documented rule: units in
-    residue order, cut into blocks, the blocks cut into ``runs`` runs of
-    near-equal block counts, and each block builds the distinct element
-    heights z = h + offset that the block before it in its run did not hold."""
+def reference_row_counts(plan, indices, runs=1):
+    """Rows a sweep builds and takes per leg, as ``[built, taken]``, from its
+    documented rule: units in residue order, cut into blocks, the blocks cut
+    into ``runs`` runs of near-equal block counts, and each block takes the
+    distinct element heights z = h + offset that the block before it in its
+    run held too and builds the others."""
     steps = round(plan.s_t / plan.h_t_grid[2])
     order = np.lexsort((indices[:, 1], indices[:, 0], indices[:, 0] % steps))
     size = sim._BLOCK_BYTES // sim._unit_bytes(plan)
     firsts = {first for first, _ in run_cuts(len(order), size, runs)}
-    built = []
+    counts = []
     for heights, n, spacing in zip(sim._heights(plan, *indices[order].T), (plan.n_t, plan.n_r),
                                    (plan.s_t, plan.s_r)):
         offsets = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
-        built.append(reference_leg_rows(heights[:, np.newaxis] + offsets, size, firsts))
-    return built
+        counts.append(reference_leg_rows(heights[:, np.newaxis] + offsets, size, firsts))
+    return [list(side) for side in zip(*counts)]
 
 
 @st.composite
@@ -765,6 +768,11 @@ class TestRowPlan:
     @settings(max_examples=60, deadline=None)
     @given(sweep=leg_sweeps(), size=st.integers(1, 9), runs=st.integers(1, 3),
            chunk=st.integers(1, 3), form=st.sampled_from(["table", "carried"]))
+    # arrays a spacing apart in each block: a block holds each taken height
+    # at two elements, and takes its row once
+    @example(sweep=(legs(tiny_plan(n_t=3).scene(2.5, 1.3))[0],
+                    2.0 + 0.0005 * np.array([0, 5, 0, 5, 10, 5]), 0.005),
+             size=2, runs=1, chunk=1, form="carried")
     def test_each_units_steering_is_its_own_rows(self, sweep, size, runs, chunk, form):
         leg, heights, wavelength = sweep
         side = int(not leg.elements_first)
@@ -788,8 +796,8 @@ class TestRowPlan:
             assert work.built[side] == len(np.unique(z))
         else:
             firsts = {first for first, _ in cuts}
-            assert work.built[side] == reference_leg_rows(z, size, firsts)
-        assert work.built[1 - side] == 0
+            assert (work.built[side], work.taken[side]) == reference_leg_rows(z, size, firsts)
+        assert work.built[1 - side] == work.taken[1 - side] == 0
 
     @settings(max_examples=30, deadline=None)
     @given(plan=small_plans(), size=st.integers(1, 9), runs=st.integers(1, 3),
@@ -849,6 +857,7 @@ class TestRowCache:
         assert forms == ["table", "table"]
         assert work.units == len(gains["joint"]) == 829
         assert work.built == [496, 204]
+        assert work.taken == [80, 0]
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_wide_blocks_build_rows_the_block_before_lacked(self, seed):
@@ -860,9 +869,10 @@ class TestRowCache:
         assert forms == ["carried", "carried"]
         assert (work.runs, work.blocks, work.units) == (1, 250, 1000)
         indices = sweep_streams(plan).indices
-        assert work.built == reference_rows_built(plan, indices)
+        assert [work.built, work.taken] == reference_row_counts(plan, indices)
         if seed == 1:
             assert work.built == [14464, 15919]
+            assert work.taken == [5515, 81]
 
     def test_two_runs_rebuild_rows_only_at_the_second_runs_first_block(self):
         # the second run's first block holds no rows from the block before
@@ -872,7 +882,8 @@ class TestRowCache:
         assert forms == ["carried", "carried"]
         assert (work.runs, work.blocks, work.units) == (2, 250, 1000)
         indices = sweep_streams(plan).indices
-        assert work.built == reference_rows_built(plan, indices, runs=2) == [14489, 15919]
+        assert [work.built, work.taken] == reference_row_counts(plan, indices, runs=2) \
+            == [[14489, 15919], [5490, 81]]
 
     def test_carried_rows_match_the_reference_when_solved(self):
         # 25 grid steps per antenna spacing on a 201-point grid: residue
@@ -882,7 +893,7 @@ class TestRowCache:
             work, gains = sweep_work(plan)
         assert forms == ["carried", "carried"]
         indices = sweep_streams(plan).indices
-        assert work.built == reference_rows_built(plan, indices)
+        assert [work.built, work.taken] == reference_row_counts(plan, indices)
         assert work.built[0] < 32 * plan.trials // 2
         with cache_form("table"):
             tabled = sim._plan_gains(plan)[0]
@@ -1047,6 +1058,19 @@ class TestBlockMemory:
             peaks, _ = self.block_peaks(plan)
         assert [n for n, _ in peaks] == [1] * 12
         assert max(peak for _, peak in peaks) <= unit_bytes
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: _unit_bytes leaves out a block's "
+                       "fixed cost, which the one-unit last block of a shipped preset does "
+                       "not absorb")
+    def test_shipped_last_block_peaks_within_its_units(self):
+        # panel_b as shipped runs 815 grid pairs in blocks of 74: its 1-unit
+        # last block peaks at about 28 KB traced against 24,768 B
+        plan = load_preset("panel_b")
+        peaks, pairs = self.block_peaks(plan)
+        assert pairs == 815
+        assert [n for n, _ in peaks] == [74] * 11 + [1]
+        n, peak = peaks[-1]
+        assert peak <= n * sim._unit_bytes(plan)
 
     def test_tabled_leg_builds_within_the_budget(self):
         # a tabled leg's build holds its table and one chunk of heights; a
