@@ -77,10 +77,6 @@ def _load_plan(source: str, seed=None, trials=None):
 
 def _cmd_simulate(args) -> int:
     plan = _load_plan(args.config, seed=args.seed, trials=args.trials)
-    # The command owns its process, so it holds OpenBLAS at one thread, as
-    # the benchmark does: a sweep then runs on every CPU where it can
-    # (sim._threads), and no two BLAS thread pools contend.
-    _set_blas_threads(1)
     table = run_plan(plan, workers=args.workers)
     write_csv(table, args.out)
     print(f"wrote {len(table.rows)} rows to {args.out} "
@@ -164,6 +160,10 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold into the config-error code.
         return 0 if exc.code == 0 else 1
+    # Every command owns its process, so it holds OpenBLAS at one thread, as
+    # the benchmark does: a sweep then runs on every CPU where it can
+    # (sim._threads), and no two BLAS thread pools contend.
+    _set_blas_threads(1)
 
     handlers = {
         "simulate": _cmd_simulate,

@@ -57,17 +57,10 @@ class RisOnlySolution:
 
 @dataclass(frozen=True)
 class JointSolution:
-    """RIS phases from global co-phasing plus transmit precoder phases.
-
-    ``degenerate`` lists RIS elements whose joint gain-row column is exactly
-    zero (their receive-side column summed to zero), where the co-phasing
-    average is undefined and the phase was pinned to 0. For a batch it is
-    the boolean mask of those elements, shaped like ``phi``.
-    """
+    "RIS phases from global co-phasing plus transmit precoder phases."
 
     phi: NDArray[np.float64]
     beta: NDArray[np.float64]
-    degenerate: tuple[int, ...] | NDArray[np.bool_] = ()
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,7 @@ def solve_joint(ch: CascadeChannel) -> JointSolution:
     precoder phases beta.
 
     The raw deviations satisfy ``sum_t(delta[t, l] + phi[l]) == 0`` per
-    element by construction.
+    element by construction; a zero gain row's phase, -0.0, moves no gain.
     """
     return _solve_joint(ch)[0]
 
@@ -133,16 +126,9 @@ def _solve_joint(ch: CascadeChannel, column_sums=None,
     receive-column sums ``v_mat.sum(axis=-2)`` when they are given."""
     column_sums = ch.v_mat.sum(axis=-2) if column_sums is None else column_sums
     terms = column_sums[..., np.newaxis] * ch.u_mat  # gain_rows(ch, "joint"), (..., n_ris, n_t)
-    # ~terms.any(axis=-1), reading a whole row only where its first term is zero
-    zero = ~terms[..., :1].any(axis=-1)
-    zero[zero] = ~terms[zero].any(axis=-1)
     phi = principal_angle(terms).sum(axis=-1) / -ch.n_t
-    phi = np.where(zero, 0.0, phi)
-
     sums = _receive_sums(ch, terms, phi)
-    beta = -principal_angle(sums)
-    degenerate = tuple(map(int, np.flatnonzero(zero))) if zero.ndim == 1 else zero
-    return JointSolution(phi=phi, beta=beta, degenerate=degenerate), sums
+    return JointSolution(phi=phi, beta=-principal_angle(sums)), sums
 
 
 def _precoded_sum(sol: JointSolution, sums: NDArray[np.complex128]) -> float:

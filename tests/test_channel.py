@@ -12,10 +12,14 @@ from riscap import (
     build_cascade,
     build_positions,
     joint_gain,
+    load_preset,
+    sample_heights,
     solve_joint,
     solve_ris_only,
 )
-from riscap.channel import gain_rows, principal_angle, unnormalized_h
+from riscap.channel import gain_rows, principal_angle, steering, unnormalized_h
+from riscap.config import PRESETS
+from riscap.geometry import legs
 
 
 @pytest.fixture
@@ -219,3 +223,42 @@ class TestUnnormalizedH:
         cfg = scene(n_ris=3)
         with pytest.raises(ValueError, match="shape"):
             unnormalized_h(build_positions(cfg), cfg, np.zeros(2))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended long double")
+class TestExtendedPrecisionReference:
+    """Leg distances and steering against an evaluation in ``np.longdouble``
+    and ``np.clongdouble`` of the same float64 inputs. On x86-64 Linux, CI's
+    ubuntu-latest included, ``np.longdouble`` is x87 80-bit extended (eps
+    1.08e-19), so the reference's own error, about 4e-16 on steering, is far
+    below the bounds. Each bound was set from the error measured on these
+    heights before any change to either function, times the margin stated
+    beside it."""
+
+    # measured 1.17e-16 relative (hypot to about half an ulp); margin 2x
+    ROWS_REL = 2.4e-16
+    # measured 9.0e-13 absolute: the float64 rounding of a phase 2*pi*d/lambda
+    # of up to about 5,200 rad; margin 1.5x
+    STEERING_ABS = 1.35e-12
+    TRIALS = 64
+
+    @pytest.mark.parametrize("name", [*PRESETS, "wide"])
+    def test_rows_and_steering_within_their_bounds(self, name):
+        # wide is the benchmark's scene: 32x16x256 on 0.1 mm grids, seed 1
+        plan = load_preset(name) if name != "wide" else replace(
+            load_preset("panel_a"), n_t=32, n_r=16, n_ris=256, seed=1,
+            h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001))
+        heights = np.array([sample_heights(plan, i) for i in range(self.TRIALS)])
+        cfg = plan.scene(*heights[0])
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        for leg, h in zip(legs(cfg), heights.T):
+            z = leg.heights(h)
+            dist = leg.rows(z)
+            x, z = leg.x.astype(np.longdouble), z.astype(np.longdouble)[..., np.newaxis]
+            exact = np.sqrt(x * x + z * z)
+            assert np.max(np.abs(dist - exact) / exact) <= self.ROWS_REL
+            phase = two_pi * dist.astype(np.longdouble) / np.longdouble(cfg.wavelength)
+            exact = np.cos(phase) - 1j * np.sin(phase)
+            error = np.abs(steering(dist, cfg.wavelength).astype(np.clongdouble) - exact)
+            assert np.max(error) <= self.STEERING_ABS

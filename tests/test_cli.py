@@ -182,6 +182,20 @@ class TestSimulate:
         assert seen == [1]
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["approx-check", "--config", "panel_a"]])
+def test_every_command_holds_the_blas_at_one_thread(blas_threads, monkeypatch, argv):
+    # as simulate does, before its first channel is built
+    seen, build_cascade = [], cli.build_cascade
+
+    def spy(*args, **kwargs):
+        seen.append(sim._blas_threads())
+        return build_cascade(*args, **kwargs)
+    monkeypatch.setattr(cli, "build_cascade", spy)
+    assert cli_main(argv) == 0
+    assert blas_threads == [2, 1]
+    assert seen and set(seen) == {1}
+
+
 class TestArgHandling:
     def test_unknown_flag_exits_one(self, capsys):
         assert cli_main(["simulate", "--frobnicate"]) == 1

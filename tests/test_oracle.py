@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from riscap import (
     exhaustive_best,
     joint_gain,
     joint_objective,
+    load_preset,
     parse_plan_text,
     random_restart_best,
     ris_only_objective,
@@ -22,6 +24,7 @@ from riscap import (
     solve_joint,
     solve_ris_only,
 )
+from riscap import config, sim
 from riscap.channel import CascadeChannel, gain_rows
 
 SHIPPED_CHUNK = oracle_mod._CHUNK
@@ -581,3 +584,43 @@ class TestOracleProperties:
         starts = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(restarts, ch.n_ris))
         for target in oracle_mod.TARGETS:
             assert_ascent_matches_reference(ch.k_norm * gain_rows(ch, target), starts)
+
+
+def joint_certificate(ch):
+    """Search-free bound ``B = k * n_t * sum_l |b_l|`` on every joint gain,
+    ``b_l = sum_r V[r, l]``: the joint gain ``k * sum_t |sum_l b_l U[l, t]
+    exp(j phi_l)|`` is at most ``k * sum_t sum_l |b_l|`` by the triangle
+    inequality, as ``|U[l, t]| = 1``."""
+    return ch.k_norm * ch.n_t * np.sum(np.abs(ch.v_mat.sum(axis=-2)), axis=-1)
+
+
+class TestJointCertificate:
+    "B bounds the joint heuristic and the joint ascent, with no search."
+
+    ROUNDING = 1e-12
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_t=st.integers(1, 4), n_r=st.integers(1, 4), n_ris=st.integers(1, 6),
+           h_t=st.floats(2.0, 3.0), h_r=st.floats(0.8, 1.8), seed=st.integers(0, 2**32 - 1))
+    def test_bounds_the_heuristic_and_the_ascent(self, scene, n_t, n_r, n_ris, h_t, h_r,
+                                                  seed):
+        _, ch = cascade_for(scene, n_t, n_r, n_ris, h_t=h_t, h_r=h_r)
+        bound = joint_certificate(ch) * (1 + self.ROUNDING)
+        assert joint_gain(solve_joint(ch), ch) <= bound
+        assert random_restart_best(ch, "joint", restarts=4, seed=seed)[1] <= bound
+
+    @pytest.mark.parametrize("preset", config.PRESETS)
+    def test_bounds_every_unit_of_a_shipped_preset(self, preset):
+        # the sweep's joint gain of each unit against B from the unit's own
+        # build_cascade; joint reads a median 0.05-0.08 of B here, and as
+        # little as 0.003
+        plan = load_preset(preset)
+        with mock.patch.object(sim, "_sweep_gains", wraps=sim._sweep_gains) as sweep:
+            gains = sim._plan_gains(plan)[0]["joint"]
+        heights = sim._heights(plan, *sweep.call_args.args[1].T)
+        assert len(gains) == len(heights[0]) > 0
+        for gain, h_t, h_r in zip(gains, *heights):
+            cfg = plan.scene(float(h_t), float(h_r))
+            ch = build_cascade(build_positions(cfg), cfg)
+            assert 0 < gain <= joint_certificate(ch) * (1 + self.ROUNDING)

@@ -213,13 +213,18 @@ class TestJoint:
             capacity_from_gain(abs(h.sum()), cfg.n_t, cfg.n_r, snr), abs=1e-12
         )
 
-    def test_degenerate_column_flagged(self):
+    def test_zero_column_phase_moves_no_gain(self):
+        # element 0's receive column sums to zero, so its gain row is zero
+        # and no phase of it moves a bit of the gain
         v = np.array([[1.0 + 0j, 1j], [-1.0 + 0j, 1j]])
         u = np.ones((2, 3), dtype=complex)
         ch = CascadeChannel(u_mat=u, v_mat=v, k_norm=1.0)
         sol = solve_joint(ch)
-        assert sol.degenerate == (0,)
         assert sol.phi[0] == 0.0
+        gain = joint_gain(sol, ch).hex()
+        for phase in (0.0, np.pi, -np.pi, -1.0, 0.25, 1e-300, 1e3):
+            moved = JointSolution(phi=np.array([phase, sol.phi[1]]), beta=sol.beta)
+            assert joint_gain(moved, ch).hex() == gain
 
 
 class TestCoPhasingMimo:
@@ -385,7 +390,6 @@ class TestBatchAxes:
         cfg, p, ch = cfgs[0], pos[0], chs[0]
         h = assemble_h(ch, np.zeros(cfg.n_ris))
         sol = solve_joint(ch)
-        assert sol.degenerate == ()
         for gain in (solve_ris_only(ch).b_gain, joint_gain(sol, ch),
                      cophasing_gain(solve_cophasing_mimo(h), h),
                      approx_gain(p, cfg), normalization_constant(cfg, p.d1[0, 0], p.d2[0, 0])):
@@ -398,11 +402,9 @@ class TestBatchAxes:
         flat = CascadeChannel(u_mat=u, v_mat=v, k_norm=1.0)
         other = CascadeChannel(u_mat=u, v_mat=np.full((2, 2), 1j), k_norm=1.0)
         sol = solve_joint(stack_channels(flat, other))
-        assert sol.degenerate.tolist() == [[True, False], [False, False]]
         assert sol.phi[0, 0] == 0.0
         for i, ch in enumerate((flat, other)):
             single = solve_joint(ch)
-            assert tuple(np.flatnonzero(sol.degenerate[i])) == single.degenerate
             assert np.array_equal(sol.phi[i], single.phi)
             assert np.array_equal(sol.beta[i], single.beta)
 
@@ -446,8 +448,9 @@ class TestJointReceiveSums:
     @settings(max_examples=60, deadline=None)
     @given(ch=phasor_channels(), zeros=st.lists(st.integers(0, 10**6), max_size=6),
            rows=st.lists(st.integers(0, 10**6), max_size=3))
-    def test_degenerate_mask_is_exact(self, ch, zeros, rows):
-        # zeroed terms, zeroed rows, and first terms that underflow to zero
+    def test_zero_rows_need_no_mask(self, ch, zeros, rows):
+        # zeroed terms, zeroed rows, and first terms that underflow to zero:
+        # pinning the phase of every all-zero gain row to 0.0 moves no gain bit
         u, v = ch.u_mat.reshape(-1, ch.n_t), ch.v_mat
         for i in zeros:
             u[i % len(u), i // len(u) % ch.n_t] = 0.0
@@ -455,9 +458,12 @@ class TestJointReceiveSums:
             u[i % len(u)] = 0.0
         u[:, 0] *= 1e-170
         v[..., 0, :] *= 1e-170
-        want = ~gain_rows(ch, "joint").any(axis=-2)
-        got = solve_joint(ch).degenerate
-        assert np.array_equal(got, want) if want.ndim > 1 else got == tuple(np.flatnonzero(want))
+        sol, sums = _solve_joint(ch)
+        zero = ~gain_rows(ch, "joint").any(axis=-2)
+        pinned = JointSolution(phi=np.where(zero, 0.0, sol.phi), beta=sol.beta)
+        want = joint_gain(pinned, ch)
+        assert np.asarray(_precoded_sum(sol, sums)).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(joint_gain(sol, ch)).tobytes() == np.asarray(want).tobytes()
 
     def test_joint_calls_assemble_nothing(self, scene):
         _, ch = cascade_for(scene, 4, 3, 12)
@@ -495,8 +501,7 @@ class TestJointPhasesForm:
     def mean_form(ch):
         "The phases as one mean of wrapped angles, built with principal_angle."
         terms = gain_rows(ch, "joint").swapaxes(-1, -2)
-        zero = ~terms.any(axis=-1)
-        return np.where(zero, 0.0, -principal_angle(terms).mean(axis=-1))
+        return -principal_angle(terms).mean(axis=-1)
 
     @settings(max_examples=40, deadline=None)
     @given(ch=phasor_channels())

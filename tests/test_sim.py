@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -993,7 +994,20 @@ class TestBlockMemory:
 
     @staticmethod
     def leg_build_peaks(plan):
-        "The traced peak of each leg's ``_leg_blocks`` call on ``plan``, whose blocks go unsolved."
+        """The traced peak of each leg's ``_leg_blocks`` call on ``plan``, whose
+        blocks go unsolved, and the form each leg took, whatever ran before
+        in the process.
+
+        Objects that come out of a cache or free list are allocated untraced,
+        and objects put back into one stay traced, so the reading depends on
+        how full those were when the build began, by up to a few KB.
+        An untraced build first fills the caches that NumPy and the
+        interpreter fill on first use (a ufunc's dispatch table for a new
+        dtype pairing, interned names). ``gc.collect()`` then empties the
+        interpreter's free lists (tuples, floats, lists, dicts), and
+        NumPy's caches of freed shape buffers, up to 7 per dimension count,
+        are filled.
+        """
         peaks, leg_blocks = [], sim._leg_blocks
 
         def spy(*args):
@@ -1002,14 +1016,19 @@ class TestBlockMemory:
             blocks = leg_blocks(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
             return blocks
-        tracemalloc.start()
-        try:
-            with mock.patch.object(sim, "_leg_blocks", spy), \
-                    mock.patch.object(sim, "_block_gains", return_value={}):
+        with cache_form() as forms, mock.patch.object(sim, "_leg_blocks", spy), \
+                mock.patch.object(sim, "_block_gains", return_value={}):
+            sim._plan_gains(plan)
+            peaks.clear()
+            forms.clear()
+            gc.collect()
+            [np.empty((1,) * ndim) for ndim in range(1, 8) for _ in range(8)]
+            tracemalloc.start()
+            try:
                 sim._plan_gains(plan)
-        finally:
-            tracemalloc.stop()
-        return peaks
+            finally:
+                tracemalloc.stop()
+        return peaks, forms
 
     @pytest.mark.parametrize("shape", ["panel_d", "wide_fine", "wide_carried"])
     def test_block_peaks_within_budget(self, shape):
@@ -1076,9 +1095,7 @@ class TestBlockMemory:
         # a tabled leg's build holds its table and one chunk of heights; a
         # row table for the whole sweep held beside the layout took 2.56 MB
         # traced on panel_d's transmit leg
-        plan = replace(load_preset("panel_d"), seed=1)
-        with cache_form() as forms:
-            peaks = self.leg_build_peaks(plan)
+        peaks, forms = self.leg_build_peaks(replace(load_preset("panel_d"), seed=1))
         assert forms == ["table", "table"]
         assert peaks[0] <= sim._BLOCK_BYTES
 
@@ -1087,8 +1104,7 @@ class TestBlockMemory:
     def test_fine_table_builds_within_the_budget(self):
         # the fine golden plan's transmit table build peaks at about 1.97 MB
         # traced against 1,835,008 B
-        with cache_form() as forms:
-            peaks = self.leg_build_peaks(fine_transmit_plan())
+        peaks, forms = self.leg_build_peaks(fine_transmit_plan())
         assert forms == ["table", "table"]
         assert peaks[0] <= sim._BLOCK_BYTES
 
