@@ -297,15 +297,16 @@ def _chunk_units(unit_bytes: int, size: int) -> int:
 
 @dataclass
 class _Work:
-    """What one sweep did: the steering rows built and those taken from the
-    block before, per leg (transmit, receive), and its blocks, units and runs.
-    Table builds count their rows too."""
+    """What one sweep did: the steering rows built, by table builds too, and
+    those taken from the block before, per leg (transmit, receive), its
+    blocks, units and runs, and each leg's form, "table" or "carried"."""
 
     built: list = field(default_factory=lambda: [0, 0])
     taken: list = field(default_factory=lambda: [0, 0])
     blocks: int = 0
     units: int = 0
     runs: int = 0
+    forms: list = field(default_factory=list)
 
     def add(self, other: "_Work") -> None:
         "Add ``other``'s counts to these."
@@ -515,10 +516,9 @@ def _unit_order(plan: SimulationPlan, indices) -> NDArray[np.intp]:
     return np.lexsort(keys)
 
 
-def _sweep_gains(plan: SimulationPlan, indices, streams=None, work=None) -> dict:
+def _sweep_gains(plan: SimulationPlan, indices, streams=None) -> tuple[dict, _Work]:
     """Gain arrays of every requested scheme over the units at (h_t, h_r)
-    grid ``indices``, in that order; ``work``, a ``_Work``, gets the
-    sweep's counts.
+    grid ``indices``, in that order, and the sweep's ``_Work`` record.
 
     ``streams``, the ``TrialStreams`` whose rows are the units, gives their
     benchmark phases, each run's drawn on a generator of its own; None
@@ -541,11 +541,12 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None, work=None) -> dict
     # per element height (up to 80 while a plan is made, 28 kept while its
     # blocks run).
     chunk = _chunk_units(64 * plan.n_ris + 128 * (plan.n_t + plan.n_r), size)
-    work = _Work() if work is None else work
+    work = _Work()
     leg_heights = list(zip(legs(cfg), _heights(plan, *indices[order].T)))
     corners = [np.hypot(leg.x[0], heights + leg.offsets[0]) for leg, heights in leg_heights]
     sides, tabled = zip(*(_leg_blocks(leg, cfg.wavelength, heights, size, chunk, work)
                           for leg, heights in leg_heights))
+    work.forms = ["table" if fits else "carried" for fits in tabled]
     k_norm = normalization_constant(cfg, corners[1], corners[0])
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
@@ -585,7 +586,7 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None, work=None) -> dict
                       for first, stop, record in zip(cuts[:-1], cuts[1:], records)])
     for record in records:
         work.add(record)
-    return gains
+    return gains, work
 
 
 def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
@@ -601,12 +602,12 @@ def trial_gains(plan: SimulationPlan, trial_index: int) -> dict:
     return {scheme: float(values[0]) for scheme, values in gains.items()}
 
 
-def _plan_gains(plan: SimulationPlan, work=None, trials=None) -> tuple[dict, NDArray, int]:
+def _plan_gains(plan: SimulationPlan, trials=None) -> tuple[dict, NDArray, int, _Work]:
     """Gains of every requested scheme over the units of ``trials`` (all the
-    plan's by default), each unit's trial count, and the number of distinct
-    (h_t, h_r) grid pairs drawn: the units are those pairs in code order, or
-    the trials, each of count 1, when a requested benchmark scheme reads the
-    trials' random phases. ``work``, a ``_Work``, gets the sweep's counts."""
+    plan's by default), each unit's trial count, the number of distinct
+    (h_t, h_r) grid pairs drawn and the sweep's ``_Work`` record: the units
+    are those pairs in code order, or the trials, each of count 1, when a
+    requested benchmark scheme reads the trials' random phases."""
     sizes = _grid_sizes(plan)
     trials = np.arange(plan.trials) if trials is None else trials
     streams = TrialStreams(plan.seed, trials, sizes)
@@ -614,10 +615,11 @@ def _plan_gains(plan: SimulationPlan, work=None, trials=None) -> tuple[dict, NDA
     (t, r), n_r = streams.indices.T.astype(np.uint64), np.uint64(sizes[1])
     codes, counts = np.unique(t * n_r + r, return_counts=True)
     if _reads_phases(plan):
-        gains = _sweep_gains(plan, streams.indices, streams, work=work)
-        return gains, np.ones(len(trials), int), len(codes)
-    return _sweep_gains(plan, np.stack(np.divmod(codes, n_r), axis=-1), work=work), counts, \
-        len(codes)
+        gains, work = _sweep_gains(plan, streams.indices, streams)
+        counts = np.ones(len(trials), int)
+    else:
+        gains, work = _sweep_gains(plan, np.stack(np.divmod(codes, n_r), axis=-1))
+    return gains, counts, len(codes), work
 
 
 def _rows(plan: SimulationPlan, gains: dict, counts) -> tuple[ResultRow, ...]:
@@ -648,12 +650,14 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     sets none; ``riscap simulate`` sets one. ``workers`` is accepted for
     compatibility and must be an integer >= 1; it is unused, so the table is
     identical for any worker count. ``metadata["distinct_pairs"]`` counts the
-    distinct grid height pairs the trials drew.
+    distinct grid height pairs the trials drew, and ``metadata["work"]`` is
+    the sweep's ``_Work`` record as a dict.
     """
     require_int("workers", workers, 1)
-    gains, counts, pairs = _plan_gains(plan)
+    gains, counts, pairs, work = _plan_gains(plan)
     return ResultTable(rows=_rows(plan, gains, counts), metadata={
-        "plan": asdict(plan), "seed": plan.seed, "version": __version__, "distinct_pairs": pairs})
+        "plan": asdict(plan), "seed": plan.seed, "version": __version__, "distinct_pairs": pairs,
+        "work": asdict(work)})
 
 
 def write_csv(table: ResultTable, path) -> None:

@@ -218,7 +218,7 @@ def exact_means(plan):
     It is the sweep's own reduction over every pair at weight 1."""
     n_t, n_r = sim._grid_sizes(plan)
     pairs = np.stack(np.divmod(np.arange(n_t * n_r), n_r), axis=-1)
-    rows = sim._rows(plan, sim._sweep_gains(plan, pairs), np.ones(len(pairs), dtype=np.int64))
+    rows = sim._rows(plan, sim._sweep_gains(plan, pairs)[0], np.ones(len(pairs), dtype=np.int64))
     return {(row.scheme, row.snr_db): row.mean_capacity_bits for row in rows}
 
 

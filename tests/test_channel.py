@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from riscap import (
     CascadeChannel,
+    SnrPoint,
     assemble_h,
     build_cascade,
     build_positions,
+    capacity_from_gain,
+    cophasing_gain,
     joint_gain,
     load_preset,
     sample_heights,
+    solve_cophasing_mimo,
     solve_joint,
     solve_ris_only,
 )
@@ -228,27 +232,37 @@ class TestUnnormalizedH:
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="the reference needs an extended long double")
 class TestExtendedPrecisionReference:
-    """Leg distances and steering against an evaluation in ``np.longdouble``
-    and ``np.clongdouble`` of the same float64 inputs. On x86-64 Linux, CI's
-    ubuntu-latest included, ``np.longdouble`` is x87 80-bit extended (eps
-    1.08e-19), so the reference's own error, about 4e-16 on steering, is far
-    below the bounds. Each bound was set from the error measured on these
-    heights before any change to either function, times the margin stated
-    beside it."""
+    """Leg distances, steering, each scheme's gain and ``capacity_from_gain``
+    against an evaluation in ``np.longdouble`` and ``np.clongdouble`` of the
+    same float64 inputs. On x86-64 Linux, CI's ubuntu-latest included,
+    ``np.longdouble`` is x87 80-bit extended (eps 1.08e-19), so the
+    reference's own error, about 4e-16 on steering, is far below the bounds.
+    Each bound was set from the error measured on these heights before any
+    change to the functions, times the margin stated beside it."""
 
     # measured 1.17e-16 relative (hypot to about half an ulp); margin 2x
     ROWS_REL = 2.4e-16
     # measured 9.0e-13 absolute: the float64 rounding of a phase 2*pi*d/lambda
     # of up to about 5,200 rad; margin 1.5x
     STEERING_ABS = 1.35e-12
+    # each gain at its float64 solver's phases, relative; measured 3.85e-16,
+    # 2.99e-15, 2.35e-14 and 1.12e-13 (basic's sum cancels most); margin 2x
+    GAIN_REL = {"ris_only": 7.7e-16, "joint": 6.0e-15, "cophasing": 4.8e-14, "basic": 2.3e-13}
+    # relative at the presets' SNRs; measured 4.02e-12, where log2(1 + x)
+    # loses digits to a small x (basic at 0 dB, 3.5e-5 bits); margin 2x
+    CAPACITY_REL = 8.1e-12
     TRIALS = 64
+
+    @staticmethod
+    def plan(name):
+        "A shipped preset, or wide: the benchmark's scene, 32x16x256 on 0.1 mm grids, seed 1."
+        return load_preset(name) if name != "wide" else replace(
+            load_preset("panel_a"), n_t=32, n_r=16, n_ris=256, seed=1,
+            h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001))
 
     @pytest.mark.parametrize("name", [*PRESETS, "wide"])
     def test_rows_and_steering_within_their_bounds(self, name):
-        # wide is the benchmark's scene: 32x16x256 on 0.1 mm grids, seed 1
-        plan = load_preset(name) if name != "wide" else replace(
-            load_preset("panel_a"), n_t=32, n_r=16, n_ris=256, seed=1,
-            h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001))
+        plan = self.plan(name)
         heights = np.array([sample_heights(plan, i) for i in range(self.TRIALS)])
         cfg = plan.scene(*heights[0])
         two_pi = 8 * np.arctan(np.longdouble(1))
@@ -262,3 +276,33 @@ class TestExtendedPrecisionReference:
             exact = np.cos(phase) - 1j * np.sin(phase)
             error = np.abs(steering(dist, cfg.wavelength).astype(np.clongdouble) - exact)
             assert np.max(error) <= self.STEERING_ABS
+
+    @pytest.mark.parametrize("name", [*PRESETS, "wide"])
+    def test_gains_and_capacity_within_their_bounds(self, name):
+        # from the same float64 steering and k_norm; the benchmarks at zero
+        # RIS phases
+        plan = self.plan(name)
+        snr, exact_snr = SnrPoint.from_db(plan.snr_db), 10 ** (np.longdouble(plan.snr_db) / 10)
+
+        def rotor(phi):
+            return np.exp(1j * np.longdouble(phi))
+        for trial in range(self.TRIALS):
+            cfg = plan.scene(*sample_heights(plan, trial))
+            ch = build_cascade(build_positions(cfg), cfg)
+            u, v, k = ch.u_mat.astype(np.clongdouble), ch.v_mat.astype(np.clongdouble), \
+                np.longdouble(ch.k_norm)
+            h, exact_h = assemble_h(ch, np.zeros(plan.n_ris)), k * (v @ u)
+            ris, joint, cophasing = solve_ris_only(ch), solve_joint(ch), solve_cophasing_mimo(h)
+            gains = {
+                "ris_only": (ris.b_gain, k * abs(np.sum(v.sum(0) * u.sum(1) * rotor(ris.phi)))),
+                "joint": (joint_gain(joint, ch),
+                          k * abs(np.sum((v * rotor(joint.phi)) @ u * rotor(joint.beta)))),
+                "cophasing": (cophasing_gain(cophasing, h),
+                              abs(rotor(cophasing.alpha) @ exact_h @ rotor(cophasing.gamma))),
+                "basic": (abs(h.sum()), abs(exact_h.sum())),
+            }
+            for scheme, (gain, exact) in gains.items():
+                assert abs(gain - exact) <= self.GAIN_REL[scheme] * exact, scheme
+                capacity = capacity_from_gain(gain, plan.n_t, plan.n_r, snr)
+                exact = np.log2(1 + np.longdouble(gain) ** 2 / (plan.n_t * plan.n_r) * exact_snr)
+                assert np.all(np.abs(capacity - exact) <= self.CAPACITY_REL * exact), scheme

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +10,10 @@ from hypothesis import strategies as st
 import riscap.oracle as oracle_mod
 from riscap import (
     QuantizedSearchSpec,
+    assemble_h,
     build_cascade,
     build_positions,
+    cophasing_gain,
     exhaustive_best,
     joint_gain,
     joint_objective,
@@ -21,6 +22,7 @@ from riscap import (
     random_restart_best,
     ris_only_objective,
     sample_heights,
+    solve_cophasing_mimo,
     solve_joint,
     solve_ris_only,
 )
@@ -615,12 +617,68 @@ class TestJointCertificate:
         # the sweep's joint gain of each unit against B from the unit's own
         # build_cascade; joint reads a median 0.05-0.08 of B here, and as
         # little as 0.003
-        plan = load_preset(preset)
-        with mock.patch.object(sim, "_sweep_gains", wraps=sim._sweep_gains) as sweep:
-            gains = sim._plan_gains(plan)[0]["joint"]
-        heights = sim._heights(plan, *sweep.call_args.args[1].T)
-        assert len(gains) == len(heights[0]) > 0
-        for gain, h_t, h_r in zip(gains, *heights):
-            cfg = plan.scene(float(h_t), float(h_r))
-            ch = build_cascade(build_positions(cfg), cfg)
+        gains, units = sim._plan_gains(load_preset(preset))[0]["joint"], preset_units(preset)
+        # the units are the sweep's, in its order
+        assert [joint_gain(solve_joint(ch), ch) for ch in units] == gains.tolist()
+        assert len(units) == 815
+        for gain, ch in zip(gains, units):
             assert 0 < gain <= joint_certificate(ch) * (1 + self.ROUNDING)
+
+
+def preset_units(preset):
+    """The cascade of each unit of a shipped preset's sweep, through the
+    public calls: the distinct (h_t, h_r) pairs its trials draw, in the
+    sweep's order, which is that of their grid indices."""
+    plan = load_preset(preset)
+    pairs = sorted({sample_heights(plan, trial) for trial in range(plan.trials)})
+    return [build_cascade(build_positions(cfg), cfg)
+            for cfg in itertools.starmap(plan.scene, pairs)]
+
+
+def cophasing_certificate(h):
+    """Search-free bound ``sum_{r,t} |h[r, t]|`` on every gain ``|r^T H t|``
+    of unit-modulus ``r`` and ``t`` on the channel ``h``, by the triangle
+    inequality: the cophasing benchmark's, the basic one's and the ascent's."""
+    return np.sum(np.abs(h), axis=(-2, -1))
+
+
+def cophasing_ascent(h, steps=100):
+    """``|r^T H t|`` after ``steps`` alternating steps from ``t = 1``: each
+    co-phases the receive phases with ``H t``, then the transmit phases
+    with ``r^T H``, and neither lowers the gain."""
+    t = np.ones(h.shape[-1])
+    for _ in range(steps):
+        r = np.exp(-1j * np.angle(np.einsum("...rt,...t->...r", h, t)))
+        t = np.exp(-1j * np.angle(np.einsum("...r,...rt->...t", r, h)))
+    return np.abs(np.einsum("...r,...rt,...t->...", r, h, t))
+
+
+class TestCophasingCertificate:
+    "The bound holds for the cophasing and basic benchmarks and the ascent, with no search."
+
+    ROUNDING = 1e-12
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_t=st.integers(1, 4), n_r=st.integers(1, 4), n_ris=st.integers(1, 6),
+           h_t=st.floats(2.0, 3.0), h_r=st.floats(0.8, 1.8), seed=st.integers(0, 2**32 - 1))
+    def test_bounds_the_benchmarks_and_the_ascent(self, scene, n_t, n_r, n_ris, h_t, h_r,
+                                                   seed):
+        _, ch = cascade_for(scene, n_t, n_r, n_ris, h_t=h_t, h_r=h_r)
+        random = np.random.default_rng(seed).uniform(-np.pi, np.pi, n_ris)
+        for h in (assemble_h(ch, np.zeros(n_ris)), assemble_h(ch, random)):
+            bound = cophasing_certificate(h) * (1 + self.ROUNDING)
+            assert cophasing_gain(solve_cophasing_mimo(h), h) <= bound
+            assert abs(h.sum()) <= bound
+            assert cophasing_ascent(h) <= bound
+
+    @pytest.mark.parametrize("preset", config.PRESETS)
+    def test_bounds_every_unit_of_a_shipped_preset(self, preset):
+        # each unit's channel at the presets' zero benchmark phases; cophasing
+        # reads a median 0.07-0.20 of the bound here, and as little as 0.0004,
+        # and the ascent a median 1.0000, and at least 0.984
+        h = np.array([assemble_h(ch, np.zeros(ch.n_ris)) for ch in preset_units(preset)])
+        bound = cophasing_certificate(h) * (1 + self.ROUNDING)
+        for gain in (cophasing_gain(solve_cophasing_mimo(h), h), np.abs(h.sum(axis=(-2, -1))),
+                     cophasing_ascent(h)):
+            assert np.all((0 < gain) & (gain <= bound))

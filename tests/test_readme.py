@@ -2,7 +2,10 @@
 
 import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from riscap import sim
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +26,10 @@ def test_cited_names_exist():
     missing = [f"riscap.{module}.{name}" for module, name in sorted(cited)
                if not hasattr(importlib.import_module(f"riscap.{module}"), name)]
     assert cited and not missing
+
+
+def test_work_record_fields_listed_in_order():
+    # the engine section's list of run_plan's metadata["work"] fields
+    listed = README.read_text().split("Its fields:\n", 1)[1].split("\n\n", 1)[0]
+    heads = " ".join(line.split(":")[0] for line in listed.splitlines() if line.startswith("- "))
+    assert re.findall(r"`(\w+)`", heads) == [field.name for field in fields(sim._Work)]

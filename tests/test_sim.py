@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -223,7 +225,7 @@ class TestPlanGrids:
         # trials draw t >= 2**31, whose int64 codes wrap and decode wrongly.
         plan = replace(load_preset("panel_a"), seed=1, trials=40, **LIMIT_GRIDS)
         assert (sweep_streams(plan).indices[:, 0] >= 2**31).sum() == 19
-        gains, counts, distinct = sim._plan_gains(plan)
+        gains, counts, distinct, _ = sim._plan_gains(plan)
         assert distinct == 40
         gains = trial_order(plan, gains, counts)
         for trial in range(plan.trials):
@@ -477,7 +479,7 @@ class TestStreamTwin:
         plan = fine_plan(seed)
         t, r = streams.indices[0]
         assert sim._heights(plan, t, r) == sample_heights(plan, trial)
-        gains = sim._sweep_gains(plan, streams.indices)
+        gains, _ = sim._sweep_gains(plan, streams.indices)
         assert {k: float(v[0]) for k, v in gains.items()} == replay_trial(plan, trial)
 
     def test_wide_seed_runs_through_fallback(self):
@@ -549,20 +551,18 @@ class TestBenchmarkLaziness:
             return draw(streams, rows, count, rng)
         with mock.patch.object(sim, "assemble_h", wraps=sim.assemble_h) as assemble, \
                 mock.patch.object(TrialStreams, "phases", phases):
-            work, _ = sweep_work(plan)
-        assert work.blocks >= 2
-        assert assemble.call_count == (work.blocks if benchmark else 0)
+            blocks = sim._plan_gains(plan)[3].blocks
+        assert blocks >= 2
+        assert assemble.call_count == (blocks if benchmark else 0)
         random = benchmark and mode == "random"
-        assert len(drawn) == (work.blocks if random else 0)
+        assert len(drawn) == (blocks if random else 0)
 
     def test_joint_only_sweep_assembles_no_channel(self):
         plan = replace(load_preset("panel_a"), trials=200, schemes=("joint",))
         with mock.patch.object(sim, "assemble_h", side_effect=AssertionError), \
-                mock.patch.object(channel, "assemble_h", side_effect=AssertionError), \
-                mock.patch.object(sim, "_block_gains", wraps=sim._block_gains) as blocks:
-            run_plan(plan)
-            trial_gains(plan, 3)
-        assert blocks.call_count >= 3
+                mock.patch.object(channel, "assemble_h", side_effect=AssertionError):
+            assert run_plan(plan).metadata["work"]["blocks"] >= 2
+            assert trial_gains(plan, 3).keys() == {"joint"}
         assert not hasattr(schemes, "assemble_h")
 
     @pytest.mark.parametrize("schemes, drawn", [
@@ -598,24 +598,9 @@ def small_plans(draw):
     )
 
 
-@contextmanager
-def cache_form(form=None):
-    """Forces every leg's steering to ``form``, "table" or "carried" (None
-    keeps the sweep's own choice), and collects the form each leg took."""
-    forms, table_fits = [], sim._table_fits
-
-    def spy(leg, count):
-        fits = form == "table" if form else table_fits(leg, count)
-        forms.append("table" if fits else "carried")
-        return fits
-    with mock.patch.object(sim, "_table_fits", spy):
-        yield forms
-
-
-def sweep_work(plan):
-    "What ``_plan_gains`` did on ``plan``, as its ``_Work`` record, and its gains."
-    work = sim._Work()
-    return work, sim._plan_gains(plan, work)[0]
+def cache_form(form):
+    """Forces every leg's steering to ``form``, "table" or "carried"."""
+    return mock.patch.object(sim, "_table_fits", lambda leg, count: form == "table")
 
 
 def cpus(count):
@@ -632,7 +617,7 @@ def threads_started():
 
 
 def trial_unit_gains(plan):
-    "Gain arrays of a sweep that solves every trial as its own unit."
+    "Gain arrays and ``_Work`` record of a sweep that solves every trial as its own unit."
     streams = sweep_streams(plan)
     random = plan.benchmark_ris_phase == "random"
     return sim._sweep_gains(plan, streams.indices, streams if random else None)
@@ -655,14 +640,16 @@ def wide_plan(trials, seed=1, h_t_grid=(2.0, 3.0, 0.0001)):
 @example(plan=tiny_plan(h_t_grid=(2.0, 2.08, 0.02), schemes=SCHEMES), block_trials=1)
 @example(plan=tiny_plan(h_t_grid=(2.0, 2.006, 0.0005), n_t=8, trials=12, schemes=SCHEMES),
          block_trials=2)
-def check_every_trial_matches_single_scene_calls(plan, block_trials):
+def check_every_trial_matches_single_scene_calls(plan, block_trials, form):
     budget = block_trials * sim._unit_bytes(plan)
-    with mock.patch.object(sim, "_BLOCK_BYTES", budget):
-        gains = trial_unit_gains(plan)
+    with cache_form(form):
+        with mock.patch.object(sim, "_BLOCK_BYTES", budget):
+            gains, work = trial_unit_gains(plan)
+        assert trial_gains(plan, plan.trials - 1) == replay_trial(plan, plan.trials - 1)
+    assert work.forms == [form, form]
     for trial in range(plan.trials):
         got = {scheme: float(gains[scheme][trial]) for scheme in SCHEMES}
         assert got == replay_trial(plan, trial)
-    assert trial_gains(plan, plan.trials - 1) == replay_trial(plan, plan.trials - 1)
 
 
 class TestBlockEngine:
@@ -675,9 +662,7 @@ class TestBlockEngine:
     def test_every_trial_matches_single_scene_calls(self):
         # the property reaches both forms of the row cache
         for form in ("table", "carried"):
-            with cache_form(form) as forms:
-                check_every_trial_matches_single_scene_calls()
-            assert set(forms) == {form}
+            check_every_trial_matches_single_scene_calls(form=form)
 
     @settings(max_examples=20, deadline=None)
     @given(plan=small_plans())
@@ -686,25 +671,24 @@ class TestBlockEngine:
             one_trial = run_plan(plan)
         with mock.patch.object(sim, "_BLOCK_BYTES", plan.trials * self.per_trial_bytes(plan)):
             whole_sweep = run_plan(plan)
-        assert one_trial == whole_sweep
+        assert one_trial.rows == whole_sweep.rows
 
     @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
     def test_leg_tables_do_not_change_the_table(self, panel):
         # 60 trials against 51-point grids: the shipped sweeps build both
         # legs' rows as a sweep table, and so do the goldens
         plan = replace(load_preset(panel), trials=60)
-        with cache_form() as forms:
-            chosen = run_plan(plan)
-        assert forms == ["table", "table"]
+        chosen = run_plan(plan)
+        assert chosen.metadata["work"]["forms"] == ["table", "table"]
         for form in ("table", "carried"):
             with cache_form(form):
-                assert run_plan(plan) == chosen, form
+                assert run_plan(plan).rows == chosen.rows, form
 
     def test_preset_table_independent_of_block_budget(self):
         plan = replace(load_preset("panel_d"), trials=40)
         with mock.patch.object(sim, "_BLOCK_BYTES", 1):
             one_trial = run_plan(plan)
-        assert one_trial == run_plan(plan)
+        assert one_trial.rows == run_plan(plan).rows
 
 
 def reference_leg_rows(z, size, firsts):
@@ -777,7 +761,8 @@ class TestRowPlan:
     def test_each_units_steering_is_its_own_rows(self, sweep, size, runs, chunk, form):
         leg, heights, wavelength = sweep
         side = int(not leg.elements_first)
-        cuts, work = run_cuts(len(heights), size, runs), sim._Work()
+        # the two counters _leg_blocks and the blocks it gives write
+        cuts, work = run_cuts(len(heights), size, runs), SimpleNamespace(built=[0, 0], taken=[0, 0])
         # row plans of ``chunk`` blocks, or of as many heights of a table;
         # the table form is forced
         budget = 128 * len(leg.offsets) * chunk
@@ -814,7 +799,7 @@ class TestRowPlan:
         with mock.patch.object(sim, "_BLOCK_BYTES", size * sim._unit_bytes(plan)), \
                 cpus(runs), cache_form(form), \
                 mock.patch.object(sim, "normalization_constant", spy):
-            gains = trial_unit_gains(plan)
+            gains, _ = trial_unit_gains(plan)
         k_norm, = norms
         order = sim._unit_order(plan, sweep_streams(plan).indices)
         for position, trial in enumerate(order):
@@ -851,23 +836,22 @@ class TestRowCache:
     stretch of blocks that hold it within a run."""
 
     def test_panel_d_builds_each_distinct_row_once(self):
-        # seed 1: 829 distinct pairs; per-height blocks built 1440 transmit rows
-        plan = replace(load_preset("panel_d"), seed=1)
-        with cache_form() as forms:
-            work, gains = sweep_work(plan)
-        assert forms == ["table", "table"]
-        assert work.units == len(gains["joint"]) == 829
-        assert work.built == [496, 204]
-        assert work.taken == [80, 0]
+        # seed 1: 829 distinct pairs; per-height blocks built 1440 transmit
+        # rows, and at 512 KiB of steering per block 52 blocks ran
+        table = run_plan(replace(load_preset("panel_d"), seed=1))
+        assert table.metadata["distinct_pairs"] == 829
+        assert table.metadata["work"] == {"built": [496, 204], "taken": [80, 0], "blocks": 40,
+                                          "units": 829, "runs": 1, "forms": ["table", "table"]}
+        json.dumps(table.metadata)
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_wide_blocks_build_rows_the_block_before_lacked(self, seed):
         # seed 1 built 32000 transmit and 16000 receive rows with one row per
-        # unit and antenna
+        # unit and antenna, and at 512 KiB of steering per block 500 blocks ran
         plan = wide_plan(1000, seed)
-        with cpus(1), cache_form() as forms:
-            work, _ = sweep_work(plan)
-        assert forms == ["carried", "carried"]
+        with cpus(1):
+            work = sim._plan_gains(plan)[3]
+        assert work.forms == ["carried", "carried"]
         assert (work.runs, work.blocks, work.units) == (1, 250, 1000)
         indices = sweep_streams(plan).indices
         assert [work.built, work.taken] == reference_row_counts(plan, indices)
@@ -878,21 +862,21 @@ class TestRowCache:
     def test_two_runs_rebuild_rows_only_at_the_second_runs_first_block(self):
         # the second run's first block holds no rows from the block before
         plan = wide_plan(1000)
-        with cpus(2), cache_form() as forms:
-            work, _ = sweep_work(plan)
-        assert forms == ["carried", "carried"]
-        assert (work.runs, work.blocks, work.units) == (2, 250, 1000)
+        with cpus(2):
+            work = run_plan(plan).metadata["work"]
+        assert work["forms"] == ["carried", "carried"]
+        assert (work["runs"], work["blocks"], work["units"]) == (2, 250, 1000)
         indices = sweep_streams(plan).indices
-        assert [work.built, work.taken] == reference_row_counts(plan, indices, runs=2) \
+        assert [work["built"], work["taken"]] == reference_row_counts(plan, indices, runs=2) \
             == [[14489, 15919], [5490, 81]]
 
     def test_carried_rows_match_the_reference_when_solved(self):
         # 25 grid steps per antenna spacing on a 201-point grid: residue
         # classes of a few units each share most transmit rows
         plan = wide_plan(100, h_t_grid=(2.0, 2.02, 0.0001))
-        with cpus(1), cache_form() as forms:
-            work, gains = sweep_work(plan)
-        assert forms == ["carried", "carried"]
+        with cpus(1):
+            gains, _, _, work = sim._plan_gains(plan)
+        assert work.forms == ["carried", "carried"]
         indices = sweep_streams(plan).indices
         assert [work.built, work.taken] == reference_row_counts(plan, indices)
         assert work.built[0] < 32 * plan.trials // 2
@@ -906,9 +890,8 @@ class TestRowCache:
         # steps apart share a row, so chunks of 4 heights built 1056
         # transmit rows
         plan = fine_transmit_plan()
-        with cache_form() as forms:
-            work, _ = sweep_work(plan)
-        assert forms == ["table", "table"]
+        work = sim._plan_gains(plan)[3]
+        assert work.forms == ["table", "table"]
         heights = sim._heights(plan, *sweep_streams(plan).indices.T)[0]
         z = heights[:, np.newaxis] + (np.arange(1, 9) - 4.5) * plan.s_t
         assert work.built[0] == len(np.unique(z)) == 520
@@ -942,10 +925,10 @@ class TestLegTables:
                 summed[not leg.elements_first] += len(sums)
                 yield steer, sums, *per_height
         with mock.patch.object(Leg, "layout", layout_spy), \
-                mock.patch.object(sim, "_steering_blocks", blocks_spy), cache_form() as forms:
+                mock.patch.object(sim, "_steering_blocks", blocks_spy):
             table = run_plan(plan)
         assert table.metadata["distinct_pairs"] == 829
-        assert forms == ["table", "table"]
+        assert table.metadata["work"]["forms"] == ["table", "table"]
         assert laid == summed == [51, 51]
 
     @pytest.mark.parametrize("plan, want", [
@@ -957,9 +940,8 @@ class TestLegTables:
         (replace(load_preset("panel_d"), seed=1, n_ris=141), ["carried", "table"]),
     ], ids=["wide", "panel_d_140", "panel_d_141"])
     def test_laid_out_tables_take_the_block_budget(self, plan, want):
-        with cache_form() as forms, mock.patch.object(sim, "_block_gains", return_value={}):
-            sim._plan_gains(plan)
-        assert forms == want
+        with mock.patch.object(sim, "_block_gains", return_value={}):
+            assert sim._plan_gains(plan)[3].forms == want
 
 
 class TestBlockMemory:
@@ -968,46 +950,54 @@ class TestBlockMemory:
     CPU the sweep is one run, whose blocks peak one at a time."""
 
     @staticmethod
-    def block_peaks(plan, work=None):
+    def isolated_sweep(plan, peaks):
+        """The ``_Work`` record of a traced ``_plan_gains`` on ``plan``, whose
+        readings, put in ``peaks``, do not depend on what ran before in the
+        process.
+
+        Objects that come out of a cache or free list are allocated untraced,
+        and objects put back into one stay traced, so a reading depends on
+        how full those were when the sweep began, by up to a few KB.
+        An untraced sweep first fills the caches that NumPy and the
+        interpreter fill on first use (a ufunc's dispatch table for a new
+        dtype pairing, interned names), and its readings are dropped.
+        ``gc.collect()`` then empties the interpreter's free lists (tuples,
+        floats, lists, dicts), and NumPy's caches of freed shape buffers, up
+        to 7 per dimension count, are filled.
+        """
+        sim._plan_gains(plan)
+        peaks.clear()
+        gc.collect()
+        [np.empty((1,) * ndim) for ndim in range(1, 8) for _ in range(8)]
+        tracemalloc.start()
+        try:
+            return sim._plan_gains(plan)[3]
+        finally:
+            tracemalloc.stop()
+
+    def block_peaks(self, plan):
         """The units and traced peak of each block of ``plan`` on one run,
         measured from the first block's start, over the block's row build
         and its solve, so that the rows a block carries into the next count
-        against the next; and the grid pairs drawn."""
-        start, peaks = [], []
+        against the next; and the sweep's ``_Work`` record."""
+        start, peaks = [0], []
         block_gains = sim._block_gains
 
         def spy(*args):
-            if not start:
-                start.append(tracemalloc.get_traced_memory()[0])
+            if not peaks:
+                start[0] = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             gains = block_gains(*args)
             peaks.append((len(next(iter(gains.values()))),
                           tracemalloc.get_traced_memory()[1] - start[0]))
             return gains
-        tracemalloc.start()
-        try:
-            with cpus(1), mock.patch.object(sim, "_block_gains", spy):
-                _, _, pairs = sim._plan_gains(plan, work)
-        finally:
-            tracemalloc.stop()
-        return peaks, pairs
+        with cpus(1), mock.patch.object(sim, "_block_gains", spy):
+            work = self.isolated_sweep(plan, peaks)
+        return peaks, work
 
-    @staticmethod
-    def leg_build_peaks(plan):
+    def leg_build_peaks(self, plan):
         """The traced peak of each leg's ``_leg_blocks`` call on ``plan``, whose
-        blocks go unsolved, and the form each leg took, whatever ran before
-        in the process.
-
-        Objects that come out of a cache or free list are allocated untraced,
-        and objects put back into one stay traced, so the reading depends on
-        how full those were when the build began, by up to a few KB.
-        An untraced build first fills the caches that NumPy and the
-        interpreter fill on first use (a ufunc's dispatch table for a new
-        dtype pairing, interned names). ``gc.collect()`` then empties the
-        interpreter's free lists (tuples, floats, lists, dicts), and
-        NumPy's caches of freed shape buffers, up to 7 per dimension count,
-        are filled.
-        """
+        blocks go unsolved, and the form each leg took."""
         peaks, leg_blocks = [], sim._leg_blocks
 
         def spy(*args):
@@ -1016,19 +1006,9 @@ class TestBlockMemory:
             blocks = leg_blocks(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
             return blocks
-        with cache_form() as forms, mock.patch.object(sim, "_leg_blocks", spy), \
+        with mock.patch.object(sim, "_leg_blocks", spy), \
                 mock.patch.object(sim, "_block_gains", return_value={}):
-            sim._plan_gains(plan)
-            peaks.clear()
-            forms.clear()
-            gc.collect()
-            [np.empty((1,) * ndim) for ndim in range(1, 8) for _ in range(8)]
-            tracemalloc.start()
-            try:
-                sim._plan_gains(plan)
-            finally:
-                tracemalloc.stop()
-        return peaks, forms
+            return peaks, self.isolated_sweep(plan, peaks).forms
 
     @pytest.mark.parametrize("shape", ["panel_d", "wide_fine", "wide_carried"])
     def test_block_peaks_within_budget(self, shape):
@@ -1038,10 +1018,8 @@ class TestBlockMemory:
         plan = {"panel_d": replace(load_preset("panel_d"), trials=60),
                 "wide_fine": wide_plan(12),
                 "wide_carried": wide_plan(40, h_t_grid=(2.0, 2.02, 0.0001))}[shape]
-        work = sim._Work()
-        with cache_form() as forms:
-            peaks, pairs = self.block_peaks(plan, work)
-        units = pairs if shape == "panel_d" else plan.trials
+        peaks, work = self.block_peaks(plan)
+        units = work.units if shape == "panel_d" else plan.trials
         unit_bytes = sim._unit_bytes(plan)
         per_block = sim._BLOCK_BYTES // unit_bytes
         full, rest = divmod(units, per_block)
@@ -1050,7 +1028,7 @@ class TestBlockMemory:
         # panel_d and wide_fine gather every block from tables, whose builds
         # take rows from the chunk before only on panel_d's 2 cm grid; the
         # blocks of wide_carried take rows from the block before
-        assert forms == ["carried" if shape == "wide_carried" else "table"] * 2
+        assert work.forms == ["carried" if shape == "wide_carried" else "table"] * 2
         assert (work.taken[0] > 0) == (shape != "wide_fine")
         for n, peak in peaks:
             assert peak <= n * unit_bytes <= sim._BLOCK_BYTES
@@ -1085,8 +1063,8 @@ class TestBlockMemory:
         # panel_b as shipped runs 815 grid pairs in blocks of 74: its 1-unit
         # last block peaks at about 28 KB traced against 24,768 B
         plan = load_preset("panel_b")
-        peaks, pairs = self.block_peaks(plan)
-        assert pairs == 815
+        peaks, work = self.block_peaks(plan)
+        assert work.units == 815
         assert [n for n, _ in peaks] == [74] * 11 + [1]
         n, peak = peaks[-1]
         assert peak <= n * sim._unit_bytes(plan)
@@ -1108,16 +1086,6 @@ class TestBlockMemory:
         assert forms == ["table", "table"]
         assert peaks[0] <= sim._BLOCK_BYTES
 
-    def test_block_counts_at_a_thousand_trials(self):
-        # at 512 KiB of steering per block the wide sweep ran 500 blocks and
-        # panel_d (829 distinct pairs at seed 1) 52
-        wide = wide_plan(1000)
-        assert math.ceil(1000 / (sim._BLOCK_BYTES // sim._unit_bytes(wide))) <= 250
-        panel_d = replace(load_preset("panel_d"), seed=1)
-        pairs = len(np.unique(sweep_streams(panel_d).indices, axis=0))
-        assert pairs == 829
-        assert math.ceil(pairs / (sim._BLOCK_BYTES // sim._unit_bytes(panel_d))) < 52
-
 
 class TestRuns:
     """A sweep with a leg that builds its rows per block runs as contiguous
@@ -1131,9 +1099,10 @@ class TestRuns:
         with cache_form("table"):
             write_csv(run_plan(plan), tmp_path / "table.csv")
         for count in (1, 2, 3, 8):
-            with cpus(count), cache_form() as forms, threads_started() as threads:
-                write_csv(run_plan(plan), tmp_path / f"{count}.csv")
-            assert forms == ["carried", "carried"]
+            with cpus(count), threads_started() as threads:
+                table = run_plan(plan)
+            write_csv(table, tmp_path / f"{count}.csv")
+            assert table.metadata["work"]["forms"] == ["carried", "carried"]
             assert threads.call_count == count - 1
             assert (tmp_path / f"{count}.csv").read_bytes() == \
                 (tmp_path / "table.csv").read_bytes(), count
@@ -1157,11 +1126,11 @@ class TestRuns:
         # 20 trials in 5 blocks of 4: the transmit leg builds its rows per
         # block, with one builder per run, and the receive leg is tabled
         plan = wide_plan(20)
-        with cpus(8), cache_form() as forms, threads_started() as threads:
-            work, _ = sweep_work(plan)
-        assert forms == ["carried", "table"]
+        with cpus(8), threads_started() as threads:
+            work = run_plan(plan).metadata["work"]
+        assert work["forms"] == ["carried", "table"]
         assert threads.call_count == 4
-        assert (work.runs, work.blocks, work.units) == (5, 5, 20)
+        assert (work["runs"], work["blocks"], work["units"]) == (5, 5, 20)
 
     @pytest.mark.parametrize("blas, started", [(1, 4), (2, 0), (None, 0)])
     def test_runs_only_where_blas_runs_each_call_on_one_thread(self, blas, started):
@@ -1170,10 +1139,10 @@ class TestRuns:
         with mock.patch.object(sim, "_blas_threads", return_value=blas), \
                 mock.patch.object(os, "sched_getaffinity", return_value=set(range(8)),
                                   create=True), \
-                cache_form() as forms, threads_started() as threads:
-            run_plan(wide_plan(20))
-        assert forms == ["carried", "table"]
-        assert threads.call_count == started
+                threads_started() as threads:
+            work = run_plan(wide_plan(20)).metadata["work"]
+        assert work["forms"] == ["carried", "table"]
+        assert threads.call_count == work["runs"] - 1 == started
 
     @pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
                         ["blas"]["name"], reason="NumPy's BLAS is not OpenBLAS")
@@ -1189,10 +1158,9 @@ class TestRuns:
 
     def test_tabled_sweep_starts_no_thread(self):
         plan = replace(load_preset("panel_d"), seed=1)
-        with cpus(8), cache_form() as forms, \
-                mock.patch("threading.Thread", side_effect=AssertionError):
-            run_plan(plan)
-        assert forms == ["table", "table"]
+        with cpus(8), mock.patch("threading.Thread", side_effect=AssertionError):
+            work = run_plan(plan).metadata["work"]
+        assert work["forms"] == ["table", "table"] and work["runs"] == 1
 
     def test_error_in_a_later_run_propagates_once_every_run_ends(self):
         # 40 trials in 10 blocks over 3 runs of 3, 3 and 4 blocks; the later
@@ -1221,32 +1189,20 @@ class TestRuns:
 class TestPairUnits:
     "Sweeps solve each distinct grid pair once unless random phases are read."
 
-    @staticmethod
-    @contextmanager
-    def units_run():
-        """Collects, per sweep, the kind and number of units the engine ran:
-        trials when it is given the trials' streams, else grid pairs."""
-        runs, sweep_gains = [], sim._sweep_gains
-
-        def spy(plan, indices, streams=None, work=None):
-            runs.append(("trials" if streams is not None else "pairs", len(indices)))
-            return sweep_gains(plan, indices, streams, work)
-        with mock.patch.object(sim, "_sweep_gains", spy):
-            yield runs
-
     def assert_gains_equal(self, plan):
-        gains = trial_order(plan, *sim._plan_gains(plan)[:2])
-        expected = trial_unit_gains(plan)
+        "Checks the sweep's gains per trial, and returns the units it ran."
+        gains, counts, _, work = sim._plan_gains(plan)
+        gains, (expected, _) = trial_order(plan, gains, counts), trial_unit_gains(plan)
         assert gains.keys() == expected.keys()
         for scheme, values in expected.items():
             assert np.array_equal(gains[scheme], values), scheme
+        return work.units
 
     @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
     def test_pair_gains_equal_trial_gains_on_presets(self, panel):
         plan = replace(load_preset(panel), trials=300)
-        with self.units_run() as runs:
-            self.assert_gains_equal(plan)
-        assert runs[0][0] == "pairs" and runs[0][1] < plan.trials
+        # grid pairs, fewer than the trials
+        assert self.assert_gains_equal(plan) < plan.trials
 
     @settings(max_examples=40, deadline=None)
     @given(plan=small_plans(),
@@ -1264,11 +1220,10 @@ class TestPairUnits:
     def test_unit_kind(self, mode, schemes, unit):
         plan = replace(load_preset("panel_a"), trials=200, schemes=schemes,
                        benchmark_ris_phase=mode)
-        with self.units_run() as runs:
-            table = run_plan(plan)
+        table = run_plan(plan)
         distinct = len({sample_heights(plan, trial) for trial in range(plan.trials)})
         assert table.metadata["distinct_pairs"] == distinct < plan.trials
-        assert runs == [(unit, distinct if unit == "pairs" else plan.trials)]
+        assert table.metadata["work"]["units"] == (distinct if unit == "pairs" else plan.trials)
 
     @pytest.mark.parametrize("mode", ["zero", "random"])
     def test_pair_units_draw_no_per_trial_stream(self, mode):
@@ -1417,7 +1372,7 @@ class TestRunPlan:
         assert table.metadata["seed"] == plan.seed
         assert table.metadata["plan"]["n_ris"] == 1
         assert isinstance(table.metadata["version"], str)
-        assert table.metadata["distinct_pairs"] == 1
+        assert table.metadata["distinct_pairs"] == table.metadata["work"]["units"] == 1
 
 
 def per_snr_rows(plan, gains, counts):
@@ -1474,7 +1429,7 @@ class TestReduction:
             for trials in (1, 2, 3, 17, 1000):
                 plan = replace(load_preset(panel), seed=seed, trials=trials,
                                benchmark_ris_phase=mode)
-                gains, counts, _ = sim._plan_gains(plan)
+                gains, counts, _, _ = sim._plan_gains(plan)
                 rows = sim._rows(plan, gains, counts)
                 expected = trial_order_rows(plan, trial_order(plan, gains, counts))
                 assert [(r.scheme, r.snr_db, r.trials) for r in rows] == \
@@ -1489,7 +1444,7 @@ class TestReduction:
         # at seed 10045 trials 0 and 1 both draw grid pair (14, 35)
         plan = replace(load_preset("panel_a"), seed=10045, trials=2)
         assert sweep_streams(plan).indices.tolist() == [[14, 35], [14, 35]]
-        gains, counts, distinct = sim._plan_gains(plan)
+        gains, counts, distinct, _ = sim._plan_gains(plan)
         assert counts.tolist() == [2] and distinct == 1
         assert {scheme: values.tolist() for scheme, values in gains.items()} == \
             {scheme: [gain] for scheme, gain in trial_gains(plan, 0).items()}
