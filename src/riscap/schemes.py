@@ -73,7 +73,8 @@ class CoPhasingSolution:
 
 def capacity_from_gain(gain, n_t: int, n_r: int, snr: SnrPoint):
     "Single-stream capacity in bits of coherent-sum gains, broadcast against the SNRs."
-    return np.log2(1.0 + gain**2 / (n_t * n_r) * snr.es_over_n0)
+    # log2(1 + x) through log1p, which keeps the digits of a small x
+    return np.log1p(gain**2 / (n_t * n_r) * snr.es_over_n0) / np.log(2.0)
 
 
 # ---------------------------------------------------------------------------

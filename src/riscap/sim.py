@@ -27,9 +27,9 @@ chunks of whole blocks within the same budget (``_chunk_units``). A leg
 gives the sweep its blocks and nothing else (``_leg_blocks``). Steering
 depends on each element's height z = h + offset alone, so one builder,
 ``_steering_blocks``, builds a leg's rows in blocks, one per distinct exact
-float z in each: a block takes from the block before the rows at the
-heights both hold and builds the others, as ``_row_plan`` finds them per
-chunk with ``np.unique``. When a leg's steering laid out per distinct
+float z in each, which ``np.unique`` finds: a block takes from the block
+before the rows at the heights both hold, which ``np.searchsorted`` finds,
+and builds the others. When a leg's steering laid out per distinct
 array height fits the budget, the builder runs once over those heights, and
 blocks gather the steering and antenna sums from that table; else it runs
 over each run's blocks. Units go by transmit grid index, first by residue
@@ -76,10 +76,10 @@ from .schemes import (
 )
 
 # The most bytes a block's arrays may hold at once, counted at _unit_bytes
-# per unit, and the most a leg's steering laid out per distinct array height
-# may take as a table, whose build holds one chunk of heights' rows on top,
-# and a chunk's array factors and row plans. Blocks and chunks hold at least
-# one unit, so memory does not grow with the trial count.
+# per unit, and a chunk's array factors; and the most a leg's steering laid
+# out per distinct array height may take as a table, whose build holds one
+# block of heights' rows on top. Blocks and chunks hold at least one unit,
+# so memory does not grow with the trial count.
 _BLOCK_BYTES = 7 << 18
 
 
@@ -95,19 +95,21 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
     channel and its angles. Array factors are not a block's, and no table
     holds them: the sweep computes them from the units' heights before its
     blocks run, in chunks within ``_BLOCK_BYTES``. The 128 per element
-    leaves room for the row plan a block's chunk keeps, 19 to 28 per element
-    height. The rows a block takes from the block before are copied out of
-    that block's steering when the block is asked for, before it builds rows
-    or any solver scratch, and are no more than its own steering; the steering
-    they come from stands in for its own until dropped. So with blocks of
-    equal size the scratch term covers them too, and a last, smaller block
-    can peak at up to the bound of the block before it.
-    The charge is per unit: a block's fixed cost (index arrays, the row
-    plan of a chunk of few units, the benchmark phases) is not charged, and
+    leaves room for the row plan a block keeps: its distinct heights, the
+    row of each element height and where each taken row is found, 65 to 80
+    traced bytes per element height on the wide scene. The rows a block
+    takes from the block before are copied out of that block's steering when
+    the block is asked for, before it builds rows or any solver scratch, and
+    are no more than its own steering; the steering they come from stands in
+    for its own until dropped. So with blocks of equal size the scratch term
+    covers them too, and a last, smaller block can peak at up to the bound
+    of the block before it.
+    The charge is per unit: a block's fixed cost (index arrays, the array
+    headers of its row plan, the benchmark phases) is not charged, and
     blocks of many units absorb it. Measured with tracemalloc, this bounds
     every full block of the shipped presets and of the benchmark's wide
-    sweep (1.78 MB at most, against 1.80 MB). The fixed cost shows on
-    one-unit wide blocks, which peak at 550 KB traced against 450,560 B.
+    sweep (1.72 MB at most, against 1.80 MB). The fixed cost shows on
+    one-unit wide blocks, which peak at 540 KB traced against 450,560 B.
     """
     per_element = 16 * (plan.n_t + plan.n_r) + max(24 * plan.n_t, 48 * plan.n_r) + 128
     return plan.n_ris * per_element + 48 * plan.n_t * plan.n_r
@@ -318,92 +320,69 @@ class _Work:
         self.runs += other.runs
 
 
-def _row_plan(leg: Leg, heights, size: int, lead: bool):
-    """For each block of ``size`` arrays at ``heights``, after the first when
-    ``lead`` (which only lends its rows), the plan of a table of one row per
-    distinct element height, in height order: which rows it takes from the
-    block before, the unit and antenna there that hold each, the heights of
-    the rows it builds, and the row of each element.
-
-    One ``np.unique`` of the exact float heights z gives each element a
-    height id, and one of the keys ``block * len(values) + id`` each block's
-    distinct pairs; a pair is taken when the block before holds its height.
-    Each block's plan is slices of arrays made once per chunk.
-    """
-    n = len(leg.offsets)
-    step = size * n
-    values, keys = np.unique(leg.heights(heights).ravel(), return_inverse=True)
-    keys += np.arange(len(keys)) // step * len(values)
-    pairs, first, row = np.unique(keys, return_index=True, return_inverse=True)
-    at = np.searchsorted(pairs, pairs - len(values))
-    taken = pairs[at] == pairs - len(values)
-    units, antennas = np.divmod(first[at[taken]] % step, n)
-    new = values[pairs[~taken] % len(values)]
-    # each block's pairs, and its taken and built ones, as slices
-    edges = np.searchsorted(pairs, np.arange(-(-len(keys) // step) + 1) * len(values))
-    t = np.searchsorted(np.flatnonzero(taken), edges)
-    row -= edges[keys // len(values)]
-    e, t, b = edges.tolist(), t.tolist(), (edges - t).tolist()
-    return [(taken[e[k]:e[k + 1]], (units[t[k]:t[k + 1]], antennas[t[k]:t[k + 1]]),
-             new[b[k]:b[k + 1]], row[k * step:(k + 1) * step].reshape(-1, n))
-            for k in range(lead, len(e) - 1)]
-
-
-def _steering_blocks(leg: Leg, wavelength: float, heights, size: int, chunk: int,
-                     work: _Work):
+def _steering_blocks(leg: Leg, wavelength: float, heights, size: int, work: _Work):
     """Steering in the leg's layout and its antenna sums of arrays at
     ``heights``, in blocks of ``size``; ``work`` counts the rows built and
     taken.
 
     Steering depends on each element's height ``z = h + offset`` alone, so a
-    block's rows are its distinct exact float ``z``: each block takes from
-    the block before the rows at the heights that block holds and builds
-    the others. ``_row_plan`` plans them once per ``chunk`` arrays, a whole
-    number of blocks. The taken rows are copied out of a block's steering
-    when the next block is asked for, once the caller is done with it, and
-    that steering is dropped before the next block builds its rows.
+    block's rows are its distinct exact float ``z``, which one ``np.unique``
+    gives with the row of each element. One ``np.searchsorted`` against the
+    distinct heights of the block before finds the rows it takes from that
+    block, which recorded the unit and antenna holding each of its heights,
+    and the block builds the others. The taken rows are copied out of a
+    block's steering when the next block is asked for, once the caller is
+    done with it, and that steering is dropped before the next block builds
+    its rows.
     """
-    side = int(not leg.elements_first)
-    steer = leg.layout(np.empty((0, len(leg.offsets), len(leg.x)), dtype=complex))
-    for start in range(0, len(heights), chunk):
-        for taken, (units, antennas), new, local in _row_plan(
-                leg, heights[max(start - size, 0):start + chunk], size, start > 0):
-            rows = np.empty((len(taken), len(leg.x)), dtype=complex)
-            rows[taken] = steer[units, :, antennas] if leg.elements_first \
-                else steer[units, antennas]
-            del steer
-            rows[~taken] = _build_rows(leg, wavelength, new)
-            work.built[side] += len(new)
-            work.taken[side] += len(units)
-            rows = rows[local]  # frees the block's own table
-            steer = leg.layout(rows)
-            del rows
-            yield steer, steer.sum(axis=-1 if leg.elements_first else -2)
+    side, n = int(not leg.elements_first), len(leg.offsets)
+    # the block before the first holds one height, NaN, which equals none
+    held, source = np.full(1, np.nan), np.zeros(1, dtype=np.intp)
+    steer = leg.layout(np.empty((0, n, len(leg.x)), dtype=complex))
+    for start in range(0, len(heights), size):
+        z = leg.heights(heights[start:start + size])
+        values, local = np.unique(z.ravel(), return_inverse=True)
+        # the first held height at or above each, else the last
+        at = np.minimum(np.searchsorted(held, values), len(held) - 1)
+        taken = held[at] == values
+        units, antennas = np.divmod(source[at[taken]], n)
+        rows = np.empty((len(values), len(leg.x)), dtype=complex)
+        rows[taken] = steer[units, :, antennas] if leg.elements_first else steer[units, antennas]
+        del steer
+        new = values[~taken]
+        rows[~taken] = _build_rows(leg, wavelength, new)
+        work.built[side] += len(new)
+        work.taken[side] += len(units)
+        rows = rows[local.reshape(z.shape)]  # frees the block's distinct table
+        held, source = values, np.empty(len(values), dtype=np.intp)
+        source[local] = np.arange(local.size)
+        steer = leg.layout(rows)
+        del rows
+        yield steer, steer.sum(axis=-1 if leg.elements_first else -2)
 
 
-def _leg_blocks(leg: Leg, wavelength: float, heights, size: int, chunk: int, work: _Work):
+def _leg_blocks(leg: Leg, wavelength: float, heights, size: int, work: _Work):
     """``(blocks, tabled)`` of a leg's arrays at ``heights``:
     ``blocks(first, stop, work)`` yields the steering and antenna sums of
     ``_steering_blocks`` over the arrays at ``heights[first:stop]``, in
     blocks of ``size``, and ``tabled`` is whether it gathers them from a
     table per distinct array height. The table is built here when it fits
     ``_BLOCK_BYTES``, and ``work`` counts its rows; else the builder runs
-    over each run's blocks, with a row plan per ``chunk`` units.
+    over each run's blocks.
 
-    A table's builder runs once over those heights, in chunks that hold
+    A table's builder runs once over those heights, in blocks that hold
     every height within one array length of each, and at least 4, so each
-    row is built once; its row plans take up to 128 bytes per element height.
+    row is built once.
     """
     distinct, at = np.unique(heights, return_inverse=True)
     if not _table_fits(leg, len(distinct)):
         return (lambda first, stop, work: _steering_blocks(leg, wavelength, heights[first:stop],
-                                                           size, chunk, work)), False
+                                                           size, work)), False
     near = np.searchsorted(distinct, distinct + (leg.offsets[-1] - leg.offsets[0]), side="right")
     span = max(4, int(np.max(near - np.arange(len(distinct)))))
-    plans = _chunk_units(128 * len(leg.offsets), span)
-    table, chunks = [], _steering_blocks(leg, wavelength, distinct, span, plans, work)
+    table, spans = [], _steering_blocks(leg, wavelength, distinct, span, work)
     for start in range(0, len(distinct), span):
-        values = next(chunks)
+        values = next(spans)
         for i, value in enumerate(values):
             if not start:
                 table.append(np.empty((len(distinct), *value.shape[1:]), dtype=value.dtype))
@@ -537,14 +516,12 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None) -> tuple[dict, _Wo
     cfg = plan.scene(plan.h_t_grid[0], plan.h_r_grid[0])
     size = max(1, _BLOCK_BYTES // _unit_bytes(plan))
     # A chunk's array factors take up to 64 bytes per element (57 measured,
-    # gathered from its distinct heights), and its legs' row plans up to 128
-    # per element height (up to 80 while a plan is made, 28 kept while its
-    # blocks run).
-    chunk = _chunk_units(64 * plan.n_ris + 128 * (plan.n_t + plan.n_r), size)
+    # gathered from its distinct heights).
+    chunk = _chunk_units(64 * plan.n_ris, size)
     work = _Work()
     leg_heights = list(zip(legs(cfg), _heights(plan, *indices[order].T)))
     corners = [np.hypot(leg.x[0], heights + leg.offsets[0]) for leg, heights in leg_heights]
-    sides, tabled = zip(*(_leg_blocks(leg, cfg.wavelength, heights, size, chunk, work)
+    sides, tabled = zip(*(_leg_blocks(leg, cfg.wavelength, heights, size, work)
                           for leg, heights in leg_heights))
     work.forms = ["table" if fits else "carried" for fits in tabled]
     k_norm = normalization_constant(cfg, corners[1], corners[0])

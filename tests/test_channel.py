@@ -248,9 +248,10 @@ class TestExtendedPrecisionReference:
     # each gain at its float64 solver's phases, relative; measured 3.85e-16,
     # 2.99e-15, 2.35e-14 and 1.12e-13 (basic's sum cancels most); margin 2x
     GAIN_REL = {"ris_only": 7.7e-16, "joint": 6.0e-15, "cophasing": 4.8e-14, "basic": 2.3e-13}
-    # relative at the presets' SNRs; measured 4.02e-12, where log2(1 + x)
-    # loses digits to a small x (basic at 0 dB, 3.5e-5 bits); margin 2x
-    CAPACITY_REL = 8.1e-12
+    # relative at the presets' SNRs; measured 9.68e-16 with log1p, which
+    # keeps the digits of a small x (log2(1 + x) read 4.02e-12 at basic's
+    # 3.5e-5 bits at 0 dB); margin 2x
+    CAPACITY_REL = 1.94e-15
     TRIALS = 64
 
     @staticmethod

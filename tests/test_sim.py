@@ -747,27 +747,25 @@ def leg_sweeps(draw):
 
 
 class TestRowPlan:
-    """Each block's rows, planned once per chunk of blocks, are the rows
-    built for each unit alone, and a leg builds as many as the rule says."""
+    """Each block's rows, planned by the block itself, are the rows built for
+    each unit alone, and a leg builds as many as the rule says."""
 
     @settings(max_examples=60, deadline=None)
     @given(sweep=leg_sweeps(), size=st.integers(1, 9), runs=st.integers(1, 3),
-           chunk=st.integers(1, 3), form=st.sampled_from(["table", "carried"]))
+           form=st.sampled_from(["table", "carried"]))
     # arrays a spacing apart in each block: a block holds each taken height
     # at two elements, and takes its row once
     @example(sweep=(legs(tiny_plan(n_t=3).scene(2.5, 1.3))[0],
                     2.0 + 0.0005 * np.array([0, 5, 0, 5, 10, 5]), 0.005),
-             size=2, runs=1, chunk=1, form="carried")
-    def test_each_units_steering_is_its_own_rows(self, sweep, size, runs, chunk, form):
+             size=2, runs=1, form="carried")
+    def test_each_units_steering_is_its_own_rows(self, sweep, size, runs, form):
         leg, heights, wavelength = sweep
         side = int(not leg.elements_first)
         # the two counters _leg_blocks and the blocks it gives write
         cuts, work = run_cuts(len(heights), size, runs), SimpleNamespace(built=[0, 0], taken=[0, 0])
-        # row plans of ``chunk`` blocks, or of as many heights of a table;
         # the table form is forced
-        budget = 128 * len(leg.offsets) * chunk
-        with mock.patch.object(sim, "_BLOCK_BYTES", budget), cache_form(form):
-            blocks, tabled = sim._leg_blocks(leg, wavelength, heights, size, size * chunk, work)
+        with cache_form(form):
+            blocks, tabled = sim._leg_blocks(leg, wavelength, heights, size, work)
             assert tabled == (form == "table")
             for first, stop in cuts:
                 starts = range(first, stop, size)
@@ -784,6 +782,18 @@ class TestRowPlan:
             firsts = {first for first, _ in cuts}
             assert (work.built[side], work.taken[side]) == reference_leg_rows(z, size, firsts)
         assert work.built[1 - side] == work.taken[1 - side] == 0
+
+    def test_each_block_takes_the_heights_the_block_before_holds(self):
+        # three-antenna arrays at 2.0 and 2.0025 m twice, then at 2.005 and
+        # 2.0025 m, two per block: the first block holds 4 heights and takes
+        # none; the second holds the same 4 and builds none; the third holds
+        # 2.0025 and 2.005 m at two elements each, takes 3 rows and builds 1
+        leg = legs(tiny_plan(n_t=3).scene(2.5, 1.3))[0]
+        heights = 2.0 + 0.0005 * np.array([0, 5, 0, 5, 10, 5])
+        work = SimpleNamespace(built=[0, 0], taken=[0, 0])
+        counts = [(work.built[0], work.taken[0])
+                  for _ in sim._steering_blocks(leg, 0.005, heights, 2, work)]
+        assert counts == [(4, 0), (4, 4), (5, 7)]
 
     @settings(max_examples=30, deadline=None)
     @given(plan=small_plans(), size=st.integers(1, 9), runs=st.integers(1, 3),
@@ -821,13 +831,13 @@ class TestRowPlan:
             sim._plan_gains(plan)
         indices = np.unique(sweep_streams(plan).indices, axis=0)
         order = sim._unit_order(plan, indices)
-        # chunks charged 64 bytes per element and 128 per element height
+        # chunks charged 64 bytes per element
         size = sim._BLOCK_BYTES // sim._unit_bytes(plan)
-        chunk = sim._chunk_units(64 * plan.n_ris + 128 * (plan.n_t + plan.n_r), size)
+        chunk = sim._chunk_units(64 * plan.n_ris, size)
         want = sum(len(np.unique(heights[start:start + chunk]))
                    for heights in sim._heights(plan, *indices[order].T)
                    for start in range(0, len(order), chunk))
-        assert sum(evaluated) == want == 300
+        assert sum(evaluated) == want == 217
         assert want < 2 * len(order) == 2 * 829
 
 
@@ -887,7 +897,7 @@ class TestRowCache:
 
     def test_fine_table_builds_each_distinct_row_once(self):
         # 0.1 mm steps against a 2.5 mm antenna spacing: arrays up to 175
-        # steps apart share a row, so chunks of 4 heights built 1056
+        # steps apart share a row, so blocks of 4 heights built 1056
         # transmit rows
         plan = fine_transmit_plan()
         work = sim._plan_gains(plan)[3]
@@ -1026,7 +1036,7 @@ class TestBlockMemory:
         assert [n for n, _ in peaks] == [per_block] * full + [rest] * (rest > 0)
         assert work.blocks == len(peaks) >= 3
         # panel_d and wide_fine gather every block from tables, whose builds
-        # take rows from the chunk before only on panel_d's 2 cm grid; the
+        # take rows from the block before only on panel_d's 2 cm grid; the
         # blocks of wide_carried take rows from the block before
         assert work.forms == ["carried" if shape == "wide_carried" else "table"] * 2
         assert (work.taken[0] > 0) == (shape != "wide_fine")
@@ -1037,7 +1047,7 @@ class TestBlockMemory:
                        "the steering of the full block before it")
     def test_short_last_block_peaks_within_its_units(self):
         # 42 carried trials in blocks of 4: the last block's 2 units peak at
-        # about 1.09 MB traced against 901,120 B
+        # about 1.07 MB traced against 901,120 B
         plan = wide_plan(42)
         peaks, _ = self.block_peaks(plan)
         assert [n for n, _ in peaks] == [4] * 10 + [2]
@@ -1047,7 +1057,7 @@ class TestBlockMemory:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: _unit_bytes leaves out a block's "
                        "fixed cost, which one-unit blocks do not absorb")
     def test_one_unit_blocks_peak_within_a_unit(self):
-        # 12 trials at a one-unit budget peak at about 550 KB traced against
+        # 12 trials at a one-unit budget peak at about 540 KB traced against
         # 450,560 B
         plan = wide_plan(12)
         unit_bytes = sim._unit_bytes(plan)
@@ -1070,17 +1080,17 @@ class TestBlockMemory:
         assert peak <= n * sim._unit_bytes(plan)
 
     def test_tabled_leg_builds_within_the_budget(self):
-        # a tabled leg's build holds its table and one chunk of heights; a
+        # a tabled leg's build holds its table and one block of heights; a
         # row table for the whole sweep held beside the layout took 2.56 MB
         # traced on panel_d's transmit leg
         peaks, forms = self.leg_build_peaks(replace(load_preset("panel_d"), seed=1))
         assert forms == ["table", "table"]
         assert peaks[0] <= sim._BLOCK_BYTES
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: chunks that span most of a "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: blocks that span most of a "
                        "table's heights build above one budget")
     def test_fine_table_builds_within_the_budget(self):
-        # the fine golden plan's transmit table build peaks at about 1.97 MB
+        # the fine golden plan's transmit table build peaks at about 1.98 MB
         # traced against 1,835,008 B
         peaks, forms = self.leg_build_peaks(fine_transmit_plan())
         assert forms == ["table", "table"]
@@ -1474,6 +1484,22 @@ class TestGoldenCsv:
         path = tmp_path / "out.csv"
         write_csv(run_plan(fine_transmit_plan()), path)
         assert path.read_bytes() == (GOLDEN / "panel_a_fine_tx_200.csv").read_bytes()
+
+    def test_wide_carried_sweep_on_two_runs_matches_golden_bytes(self, tmp_path):
+        # panel_a's geometry with the benchmark's 32x16x256 arrays, 0.1 mm
+        # grids and random phases, as CI's wide config: both legs build
+        # their rows per block, on two runs
+        plan = replace(load_preset("panel_a"), n_t=32, n_r=16, n_ris=256,
+                       h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001),
+                       benchmark_ris_phase="random", trials=50)
+        with cpus(2):
+            table = run_plan(plan)
+        assert table.metadata["work"] == {"built": [1468, 800], "taken": [28, 0], "blocks": 13,
+                                          "units": 50, "runs": 2,
+                                          "forms": ["carried", "carried"]}
+        path = tmp_path / "out.csv"
+        write_csv(table, path)
+        assert path.read_bytes() == (GOLDEN / "wide_random_50.csv").read_bytes()
 
 
 class TestWriteCsv:
