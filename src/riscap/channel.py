@@ -91,7 +91,7 @@ def build_cascade(pos: ScenePositions, cfg: SceneConfig) -> CascadeChannel:
     )
 
 
-def gain_rows(ch: CascadeChannel, scheme: str) -> NDArray[np.complex128]:
+def gain_rows(ch: CascadeChannel, scheme: str, sums=None) -> NDArray[np.complex128]:
     """Rows A of a RIS-optimized gain, linear in exp(j*phi).
 
     The gain at RIS phases phi is ``k_norm * sum_i |A[i] @ exp(j*phi)|``
@@ -100,13 +100,15 @@ def gain_rows(ch: CascadeChannel, scheme: str) -> NDArray[np.complex128]:
     over all antenna pairs, which factorizes because the element couples the
     two legs multiplicatively. ``joint`` has one row per transmit antenna,
     ``A[t, l] = (sum_r V[r, l]) * U[l, t]``: optimal transmit phases
-    co-phase each row, so their moduli add. Unscaled by k_norm.
+    co-phase each row, so their moduli add. Unscaled by k_norm. ``sums``,
+    the antenna sums ``(U.sum(-1), V.sum(-2))`` when at hand, are not redone.
     """
-    if scheme == "ris_only":
-        return (ch.v_mat.sum(axis=-2) * ch.u_mat.sum(axis=-1))[..., np.newaxis, :]
-    if scheme == "joint":
-        return (ch.v_mat.sum(axis=-2)[..., np.newaxis] * ch.u_mat).swapaxes(-1, -2)
-    raise ValueError(f"no gain rows for {scheme!r}; expected 'ris_only' or 'joint'")
+    if scheme not in ("ris_only", "joint"):
+        raise ValueError(f"no gain rows for {scheme!r}; expected 'ris_only' or 'joint'")
+    v_sums = ch.v_mat.sum(axis=-2) if sums is None else sums[1]
+    if scheme == "joint":  # made (..., n_ris, n_t), the layout the joint solver reads
+        return (v_sums[..., np.newaxis] * ch.u_mat).swapaxes(-1, -2)
+    return (v_sums * (ch.u_mat.sum(axis=-1) if sums is None else sums[0]))[..., np.newaxis, :]
 
 
 def assemble_h(ch: CascadeChannel, phi) -> NDArray[np.complex128]:

@@ -7,7 +7,7 @@ centered on their midpoint heights; the RIS is a horizontal uniform line
 centered on its midpoint offset.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -103,6 +103,12 @@ class Leg:
     def rows(self, z) -> NDArray[np.float64]:
         "Distances ``(..., n_ris)`` from elements at heights ``z`` to each RIS element."
         return np.hypot(self.x, np.asarray(z)[..., np.newaxis])
+
+    def corner(self, h) -> NDArray[np.float64]:
+        """Distances ``d[..., 0, 0]`` from the lowest antenna of arrays at midpoint
+        heights ``h`` to RIS element 0: ``rows`` of the leg cut to those two."""
+        first = replace(self, x=self.x[:1], offsets=self.offsets[:1])
+        return first.rows(first.heights(h))[..., 0, 0]
 
     def layout(self, rows):
         "Per-element ``rows`` ``(..., n, n_ris)`` in this leg's layout, C-ordered."

@@ -89,10 +89,15 @@ def solve_ris_only(ch: CascadeChannel) -> RisOnlySolution:
     ``c_l`` is the element's double sum. An exactly zero ``c_l`` gets phase
     0; it contributes nothing either way.
     """
-    c = gain_rows(ch, "ris_only")[..., 0, :]
-    phi = -principal_angle(c)
-    b_gain = scalar_or_array(ch.k_norm * np.sum(np.abs(c), axis=-1))
-    return RisOnlySolution(phi=phi, b_gain=b_gain)
+    c, b_gain = _ris_only_gain(ch)
+    return RisOnlySolution(phi=-principal_angle(c), b_gain=scalar_or_array(b_gain))
+
+
+def _ris_only_gain(ch: CascadeChannel, sums=None) -> tuple:
+    """``solve_ris_only``'s gain row ``c`` and gain ``k * sum_l |c_l|``, from
+    the antenna ``sums`` of ``gain_rows`` when they are given."""
+    c = gain_rows(ch, "ris_only", sums)[..., 0, :]
+    return c, ch.k_norm * np.sum(np.abs(c), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +126,13 @@ def _receive_sums(ch: CascadeChannel, terms, phi) -> NDArray[np.complex128]:
     return sums * np.asarray(ch.k_norm)[..., np.newaxis]
 
 
-def _solve_joint(ch: CascadeChannel, column_sums=None,
-                 ) -> tuple[JointSolution, NDArray[np.complex128]]:
+def _solve_joint(ch: CascadeChannel, sums=None) -> tuple[JointSolution, NDArray[np.complex128]]:
     """``solve_joint`` and the receive sums of the solved channel, from the
-    receive-column sums ``v_mat.sum(axis=-2)`` when they are given."""
-    column_sums = ch.v_mat.sum(axis=-2) if column_sums is None else column_sums
-    terms = column_sums[..., np.newaxis] * ch.u_mat  # gain_rows(ch, "joint"), (..., n_ris, n_t)
+    antenna ``sums`` of ``gain_rows`` when they are given."""
+    terms = gain_rows(ch, "joint", sums).swapaxes(-1, -2)  # (..., n_ris, n_t)
     phi = principal_angle(terms).sum(axis=-1) / -ch.n_t
-    sums = _receive_sums(ch, terms, phi)
-    return JointSolution(phi=phi, beta=-principal_angle(sums)), sums
+    received = _receive_sums(ch, terms, phi)
+    return JointSolution(phi=phi, beta=-principal_angle(received)), received
 
 
 def _precoded_sum(sol: JointSolution, sums: NDArray[np.complex128]) -> float:

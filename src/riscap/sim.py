@@ -15,10 +15,10 @@ one trial; the trial's own generator (``trial_stream``) serves
 A sweep's units are its distinct (h_t, h_r) grid pairs: unless a requested
 benchmark scheme reads random benchmark phases, every gain is a function of
 the pair alone, so each pair is solved once and weighted by the number of
-trials that drew it. Otherwise the units are the trials themselves.
-Units run in blocks, in ``_unit_order``, with every scheme solved over a
-leading unit axis. ``_BLOCK_BYTES`` bounds the bytes a block's arrays hold
-at once, counted at ``_unit_bytes`` per unit: steering, solver scratch and
+trials that drew it. Otherwise the units are the trials themselves. Units
+run in blocks, in ``_unit_order``, with every scheme solved over a leading
+unit axis. ``_BLOCK_BYTES`` bounds the bytes a block's arrays hold at once,
+counted at ``_unit_bytes`` per unit: steering, solver scratch and
 per-element arrays. A block only builds rows, gathers them and solves. The
 terms of a unit's heights alone come first: the normalization constants of
 all units at once, and each run's ``ris_only_approx`` gains from array
@@ -29,27 +29,32 @@ depends on each element's height z = h + offset alone, so one builder,
 ``_steering_blocks``, builds a leg's rows in blocks, one per distinct exact
 float z in each, which ``np.unique`` finds: a block takes from the block
 before the rows at the heights both hold, which ``np.searchsorted`` finds,
-and builds the others. When a leg's steering laid out per distinct
-array height fits the budget, the builder runs once over those heights, and
-blocks gather the steering and antenna sums from that table; else it runs
-over each run's blocks. Units go by transmit grid index, first by residue
-modulo the antenna spacing in grid steps when that is whole, so arrays that
-share element heights share blocks. Each unit's gain is bit-identical to
-the single-scene calls, and ``_rows`` weights it by its trial count.
+and builds the others. When a leg's steering laid out per distinct array
+height fits the budget, the builder runs once over those heights, and blocks
+gather the steering and antenna sums from that table; else it runs over each
+run's blocks. Units go by transmit grid index, first by residue modulo the
+antenna spacing in grid steps when that is whole, so arrays that share
+element heights share blocks.
+
+Each unit's gain is the single-scene calls' bit for bit by construction:
+every quantity the two share comes from one function, each distance through
+``Leg.rows`` (the normalization corners through ``Leg.corner``), direction
+cosines through ``Leg.toward``, steering, the normalization constant, array
+factors, the ris_only and joint gain rows through ``gain_rows`` fed a
+block's antenna sums, and each scheme's gain expression. ``perturbed`` in
+``tests/test_sim.py`` scales one such function's results at every binding
+and checks that the sweep and the single-scene calls move alike.
 
 When a leg builds its rows per block and the BLAS runs each call on one
-thread, the unit order is cut at blocks into contiguous runs, as many as
-the CPUs the process may run on and no more than the blocks. This thread
-runs the first run and a thread of its own each other, with a row builder
-per run; tabled legs are built once, and every run gathers from them. The
-large NumPy calls of a block release the GIL, so runs overlap, and as each
-unit's gain is the same in any block, the results are too. A BLAS that
-threads its calls itself, or one that cannot be asked, keeps the sweep on
-this thread, as concurrent calls contend inside it; so does a fully tabled
-sweep, where a second run costs a block's memory and saves no time that
-shows. Each run draws its benchmark phases on one generator of its own.
-``riscap simulate`` owns its process and holds OpenBLAS at one thread
-before its sweep (``_set_blas_threads``); ``run_plan`` sets nothing.
+thread, the unit order is cut at blocks into contiguous runs, one per CPU
+the process may run on and no more than the blocks, each on a thread with a
+row builder and a phase generator of its own; tabled legs are built once,
+and every run gathers from them. A block's large NumPy calls release the
+GIL, so runs overlap, and as each unit's gain is the same in any block, the
+results are too. Any other BLAS, as concurrent calls contend inside it, and
+a fully tabled sweep, where a second run saves no time that shows, keep the
+sweep on this thread. ``riscap simulate`` holds OpenBLAS at one thread
+(``_set_blas_threads``); ``run_plan`` sets nothing.
 """
 
 import ctypes
@@ -69,6 +74,7 @@ from .geometry import Leg, SceneConfig, build_positions, legs, require_int
 from .schemes import (
     SnrPoint,
     _precoded_sum,
+    _ris_only_gain,
     _solve_joint,
     capacity_from_gain,
     cophasing_gain,
@@ -92,18 +98,17 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
     receive-side temporaries and NumPy's cast buffer, up to 48 per element
     and receive antenna (the joint assembles no channel); 128 per element
     for path lengths and angles; and 48 per antenna pair for the benchmark
-    channel and its angles. Array factors are not a block's, and no table
-    holds them: the sweep computes them from the units' heights before its
-    blocks run, in chunks within ``_BLOCK_BYTES``. The 128 per element
-    leaves room for the row plan a block keeps: its distinct heights, the
-    row of each element height and where each taken row is found, 65 to 80
-    traced bytes per element height on the wide scene. The rows a block
-    takes from the block before are copied out of that block's steering when
-    the block is asked for, before it builds rows or any solver scratch, and
-    are no more than its own steering; the steering they come from stands in
-    for its own until dropped. So with blocks of equal size the scratch term
-    covers them too, and a last, smaller block can peak at up to the bound
-    of the block before it.
+    channel and its angles. Array factors are not a block's: the sweep
+    computes them before its blocks run, in chunks within ``_BLOCK_BYTES``.
+    The 128 per element leaves room for the row plan a block keeps: its
+    distinct heights, the row of each element height and where each taken
+    row is found, 65 to 80 traced bytes per element height on the wide
+    scene. The rows a block takes from the block before are copied out of
+    that block's steering when the block is asked for, before it builds rows
+    or any solver scratch, and are no more than its own steering; the
+    steering they come from stands in for its own until dropped. So with
+    blocks of equal size the scratch term covers them too, and a last,
+    smaller block can peak at up to the bound of the block before it.
     The charge is per unit: a block's fixed cost (index arrays, the array
     headers of its row plan, the benchmark phases) is not charged, and
     blocks of many units absorb it. Measured with tracemalloc, this bounds
@@ -123,9 +128,8 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
 _SCHEME_GAINS = {
     "basic": lambda ch, sums, h: np.abs(h.sum(axis=(-2, -1))),
     "cophasing": lambda ch, sums, h: cophasing_gain(solve_cophasing_mimo(h), h),
-    "joint": lambda ch, sums, h: _precoded_sum(*_solve_joint(ch, sums[1])),
-    # solve_ris_only's b_gain sans phases; its gain row is sums[1] * sums[0]
-    "ris_only": lambda ch, sums, h: ch.k_norm * np.sum(np.abs(sums[1] * sums[0]), axis=-1),
+    "joint": lambda ch, sums, h: _precoded_sum(*_solve_joint(ch, sums)),
+    "ris_only": lambda ch, sums, h: _ris_only_gain(ch, sums)[1],  # solve_ris_only sans phases
 }
 SCHEMES = (*_SCHEME_GAINS, "ris_only_approx")
 # the schemes that read the benchmark channel, and so the benchmark phases
@@ -274,11 +278,6 @@ def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float
     return _heights(plan, *indices)
 
 
-def _build_rows(leg: Leg, wavelength: float, z) -> NDArray[np.complex128]:
-    "Steering rows ``(len(z), n_ris)`` of a leg's elements at heights ``z``."
-    return steering(leg.rows(z), wavelength)
-
-
 def _factors(leg: Leg, wavelength: float, heights) -> NDArray[np.float64]:
     """Array factors ``(len(heights), n_ris)`` of a leg's arrays at ``heights``
     toward each element, computed once per distinct height."""
@@ -312,9 +311,8 @@ class _Work:
 
     def add(self, other: "_Work") -> None:
         "Add ``other``'s counts to these."
-        for mine, theirs in ((self.built, other.built), (self.taken, other.taken)):
-            mine[0] += theirs[0]
-            mine[1] += theirs[1]
+        self.built = [mine + theirs for mine, theirs in zip(self.built, other.built)]
+        self.taken = [mine + theirs for mine, theirs in zip(self.taken, other.taken)]
         self.blocks += other.blocks
         self.units += other.units
         self.runs += other.runs
@@ -350,7 +348,7 @@ def _steering_blocks(leg: Leg, wavelength: float, heights, size: int, work: _Wor
         rows[taken] = steer[units, :, antennas] if leg.elements_first else steer[units, antennas]
         del steer
         new = values[~taken]
-        rows[~taken] = _build_rows(leg, wavelength, new)
+        rows[~taken] = steering(leg.rows(new), wavelength)
         work.built[side] += len(new)
         work.taken[side] += len(units)
         rows = rows[local.reshape(z.shape)]  # frees the block's distinct table
@@ -502,14 +500,9 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None) -> tuple[dict, _Wo
     ``streams``, the ``TrialStreams`` whose rows are the units, gives their
     benchmark phases, each run's drawn on a generator of its own; None
     means zero phases. Units run in ``_unit_order``, in blocks of
-    ``_BLOCK_BYTES // _unit_bytes(plan)``. When a leg builds its rows per
-    block, the order is cut at blocks into ``_threads()`` contiguous runs,
-    and no more than blocks, each run on a thread with a row builder of its
-    own; tabled legs are built once, and every run gathers its steering
-    and sums from them. The terms of a unit's heights alone, its
-    normalization constant and ``ris_only_approx`` gain, are computed
-    before the blocks run, the gain from the array factors of each chunk's
-    distinct heights, for tabled and carried legs alike.
+    ``_BLOCK_BYTES // _unit_bytes(plan)``, cut into ``_threads()`` runs when
+    a leg builds its rows per block. A unit's normalization constant and
+    ``ris_only_approx`` gain, terms of its heights alone, come first.
     """
     order = _unit_order(plan, indices)
     # Heights come from the legs; the scene fixes only the shared geometry.
@@ -520,11 +513,10 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None) -> tuple[dict, _Wo
     chunk = _chunk_units(64 * plan.n_ris, size)
     work = _Work()
     leg_heights = list(zip(legs(cfg), _heights(plan, *indices[order].T)))
-    corners = [np.hypot(leg.x[0], heights + leg.offsets[0]) for leg, heights in leg_heights]
     sides, tabled = zip(*(_leg_blocks(leg, cfg.wavelength, heights, size, work)
                           for leg, heights in leg_heights))
     work.forms = ["table" if fits else "carried" for fits in tabled]
-    k_norm = normalization_constant(cfg, corners[1], corners[0])
+    k_norm = normalization_constant(cfg, *(leg.corner(h) for leg, h in reversed(leg_heights)))
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
     # freed so far, and every block would then fault its pages in again (a
@@ -620,15 +612,12 @@ def _rows(plan: SimulationPlan, gains: dict, counts) -> tuple[ResultRow, ...]:
 def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     """Run all trials and reduce each unit's capacities, weighted by its trial count.
 
-    The engine picks its threads itself: a sweep whose legs build their rows
-    per block runs on up to one thread per CPU the process may run on when
-    the BLAS runs each call on one thread, and otherwise, as a fully tabled
-    sweep does, on this thread alone. It reads the BLAS thread count and
-    sets none; ``riscap simulate`` sets one. ``workers`` is accepted for
-    compatibility and must be an integer >= 1; it is unused, so the table is
-    identical for any worker count. ``metadata["distinct_pairs"]`` counts the
-    distinct grid height pairs the trials drew, and ``metadata["work"]`` is
-    the sweep's ``_Work`` record as a dict.
+    The engine picks its threads itself, as the module docstring says, and
+    sets no BLAS thread count. ``workers`` is accepted for compatibility and
+    must be an integer >= 1; it is unused, so the table is identical for any
+    worker count. ``metadata["distinct_pairs"]`` counts the distinct grid
+    height pairs the trials drew, and ``metadata["work"]`` is the sweep's
+    ``_Work`` record as a dict.
     """
     require_int("workers", workers, 1)
     gains, counts, pairs, work = _plan_gains(plan)

@@ -19,13 +19,25 @@ def test_library_example_runs(capsys):
 
 
 def test_cited_names_exist():
-    # every sim._name and riscap.<module>.<name> the README cites
+    # every sim._name, riscap.<module>.<name>[.<attribute>] and
+    # tests/<module>.py::<name> the README cites
     text = README.read_text()
-    cited = {("sim", name) for name in re.findall(r"\bsim\.(_\w+)", text)}
-    cited |= set(re.findall(r"\briscap\.(\w+)\.(\w+)", text))
-    missing = [f"riscap.{module}.{name}" for module, name in sorted(cited)
-               if not hasattr(importlib.import_module(f"riscap.{module}"), name)]
-    assert cited and not missing
+    cited = {("riscap.sim", name) for name in re.findall(r"\bsim\.(_\w+)", text)}
+    cited |= {(f"riscap.{module}", name)
+              for module, name in re.findall(r"\briscap\.(\w+)\.(\w+(?:\.\w+)*)", text)}
+    cited |= set(re.findall(r"\btests/(\w+)\.py::(\w+)", text))
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not has_path(importlib.import_module(module), name)]
+    assert {"test_sim", "riscap.geometry"} <= {module for module, _ in cited} and not missing
+
+
+def has_path(obj, dotted):
+    "Whether ``obj`` has the attribute chain ``dotted``."
+    for name in dotted.split("."):
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
 
 
 def test_work_record_fields_listed_in_order():

@@ -6,8 +6,8 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from contextlib import contextmanager
-from dataclasses import fields, replace
+from contextlib import ExitStack, contextmanager
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -38,7 +38,7 @@ from riscap import (
     trial_gains,
     write_csv,
 )
-from riscap import channel, schemes, sim
+from riscap import approx, channel, schemes, sim
 from riscap._stream import TrialStreams
 from riscap.geometry import Leg, legs
 from riscap.sim import SCHEMES, grid_points
@@ -691,6 +691,78 @@ class TestBlockEngine:
         assert one_trial.rows == run_plan(plan).rows
 
 
+# Every function whose result the sweep shares with the single-scene calls,
+# by the class or module that defines it.
+SHARED = [(Leg, "rows"), (Leg, "toward"), (channel, "steering"),
+          (channel, "normalization_constant"), (approx, "array_factor"),
+          (channel, "gain_rows"), (channel, "principal_angle"), (channel, "assemble_h"),
+          (schemes, "_receive_sums"), (schemes, "_precoded_sum"),
+          (schemes, "solve_cophasing_mimo"), (schemes, "cophasing_gain")]
+
+
+def scaled(value):
+    "``value`` times 1 + 2**-30, field by field for a solution dataclass."
+    if is_dataclass(value):
+        return replace(value, **{f.name: scaled(getattr(value, f.name)) for f in fields(value)})
+    return value * (1 + 2**-30)
+
+
+def bindings(function):
+    "Each (module, name) of riscap's modules and the test modules that holds ``function``."
+    here = Path(__file__).parent
+    modules = [module for module in list(sys.modules.values())
+               if getattr(module, "__name__", "").split(".")[0] == "riscap"
+               or Path(getattr(module, "__file__", None) or "/").parent == here]
+    return [(module, key) for module in modules
+            for key, value in vars(module).items() if value is function]
+
+
+@contextmanager
+def perturbed(owner, name):
+    """Scales the results of ``owner.name`` by 1 + 2**-30 at every binding of
+    it: a class's attribute, or each of the function's ``bindings``, as test
+    modules import some functions by name."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        return scaled(original(*args, **kwargs))
+    with ExitStack() as stack:
+        for module, key in [(owner, name)] if isinstance(owner, type) else bindings(original):
+            stack.enter_context(mock.patch.object(module, key, wrapper))
+        yield
+
+
+class TestOneSource:
+    """Each unit's gain is the single-scene calls' by construction: a change to
+    any function they share moves both alike."""
+
+    # 3 and 2 antennas, so the array factors read the direction cosines, and
+    # arrays 5 grid steps apart share element heights
+    PLAN = tiny_plan(n_t=3, n_r=2, n_ris=4, h_t_grid=(2.0, 2.006, 0.0005),
+                     h_r_grid=(0.8, 0.9, 0.05), trials=8, schemes=SCHEMES,
+                     benchmark_ris_phase="random")
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("form", ["table", "carried"])
+    @pytest.mark.parametrize("owner, name", SHARED,
+                             ids=[f"{owner.__name__.split('.')[-1]}.{name}" for owner, name in SHARED])
+    def test_perturbed_function_moves_sweep_and_single_scene_calls_alike(self, owner, name,
+                                                                          form, count):
+        plan = self.PLAN
+        with cache_form(form), cpus(count), \
+                mock.patch.object(sim, "_BLOCK_BYTES", 2 * sim._unit_bytes(plan)):
+            before = trial_unit_gains(plan)[0]
+            with perturbed(owner, name):
+                gains, work = trial_unit_gains(plan)
+                replays = [replay_trial(plan, trial) for trial in range(plan.trials)]
+        assert work.forms == [form, form]
+        assert work.runs == (count if form == "carried" else 1)
+        assert any(gains[scheme].tobytes() != before[scheme].tobytes() for scheme in SCHEMES)
+        for scheme in SCHEMES:
+            want = np.array([replay[scheme] for replay in replays])
+            assert gains[scheme].tobytes() == want.tobytes(), scheme
+
+
 def reference_leg_rows(z, size, firsts):
     """Rows a leg builds and takes for element heights ``z``, one row of them
     per unit, in blocks of ``size``: each block takes the distinct heights
@@ -771,7 +843,7 @@ class TestRowPlan:
                 starts = range(first, stop, size)
                 for start, (steer, sums) in zip(starts, blocks(first, stop, work)):
                     for unit, h in enumerate(heights[start:min(start + size, stop)]):
-                        rows = leg.layout(sim._build_rows(leg, wavelength, leg.heights(h)))
+                        rows = leg.layout(channel.steering(leg.rows(leg.heights(h)), wavelength))
                         assert steer[unit].tobytes() == rows.tobytes()
                         axis = -1 if leg.elements_first else -2
                         assert sums[unit].tobytes() == rows.sum(axis=axis).tobytes()
