@@ -50,8 +50,12 @@ def approx_gain(pos: ScenePositions, cfg: SceneConfig) -> float:
     constant so the value is directly comparable to the exact solver's.
     Positions with leading batch axes give a gain per scene.
     """
-    per_element = (array_factor(cfg.n_t, cfg.s_t, pos.cos_theta_t, cfg.wavelength)
-                   * array_factor(cfg.n_r, cfg.s_r, pos.cos_theta_r, cfg.wavelength))
-    return scalar_or_array(
-        normalization_constant(cfg, pos.d1[..., 0, 0], pos.d2[..., 0, 0])
-        * np.sum(per_element, axis=-1))
+    return scalar_or_array(factor_gain(
+        normalization_constant(cfg, pos.d1[..., 0, 0], pos.d2[..., 0, 0]),
+        array_factor(cfg.n_t, cfg.s_t, pos.cos_theta_t, cfg.wavelength),
+        array_factor(cfg.n_r, cfg.s_r, pos.cos_theta_r, cfg.wavelength)))
+
+
+def factor_gain(k_norm, f_t, f_r):
+    "Approximate gain ``k_norm * sum_l f_t[l] * f_r[l]`` from each leg's array factors."
+    return k_norm * np.sum(f_t * f_r, axis=-1)

@@ -6,6 +6,7 @@ keys are rejected so typos cannot silently fall back to defaults.
 """
 
 import math
+import re
 from importlib import resources
 
 from .sim import SCHEMES, SimulationPlan
@@ -23,6 +24,14 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 1
 
 PRESETS = ("panel_a", "panel_b", "panel_c", "panel_d")
+
+# The file keys of the plan fields whose names differ from them. A plan
+# checks its scene at the lowest grid heights, so h_t and h_r are the minima.
+_FIELD_KEYS = {
+    "wavelength": "lambda_m", "s_t": "s_t_m", "s_r": "s_r_m", "s_ris": "s_ris_m",
+    "d_wall": "d_wall_m", "d_ris": "d_ris_m", "h_t": "h_t_min_m", "h_r": "h_r_min_m",
+    "h_t_grid": "h_t_min_m, h_t_max_m, h_t_step_m", "h_r_grid": "h_r_min_m, h_r_max_m, h_r_step_m",
+}
 
 
 def _parse_entries(text: str, source: str) -> dict:
@@ -86,24 +95,31 @@ def parse_plan_text(text: str, source: str = "<config>") -> SimulationPlan:
     else:
         schemes = SCHEMES
 
-    return SimulationPlan(
-        wavelength=floats["lambda_m"],
-        n_t=ints["n_t"],
-        n_r=ints["n_r"],
-        n_ris=ints["n_ris"],
-        s_t=floats["s_t_m"],
-        s_r=floats["s_r_m"],
-        s_ris=floats["s_ris_m"],
-        d_wall=floats["d_wall_m"],
-        d_ris=floats["d_ris_m"],
-        h_t_grid=(floats["h_t_min_m"], floats["h_t_max_m"], floats["h_t_step_m"]),
-        h_r_grid=(floats["h_r_min_m"], floats["h_r_max_m"], floats["h_r_step_m"]),
-        snr_db=snr_db,
-        trials=_to_int("trials", entries.get("trials", str(DEFAULT_TRIALS))),
-        seed=_to_int("seed", entries.get("seed", str(DEFAULT_SEED))),
-        schemes=schemes,
-        benchmark_ris_phase=entries.get("benchmark_ris_phase", "zero"),
-    )
+    try:
+        return SimulationPlan(
+            wavelength=floats["lambda_m"],
+            n_t=ints["n_t"],
+            n_r=ints["n_r"],
+            n_ris=ints["n_ris"],
+            s_t=floats["s_t_m"],
+            s_r=floats["s_r_m"],
+            s_ris=floats["s_ris_m"],
+            d_wall=floats["d_wall_m"],
+            d_ris=floats["d_ris_m"],
+            h_t_grid=(floats["h_t_min_m"], floats["h_t_max_m"], floats["h_t_step_m"]),
+            h_r_grid=(floats["h_r_min_m"], floats["h_r_max_m"], floats["h_r_step_m"]),
+            snr_db=snr_db,
+            trials=_to_int("trials", entries.get("trials", str(DEFAULT_TRIALS))),
+            seed=_to_int("seed", entries.get("seed", str(DEFAULT_SEED))),
+            schemes=schemes,
+            benchmark_ris_phase=entries.get("benchmark_ris_phase", "zero"),
+        )
+    except ValueError as err:
+        named = dict.fromkeys(_FIELD_KEYS[word] for word in re.findall(r"\w+", str(err))
+                              if word in _FIELD_KEYS)
+        if not named:
+            raise
+        raise ValueError(f"{err} (file key: {', '.join(named)})") from err
 
 
 def parse_plan_file(path) -> SimulationPlan:

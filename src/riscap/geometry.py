@@ -138,14 +138,15 @@ def build_positions(cfg: SceneConfig) -> ScenePositions:
     """
     transmit, receive = legs(cfg)
     z_t, z_r = transmit.heights(cfg.h_t), receive.heights(cfg.h_r)  # lowest first
-    for name, low in (("transmit", z_t[0]), ("receive", z_r[0])):
+    for name, x, low in (("transmit", "t", z_t[0]), ("receive", "r", z_r[0])):
         if low <= 0:
-            raise ValueError(f"{name} array intersects the floor (lowest element at y={low:.6g})")
+            raise ValueError(f"{name} array intersects the floor (lowest element at "
+                             f"y={low:.6g}, set by h_{x}, n_{x} and s_{x})")
     ris_x = transmit.x
     if ris_x[0] <= 0 or ris_x[-1] >= cfg.d_wall:
         raise ValueError(
-            f"RIS span [{ris_x[0]:.6g}, {ris_x[-1]:.6g}] m must lie strictly "
-            f"between the walls (0, {cfg.d_wall})"
+            f"RIS span [{ris_x[0]:.6g}, {ris_x[-1]:.6g}] m, set by d_ris, n_ris and s_ris, "
+            f"must lie strictly between the walls (0, d_wall={cfg.d_wall})"
         )
     return ScenePositions(
         d1=receive.layout(receive.rows(z_r)), d2=transmit.layout(transmit.rows(z_t)),

@@ -164,6 +164,11 @@ def solve_cophasing_mimo(h: NDArray[np.complex128]) -> CoPhasingSolution:
     return CoPhasingSolution(alpha=alpha, gamma=gamma)
 
 
+def basic_gain(h: NDArray[np.complex128]) -> float:
+    "Unprecoded coherent sum |sum_{r,t} H(r,t)|."
+    return scalar_or_array(np.abs(h.sum(axis=(-2, -1))))
+
+
 def cophasing_gain(sol: CoPhasingSolution, h: NDArray[np.complex128]) -> float:
     "Precoded coherent sum |r^T H t|."
     r_vec = np.exp(1j * sol.alpha)[..., np.newaxis, :]

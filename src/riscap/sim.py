@@ -68,7 +68,7 @@ from numpy.typing import NDArray
 
 from . import __version__
 from ._stream import TrialStreams, trial_stream
-from .approx import array_factor
+from .approx import array_factor, factor_gain
 from .channel import CascadeChannel, assemble_h, normalization_constant, steering
 from .geometry import Leg, SceneConfig, build_positions, legs, require_int
 from .schemes import (
@@ -76,6 +76,7 @@ from .schemes import (
     _precoded_sum,
     _ris_only_gain,
     _solve_joint,
+    basic_gain,
     capacity_from_gain,
     cophasing_gain,
     solve_cophasing_mimo,
@@ -123,10 +124,10 @@ def _unit_bytes(plan: "SimulationPlan") -> int:
 # Coherent-sum gain of each scheme a block solves, from its channel ``ch``,
 # the legs' antenna sums (u_mat.sum(-1), v_mat.sum(-2)) and the benchmark
 # channel ``h``: the channel at the fixed benchmark RIS phases.
-# ris_only_approx, approx_gain's sum, reads the heights alone, and the sweep
-# computes it from the legs' array factors before the blocks run.
+# ris_only_approx, approx_gain's factor_gain, reads the heights alone, and the
+# sweep computes it from the legs' array factors before the blocks run.
 _SCHEME_GAINS = {
-    "basic": lambda ch, sums, h: np.abs(h.sum(axis=(-2, -1))),
+    "basic": lambda ch, sums, h: basic_gain(h),
     "cophasing": lambda ch, sums, h: cophasing_gain(solve_cophasing_mimo(h), h),
     "joint": lambda ch, sums, h: _precoded_sum(*_solve_joint(ch, sums)),
     "ris_only": lambda ch, sums, h: _ris_only_gain(ch, sums)[1],  # solve_ris_only sans phases
@@ -155,6 +156,8 @@ def grid_points(lo: float, hi: float, step: float) -> int:
     # TrialStreams reproduces; past that NumPy draws 64 bits.
     if count + 1 > 2**32:
         raise ValueError(f"grid step {step} over [{lo}, {hi}] gives more than 2**32 points")
+    if hi > lo and round(count) == 0:
+        raise ValueError(f"grid step {step} is larger than the range [{lo}, {hi}]")
     # (hi - lo) / step is off a whole count by rounding at the count's scale
     if abs(count - round(count)) > max(1e-9, 8 * np.finfo(float).eps * count):
         raise ValueError(f"grid step {step} does not divide the range [{lo}, {hi}]")
@@ -532,8 +535,8 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None) -> tuple[dict, _Wo
                 end = min(start + chunk, stop)
                 f_t, f_r = (_factors(leg, cfg.wavelength, heights[start:end])
                             for leg, heights in leg_heights)
-                gains["ris_only_approx"][order[start:end]] = \
-                    k_norm[start:end] * np.sum(f_t * f_r, axis=-1)
+                gains["ris_only_approx"][order[start:end]] = factor_gain(
+                    k_norm[start:end], f_t, f_r)
                 del f_t, f_r
         blocks = [side(first, stop, work) for side in sides]
         rng = None if streams is None else np.random.default_rng(0)

@@ -103,6 +103,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key, value, grid", [
         ("h_r_step_m", "0.03", "h_r_grid"), ("h_t_step_m", "1e-12", "h_t_grid"),
+        ("h_t_step_m", "1e10", "h_t_step_m"),
     ])
     def test_bad_grid_step_is_config_error_naming_the_grid(self, key, value, grid,
                                                            tmp_path, capsys):

@@ -84,6 +84,16 @@ class TestParsePlanText:
         with pytest.raises(ValueError, match="unknown schemes"):
             parse_plan_text(MINIMAL + "schemes = ris_only, turbo\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_m", "0"), ("s_ris_m", "1.0"), ("d_ris_m", "6.0"), ("h_t_step_m", "0"),
+        ("s_t_m", "1.0"),  # the transmit array would sink into the floor
+    ])
+    def test_plan_errors_name_the_file_key(self, key, value):
+        text = MINIMAL.replace(next(line for line in MINIMAL.splitlines()
+                                    if line.startswith(f"{key} =")), f"{key} = {value}")
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            parse_plan_text(text)
+
     @pytest.mark.parametrize("value", ["", " , ,"])
     def test_empty_schemes_rejected_naming_the_key(self, value):
         with pytest.raises(ValueError, match="schemes must name at least one"):

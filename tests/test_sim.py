@@ -9,7 +9,6 @@ import tracemalloc
 from contextlib import ExitStack, contextmanager
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -40,7 +39,8 @@ from riscap import (
 )
 from riscap import approx, channel, schemes, sim
 from riscap._stream import TrialStreams
-from riscap.geometry import Leg, legs
+from riscap.geometry import Leg
+from riscap.schemes import basic_gain
 from riscap.sim import SCHEMES, grid_points
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -81,11 +81,14 @@ class TestHeightGrid:
         # two decimal grids: rounding at the count's scale, not a remainder
         assert grid_points(*spec) == count
 
-    def test_rejects_bad_step_or_range(self):
-        with pytest.raises(ValueError, match="positive"):
-            grid_points(2.0, 3.0, 0.0)
-        with pytest.raises(ValueError, match="empty"):
-            grid_points(3.0, 2.0, 0.02)
+    @pytest.mark.parametrize("spec, message", [
+        ((2.0, 3.0, 0.0), "positive"), ((3.0, 2.0, 0.02), "empty"),
+        # 1e-9 steps off a whole count of 0, which would draw every trial at lo
+        ((2.0, 3.0, 1e9), "larger than the range"),
+    ])
+    def test_rejects_bad_step_or_range(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            grid_points(*spec)
 
     def test_single_point_grid(self):
         assert grid_points(1.3, 1.3, 0.02) == 1
@@ -225,11 +228,9 @@ class TestPlanGrids:
         # trials draw t >= 2**31, whose int64 codes wrap and decode wrongly.
         plan = replace(load_preset("panel_a"), seed=1, trials=40, **LIMIT_GRIDS)
         assert (sweep_streams(plan).indices[:, 0] >= 2**31).sum() == 19
-        gains, counts, distinct, _ = sim._plan_gains(plan)
-        assert distinct == 40
-        gains = trial_order(plan, gains, counts)
-        for trial in range(plan.trials):
-            assert {k: float(v[trial]) for k, v in gains.items()} == trial_gains(plan, trial)
+        table = run_plan(plan)
+        assert table.metadata["distinct_pairs"] == 40
+        assert table.rows == reference_rows(plan)
 
 
 class TestSampleHeights:
@@ -296,7 +297,7 @@ def scene_gains(cfg, pos, ch, phi):
     "Every scheme's gain of one scene's channel ``ch`` at benchmark RIS phases ``phi``."
     h = assemble_h(ch, phi)
     return {
-        "basic": float(np.abs(h.sum())),
+        "basic": basic_gain(h),
         "cophasing": cophasing_gain(solve_cophasing_mimo(h), h),
         "joint": joint_gain(solve_joint(ch), ch),
         "ris_only": solve_ris_only(ch).b_gain,
@@ -316,13 +317,15 @@ def numpy_streams(seed, trials, sizes):
     return rngs, np.array(indices, dtype=np.int64).reshape(-1, 2)
 
 
-def reference_rows(plan):
-    """run_plan's rows reduced from per-trial ``trial_gains``, whose draws
-    come from each trial's own NumPy generator. Unless random phases are
-    read, the units are the grid pairs NumPy drew: every trial of a pair
-    must have its gains bit for bit, and the pair counts its trials."""
-    gains = [trial_gains(plan, trial) for trial in range(plan.trials)]
-    gains = {scheme: np.array([g[scheme] for g in gains]) for scheme in plan.schemes}
+def reference_rows(plan, gains=None):
+    """run_plan's rows reduced from per-trial ``gains``, by default each
+    trial's ``trial_gains``, whose draws come from each trial's own NumPy
+    generator. Unless random phases are read, the units are the grid pairs
+    NumPy drew: every trial of a pair must have its gains bit for bit, and
+    the pair counts its trials."""
+    if gains is None:
+        gains = [trial_gains(plan, trial) for trial in range(plan.trials)]
+        gains = {scheme: np.array([g[scheme] for g in gains]) for scheme in plan.schemes}
     if sim._reads_phases(plan):
         return per_snr_rows(plan, gains, np.ones(plan.trials, dtype=np.int64))
     _, indices = numpy_streams(plan.seed, range(plan.trials), sim._grid_sizes(plan))
@@ -344,18 +347,6 @@ def trial_units(indices):
     pair-code order, and each unit's trial count."""
     _, inverse, counts = np.unique(indices, axis=0, return_inverse=True, return_counts=True)
     return inverse.ravel(), counts
-
-
-def trial_order(plan, gains, counts):
-    """The unit gains of ``_plan_gains``, with its trial ``counts``, laid out
-    per trial: pair units through the trial-to-pair map of the plan's stream
-    twin, trial units as they are. The counts must be the map's."""
-    if sim._reads_phases(plan):
-        inverse, expected = np.arange(plan.trials), np.ones(plan.trials, dtype=np.int64)
-    else:
-        inverse, expected = trial_units(sweep_streams(plan).indices)
-    assert np.array_equal(counts, expected)
-    return {scheme: values[inverse] for scheme, values in gains.items()}
 
 
 def fine_plan(seed):
@@ -476,27 +467,18 @@ class TestStreamTwin:
         # numpy draws again here, so the twin's own draw would be wrong
         assert streams.flagged.tolist() == [True]
         np.testing.assert_array_equal(streams.indices, numpy_streams(seed, [trial], sizes)[1])
-        plan = fine_plan(seed)
-        t, r = streams.indices[0]
-        assert sim._heights(plan, t, r) == sample_heights(plan, trial)
-        gains, _ = sim._sweep_gains(plan, streams.indices)
-        assert {k: float(v[0]) for k, v in gains.items()} == replay_trial(plan, trial)
+        assert trial_gains(fine_plan(seed), trial) == replay_trial(fine_plan(seed), trial)
 
-    def test_wide_seed_runs_through_fallback(self):
-        plan = replace(load_preset("panel_a"), seed=2**32 + 7, trials=60)
-        assert TrialStreams(plan.seed, np.arange(60), sim._grid_sizes(plan)).flagged.all()
-        assert run_plan(plan).rows == reference_rows(plan)
-
-    @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
-    def test_sweep_matches_reference_draws(self, panel):
-        plan = replace(load_preset(panel), trials=60)
-        assert run_plan(plan).rows == reference_rows(plan)
-
-    @pytest.mark.parametrize("seed", [12345, 2**32 + 7])
-    def test_random_phase_sweep_matches_reference_draws(self, seed):
-        # trial units: every trial's phases come from the twin or its fallback
-        plan = replace(load_preset("panel_a"), trials=60, seed=seed,
-                       benchmark_ris_phase="random")
+    @pytest.mark.parametrize("panel, seed, mode", [
+        ("panel_a", 12345, "zero"), ("panel_d", 12345, "zero"),
+        # a wide seed draws every trial through the fallback; with random
+        # phases the units are trials, whose phases come from either
+        ("panel_a", 2**32 + 7, "zero"), ("panel_a", 12345, "random"),
+        ("panel_a", 2**32 + 7, "random"),
+    ])
+    def test_sweep_matches_reference_draws(self, panel, seed, mode):
+        plan = replace(load_preset(panel), trials=60, seed=seed, benchmark_ris_phase=mode)
+        assert sweep_streams(plan).flagged.all() == (seed >= 2**32)
         assert run_plan(plan).rows == reference_rows(plan)
 
 
@@ -551,7 +533,7 @@ class TestBenchmarkLaziness:
             return draw(streams, rows, count, rng)
         with mock.patch.object(sim, "assemble_h", wraps=sim.assemble_h) as assemble, \
                 mock.patch.object(TrialStreams, "phases", phases):
-            blocks = sim._plan_gains(plan)[3].blocks
+            blocks = run_plan(plan).metadata["work"]["blocks"]
         assert blocks >= 2
         assert assemble.call_count == (blocks if benchmark else 0)
         random = benchmark and mode == "random"
@@ -609,6 +591,11 @@ def cpus(count):
     return mock.patch.object(sim, "_threads", return_value=count)
 
 
+def budget(nbytes):
+    "Sets the bytes a block's arrays may hold, ``_BLOCK_BYTES``, to ``nbytes``."
+    return mock.patch.object(sim, "_BLOCK_BYTES", nbytes)
+
+
 @contextmanager
 def threads_started():
     "Counts the threads constructed, the runs past a sweep's first."
@@ -634,70 +621,115 @@ def wide_plan(trials, seed=1, h_t_grid=(2.0, 3.0, 0.0001)):
                    h_t_grid=h_t_grid, benchmark_ris_phase="random")
 
 
+def unit_indices(plan):
+    """The (h_t, h_r) grid indices of a sweep's units: every trial's when a
+    requested benchmark scheme reads random phases, else each distinct pair's."""
+    indices = sweep_streams(plan).indices
+    return indices if sim._reads_phases(plan) else np.unique(indices, axis=0)
+
+
+def element_heights(plan, indices):
+    """Each leg's element heights z = h + offset of the arrays at grid
+    ``indices`` in the documented unit order: by grid index, first by the
+    transmit index modulo the antenna spacing in grid steps when that is whole."""
+    keys, steps = [indices[:, 1], indices[:, 0]], plan.s_t / plan.h_t_grid[2]
+    if round(steps) > 1 and abs(steps - round(steps)) <= 1e-9:
+        keys.append(indices[:, 0] % round(steps))
+    ordered = indices[np.lexsort(keys)].T
+    return [(lo + step * i)[:, np.newaxis] + (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
+            for (lo, _, step), i, n, spacing in zip((plan.h_t_grid, plan.h_r_grid), ordered,
+                                                    (plan.n_t, plan.n_r), (plan.s_t, plan.s_r))]
+
+
+def reference_leg_rows(z, size, firsts):
+    """Rows a leg builds and takes for element heights ``z``, one row of them
+    per unit, in blocks of ``size``: each block takes the distinct heights
+    that it and the block before it in its run both hold and builds the
+    others, and runs start at the units ``firsts``."""
+    built, taken, held = 0, 0, np.array([])
+    for start in range(0, len(z), size):
+        if start in firsts:
+            held = np.array([])
+        distinct = np.unique(z[start:start + size])
+        shared = len(np.intersect1d(distinct, held))
+        built += len(distinct) - shared
+        taken += shared
+        held = distinct
+    return built, taken
+
+
+def reference_row_counts(plan, indices, runs=1, size=None):
+    """Rows a sweep of carried legs builds and takes per leg, as ``[built,
+    taken]``, from its documented rule: units in ``element_heights``' order,
+    in blocks of ``size`` (by default the budget's), the blocks cut into
+    ``runs`` runs of near-equal block counts, each as ``reference_leg_rows``."""
+    size = size or sim._BLOCK_BYTES // sim._unit_bytes(plan)
+    blocks = math.ceil(len(indices) / size)
+    firsts = {size * (blocks * run // min(runs, blocks)) for run in range(runs)}
+    counts = [reference_leg_rows(z, size, firsts) for z in element_heights(plan, indices)]
+    return [list(side) for side in zip(*counts)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(plan=small_plans(), block_trials=st.integers(1, 5))
-@example(plan=tiny_plan(trials=12, schemes=SCHEMES), block_trials=1)
-@example(plan=tiny_plan(h_t_grid=(2.0, 2.08, 0.02), schemes=SCHEMES), block_trials=1)
+@given(plan=small_plans(), block_trials=st.integers(1, 5), runs=st.integers(1, 3))
+@example(plan=tiny_plan(trials=12, schemes=SCHEMES), block_trials=1, runs=1)
+@example(plan=tiny_plan(h_t_grid=(2.0, 2.08, 0.02), schemes=SCHEMES), block_trials=1, runs=1)
+# arrays a spacing apart in each block: a block holds each taken height at
+# two elements, and takes its row once
 @example(plan=tiny_plan(h_t_grid=(2.0, 2.006, 0.0005), n_t=8, trials=12, schemes=SCHEMES),
-         block_trials=2)
-def check_every_trial_matches_single_scene_calls(plan, block_trials, form):
-    budget = block_trials * sim._unit_bytes(plan)
-    with cache_form(form):
-        with mock.patch.object(sim, "_BLOCK_BYTES", budget):
-            gains, work = trial_unit_gains(plan)
+         block_trials=2, runs=2)
+def check_every_trial_matches_single_scene_calls(plan, block_trials, runs, form):
+    with cache_form(form), cpus(runs), budget(block_trials * sim._unit_bytes(plan)):
+        gains, work = trial_unit_gains(plan)
         assert trial_gains(plan, plan.trials - 1) == replay_trial(plan, plan.trials - 1)
-    assert work.forms == [form, form]
     for trial in range(plan.trials):
         got = {scheme: float(gains[scheme][trial]) for scheme in SCHEMES}
         assert got == replay_trial(plan, trial)
+    # each leg builds as many rows as the rule says: a table one per
+    # distinct element height, carried rows those the block before lacked
+    indices = sweep_streams(plan).indices
+    assert work.forms == [form, form]
+    if form == "table":
+        assert work.runs == 1
+        assert work.built == [len(np.unique(z)) for z in element_heights(plan, indices)]
+    else:
+        assert work.runs == min(runs, math.ceil(plan.trials / block_trials))
+        assert [work.built, work.taken] == reference_row_counts(plan, indices, runs, block_trials)
 
 
 class TestBlockEngine:
     "The block engine against the single-scene calls, for any block size."
-
-    @staticmethod
-    def per_trial_bytes(plan):
-        return sim._unit_bytes(plan)
 
     def test_every_trial_matches_single_scene_calls(self):
         # the property reaches both forms of the row cache
         for form in ("table", "carried"):
             check_every_trial_matches_single_scene_calls(form=form)
 
-    @settings(max_examples=20, deadline=None)
-    @given(plan=small_plans())
-    def test_table_independent_of_block_budget(self, plan):
-        with mock.patch.object(sim, "_BLOCK_BYTES", 1):
-            one_trial = run_plan(plan)
-        with mock.patch.object(sim, "_BLOCK_BYTES", plan.trials * self.per_trial_bytes(plan)):
-            whole_sweep = run_plan(plan)
-        assert one_trial.rows == whole_sweep.rows
-
     @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
     def test_leg_tables_do_not_change_the_table(self, panel):
         # 60 trials against 51-point grids: the shipped sweeps build both
-        # legs' rows as a sweep table, and so do the goldens
+        # legs' rows as a sweep table, and so do the goldens. Forced forms,
+        # and one-unit blocks at 40 trials, give the same rows.
         plan = replace(load_preset(panel), trials=60)
         chosen = run_plan(plan)
         assert chosen.metadata["work"]["forms"] == ["table", "table"]
         for form in ("table", "carried"):
             with cache_form(form):
                 assert run_plan(plan).rows == chosen.rows, form
-
-    def test_preset_table_independent_of_block_budget(self):
-        plan = replace(load_preset("panel_d"), trials=40)
-        with mock.patch.object(sim, "_BLOCK_BYTES", 1):
-            one_trial = run_plan(plan)
-        assert one_trial.rows == run_plan(plan).rows
+        plan = replace(plan, trials=40)
+        with budget(1):
+            one_unit = run_plan(plan)
+        assert one_unit.rows == run_plan(plan).rows
 
 
 # Every function whose result the sweep shares with the single-scene calls,
 # by the class or module that defines it.
 SHARED = [(Leg, "rows"), (Leg, "toward"), (channel, "steering"),
           (channel, "normalization_constant"), (approx, "array_factor"),
-          (channel, "gain_rows"), (channel, "principal_angle"), (channel, "assemble_h"),
-          (schemes, "_receive_sums"), (schemes, "_precoded_sum"),
-          (schemes, "solve_cophasing_mimo"), (schemes, "cophasing_gain")]
+          (approx, "factor_gain"), (channel, "gain_rows"), (channel, "principal_angle"),
+          (channel, "assemble_h"), (schemes, "_receive_sums"), (schemes, "_precoded_sum"),
+          (schemes, "solve_cophasing_mimo"), (schemes, "cophasing_gain"),
+          (schemes, "basic_gain")]
 
 
 def scaled(value):
@@ -718,18 +750,21 @@ def bindings(function):
 
 
 @contextmanager
-def perturbed(owner, name):
-    """Scales the results of ``owner.name`` by 1 + 2**-30 at every binding of
+def wrapped(owner, name, around):
+    """Replaces ``owner.name`` by ``around(owner.name)`` at every binding of
     it: a class's attribute, or each of the function's ``bindings``, as test
     modules import some functions by name."""
     original = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        return scaled(original(*args, **kwargs))
     with ExitStack() as stack:
         for module, key in [(owner, name)] if isinstance(owner, type) else bindings(original):
-            stack.enter_context(mock.patch.object(module, key, wrapper))
+            stack.enter_context(mock.patch.object(module, key, around(original)))
         yield
+
+
+def perturbed(owner, name):
+    "Scales the results of ``owner.name`` by 1 + 2**-30 at every binding of it."
+    return wrapped(owner, name, lambda original: lambda *args, **kwargs: scaled(
+        original(*args, **kwargs)))
 
 
 class TestOneSource:
@@ -749,8 +784,7 @@ class TestOneSource:
     def test_perturbed_function_moves_sweep_and_single_scene_calls_alike(self, owner, name,
                                                                           form, count):
         plan = self.PLAN
-        with cache_form(form), cpus(count), \
-                mock.patch.object(sim, "_BLOCK_BYTES", 2 * sim._unit_bytes(plan)):
+        with cache_form(form), cpus(count), budget(2 * sim._unit_bytes(plan)):
             before = trial_unit_gains(plan)[0]
             with perturbed(owner, name):
                 gains, work = trial_unit_gains(plan)
@@ -763,267 +797,94 @@ class TestOneSource:
             assert gains[scheme].tobytes() == want.tobytes(), scheme
 
 
-def reference_leg_rows(z, size, firsts):
-    """Rows a leg builds and takes for element heights ``z``, one row of them
-    per unit, in blocks of ``size``: each block takes the distinct heights
-    that it and the block before it in its run both hold and builds the
-    others, and runs start at the units ``firsts``."""
-    built, taken, held = 0, 0, np.array([])
-    for start in range(0, len(z), size):
-        if start in firsts:
-            held = np.array([])
-        distinct = np.unique(z[start:start + size])
-        shared = len(np.intersect1d(distinct, held))
-        built += len(distinct) - shared
-        taken += shared
-        held = distinct
-    return built, taken
-
-
-def run_cuts(units, size, runs):
-    "The (first, stop) units of a sweep's runs: its blocks cut into near-equal runs."
-    blocks = math.ceil(units / size)
-    runs = min(runs, blocks)
-    cuts = [min(units, size * (blocks * run // runs)) for run in range(runs + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def reference_row_counts(plan, indices, runs=1):
-    """Rows a sweep builds and takes per leg, as ``[built, taken]``, from its
-    documented rule: units in residue order, cut into blocks, the blocks cut
-    into ``runs`` runs of near-equal block counts, and each block takes the
-    distinct element heights z = h + offset that the block before it in its
-    run held too and builds the others."""
-    steps = round(plan.s_t / plan.h_t_grid[2])
-    order = np.lexsort((indices[:, 1], indices[:, 0], indices[:, 0] % steps))
-    size = sim._BLOCK_BYTES // sim._unit_bytes(plan)
-    firsts = {first for first, _ in run_cuts(len(order), size, runs)}
-    counts = []
-    for heights, n, spacing in zip(sim._heights(plan, *indices[order].T), (plan.n_t, plan.n_r),
-                                   (plan.s_t, plan.s_r)):
-        offsets = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing
-        counts.append(reference_leg_rows(heights[:, np.newaxis] + offsets, size, firsts))
-    return [list(side) for side in zip(*counts)]
-
-
-@st.composite
-def leg_sweeps(draw):
-    """A transmit or receive leg of 1-8 antennas facing 1-8 elements, and
-    1-40 arrays in any order at heights a fifth of the antenna spacing
-    apart, so that their elements share heights within and across blocks."""
-    plan = tiny_plan(n_t=draw(st.integers(1, 8)), n_r=draw(st.integers(1, 8)),
-                     n_ris=draw(st.integers(1, 8)))
-    leg = legs(plan.scene(2.5, 1.3))[draw(st.integers(0, 1))]
-    steps = draw(st.lists(st.integers(0, 30), min_size=1, max_size=40))
-    return leg, 2.0 + 0.0005 * np.array(steps), plan.wavelength
-
-
-class TestRowPlan:
-    """Each block's rows, planned by the block itself, are the rows built for
-    each unit alone, and a leg builds as many as the rule says."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(sweep=leg_sweeps(), size=st.integers(1, 9), runs=st.integers(1, 3),
-           form=st.sampled_from(["table", "carried"]))
-    # arrays a spacing apart in each block: a block holds each taken height
-    # at two elements, and takes its row once
-    @example(sweep=(legs(tiny_plan(n_t=3).scene(2.5, 1.3))[0],
-                    2.0 + 0.0005 * np.array([0, 5, 0, 5, 10, 5]), 0.005),
-             size=2, runs=1, form="carried")
-    def test_each_units_steering_is_its_own_rows(self, sweep, size, runs, form):
-        leg, heights, wavelength = sweep
-        side = int(not leg.elements_first)
-        # the two counters _leg_blocks and the blocks it gives write
-        cuts, work = run_cuts(len(heights), size, runs), SimpleNamespace(built=[0, 0], taken=[0, 0])
-        # the table form is forced
-        with cache_form(form):
-            blocks, tabled = sim._leg_blocks(leg, wavelength, heights, size, work)
-            assert tabled == (form == "table")
-            for first, stop in cuts:
-                starts = range(first, stop, size)
-                for start, (steer, sums) in zip(starts, blocks(first, stop, work)):
-                    for unit, h in enumerate(heights[start:min(start + size, stop)]):
-                        rows = leg.layout(channel.steering(leg.rows(leg.heights(h)), wavelength))
-                        assert steer[unit].tobytes() == rows.tobytes()
-                        axis = -1 if leg.elements_first else -2
-                        assert sums[unit].tobytes() == rows.sum(axis=axis).tobytes()
-        z = leg.heights(heights)
-        if form == "table":
-            assert work.built[side] == len(np.unique(z))
-        else:
-            firsts = {first for first, _ in cuts}
-            assert (work.built[side], work.taken[side]) == reference_leg_rows(z, size, firsts)
-        assert work.built[1 - side] == work.taken[1 - side] == 0
-
-    def test_each_block_takes_the_heights_the_block_before_holds(self):
-        # three-antenna arrays at 2.0 and 2.0025 m twice, then at 2.005 and
-        # 2.0025 m, two per block: the first block holds 4 heights and takes
-        # none; the second holds the same 4 and builds none; the third holds
-        # 2.0025 and 2.005 m at two elements each, takes 3 rows and builds 1
-        leg = legs(tiny_plan(n_t=3).scene(2.5, 1.3))[0]
-        heights = 2.0 + 0.0005 * np.array([0, 5, 0, 5, 10, 5])
-        work = SimpleNamespace(built=[0, 0], taken=[0, 0])
-        counts = [(work.built[0], work.taken[0])
-                  for _ in sim._steering_blocks(leg, 0.005, heights, 2, work)]
-        assert counts == [(4, 0), (4, 4), (5, 7)]
-
-    @settings(max_examples=30, deadline=None)
-    @given(plan=small_plans(), size=st.integers(1, 9), runs=st.integers(1, 3),
-           form=st.sampled_from(["table", "carried"]))
-    def test_height_terms_are_the_single_scene_calls(self, plan, size, runs, form):
-        # each unit's normalization constant and approximate gain, computed
-        # before the blocks run
-        norms, constant = [], sim.normalization_constant
-
-        def spy(*args):
-            norms.append(constant(*args))
-            return norms[-1]
-        with mock.patch.object(sim, "_BLOCK_BYTES", size * sim._unit_bytes(plan)), \
-                cpus(runs), cache_form(form), \
-                mock.patch.object(sim, "normalization_constant", spy):
-            gains, _ = trial_unit_gains(plan)
-        k_norm, = norms
-        order = sim._unit_order(plan, sweep_streams(plan).indices)
-        for position, trial in enumerate(order):
-            cfg = plan.scene(*sample_heights(plan, trial))
-            pos = build_positions(cfg)
-            assert k_norm[position] == build_cascade(pos, cfg).k_norm
-            assert gains["ris_only_approx"][trial] == approx_gain(pos, cfg)
-
-    def test_approximation_evaluates_each_chunks_distinct_heights_once(self):
-        # panel_d at seed 1: 829 pair units on 51-point grids, in chunks of
-        # whole blocks; per unit, both legs would take 1658 heights
-        plan = replace(load_preset("panel_d"), seed=1)
-        evaluated, factor = [], sim.array_factor
-
-        def spy(n, spacing, cos_theta, wavelength):
-            evaluated.append(len(cos_theta))
-            return factor(n, spacing, cos_theta, wavelength)
-        with mock.patch.object(sim, "array_factor", spy):
-            sim._plan_gains(plan)
-        indices = np.unique(sweep_streams(plan).indices, axis=0)
-        order = sim._unit_order(plan, indices)
-        # chunks charged 64 bytes per element
-        size = sim._BLOCK_BYTES // sim._unit_bytes(plan)
-        chunk = sim._chunk_units(64 * plan.n_ris, size)
-        want = sum(len(np.unique(heights[start:start + chunk]))
-                   for heights in sim._heights(plan, *indices[order].T)
-                   for start in range(0, len(order), chunk))
-        assert sum(evaluated) == want == 217
-        assert want < 2 * len(order) == 2 * 829
-
-
 class TestRowCache:
     """Each distinct steering row is built once per sweep, or once per
     stretch of blocks that hold it within a run."""
 
     def test_panel_d_builds_each_distinct_row_once(self):
         # seed 1: 829 distinct pairs; per-height blocks built 1440 transmit
-        # rows, and at 512 KiB of steering per block 52 blocks ran
+        # rows, and at 512 KiB of steering per block 52 blocks ran. Each
+        # leg's table is laid out for its 51 distinct heights.
         table = run_plan(replace(load_preset("panel_d"), seed=1))
         assert table.metadata["distinct_pairs"] == 829
         assert table.metadata["work"] == {"built": [496, 204], "taken": [80, 0], "blocks": 40,
                                           "units": 829, "runs": 1, "forms": ["table", "table"]}
         json.dumps(table.metadata)
 
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_wide_blocks_build_rows_the_block_before_lacked(self, seed):
+    @pytest.mark.parametrize("seed, runs", [(1, 1), (7, 1), (1, 2)])
+    def test_wide_blocks_build_rows_the_block_before_lacked(self, seed, runs):
         # seed 1 built 32000 transmit and 16000 receive rows with one row per
-        # unit and antenna, and at 512 KiB of steering per block 500 blocks ran
+        # unit and antenna, and at 512 KiB of steering per block 500 blocks
+        # ran; a second run's first block holds no rows from the block before
         plan = wide_plan(1000, seed)
-        with cpus(1):
-            work = sim._plan_gains(plan)[3]
-        assert work.forms == ["carried", "carried"]
-        assert (work.runs, work.blocks, work.units) == (1, 250, 1000)
-        indices = sweep_streams(plan).indices
-        assert [work.built, work.taken] == reference_row_counts(plan, indices)
-        if seed == 1:
-            assert work.built == [14464, 15919]
-            assert work.taken == [5515, 81]
-
-    def test_two_runs_rebuild_rows_only_at_the_second_runs_first_block(self):
-        # the second run's first block holds no rows from the block before
-        plan = wide_plan(1000)
-        with cpus(2):
+        with cpus(runs):
             work = run_plan(plan).metadata["work"]
         assert work["forms"] == ["carried", "carried"]
-        assert (work["runs"], work["blocks"], work["units"]) == (2, 250, 1000)
-        indices = sweep_streams(plan).indices
-        assert [work["built"], work["taken"]] == reference_row_counts(plan, indices, runs=2) \
-            == [[14489, 15919], [5490, 81]]
+        assert (work["runs"], work["blocks"], work["units"]) == (runs, 250, 1000)
+        counts = [work["built"], work["taken"]]
+        assert counts == reference_row_counts(plan, unit_indices(plan), runs)
+        if seed == 1:
+            assert counts == {1: [[14464, 15919], [5515, 81]], 2: [[14489, 15919], [5490, 81]]}[runs]
 
     def test_carried_rows_match_the_reference_when_solved(self):
         # 25 grid steps per antenna spacing on a 201-point grid: residue
         # classes of a few units each share most transmit rows
         plan = wide_plan(100, h_t_grid=(2.0, 2.02, 0.0001))
         with cpus(1):
-            gains, _, _, work = sim._plan_gains(plan)
-        assert work.forms == ["carried", "carried"]
-        indices = sweep_streams(plan).indices
-        assert [work.built, work.taken] == reference_row_counts(plan, indices)
-        assert work.built[0] < 32 * plan.trials // 2
+            carried = run_plan(plan)
+        work = carried.metadata["work"]
+        assert work["forms"] == ["carried", "carried"]
+        assert [work["built"], work["taken"]] == reference_row_counts(plan, unit_indices(plan))
+        assert work["built"][0] < 32 * plan.trials // 2
         with cache_form("table"):
-            tabled = sim._plan_gains(plan)[0]
-        for scheme, values in gains.items():
-            assert values.tobytes() == tabled[scheme].tobytes(), scheme
+            assert run_plan(plan).rows == carried.rows
 
     def test_fine_table_builds_each_distinct_row_once(self):
         # 0.1 mm steps against a 2.5 mm antenna spacing: arrays up to 175
         # steps apart share a row, so blocks of 4 heights built 1056
         # transmit rows
         plan = fine_transmit_plan()
-        work = sim._plan_gains(plan)[3]
-        assert work.forms == ["table", "table"]
-        heights = sim._heights(plan, *sweep_streams(plan).indices.T)[0]
-        z = heights[:, np.newaxis] + (np.arange(1, 9) - 4.5) * plan.s_t
-        assert work.built[0] == len(np.unique(z)) == 520
+        work = run_plan(plan).metadata["work"]
+        assert work["forms"] == ["table", "table"]
+        z = element_heights(plan, unit_indices(plan))[0]
+        assert work["built"][0] == len(np.unique(z)) == 520
 
-    @pytest.mark.parametrize("ratio, residue", [(25.0, True), (0.125, False), (1.0, False),
-                                                (2.5, False)])
-    def test_residue_order_needs_whole_grid_steps(self, ratio, residue):
-        plan = tiny_plan(h_t_grid=(2.0, 2.01, 0.0001), s_t=0.0001 * ratio)
-        indices = np.array([[30, 0], [5, 1], [55, 0], [4, 2], [29, 0]])
-        # residues mod 25: 5, 5, 5, 4, 4
-        expected = [3, 4, 1, 0, 2] if residue else [3, 1, 4, 0, 2]
-        assert sim._unit_order(plan, indices).tolist() == expected
+    @pytest.mark.parametrize("ratio", [25.0, 0.125, 1.0, 2.5])
+    def test_residue_order_needs_whole_grid_steps(self, ratio):
+        # carried blocks of 2 pairs on a 101-point transmit grid: which rows
+        # a block takes follows the unit order, residues first only when the
+        # antenna spacing is a whole number of grid steps
+        plan = tiny_plan(n_t=4, h_t_grid=(2.0, 2.01, 0.0001), s_t=0.0001 * ratio, trials=40,
+                         schemes=("ris_only",))
+        with cache_form("carried"), cpus(1), budget(2 * sim._unit_bytes(plan)):
+            work = run_plan(plan).metadata["work"]
+        assert [work["built"], work["taken"]] == \
+            reference_row_counts(plan, unit_indices(plan), size=2)
 
-
-class TestLegTables:
-    """A tabled leg lays out its steering and sums it once per distinct
-    array height, when the laid-out table fits the block budget."""
-
-    def test_panel_d_lays_out_and_sums_each_distinct_height_once(self):
-        # per block, the 829 distinct pairs laid out 829 of each leg's arrays
-        plan = replace(load_preset("panel_d"), seed=1)
-        laid, summed = [0, 0], [0, 0]
-        layout, steering_blocks = Leg.layout, sim._steering_blocks
-
-        def layout_spy(leg, rows):
-            laid[not leg.elements_first] += len(rows)
-            return layout(leg, rows)
-
-        def blocks_spy(leg, *args):
-            for steer, sums, *per_height in steering_blocks(leg, *args):
-                summed[not leg.elements_first] += len(sums)
-                yield steer, sums, *per_height
-        with mock.patch.object(Leg, "layout", layout_spy), \
-                mock.patch.object(sim, "_steering_blocks", blocks_spy):
-            table = run_plan(plan)
-        assert table.metadata["distinct_pairs"] == 829
-        assert table.metadata["work"]["forms"] == ["table", "table"]
-        assert laid == summed == [51, 51]
-
-    @pytest.mark.parametrize("plan, want", [
-        (wide_plan(1000), ["carried", "carried"]),
+    @pytest.mark.parametrize("n_ris, want", [
         # against a budget of 1835008 bytes, 496 transmit rows of 140 or 141
         # elements take 1.67-1.68 MB to build, and laid out for 51 heights
         # 1827840 bytes at 140 elements and 1840896 at 141
-        (replace(load_preset("panel_d"), seed=1, n_ris=140), ["table", "table"]),
-        (replace(load_preset("panel_d"), seed=1, n_ris=141), ["carried", "table"]),
-    ], ids=["wide", "panel_d_140", "panel_d_141"])
-    def test_laid_out_tables_take_the_block_budget(self, plan, want):
-        with mock.patch.object(sim, "_block_gains", return_value={}):
-            assert sim._plan_gains(plan)[3].forms == want
+        (140, ["table", "table"]), (141, ["carried", "table"]),
+    ], ids=["panel_d_140", "panel_d_141"])
+    def test_laid_out_tables_take_the_block_budget(self, n_ris, want):
+        plan = replace(load_preset("panel_d"), seed=1, n_ris=n_ris)
+        assert run_plan(plan).metadata["work"]["forms"] == want
+
+    def test_approximation_evaluates_each_chunks_distinct_heights_once(self):
+        # panel_d at seed 1: 829 pair units on 51-point grids, in chunks of
+        # whole blocks; per unit, both legs would take 1658 heights. No
+        # output shows how many, so every binding of the factor counts them.
+        evaluated = []
+
+        def counting(factor):
+            def count(n, spacing, cos_theta, wavelength):
+                evaluated.append(len(cos_theta))
+                return factor(n, spacing, cos_theta, wavelength)
+            return count
+        with wrapped(approx, "array_factor", counting):
+            run_plan(replace(load_preset("panel_d"), seed=1))
+        assert sum(evaluated) == 217 < 2 * 829
 
 
 class TestBlockMemory:
@@ -1033,7 +894,7 @@ class TestBlockMemory:
 
     @staticmethod
     def isolated_sweep(plan, peaks):
-        """The ``_Work`` record of a traced ``_plan_gains`` on ``plan``, whose
+        """The work record of a traced ``run_plan`` on ``plan``, whose
         readings, put in ``peaks``, do not depend on what ran before in the
         process.
 
@@ -1047,13 +908,13 @@ class TestBlockMemory:
         floats, lists, dicts), and NumPy's caches of freed shape buffers, up
         to 7 per dimension count, are filled.
         """
-        sim._plan_gains(plan)
+        run_plan(plan)
         peaks.clear()
         gc.collect()
         [np.empty((1,) * ndim) for ndim in range(1, 8) for _ in range(8)]
         tracemalloc.start()
         try:
-            return sim._plan_gains(plan)[3]
+            return run_plan(plan).metadata["work"]
         finally:
             tracemalloc.stop()
 
@@ -1061,7 +922,7 @@ class TestBlockMemory:
         """The units and traced peak of each block of ``plan`` on one run,
         measured from the first block's start, over the block's row build
         and its solve, so that the rows a block carries into the next count
-        against the next; and the sweep's ``_Work`` record."""
+        against the next; and the sweep's work record."""
         start, peaks = [0], []
         block_gains = sim._block_gains
 
@@ -1078,8 +939,8 @@ class TestBlockMemory:
         return peaks, work
 
     def leg_build_peaks(self, plan):
-        """The traced peak of each leg's ``_leg_blocks`` call on ``plan``, whose
-        blocks go unsolved, and the form each leg took."""
+        """The traced peak of each leg's ``_leg_blocks`` call on ``plan``, and
+        the form each leg took."""
         peaks, leg_blocks = [], sim._leg_blocks
 
         def spy(*args):
@@ -1088,9 +949,8 @@ class TestBlockMemory:
             blocks = leg_blocks(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
             return blocks
-        with mock.patch.object(sim, "_leg_blocks", spy), \
-                mock.patch.object(sim, "_block_gains", return_value={}):
-            return peaks, self.isolated_sweep(plan, peaks).forms
+        with mock.patch.object(sim, "_leg_blocks", spy):
+            return peaks, self.isolated_sweep(plan, peaks)["forms"]
 
     @pytest.mark.parametrize("shape", ["panel_d", "wide_fine", "wide_carried"])
     def test_block_peaks_within_budget(self, shape):
@@ -1101,17 +961,17 @@ class TestBlockMemory:
                 "wide_fine": wide_plan(12),
                 "wide_carried": wide_plan(40, h_t_grid=(2.0, 2.02, 0.0001))}[shape]
         peaks, work = self.block_peaks(plan)
-        units = work.units if shape == "panel_d" else plan.trials
+        units = work["units"] if shape == "panel_d" else plan.trials
         unit_bytes = sim._unit_bytes(plan)
         per_block = sim._BLOCK_BYTES // unit_bytes
         full, rest = divmod(units, per_block)
         assert [n for n, _ in peaks] == [per_block] * full + [rest] * (rest > 0)
-        assert work.blocks == len(peaks) >= 3
+        assert work["blocks"] == len(peaks) >= 3
         # panel_d and wide_fine gather every block from tables, whose builds
         # take rows from the block before only on panel_d's 2 cm grid; the
         # blocks of wide_carried take rows from the block before
-        assert work.forms == ["carried" if shape == "wide_carried" else "table"] * 2
-        assert (work.taken[0] > 0) == (shape != "wide_fine")
+        assert work["forms"] == ["carried" if shape == "wide_carried" else "table"] * 2
+        assert (work["taken"][0] > 0) == (shape != "wide_fine")
         for n, peak in peaks:
             assert peak <= n * unit_bytes <= sim._BLOCK_BYTES
 
@@ -1133,7 +993,7 @@ class TestBlockMemory:
         # 450,560 B
         plan = wide_plan(12)
         unit_bytes = sim._unit_bytes(plan)
-        with mock.patch.object(sim, "_BLOCK_BYTES", unit_bytes):
+        with budget(unit_bytes):
             peaks, _ = self.block_peaks(plan)
         assert [n for n, _ in peaks] == [1] * 12
         assert max(peak for _, peak in peaks) <= unit_bytes
@@ -1146,7 +1006,7 @@ class TestBlockMemory:
         # last block peaks at about 28 KB traced against 24,768 B
         plan = load_preset("panel_b")
         peaks, work = self.block_peaks(plan)
-        assert work.units == 815
+        assert work["units"] == 815
         assert [n for n, _ in peaks] == [74] * 11 + [1]
         n, peak = peaks[-1]
         assert peak <= n * sim._unit_bytes(plan)
@@ -1174,14 +1034,18 @@ class TestRuns:
     runs of the unit order, one per CPU and no more than its blocks; a
     fully tabled sweep runs on this thread alone."""
 
-    @pytest.mark.parametrize("mode", ["zero", "random"])
-    def test_wide_csv_bytes_for_any_cpu_count(self, mode, tmp_path):
-        # 60 units in 15 blocks; tabled legs run on this thread alone
-        plan = replace(wide_plan(60), benchmark_ris_phase=mode)
-        with cache_form("table"):
+    @pytest.mark.parametrize("plan", [
+        # 60 wide units in 15 blocks; 277 panel_d grid pairs in 14 blocks of 21
+        replace(wide_plan(60), benchmark_ris_phase="zero"), wide_plan(60),
+        replace(load_preset("panel_d"), trials=300),
+    ], ids=["wide_zero", "wide_random", "panel_d"])
+    def test_csv_bytes_for_any_cpu_count(self, plan, tmp_path):
+        # tabled legs run on this thread alone
+        with cache_form("table"), threads_started() as threads:
             write_csv(run_plan(plan), tmp_path / "table.csv")
+        assert threads.call_count == 0
         for count in (1, 2, 3, 8):
-            with cpus(count), threads_started() as threads:
+            with cpus(count), cache_form("carried"), threads_started() as threads:
                 table = run_plan(plan)
             write_csv(table, tmp_path / f"{count}.csv")
             assert table.metadata["work"]["forms"] == ["carried", "carried"]
@@ -1189,35 +1053,12 @@ class TestRuns:
             assert (tmp_path / f"{count}.csv").read_bytes() == \
                 (tmp_path / "table.csv").read_bytes(), count
 
-    def test_carried_pair_sweep_csv_bytes_for_any_cpu_count(self, tmp_path):
-        # 277 grid pairs in 14 blocks of 21
-        plan = replace(load_preset("panel_d"), trials=300)
-        with threads_started() as threads:
-            write_csv(run_plan(plan), tmp_path / "table.csv")
-        assert threads.call_count == 0
-        for count in (1, 2, 3, 8):
-            with cpus(count), cache_form("carried"), threads_started() as threads:
-                table = run_plan(plan)
-            write_csv(table, tmp_path / f"{count}.csv")
-            assert table.metadata["distinct_pairs"] == 277
-            assert threads.call_count == count - 1
-            assert (tmp_path / f"{count}.csv").read_bytes() == \
-                (tmp_path / "table.csv").read_bytes(), count
-
-    def test_no_more_runs_than_blocks(self):
-        # 20 trials in 5 blocks of 4: the transmit leg builds its rows per
-        # block, with one builder per run, and the receive leg is tabled
-        plan = wide_plan(20)
-        with cpus(8), threads_started() as threads:
-            work = run_plan(plan).metadata["work"]
-        assert work["forms"] == ["carried", "table"]
-        assert threads.call_count == 4
-        assert (work["runs"], work["blocks"], work["units"]) == (5, 5, 20)
-
     @pytest.mark.parametrize("blas, started", [(1, 4), (2, 0), (None, 0)])
     def test_runs_only_where_blas_runs_each_call_on_one_thread(self, blas, started):
-        # 8 CPUs and 20 trials in 5 blocks; a BLAS that threads its calls
-        # itself, or one that cannot be asked, keeps the sweep on one run
+        # 8 CPUs and 20 trials in 5 blocks: the transmit leg builds its rows
+        # per block, with one builder per run, and the receive leg is tabled,
+        # so there are no more runs than blocks. A BLAS that threads its
+        # calls itself, or one that cannot be asked, keeps the sweep on one run
         with mock.patch.object(sim, "_blas_threads", return_value=blas), \
                 mock.patch.object(os, "sched_getaffinity", return_value=set(range(8)),
                                   create=True), \
@@ -1225,6 +1066,7 @@ class TestRuns:
             work = run_plan(wide_plan(20)).metadata["work"]
         assert work["forms"] == ["carried", "table"]
         assert threads.call_count == work["runs"] - 1 == started
+        assert (work["blocks"], work["units"]) == (5, 20)
 
     @pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
                         ["blas"]["name"], reason="NumPy's BLAS is not OpenBLAS")
@@ -1271,26 +1113,17 @@ class TestRuns:
 class TestPairUnits:
     "Sweeps solve each distinct grid pair once unless random phases are read."
 
-    def assert_gains_equal(self, plan):
-        "Checks the sweep's gains per trial, and returns the units it ran."
-        gains, counts, _, work = sim._plan_gains(plan)
-        gains, (expected, _) = trial_order(plan, gains, counts), trial_unit_gains(plan)
-        assert gains.keys() == expected.keys()
-        for scheme, values in expected.items():
-            assert np.array_equal(gains[scheme], values), scheme
-        return work.units
-
-    @pytest.mark.parametrize("panel", ["panel_a", "panel_d"])
-    def test_pair_gains_equal_trial_gains_on_presets(self, panel):
-        plan = replace(load_preset(panel), trials=300)
-        # grid pairs, fewer than the trials
-        assert self.assert_gains_equal(plan) < plan.trials
-
     @settings(max_examples=40, deadline=None)
     @given(plan=small_plans(),
            schemes=st.lists(st.sampled_from(SCHEMES), unique=True, min_size=1))
     def test_pair_gains_equal_trial_gains(self, plan, schemes):
-        self.assert_gains_equal(replace(plan, schemes=tuple(schemes)))
+        # in blocks of one unit, and of every unit at once
+        plan = replace(plan, schemes=tuple(schemes))
+        want = reference_rows(plan, trial_unit_gains(plan)[0])
+        with budget(1):
+            assert run_plan(plan).rows == want
+        with budget(plan.trials * sim._unit_bytes(plan)):
+            assert run_plan(plan).rows == want
 
     @pytest.mark.parametrize("mode, schemes, unit", [
         ("zero", SCHEMES, "pairs"),
@@ -1502,7 +1335,7 @@ class TestReduction:
     ])
     def test_rows_equal_scalar_snr_passes(self, overrides):
         plan = replace(load_preset("panel_d"), **overrides)
-        assert run_plan(plan).rows == per_snr_rows(plan, *sim._plan_gains(plan)[:2])
+        assert run_plan(plan).rows == reference_rows(plan, trial_unit_gains(plan)[0])
 
     @pytest.mark.parametrize("mode", ["zero", "random"])
     @pytest.mark.parametrize("panel", ["panel_a", "panel_b", "panel_c", "panel_d"])
@@ -1511,9 +1344,8 @@ class TestReduction:
             for trials in (1, 2, 3, 17, 1000):
                 plan = replace(load_preset(panel), seed=seed, trials=trials,
                                benchmark_ris_phase=mode)
-                gains, counts, _, _ = sim._plan_gains(plan)
-                rows = sim._rows(plan, gains, counts)
-                expected = trial_order_rows(plan, trial_order(plan, gains, counts))
+                rows = run_plan(plan).rows
+                expected = trial_order_rows(plan, trial_unit_gains(plan)[0])
                 assert [(r.scheme, r.snr_db, r.trials) for r in rows] == \
                     [(r.scheme, r.snr_db, r.trials) for r in expected]
                 for row, want in zip(rows, expected):
@@ -1526,12 +1358,10 @@ class TestReduction:
         # at seed 10045 trials 0 and 1 both draw grid pair (14, 35)
         plan = replace(load_preset("panel_a"), seed=10045, trials=2)
         assert sweep_streams(plan).indices.tolist() == [[14, 35], [14, 35]]
-        gains, counts, distinct, _ = sim._plan_gains(plan)
-        assert counts.tolist() == [2] and distinct == 1
-        assert {scheme: values.tolist() for scheme, values in gains.items()} == \
-            {scheme: [gain] for scheme, gain in trial_gains(plan, 0).items()}
-        rows = run_plan(plan).rows
-        assert all(row.stderr_bits == 0.0 and row.trials == 2 for row in rows)
+        table = run_plan(plan)
+        assert table.metadata["distinct_pairs"] == table.metadata["work"]["units"] == 1
+        assert table.rows == reference_rows(plan)
+        assert all(row.stderr_bits == 0.0 and row.trials == 2 for row in table.rows)
 
 
 class TestGoldenCsv:
