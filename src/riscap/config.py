@@ -115,8 +115,9 @@ def parse_plan_text(text: str, source: str = "<config>") -> SimulationPlan:
             benchmark_ris_phase=entries.get("benchmark_ris_phase", "zero"),
         )
     except ValueError as err:
-        named = dict.fromkeys(_FIELD_KEYS[word] for word in re.findall(r"\w+", str(err))
-                              if word in _FIELD_KEYS)
+        # quoted text is a value the file gave, not a field name
+        words = re.findall(r"\w+", re.sub(r"'[^']*'|\"[^\"]*\"", "", str(err)))
+        named = dict.fromkeys(_FIELD_KEYS[word] for word in words if word in _FIELD_KEYS)
         if not named:
             raise
         raise ValueError(f"{err} (file key: {', '.join(named)})") from err

@@ -9,7 +9,8 @@ only to be unique), and its replacement. pytest does not collect this file.
     python tests/mutants.py --check         # only check that every target occurs once
 
 The runner copies the checkout to a scratch directory and never edits the
-checkout. For each mutant it edits the copy, runs tier-1 there with ``-x``
+checkout. It first runs tier-1 on the unmutated copy and stops with exit 1
+unless that passes, so only a failure a mutant causes counts. For each mutant it edits the copy, runs tier-1 there with ``-x``
 and a fixed hypothesis seed, and restores the file. A mutant is killed when
 a test fails; a run that times out is not a kill. It prints a Markdown table
 row per mutant and exits 1 unless every mutant was killed.
@@ -91,21 +92,17 @@ MUTANTS = [
 
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-x",
           "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+TIMEOUT = 600.0  # seconds of tier-1 per mutant
 
 
-def run(module: str, target: str, replacement: str, copy: Path, timeout: float):
-    "The outcome, the first failed test and the seconds of tier-1 on ``copy`` with one mutant."
-    path = copy / "src" / "riscap" / module
-    source = path.read_text()
-    path.write_text(source.replace(target, replacement))
+def tier_1(copy: Path):
+    "The outcome, the first failed test and the seconds of tier-1 on ``copy``."
     start = time.perf_counter()
     try:
-        done = subprocess.run(TIER_1, cwd=copy, capture_output=True, text=True, timeout=timeout,
+        done = subprocess.run(TIER_1, cwd=copy, capture_output=True, text=True, timeout=TIMEOUT,
                               env=dict(os.environ, PYTHONPATH=str(copy / "src")))
     except subprocess.TimeoutExpired:
         return "timeout", "", time.perf_counter() - start
-    finally:
-        path.write_text(source)
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
     outcome = {0: "survived", 1: "killed"}.get(done.returncode, f"exit {done.returncode}")
     return outcome, failed.group(1) if failed else "", time.perf_counter() - start
@@ -118,7 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="only check that every target occurs exactly once")
     parser.add_argument("--scratch", type=Path, help="directory for the scratch copy")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
     args = parser.parse_args(argv)
     missing = [name for name, module, target, _ in MUTANTS
                if (args.root / "src" / "riscap" / module).read_text().count(target) != 1]
@@ -132,9 +128,18 @@ def main(argv=None) -> int:
         copy = Path(scratch) / "checkout"
         shutil.copytree(args.root, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks"))
+        # a failure of the unmutated suite would count as a kill of every mutant
+        outcome, test, _ = tier_1(copy)
+        if outcome != "survived":
+            print(f"tier-1 fails without a mutant: {outcome} {test}", file=sys.stderr)
+            return 1
         print("| mutant | module | outcome | first failed test | s |\n|---|---|---|---|---|")
         for name, module, target, replacement in MUTANTS:
-            outcome, test, seconds = run(module, target, replacement, copy, args.timeout)
+            path = copy / "src" / "riscap" / module
+            source = path.read_text()
+            path.write_text(source.replace(target, replacement))
+            outcome, test, seconds = tier_1(copy)
+            path.write_text(source)
             killed += outcome == "killed"
             print(f"| {name} | {module} | {outcome} | {test} | {seconds:.0f} |", flush=True)
     print(f"{killed} of {len(MUTANTS)} killed")

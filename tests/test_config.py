@@ -94,6 +94,13 @@ class TestParsePlanText:
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             parse_plan_text(text)
 
+    @pytest.mark.parametrize("line", ["benchmark_ris_phase = wavelength", "schemes = h_t",
+                                      "trials = d_ris"])
+    def test_plan_errors_name_no_key_for_a_quoted_value(self, line):
+        with pytest.raises(ValueError) as err:  # the value names a field only by chance
+            parse_plan_text(MINIMAL + line + "\n")
+        assert "file key" not in str(err.value)
+
     @pytest.mark.parametrize("value", ["", " , ,"])
     def test_empty_schemes_rejected_naming_the_key(self, value):
         with pytest.raises(ValueError, match="schemes must name at least one"):
