@@ -281,10 +281,12 @@ def sample_heights(plan: SimulationPlan, trial_index: int) -> tuple[float, float
     return _heights(plan, *indices)
 
 
-def _factors(leg: Leg, wavelength: float, heights) -> NDArray[np.float64]:
+def _factors(leg: Leg, wavelength: float, heights, work: "_Work") -> NDArray[np.float64]:
     """Array factors ``(len(heights), n_ris)`` of a leg's arrays at ``heights``
-    toward each element, computed once per distinct height."""
+    toward each element, computed once per distinct height, which ``work``
+    counts."""
     distinct, at = np.unique(heights, return_inverse=True)
+    work.factors[int(not leg.elements_first)] += len(distinct)
     return array_factor(len(leg.offsets), leg.spacing, leg.toward(distinct), wavelength)[at]
 
 
@@ -303,7 +305,8 @@ def _chunk_units(unit_bytes: int, size: int) -> int:
 class _Work:
     """What one sweep did: the steering rows built, by table builds too, and
     those taken from the block before, per leg (transmit, receive), its
-    blocks, units and runs, and each leg's form, "table" or "carried"."""
+    blocks, units and runs, each leg's form, "table" or "carried", and the
+    array heights whose factors each leg computed."""
 
     built: list = field(default_factory=lambda: [0, 0])
     taken: list = field(default_factory=lambda: [0, 0])
@@ -311,11 +314,13 @@ class _Work:
     units: int = 0
     runs: int = 0
     forms: list = field(default_factory=list)
+    factors: list = field(default_factory=lambda: [0, 0])
 
     def add(self, other: "_Work") -> None:
         "Add ``other``'s counts to these."
         self.built = [mine + theirs for mine, theirs in zip(self.built, other.built)]
         self.taken = [mine + theirs for mine, theirs in zip(self.taken, other.taken)]
+        self.factors = [mine + theirs for mine, theirs in zip(self.factors, other.factors)]
         self.blocks += other.blocks
         self.units += other.units
         self.runs += other.runs
@@ -505,7 +510,8 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None) -> tuple[dict, _Wo
     means zero phases. Units run in ``_unit_order``, in blocks of
     ``_BLOCK_BYTES // _unit_bytes(plan)``, cut into ``_threads()`` runs when
     a leg builds its rows per block. A unit's normalization constant and
-    ``ris_only_approx`` gain, terms of its heights alone, come first.
+    ``ris_only_approx`` gain, terms of its heights alone, come first, and a
+    sweep of ``ris_only_approx`` alone solves no block, so builds no steering.
     """
     order = _unit_order(plan, indices)
     # Heights come from the legs; the scene fixes only the shared geometry.
@@ -516,9 +522,9 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None) -> tuple[dict, _Wo
     chunk = _chunk_units(64 * plan.n_ris, size)
     work = _Work()
     leg_heights = list(zip(legs(cfg), _heights(plan, *indices[order].T)))
-    sides, tabled = zip(*(_leg_blocks(leg, cfg.wavelength, heights, size, work)
-                          for leg, heights in leg_heights))
-    work.forms = ["table" if fits else "carried" for fits in tabled]
+    sides = [_leg_blocks(leg, cfg.wavelength, heights, size, work)
+             for leg, heights in leg_heights] if _SCHEME_GAINS.keys() & set(plan.schemes) else []
+    work.forms = ["table" if fits else "carried" for _, fits in sides]
     k_norm = normalization_constant(cfg, *(leg.corner(h) for leg, h in reversed(leg_heights)))
     # Each block frees its arrays together. glibc malloc returns a free heap
     # top to the kernel once it exceeds twice the largest mmap-served chunk
@@ -533,14 +539,14 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None) -> tuple[dict, _Wo
         if "ris_only_approx" in gains:
             for start in range(first, stop, chunk):
                 end = min(start + chunk, stop)
-                f_t, f_r = (_factors(leg, cfg.wavelength, heights[start:end])
+                f_t, f_r = (_factors(leg, cfg.wavelength, heights[start:end], work)
                             for leg, heights in leg_heights)
                 gains["ris_only_approx"][order[start:end]] = factor_gain(
                     k_norm[start:end], f_t, f_r)
                 del f_t, f_r
-        blocks = [side(first, stop, work) for side in sides]
+        blocks = [side(first, stop, work) for side, _ in sides]
         rng = None if streams is None else np.random.default_rng(0)
-        for start in range(first, stop, size):
+        for start in range(first, stop, size) if blocks else ():
             block = order[start:start + size]
             block_phases = None if streams is None else streams.phases(block, plan.n_ris, rng)
             for scheme, values in _block_gains(plan, blocks, k_norm[start:start + size],
@@ -551,7 +557,7 @@ def _sweep_gains(plan: SimulationPlan, indices, streams=None) -> tuple[dict, _Wo
         work.runs += 1
 
     count = -(-len(order) // size)
-    runs = 1 if all(tabled) else min(_threads(), count)
+    runs = 1 if all(fits for _, fits in sides) else min(_threads(), count)
     cuts = [min(len(order), size * (count * i // runs)) for i in range(runs + 1)]
     records = [_Work() for _ in range(runs)]
     _on_threads(run, [(first, stop, record)

@@ -46,13 +46,16 @@ MUTANTS = [
     ("wrong form: table charged half its bytes", "sim.py",
      "return 16 * count * len(leg.offsets)", "return 8 * count * len(leg.offsets)"),
     ("runs although a leg is tabled", "sim.py",
-     "runs = 1 if all(tabled) else", "runs = 1 if any(tabled) else"),
+     "runs = 1 if all(fits for", "runs = 1 if any(fits for"),
     ("first unit's normalization for every unit", "sim.py",
      "*(leg.corner(h) for leg", "*(leg.corner(h[:1]) for leg"),
     ("array factors per unit", "sim.py",
-     "leg.toward(distinct), wavelength)[at]", "leg.toward(distinct[at]), wavelength)"),
+     "distinct, at = np.unique(heights, return_inverse=True)\n    work.factors",
+     "distinct, at = heights, np.arange(len(heights))\n    work.factors"),
     ("approximation chunk of one block", "sim.py",
      "chunk = _chunk_units(64 * plan.n_ris, size)", "chunk = size"),
+    ("steering built for an approximation-only sweep", "sim.py",
+     "if _SCHEME_GAINS.keys() & set(plan.schemes) else []", "if True else []"),
     ("residue order for a spacing of no whole steps", "sim.py",
      "if round(steps) > 1 and abs(steps - round(steps)) <= 1e-9:", "if round(steps) > 1:"),
     ("wrong trial weight", "sim.py", "n = int(np.sum(counts))", "n = len(counts)"),

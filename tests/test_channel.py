@@ -237,8 +237,10 @@ class TestExtendedPrecisionReference:
     same float64 inputs. On x86-64 Linux, CI's ubuntu-latest included,
     ``np.longdouble`` is x87 80-bit extended (eps 1.08e-19), so the
     reference's own error, about 4e-16 on steering, is far below the bounds.
-    Each bound was set from the error measured on these heights before any
-    change to the functions, times the margin stated beside it."""
+    Each bound was set from the error measured before any change to the
+    functions, times the margin stated beside it: on these heights, and for
+    the capacity map over a range of gains, so it holds for gains a change
+    to the solvers may produce."""
 
     # measured 1.17e-16 relative (hypot to about half an ulp); margin 2x
     ROWS_REL = 2.4e-16
@@ -248,10 +250,10 @@ class TestExtendedPrecisionReference:
     # each gain at its float64 solver's phases, relative; measured 3.85e-16,
     # 2.99e-15, 2.35e-14 and 1.12e-13 (basic's sum cancels most); margin 2x
     GAIN_REL = {"ris_only": 7.7e-16, "joint": 6.0e-15, "cophasing": 4.8e-14, "basic": 2.3e-13}
-    # relative at the presets' SNRs; measured 9.68e-16 with log1p, which
-    # keeps the digits of a small x (log2(1 + x) read 4.02e-12 at basic's
-    # 3.5e-5 bits at 0 dB); margin 2x
-    CAPACITY_REL = 1.94e-15
+    # relative, over 10,000 gains log-spaced across [1e-6, 1e4] at the
+    # presets' SNRs and at 8x4, 8x2, 16x4 and 32x16 arrays: measured 4.38e-16;
+    # margin 2x
+    CAPACITY_REL = 8.8e-16
     TRIALS = 64
 
     @staticmethod
@@ -260,6 +262,21 @@ class TestExtendedPrecisionReference:
         return load_preset(name) if name != "wide" else replace(
             load_preset("panel_a"), n_t=32, n_r=16, n_ris=256, seed=1,
             h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001))
+
+    @staticmethod
+    def exact_capacity(gain, n_t, n_r, snr_db):
+        """log2(1 + x) in np.longdouble, through log1p: 1 + x would lose the
+        digits of a small x (5.4e-13 relative for x in [1e-7, 1e-5))."""
+        x = np.longdouble(gain) ** 2 / (n_t * n_r) * 10 ** (np.longdouble(snr_db) / 10)
+        return np.log1p(x) / np.log(np.longdouble(2))
+
+    @pytest.mark.parametrize("n_t, n_r", [(8, 4), (8, 2), (16, 4), (32, 16)])
+    def test_capacity_within_its_bound_over_a_gain_range(self, n_t, n_r):
+        snr_db = np.array(sorted({snr for name in PRESETS for snr in load_preset(name).snr_db}))
+        gains, snr_db = np.logspace(-6, 4, 10_000), snr_db[:, np.newaxis]
+        capacity = capacity_from_gain(gains, n_t, n_r, SnrPoint.from_db(snr_db))
+        exact = self.exact_capacity(gains, n_t, n_r, snr_db)
+        assert np.max(np.abs(capacity - exact) / exact) <= self.CAPACITY_REL
 
     @pytest.mark.parametrize("name", [*PRESETS, "wide"])
     def test_rows_and_steering_within_their_bounds(self, name):
@@ -283,7 +300,7 @@ class TestExtendedPrecisionReference:
         # from the same float64 steering and k_norm; the benchmarks at zero
         # RIS phases
         plan = self.plan(name)
-        snr, exact_snr = SnrPoint.from_db(plan.snr_db), 10 ** (np.longdouble(plan.snr_db) / 10)
+        snr = SnrPoint.from_db(plan.snr_db)
 
         def rotor(phi):
             return np.exp(1j * np.longdouble(phi))
@@ -305,5 +322,5 @@ class TestExtendedPrecisionReference:
             for scheme, (gain, exact) in gains.items():
                 assert abs(gain - exact) <= self.GAIN_REL[scheme] * exact, scheme
                 capacity = capacity_from_gain(gain, plan.n_t, plan.n_r, snr)
-                exact = np.log2(1 + np.longdouble(gain) ** 2 / (plan.n_t * plan.n_r) * exact_snr)
+                exact = self.exact_capacity(gain, plan.n_t, plan.n_r, plan.snr_db)
                 assert np.all(np.abs(capacity - exact) <= self.CAPACITY_REL * exact), scheme

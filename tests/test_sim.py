@@ -39,11 +39,12 @@ from riscap import (
 )
 from riscap import approx, channel, schemes, sim
 from riscap._stream import TrialStreams
+from riscap.config import parse_plan_text
 from riscap.geometry import Leg
 from riscap.schemes import basic_gain
 from riscap.sim import SCHEMES, grid_points
 
-GOLDEN = Path(__file__).parent / "golden"
+from goldens import GOLDEN, config_text
 
 
 def tiny_plan(**overrides):
@@ -610,9 +611,9 @@ def trial_unit_gains(plan):
     return sim._sweep_gains(plan, streams.indices, streams if random else None)
 
 
-def fine_transmit_plan():
-    "panel_a at 200 trials with a 201-point transmit grid of 0.1 mm steps."
-    return replace(load_preset("panel_a"), h_t_grid=(2.0, 2.02, 0.0001), trials=200)
+def golden_plan(name):
+    "The plan of golden ``name``'s recipe in ``tests/goldens.py``."
+    return parse_plan_text(config_text(name))
 
 
 def wide_plan(trials, seed=1, h_t_grid=(2.0, 3.0, 0.0001)):
@@ -808,7 +809,8 @@ class TestRowCache:
         table = run_plan(replace(load_preset("panel_d"), seed=1))
         assert table.metadata["distinct_pairs"] == 829
         assert table.metadata["work"] == {"built": [496, 204], "taken": [80, 0], "blocks": 40,
-                                          "units": 829, "runs": 1, "forms": ["table", "table"]}
+                                          "units": 829, "runs": 1, "forms": ["table", "table"],
+                                          "factors": [54, 163]}
         json.dumps(table.metadata)
 
     @pytest.mark.parametrize("seed, runs", [(1, 1), (7, 1), (1, 2)])
@@ -843,7 +845,7 @@ class TestRowCache:
         # 0.1 mm steps against a 2.5 mm antenna spacing: arrays up to 175
         # steps apart share a row, so blocks of 4 heights built 1056
         # transmit rows
-        plan = fine_transmit_plan()
+        plan = golden_plan("panel_a_fine_tx_200.csv")
         work = run_plan(plan).metadata["work"]
         assert work["forms"] == ["table", "table"]
         z = element_heights(plan, unit_indices(plan))[0]
@@ -873,18 +875,19 @@ class TestRowCache:
 
     def test_approximation_evaluates_each_chunks_distinct_heights_once(self):
         # panel_d at seed 1: 829 pair units on 51-point grids, in chunks of
-        # whole blocks; per unit, both legs would take 1658 heights. No
-        # output shows how many, so every binding of the factor counts them.
-        evaluated = []
+        # whole blocks; per unit, both legs would take 1658 heights
+        work = run_plan(replace(load_preset("panel_d"), seed=1)).metadata["work"]
+        assert work["factors"] == [54, 163] and sum(work["factors"]) < 2 * 829
 
-        def counting(factor):
-            def count(n, spacing, cos_theta, wavelength):
-                evaluated.append(len(cos_theta))
-                return factor(n, spacing, cos_theta, wavelength)
-            return count
-        with wrapped(approx, "array_factor", counting):
-            run_plan(replace(load_preset("panel_d"), seed=1))
-        assert sum(evaluated) == 217 < 2 * 829
+    def test_approximation_alone_builds_no_steering(self):
+        # its gains come from the array factors before any block runs
+        plan = replace(load_preset("panel_d"), seed=1)
+        approx_only = run_plan(replace(plan, schemes=("ris_only_approx",)))
+        assert approx_only.metadata["work"] == {"built": [0, 0], "taken": [0, 0], "blocks": 0,
+                                                "units": 829, "runs": 1, "forms": [],
+                                                "factors": [54, 163]}
+        assert approx_only.rows == tuple(row for row in run_plan(plan).rows
+                                         if row.scheme == "ris_only_approx")
 
 
 class TestBlockMemory:
@@ -1024,7 +1027,7 @@ class TestBlockMemory:
     def test_fine_table_builds_within_the_budget(self):
         # the fine golden plan's transmit table build peaks at about 1.98 MB
         # traced against 1,835,008 B
-        peaks, forms = self.leg_build_peaks(fine_transmit_plan())
+        peaks, forms = self.leg_build_peaks(golden_plan("panel_a_fine_tx_200.csv"))
         assert forms == ["table", "table"]
         assert peaks[0] <= sim._BLOCK_BYTES
 
@@ -1364,44 +1367,15 @@ class TestReduction:
         assert all(row.stderr_bits == 0.0 and row.trials == 2 for row in table.rows)
 
 
-class TestGoldenCsv:
-    "50-trial CSVs of the shipped presets and a random-phase sweep, pinned byte for byte."
-
-    @pytest.mark.parametrize("panel", ["panel_a", "panel_b", "panel_c", "panel_d"])
-    def test_matches_golden_bytes(self, panel, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv(run_plan(replace(load_preset(panel), trials=50)), path)
-        assert path.read_bytes() == (GOLDEN / f"{panel}_50.csv").read_bytes()
-
-    def test_random_phase_sweep_matches_golden_bytes(self, tmp_path):
-        # random benchmark phases with benchmark schemes keep trial units
-        plan = replace(load_preset("panel_a"), benchmark_ris_phase="random", trials=200)
-        path = tmp_path / "out.csv"
-        write_csv(run_plan(plan), path)
-        assert path.read_bytes() == (GOLDEN / "panel_a_random_200.csv").read_bytes()
-
-    def test_fine_transmit_grid_matches_golden_bytes(self, tmp_path):
-        # a sweep table whose rows are shared by many heights, not only by
-        # neighbouring ones
-        path = tmp_path / "out.csv"
-        write_csv(run_plan(fine_transmit_plan()), path)
-        assert path.read_bytes() == (GOLDEN / "panel_a_fine_tx_200.csv").read_bytes()
-
-    def test_wide_carried_sweep_on_two_runs_matches_golden_bytes(self, tmp_path):
-        # panel_a's geometry with the benchmark's 32x16x256 arrays, 0.1 mm
-        # grids and random phases, as CI's wide config: both legs build
-        # their rows per block, on two runs
-        plan = replace(load_preset("panel_a"), n_t=32, n_r=16, n_ris=256,
-                       h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001),
-                       benchmark_ris_phase="random", trials=50)
-        with cpus(2):
-            table = run_plan(plan)
-        assert table.metadata["work"] == {"built": [1468, 800], "taken": [28, 0], "blocks": 13,
-                                          "units": 50, "runs": 2,
-                                          "forms": ["carried", "carried"]}
-        path = tmp_path / "out.csv"
-        write_csv(table, path)
-        assert path.read_bytes() == (GOLDEN / "wide_random_50.csv").read_bytes()
+def test_wide_random_golden_on_two_runs(tmp_path):
+    # both legs build their rows per block, on two runs, and write the golden bytes
+    with cpus(2):
+        table = run_plan(golden_plan("wide_random_50.csv"))
+    assert table.metadata["work"] == {"built": [1468, 800], "taken": [28, 0], "blocks": 13,
+                                      "units": 50, "runs": 2, "forms": ["carried", "carried"],
+                                      "factors": [50, 50]}
+    write_csv(table, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (GOLDEN / "wide_random_50.csv").read_bytes()
 
 
 class TestWriteCsv:
