@@ -77,6 +77,9 @@ def _load_plan(source: str, seed=None, trials=None):
 
 def _cmd_simulate(args) -> int:
     plan = _load_plan(args.config, seed=args.seed, trials=args.trials)
+    folder = os.path.dirname(args.out) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise _ConfigError(f"--out: directory {folder!r} does not exist or is not writable")
     table = run_plan(plan, workers=args.workers)
     write_csv(table, args.out)
     print(f"wrote {len(table.rows)} rows to {args.out} "

@@ -7,31 +7,12 @@ keys are rejected so typos cannot silently fall back to defaults.
 
 import math
 import re
+from dataclasses import MISSING, fields
 from importlib import resources
 
-from .sim import SCHEMES, SimulationPlan
-
-_REQUIRED_FLOAT_KEYS = (
-    "lambda_m", "s_t_m", "s_r_m", "s_ris_m", "d_wall_m", "d_ris_m",
-    "h_t_min_m", "h_t_max_m", "h_t_step_m",
-    "h_r_min_m", "h_r_max_m", "h_r_step_m",
-)
-_REQUIRED_INT_KEYS = ("n_t", "n_r", "n_ris")
-_OPTIONAL_KEYS = ("snr_db", "trials", "seed", "schemes", "benchmark_ris_phase")
-
-DEFAULT_SNR_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-DEFAULT_TRIALS = 1000
-DEFAULT_SEED = 1
+from .sim import SimulationPlan
 
 PRESETS = ("panel_a", "panel_b", "panel_c", "panel_d")
-
-# The file keys of the plan fields whose names differ from them. A plan
-# checks its scene at the lowest grid heights, so h_t and h_r are the minima.
-_FIELD_KEYS = {
-    "wavelength": "lambda_m", "s_t": "s_t_m", "s_r": "s_r_m", "s_ris": "s_ris_m",
-    "d_wall": "d_wall_m", "d_ris": "d_ris_m", "h_t": "h_t_min_m", "h_r": "h_r_min_m",
-    "h_t_grid": "h_t_min_m, h_t_max_m, h_t_step_m", "h_r_grid": "h_r_min_m, h_r_max_m, h_r_step_m",
-}
 
 
 def _parse_entries(text: str, source: str) -> dict:
@@ -66,58 +47,68 @@ def _to_float(key: str, value: str) -> float:
     return number
 
 
+def _to_floats(key: str, value: str) -> tuple[float, ...]:
+    return tuple(_to_float(key, item) for item in value.split(","))
+
+
+def _to_names(key: str, value: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in value.split(",") if item.strip())
+
+
+# Each plan field, the parser of its file keys' values and the keys, in the
+# order a file's values are read. A height grid is read from three keys.
+_FIELDS = {
+    "wavelength": (_to_float, "lambda_m"),
+    "s_t": (_to_float, "s_t_m"),
+    "s_r": (_to_float, "s_r_m"),
+    "s_ris": (_to_float, "s_ris_m"),
+    "d_wall": (_to_float, "d_wall_m"),
+    "d_ris": (_to_float, "d_ris_m"),
+    "h_t_grid": (_to_float, "h_t_min_m", "h_t_max_m", "h_t_step_m"),
+    "h_r_grid": (_to_float, "h_r_min_m", "h_r_max_m", "h_r_step_m"),
+    "n_t": (_to_int, "n_t"),
+    "n_r": (_to_int, "n_r"),
+    "n_ris": (_to_int, "n_ris"),
+    "snr_db": (_to_floats, "snr_db"),
+    "trials": (_to_int, "trials"),
+    "seed": (_to_int, "seed"),
+    "schemes": (_to_names, "schemes"),
+    "benchmark_ris_phase": (lambda key, value: value, "benchmark_ris_phase"),
+}
+
+
+# The file keys of plan field ``word`` when they are not its name. A plan checks
+# its scene at the lowest grid heights, so a scene's h_t and h_r are the minima.
+def _file_keys(word: str) -> tuple[str, ...]:
+    if word in ("h_t", "h_r"):
+        return _FIELDS[f"{word}_grid"][1:2]
+    keys = _FIELDS[word][1:] if word in _FIELDS else ()
+    return () if keys == (word,) else keys
+
+
 def parse_plan_text(text: str, source: str = "<config>") -> SimulationPlan:
-    "Build a SimulationPlan from configuration text."
+    "Build a SimulationPlan from configuration text; a key left out takes the plan's default."
     entries = _parse_entries(text, source)
 
-    known = set(_REQUIRED_FLOAT_KEYS) | set(_REQUIRED_INT_KEYS) | set(_OPTIONAL_KEYS)
-    unknown = set(entries) - known
+    unknown = set(entries).difference(*(keys for _, *keys in _FIELDS.values()))
     if unknown:
         raise ValueError(f"{source}: unknown keys {sorted(unknown)}")
-    missing = (set(_REQUIRED_FLOAT_KEYS) | set(_REQUIRED_INT_KEYS)) - set(entries)
+    missing = {key for field in fields(SimulationPlan) if field.default is MISSING
+               for key in _FIELDS[field.name][1:]} - set(entries)
     if missing:
         raise ValueError(f"{source}: missing required keys {sorted(missing)}")
 
-    floats = {key: _to_float(key, entries[key]) for key in _REQUIRED_FLOAT_KEYS}
-    ints = {key: _to_int(key, entries[key]) for key in _REQUIRED_INT_KEYS}
-
-    if "snr_db" in entries:
-        snr_db = tuple(
-            _to_float("snr_db", item) for item in entries["snr_db"].split(",")
-        )
-    else:
-        snr_db = DEFAULT_SNR_DB
-
-    if "schemes" in entries:
-        schemes = tuple(
-            item.strip() for item in entries["schemes"].split(",") if item.strip()
-        )
-    else:
-        schemes = SCHEMES
-
+    given = {}
+    for name, (parse, *keys) in _FIELDS.items():
+        if keys[0] in entries:
+            values = [parse(key, entries[key]) for key in keys]
+            given[name] = tuple(values) if len(keys) > 1 else values[0]
     try:
-        return SimulationPlan(
-            wavelength=floats["lambda_m"],
-            n_t=ints["n_t"],
-            n_r=ints["n_r"],
-            n_ris=ints["n_ris"],
-            s_t=floats["s_t_m"],
-            s_r=floats["s_r_m"],
-            s_ris=floats["s_ris_m"],
-            d_wall=floats["d_wall_m"],
-            d_ris=floats["d_ris_m"],
-            h_t_grid=(floats["h_t_min_m"], floats["h_t_max_m"], floats["h_t_step_m"]),
-            h_r_grid=(floats["h_r_min_m"], floats["h_r_max_m"], floats["h_r_step_m"]),
-            snr_db=snr_db,
-            trials=_to_int("trials", entries.get("trials", str(DEFAULT_TRIALS))),
-            seed=_to_int("seed", entries.get("seed", str(DEFAULT_SEED))),
-            schemes=schemes,
-            benchmark_ris_phase=entries.get("benchmark_ris_phase", "zero"),
-        )
+        return SimulationPlan(**given)
     except ValueError as err:
         # quoted text is a value the file gave, not a field name
         words = re.findall(r"\w+", re.sub(r"'[^']*'|\"[^\"]*\"", "", str(err)))
-        named = dict.fromkeys(_FIELD_KEYS[word] for word in words if word in _FIELD_KEYS)
+        named = dict.fromkeys(", ".join(keys) for keys in map(_file_keys, words) if keys)
         if not named:
             raise
         raise ValueError(f"{err} (file key: {', '.join(named)})") from err

@@ -194,10 +194,10 @@ class SimulationPlan:
     d_ris: float
     h_t_grid: tuple[float, float, float]
     h_r_grid: tuple[float, float, float]
-    snr_db: tuple[float, ...]
-    trials: int
-    seed: int
-    schemes: tuple[str, ...]
+    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+    trials: int = 1000
+    seed: int = 1
+    schemes: tuple[str, ...] = SCHEMES
     benchmark_ris_phase: str = "zero"
 
     def __post_init__(self):

@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from riscap.cli import cli_main
+from riscap.config import parse_plan_text
 
 GOLDEN = Path(__file__).parent / "golden"
 # the benchmark's wide scene: panel_a's geometry, 32x16x256 arrays, 0.1 mm grids
@@ -38,6 +39,11 @@ def config_text(name: str) -> str:
     lines = (resources.files("riscap") / "presets" / f"{preset}.cfg").read_text().splitlines()
     kept = [line for line in lines if line.partition(" ")[0] not in keys]
     return "\n".join(kept + settings) + "\n"
+
+
+def golden_plan(name: str):
+    "The plan of golden ``name``'s recipe."
+    return parse_plan_text(config_text(name))
 
 
 def simulate(name: str, out: Path) -> int:

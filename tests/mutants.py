@@ -1,4 +1,4 @@
-"""Planted faults of the engine, and a runner that checks the suite kills each.
+"""Planted faults of the engine and its parser, and a runner that checks the suite kills each.
 
 Each mutant is a one-line edit of a module under ``src/riscap``: a target
 text, which must occur exactly once in the module (some carry the next line
@@ -91,6 +91,18 @@ MUTANTS = [
     ("buffered high half lost", "_stream.py",
      "self._buffered = np.full(len(trials), draws == 1)",
      "self._buffered = np.full(len(trials), False)"),
+    ("grid fed from its minimum key alone", "config.py",
+     "parse(key, entries[key]) for key in keys", "parse(key, entries[keys[0]]) for key in keys"),
+    ("changed default", "sim.py", "    seed: int = 1\n", "    seed: int = 2\n"),
+    ("optional key treated as required", "config.py",
+     "if field.default is MISSING", "if field.default is MISSING or field.name == \"trials\""),
+    ("dropped file-key suffix", "config.py",
+     "raise ValueError(f\"{err} (file key: {', '.join(named)})\") from err",
+     "raise ValueError(str(err)) from err"),
+    ("scene's h_t named by its grid's top key", "config.py",
+     "return _FIELDS[f\"{word}_grid\"][1:2]", "return _FIELDS[f\"{word}_grid\"][2:3]"),
+    ("quoted value read as a field name", "config.py",
+     "re.sub(r\"'[^']*'|", "re.sub(r\"(?!)'[^']*'|"),
 ]
 
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-x",

@@ -25,6 +25,8 @@ from riscap.channel import gain_rows, principal_angle, steering, unnormalized_h
 from riscap.config import PRESETS
 from riscap.geometry import legs
 
+from goldens import golden_plan
+
 
 @pytest.fixture
 def panel(scene):
@@ -258,10 +260,9 @@ class TestExtendedPrecisionReference:
 
     @staticmethod
     def plan(name):
-        "A shipped preset, or wide: the benchmark's scene, 32x16x256 on 0.1 mm grids, seed 1."
+        "A shipped preset, or wide: the benchmark's scene, the wide golden one at seed 1."
         return load_preset(name) if name != "wide" else replace(
-            load_preset("panel_a"), n_t=32, n_r=16, n_ris=256, seed=1,
-            h_t_grid=(2.0, 3.0, 0.0001), h_r_grid=(0.8, 1.8, 0.0001))
+            golden_plan("wide_zero_50.csv"), seed=1, trials=1000)
 
     @staticmethod
     def exact_capacity(gain, n_t, n_r, snr_db):

@@ -1,26 +1,18 @@
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
-from riscap import cli, sim
+from riscap import cli, load_preset, parse_plan_text, sim
 from riscap.cli import cli_main
 
-CONFIG = """
-lambda_m = 0.005
+from conftest import GEOMETRY
+from goldens import GOLDEN
+
+CONFIG = GEOMETRY + """\
 n_t = 2
 n_r = 2
 n_ris = 5
-s_t_m = 0.0025
-s_r_m = 0.0025
-s_ris_m = 0.0025
-d_wall_m = 5.0
-d_ris_m = 2.5
-h_t_min_m = 2.0
-h_t_max_m = 3.0
-h_t_step_m = 0.02
-h_r_min_m = 0.8
-h_r_max_m = 1.8
-h_r_step_m = 0.02
 snr_db = 0, 10
 trials = 4
 seed = 3
@@ -159,11 +151,39 @@ class TestSimulate:
         assert "snr_db" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_unwritable_output_is_runtime_error(self, config_file, tmp_path):
+    def test_missing_output_directory_is_config_error_naming_out(self, config_file, tmp_path,
+                                                                  capsys):
+        # refused before the sweep runs, as every other bad input
         code = cli_main(["simulate", "--config", str(config_file),
                          "--out", str(tmp_path / "missing_dir" / "x.csv")])
+        assert code == 1
+        assert "--out" in capsys.readouterr().err
+
+    def test_unwritable_output_is_runtime_error(self, config_file, tmp_path):
+        # a directory in a writable one passes the early check; writing to it fails
+        code = cli_main(["simulate", "--config", str(config_file), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_defaults_are_stated_once(self, tmp_path):
+        # panel_a's geometry without its optional keys, with the plan's
+        # defaults spelled out, and that in reverse order: one plan, one CSV
+        defaults = ("snr_db = 0, 5, 10, 15, 20, 25, 30\ntrials = 1000\nseed = 1\n"
+                    "schemes = basic, cophasing, joint, ris_only, ris_only_approx\n"
+                    "benchmark_ris_phase = zero\n")
+        optional = {line.partition(" ")[0] for line in defaults.splitlines()}
+        preset = (resources.files("riscap") / "presets" / "panel_a.cfg").read_text()
+        geometry = "".join(f"{line}\n" for line in preset.splitlines()
+                           if line.partition(" ")[0] not in optional)
+        texts = [geometry, geometry + defaults,
+                 "\n".join(reversed((geometry + defaults).splitlines()))]
+        assert parse_plan_text(texts[0]) == parse_plan_text(texts[1]) == parse_plan_text(texts[2])
+        seed = str(load_preset("panel_a").seed)
+        for i, text in enumerate(texts):
+            (tmp_path / f"{i}.cfg").write_text(text)
+            assert cli_main(["simulate", "--config", str(tmp_path / f"{i}.cfg"), "--out",
+                             str(tmp_path / f"{i}.csv"), "--trials", "50", "--seed", seed]) == 0
+            assert (tmp_path / f"{i}.csv").read_bytes() == \
+                (GOLDEN / "panel_a_50.csv").read_bytes()
 
     def test_holds_the_blas_at_one_thread_before_the_sweep(self, blas_threads, config_file,
                                                           tmp_path, monkeypatch):

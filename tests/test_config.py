@@ -1,26 +1,11 @@
 import pytest
 
-from riscap import load_preset, parse_plan_file, parse_plan_text
+from riscap import SimulationPlan, load_preset, parse_plan_file, parse_plan_text
 from riscap.config import PRESETS
 
-MINIMAL = """
-# geometry
-lambda_m = 0.005
-n_t = 8
-n_r = 4
-n_ris = 50
-s_t_m = 0.0025
-s_r_m = 0.0025
-s_ris_m = 0.0025
-d_wall_m = 5.0
-d_ris_m = 2.5
-h_t_min_m = 2.0
-h_t_max_m = 3.0
-h_t_step_m = 0.02
-h_r_min_m = 0.8
-h_r_max_m = 1.8
-h_r_step_m = 0.02
-"""
+from conftest import GEOMETRY
+
+MINIMAL = GEOMETRY + "n_t = 8\nn_r = 4\nn_ris = 50\n"
 
 
 class TestParsePlanText:
@@ -36,19 +21,34 @@ class TestParsePlanText:
         assert plan.benchmark_ris_phase == "zero"
 
     def test_explicit_values_and_inline_comments(self):
-        text = MINIMAL + (
-            "snr_db = 0, 10, 20  # coarse sweep\n"
-            "trials = 17\n"
-            "seed = 99\n"
-            "schemes = ris_only, basic\n"
-            "benchmark_ris_phase = random\n"
-        )
-        plan = parse_plan_text(text)
-        assert plan.snr_db == (0.0, 10.0, 20.0)
-        assert plan.trials == 17
-        assert plan.seed == 99
-        assert plan.schemes == ("ris_only", "basic")
-        assert plan.benchmark_ris_phase == "random"
+        # every value distinct, so a field fed from another key shows
+        text = """\
+lambda_m = 0.006
+s_t_m = 0.002
+s_r_m = 0.003
+s_ris_m = 0.0025
+d_wall_m = 5.5
+d_ris_m = 2.4
+h_t_min_m = 2.1
+h_t_max_m = 3.1
+h_t_step_m = 0.05
+h_r_min_m = 0.9
+h_r_max_m = 1.7
+h_r_step_m = 0.04
+n_t = 8
+n_r = 4
+n_ris = 50
+snr_db = 0, 12  # coarse sweep
+trials = 17
+seed = 99
+schemes = ris_only, basic
+benchmark_ris_phase = random
+"""
+        assert parse_plan_text(text) == SimulationPlan(
+            wavelength=0.006, n_t=8, n_r=4, n_ris=50, s_t=0.002, s_r=0.003, s_ris=0.0025,
+            d_wall=5.5, d_ris=2.4, h_t_grid=(2.1, 3.1, 0.05), h_r_grid=(0.9, 1.7, 0.04),
+            snr_db=(0.0, 12.0), trials=17, seed=99, schemes=("ris_only", "basic"),
+            benchmark_ris_phase="random")
 
     def test_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown keys.*lambda"):
@@ -93,6 +93,11 @@ class TestParsePlanText:
                                     if line.startswith(f"{key} =")), f"{key} = {value}")
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             parse_plan_text(text)
+
+    def test_scene_errors_name_the_grid_minimum(self):
+        # a plan checks its scene at the lowest grid heights
+        with pytest.raises(ValueError, match=r"\(file key: h_t_min_m, s_t_m\)$"):
+            parse_plan_text(MINIMAL.replace("s_t_m = 0.0025", "s_t_m = 1.0"))
 
     @pytest.mark.parametrize("line", ["benchmark_ris_phase = wavelength", "schemes = h_t",
                                       "trials = d_ris"])

@@ -29,25 +29,13 @@ from riscap import (
 from riscap import config, sim
 from riscap.channel import CascadeChannel, gain_rows
 
+from conftest import GEOMETRY, cascade_for
+
 SHIPPED_CHUNK = oracle_mod._CHUNK
 
 # The benchmark's certification geometry; its scenes take the heights that
 # the plan's seed draws for trial 0.
-CERTIFY_GEOMETRY = """\
-lambda_m = 0.005
-s_t_m = 0.0025
-s_r_m = 0.0025
-s_ris_m = 0.0025
-d_wall_m = 5.0
-d_ris_m = 2.5
-h_t_min_m = 2.0
-h_t_max_m = 3.0
-h_r_min_m = 0.8
-h_r_max_m = 1.8
-h_t_step_m = 0.02
-h_r_step_m = 0.02
-trials = 1
-"""
+CERTIFY_GEOMETRY = GEOMETRY + "trials = 1\n"
 
 
 def certify_cascade(n_t, n_r, n_ris, seed):
@@ -56,11 +44,6 @@ def certify_cascade(n_t, n_r, n_ris, seed):
                            f"n_ris = {n_ris}\nseed = {seed}\n")
     cfg = plan.scene(*sample_heights(plan, 0))
     return build_cascade(build_positions(cfg), cfg)
-
-
-def cascade_for(scene, n_t, n_r, n_ris, **overrides):
-    cfg = scene(n_t=n_t, n_r=n_r, n_ris=n_ris, **overrides)
-    return cfg, build_cascade(build_positions(cfg), cfg)
 
 
 # Test-only copies of the earlier per-candidate-exp enumeration and serial

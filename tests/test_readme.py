@@ -2,10 +2,12 @@
 
 import importlib
 import re
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
-from riscap import sim
+from riscap import SimulationPlan, config, parse_plan_text, sim
+
+from conftest import GEOMETRY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +47,24 @@ def test_work_record_fields_listed_in_order():
     listed = README.read_text().split("Its fields:\n", 1)[1].split("\n\n", 1)[0]
     heads = " ".join(line.split(":")[0] for line in listed.splitlines() if line.startswith("- "))
     assert re.findall(r"`(\w+)`", heads) == [field.name for field in fields(sim._Work)]
+
+
+def test_config_keys_listed_in_order():
+    # the key block under "Config format", in the order of the table
+    section = README.read_text().split("\n## Config format\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    listed = [key for line in block.splitlines() for key in line.split("#")[0].split()]
+    assert listed == [key for _, *keys in config._FIELDS.values() for key in keys]
+
+
+def test_config_defaults_are_the_plans():
+    # the paragraph that spells out the defaults names each optional key once,
+    # in the table's order, and parses to the plan that leaves them out
+    text = README.read_text().split("The geometry keys are required.", 1)[1]
+    spelled = re.findall(r"`(\w+) = ([^`]*)`", text.split("\n\n", 1)[0])
+    optional = {field.name for field in fields(SimulationPlan) if field.default is not MISSING}
+    assert [key for key, _ in spelled] == \
+        [keys[0] for name, (_, *keys) in config._FIELDS.items() if name in optional]
+    arrays = GEOMETRY + "n_t = 1\nn_r = 1\nn_ris = 1\n"
+    assert parse_plan_text(arrays + "".join(f"{key} = {value}\n" for key, value in spelled)) \
+        == parse_plan_text(arrays)

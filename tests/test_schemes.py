@@ -30,10 +30,7 @@ from riscap import channel, schemes, sim
 from riscap.channel import gain_rows, normalization_constant, principal_angle
 from riscap.schemes import _precoded_sum, _solve_joint
 
-
-def cascade_for(scene, n_t, n_r, n_ris, **overrides):
-    cfg = scene(n_t=n_t, n_r=n_r, n_ris=n_ris, **overrides)
-    return cfg, build_cascade(build_positions(cfg), cfg)
+from conftest import cascade_for
 
 
 class TestSnrPoint:

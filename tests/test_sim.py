@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from riscap import (
     ResultRow,
     ResultTable,
-    SimulationPlan,
     SnrPoint,
     approx_gain,
     assemble_h,
@@ -39,25 +38,19 @@ from riscap import (
 )
 from riscap import approx, channel, schemes, sim
 from riscap._stream import TrialStreams
-from riscap.config import parse_plan_text
 from riscap.geometry import Leg
 from riscap.schemes import basic_gain
 from riscap.sim import SCHEMES, grid_points
 
-from goldens import GOLDEN, config_text
+from conftest import geometry_plan
+from goldens import GOLDEN, golden_plan
 
 
 def tiny_plan(**overrides):
-    params = dict(
-        wavelength=0.005, n_t=1, n_r=1, n_ris=1,
-        s_t=0.0025, s_r=0.0025, s_ris=0.0025,
-        d_wall=5.0, d_ris=2.5,
-        h_t_grid=(2.5, 2.5, 0.02), h_r_grid=(1.3, 1.3, 0.02),
-        snr_db=(0.0,), trials=1, seed=0,
-        schemes=("basic",),
-    )
-    params.update(overrides)
-    return SimulationPlan(**params)
+    "The reference geometry's one-antenna, one-element plan at its nominal heights alone."
+    params = dict(h_t_grid=(2.5, 2.5, 0.02), h_r_grid=(1.3, 1.3, 0.02),
+                  snr_db=(0.0,), trials=1, seed=0, schemes=("basic",))
+    return geometry_plan(**{**params, **overrides})
 
 
 class TestHeightGrid:
@@ -611,15 +604,10 @@ def trial_unit_gains(plan):
     return sim._sweep_gains(plan, streams.indices, streams if random else None)
 
 
-def golden_plan(name):
-    "The plan of golden ``name``'s recipe in ``tests/goldens.py``."
-    return parse_plan_text(config_text(name))
-
-
-def wide_plan(trials, seed=1, h_t_grid=(2.0, 3.0, 0.0001)):
-    "The benchmark's wide sweep: 32x16 arrays, 256 elements, 0.1 mm grids."
-    return replace(fine_plan(seed), n_t=32, n_r=16, n_ris=256, trials=trials,
-                   h_t_grid=h_t_grid, benchmark_ris_phase="random")
+def wide_plan(trials, seed=1, **fields):
+    "The benchmark's wide sweep: the wide golden scene, random phases, at one SNR point."
+    return replace(golden_plan("wide_random_50.csv"), trials=trials, seed=seed, snr_db=(0.0,),
+                   **fields)
 
 
 def unit_indices(plan):
