@@ -125,14 +125,13 @@ class TrialStreams:
                 "has_uint32": int(self._buffered[row]),
                 "uinteger": int(self._high[row]) if self._draws else 0}
 
-    def phases(self, rows, count: int, rng=None):
+    def phases(self, rows, count: int, rng):
         """``(len(rows), count)`` draws ``uniform(-pi, pi, count)`` of the
         streams at ``rows`` right after their grid draws: the benchmark
-        phases. NumPy's PCG64 draws them from each row's ``state`` on
-        ``rng``, whose state they replace, or on a generator of the call's
-        own; calls on generators of their own may run on several threads."""
+        phases. NumPy's PCG64 draws them from each row's ``state`` on the
+        generator ``rng``, whose state they replace; calls on generators of
+        their own may run on several threads."""
         out = np.empty((len(rows), count))
-        rng = np.random.default_rng(0) if rng is None else rng
         for values, row in zip(out, rows):
             rng.bit_generator.state = self.state(row)
             values[:] = rng.uniform(-np.pi, np.pi, size=count)

@@ -75,11 +75,15 @@ def normalization_constant(cfg: SceneConfig, d1_corner, d2_corner) -> float:
 
 def steering(dist, wavelength: float) -> NDArray[np.complex128]:
     "Unit-modulus phase factors exp(-j*2*pi*dist/wavelength) of path lengths."
-    # The same operations as np.exp(-2j * np.pi * dist / wavelength), in
-    # one complex array.
-    x = (-2j * np.pi) * dist
-    x /= wavelength
-    return np.exp(x, out=x)
+    # The bits of np.exp(-2j * np.pi * dist / wavelength): its complex
+    # division multiplies by 1 / wavelength, and exp of an imaginary number
+    # is its cos and sin. The real phase lives in the output's imaginary half.
+    out = np.empty(np.shape(dist), dtype=complex)
+    phase = np.multiply(dist, -2.0 * np.pi, out=out.imag)
+    phase *= 1.0 / wavelength
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=phase)
+    return out
 
 
 def build_cascade(pos: ScenePositions, cfg: SceneConfig) -> CascadeChannel:

@@ -43,9 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=_int_flag(0), default=None, help="override the config seed")
     sim.add_argument("--trials", type=_int_flag(1), default=None,
                      help="override the config trial count")
-    sim.add_argument("--workers", type=_int_flag(1), default=1,
-                     help="accepted for compatibility (>= 1) and unused; the engine picks its "
-                          "threads from the CPUs and the BLAS thread count")
 
     val = sub.add_parser("validate", help="run the brute-force solver checks")
     val.add_argument("--seed", type=_int_flag(0), default=7, help="seed for random restarts")
@@ -80,7 +77,9 @@ def _cmd_simulate(args) -> int:
     folder = os.path.dirname(args.out) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise _ConfigError(f"--out: directory {folder!r} does not exist or is not writable")
-    table = run_plan(plan, workers=args.workers)
+    if os.path.isdir(args.out):
+        raise _ConfigError(f"--out: {args.out!r} is a directory, not a file")
+    table = run_plan(plan)
     write_csv(table, args.out)
     print(f"wrote {len(table.rows)} rows to {args.out} "
           f"(seed={plan.seed}, trials={plan.trials}, version={table.metadata['version']})")

@@ -622,9 +622,10 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> ResultTable:
     """Run all trials and reduce each unit's capacities, weighted by its trial count.
 
     The engine picks its threads itself, as the module docstring says, and
-    sets no BLAS thread count. ``workers`` is accepted for compatibility and
-    must be an integer >= 1; it is unused, so the table is identical for any
-    worker count. ``metadata["distinct_pairs"]`` counts the distinct grid
+    sets no BLAS thread count. ``workers`` must be an integer >= 1 and is
+    unused; it stays only because ``perfbench/workloads.py`` passes it, until
+    the benchmark change of ROADMAP item 2b removes it there and here.
+    ``metadata["distinct_pairs"]`` counts the distinct grid
     height pairs the trials drew, and ``metadata["work"]`` is the sweep's
     ``_Work`` record as a dict.
     """

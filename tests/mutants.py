@@ -71,7 +71,11 @@ MUTANTS = [
      "ch.v_mat.sum(axis=-2) if sums is None else sums[1]",
      "ch.v_mat.sum(axis=-2) if sums is None else sums[0]"),
     ("lost phase", "channel.py", "if not phi.any():", "if True:"),
-    ("steering at twice the wavelength", "channel.py", "x /= wavelength", "x /= 2 * wavelength"),
+    ("steering at twice the wavelength", "channel.py",
+     "phase *= 1.0 / wavelength", "phase *= 0.5 / wavelength"),
+    ("cos and sin swapped", "channel.py",
+     "np.cos(phase, out=out.real)\n    np.sin(phase, out=phase)",
+     "np.sin(phase, out=out.real)\n    np.cos(phase, out=phase)"),
     ("corner at the top antenna", "geometry.py",
      "offsets=self.offsets[:1])", "offsets=self.offsets[-1:])"),
     ("array offsets shifted one spacing", "geometry.py",
@@ -103,6 +107,7 @@ MUTANTS = [
      "return _FIELDS[f\"{word}_grid\"][1:2]", "return _FIELDS[f\"{word}_grid\"][2:3]"),
     ("quoted value read as a field name", "config.py",
      "re.sub(r\"'[^']*'|", "re.sub(r\"(?!)'[^']*'|"),
+    ("directory --out accepted", "cli.py", "if os.path.isdir(args.out):", "if False:"),
 ]
 
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-x",

@@ -96,6 +96,19 @@ class TestBuildCascade:
         ch = build_cascade(build_positions(cfg), cfg)
         assert ch.u_mat[0, 0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
+    @pytest.mark.parametrize("name", [*PRESETS, "wide_zero_50.csv"])
+    def test_steering_is_complex_exp_bit_for_bit(self, name):
+        # on every row a preset's or the wide golden's trials draw: the goldens
+        # and the order of the oracle's tied maximizers rest on these bits, so
+        # a NumPy whose cos and sin differ from its complex exp fails here
+        plan = load_preset(name) if name in PRESETS else golden_plan(name)
+        heights = np.array([sample_heights(plan, i) for i in range(plan.trials)])
+        cfg = plan.scene(*heights[0])
+        for leg, h in zip(legs(cfg), heights.T):
+            dist = leg.rows(leg.heights(np.unique(h)))
+            expected = np.exp(-2j * np.pi * dist / cfg.wavelength)
+            assert steering(dist, cfg.wavelength).tobytes() == expected.tobytes()
+
 
 class TestAssembleH:
     def test_zero_phase_is_plain_product(self, panel):

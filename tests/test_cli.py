@@ -127,14 +127,6 @@ class TestSimulate:
         assert "schemes" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_bad_worker_count_is_config_error(self, workers, config_file, tmp_path, capsys):
-        code = cli_main(["simulate", "--config", str(config_file),
-                         "--out", str(tmp_path / "x.csv"), "--workers", workers])
-        assert code == 1
-        assert "--workers" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
-
     def test_negative_seed_is_config_error_naming_the_flag(self, config_file, tmp_path, capsys):
         code = cli_main(["simulate", "--config", str(config_file),
                          "--out", str(tmp_path / "x.csv"), "--seed", "-1"])
@@ -151,17 +143,20 @@ class TestSimulate:
         assert "snr_db" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_missing_output_directory_is_config_error_naming_out(self, config_file, tmp_path,
-                                                                  capsys):
-        # refused before the sweep runs, as every other bad input
-        code = cli_main(["simulate", "--config", str(config_file),
-                         "--out", str(tmp_path / "missing_dir" / "x.csv")])
+    @pytest.mark.parametrize("out", ["missing_dir/x.csv", "."])
+    def test_bad_output_path_is_config_error_naming_out(self, out, config_file, tmp_path,
+                                                        capsys):
+        # a missing directory, or a directory named as the file: refused
+        # before the sweep runs, as every other bad input, not after it as a
+        # failed write
+        code = cli_main(["simulate", "--config", str(config_file), "--out", str(tmp_path / out)])
         assert code == 1
         assert "--out" in capsys.readouterr().err
 
     def test_unwritable_output_is_runtime_error(self, config_file, tmp_path):
-        # a directory in a writable one passes the early check; writing to it fails
-        code = cli_main(["simulate", "--config", str(config_file), "--out", str(tmp_path)])
+        # a name too long for the file system passes the early checks; writing to it fails
+        code = cli_main(["simulate", "--config", str(config_file),
+                         "--out", str(tmp_path / ("x" * 300 + ".csv"))])
         assert code == 2
 
     def test_defaults_are_stated_once(self, tmp_path):

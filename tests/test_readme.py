@@ -1,11 +1,12 @@
 "The README as written: its library example runs, and every name it cites exists."
 
+import argparse
 import importlib
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from riscap import SimulationPlan, config, parse_plan_text, sim
+from riscap import SimulationPlan, cli, config, parse_plan_text, sim
 
 from conftest import GEOMETRY
 
@@ -31,6 +32,16 @@ def test_cited_names_exist():
     missing = [f"{module}.{name}" for module, name in sorted(cited)
                if not has_path(importlib.import_module(module), name)]
     assert {"test_sim", "riscap.geometry"} <= {module for module, _ in cited} and not missing
+
+
+def test_cited_flags_exist():
+    # every --flag under "Command line" is an option of some subcommand
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    cited = set(re.findall(r"(?<![\w-])--\w[\w-]*", section))
+    commands = next(action.choices for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {flag for command in commands.values() for flag in command._option_string_actions}
+    assert {"--config", "--out"} <= cited and cited <= options, sorted(cited - options)
 
 
 def has_path(obj, dotted):

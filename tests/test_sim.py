@@ -391,7 +391,7 @@ class TestStreamTwin:
         trials = np.arange(first, first + 6)
         streams = TrialStreams(seed, trials, sizes)
         rows = np.array([5, 0, 3, 1])
-        phases = streams.phases(rows, n_ris)
+        phases = streams.phases(rows, n_ris, np.random.default_rng(0))
         rngs, _ = numpy_streams(seed, trials[rows], sizes)
         for values, row, rng in zip(phases, rows, rngs):
             assert streams.state(row) == rng.bit_generator.state
@@ -410,25 +410,29 @@ class TestStreamTwin:
         if seed in (1, 12345):
             assert streams.flagged[len(others) + (seed == 12345)]
         rows = np.array(data.draw(st.permutations(range(len(trials)))))
-        phases = streams.phases(rows, n_ris)
+        phases = streams.phases(rows, n_ris, np.random.default_rng(0))
         rngs, indices = numpy_streams(seed, trials[rows], sizes)
         np.testing.assert_array_equal(streams.indices[rows], indices)
         for values, rng in zip(phases, rngs):
             assert values.tobytes() == rng.uniform(-np.pi, np.pi, n_ris).tobytes()
-        assert streams.phases(rows, n_ris).tobytes() == phases.tobytes()
+        assert streams.phases(rows, n_ris, np.random.default_rng(0)).tobytes() == phases.tobytes()
 
     def test_threads_drawing_disjoint_rows_match_serial_draws(self):
         # a generator shared between calls took one thread's row state for
-        # another's draws; long rows keep each draw out of the GIL while the
-        # other threads run, and there are more threads than most hosts' CPUs
+        # another's draws, so each call has its own; long rows keep each draw
+        # out of the GIL while the other threads run, and there are more
+        # threads than most hosts' CPUs
         streams = TrialStreams(1, np.arange(400), (10001, 10001))
         parts = np.arange(400).reshape(4, 100)
-        serial = [streams.phases(rows, 4096).tobytes() for rows in parts]
+
+        def phases(rows):
+            return streams.phases(rows, 4096, np.random.default_rng(0)).tobytes()
+        serial = [phases(rows) for rows in parts]
         start, same = threading.Barrier(len(parts), timeout=10), [None] * len(parts)
 
         def draw(part):
             start.wait()
-            same[part] = streams.phases(parts[part], 4096).tobytes() == serial[part]
+            same[part] = phases(parts[part]) == serial[part]
         # switching threads every microsecond interleaves the calls' rows
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -522,7 +526,7 @@ class TestBenchmarkLaziness:
         benchmark = bool({"basic", "cophasing"} & set(schemes))
         drawn, draw = [], TrialStreams.phases
 
-        def phases(streams, rows, count, rng=None):
+        def phases(streams, rows, count, rng):
             drawn.append(len(rows))
             return draw(streams, rows, count, rng)
         with mock.patch.object(sim, "assemble_h", wraps=sim.assemble_h) as assemble, \
